@@ -58,15 +58,8 @@ _INT_KEYS = {"n_rho", "n_theta", "n_phi", "n_z", "m", "snapshots", "m_ref", "see
 _FLOAT_KEYS = {"tstar"}
 _BOOL_KEYS = {"heatmap", "fe", "dense"}
 _LIST_KEYS = {"m_list", "n_list"}
-# remaining keys (model, out, kind) stay strings
-
-_DIMS_BY_MODEL = {
-    models.ModelName.BVAM_DISK: ("n_rho", "n_theta"),
-    models.ModelName.SCHNAKENBERG_ANOMALOUS_DISK: ("n_rho", "n_theta"),
-    models.ModelName.DIB_SPHERE: ("n_theta", "n_phi"),
-    models.ModelName.BULK_SURFACE_SCHNAKENBERG_BALL: ("n_rho", "n_theta", "n_phi"),
-    models.ModelName.BSDIB_CYLINDER: ("n_rho", "n_theta", "n_z"),
-}
+_STR_KEYS = {"model", "out", "kind"}
+_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _LIST_KEYS | _STR_KEYS
 
 
 @dataclass
@@ -102,6 +95,10 @@ def _parse_bool(value: str) -> bool:
 
 
 def _coerce(key: str, value: str):
+    if key not in _KEYS:
+        raise UsageError(
+            f"unknown config key {key!r} (model constants take the params. prefix)"
+        )
     try:
         if key in _INT_KEYS:
             return int(value)
@@ -116,16 +113,23 @@ def _coerce(key: str, value: str):
     return value
 
 
+def _assign(cfg: dict, overrides: dict[str, float], key: str, value: str) -> None:
+    if key.startswith("params."):
+        try:
+            overrides[key[len("params."):]] = float(value)
+        except ValueError as exc:
+            raise UsageError(f"bad numeric value for {key}: {value!r}") from exc
+    else:
+        cfg[key] = _coerce(key, value)
+
+
 def merge_config(args: argparse.Namespace) -> dict:
     """Config file first, then flags, then --set patches."""
     cfg: dict = {}
     overrides: dict[str, float] = {}
     if args.config:
         for key, value in parse_config_file(Path(args.config)).items():
-            if key.startswith("params."):
-                overrides[key[len("params."):]] = float(value)
-            else:
-                cfg[key] = _coerce(key, value)
+            _assign(cfg, overrides, key, value)
     for key in (
         "model seed out m tstar snapshots heatmap m_list m_ref fe dense "
         "kind n_list n_rho n_theta n_phi n_z"
@@ -137,14 +141,7 @@ def merge_config(args: argparse.Namespace) -> dict:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        key = key.strip()
-        if key.startswith("params."):
-            try:
-                overrides[key[len("params."):]] = float(value)
-            except ValueError as exc:
-                raise UsageError(f"bad numeric value in {item!r}") from exc
-        else:
-            cfg[key] = _coerce(key, value.strip())
+        _assign(cfg, overrides, key.strip(), value.strip())
     cfg["overrides"] = overrides
     return cfg
 
@@ -165,7 +162,7 @@ def _require_model(cfg: dict) -> models.ModelSpec:
 
 def _require_dims(cfg: dict, name: models.ModelName) -> dict[str, int]:
     dims = {}
-    for key in _DIMS_BY_MODEL[name]:
+    for key in models.dim_keys(name):
         if key not in cfg:
             raise UsageError(f"model {name.value} needs dimension {key}")
         if cfg[key] < 2:
@@ -180,15 +177,20 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _require_positive(cfg: dict, key: str):
+    value = _require(cfg, key)
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"{key} must be a positive finite number, got {value!r}")
+    return value
+
+
 def cmd_run(cfg: dict) -> RunReport:
     spec = _require_model(cfg)
     dims = _require_dims(cfg, spec.name)
-    m = _require(cfg, "m")
-    t_star = _require(cfg, "tstar")
-    if m < 1 or t_star <= 0:
-        raise UsageError("need m >= 1 and tstar > 0")
+    m = _require_positive(cfg, "m")
+    t_star = _require_positive(cfg, "tstar")
     seed = cfg.get("seed", 1)
-    snapshot_every = cfg.get("snapshots") or m
+    snapshot_every = _require_positive(cfg, "snapshots") if "snapshots" in cfg else m
     heatmap = bool(cfg.get("heatmap", False))
     outdir = Path(cfg.get("out", "curvipat_out"))
     outdir.mkdir(parents=True, exist_ok=True)
@@ -258,8 +260,10 @@ def _relative_error(states: dict, reference: dict) -> float:
 def cmd_converge(cfg: dict) -> dict:
     spec = _require_model(cfg)
     dims = _require_dims(cfg, spec.name)
-    t_star = _require(cfg, "tstar")
+    t_star = _require_positive(cfg, "tstar")
     m_list = _require(cfg, "m_list")
+    if not m_list or min(m_list) < 1:
+        raise UsageError(f"m_list needs step counts >= 1, got {m_list!r}")
     if sorted(m_list) != m_list:
         raise UsageError("m_list must be ascending")
     m_ref = cfg.get("m_ref", 4 * max(m_list))
@@ -371,13 +375,23 @@ def cmd_props(cfg: dict) -> list[dict]:
     kind = _require(cfg, "kind")
     if kind not in _PROP_KINDS:
         raise UsageError(f"unknown operator kind {kind!r}")
+    unknown = set(cfg.get("overrides", {})) - {"rho_star", "z_star", "lambda"}
+    if unknown:
+        raise UsageError(
+            f"props takes params.rho_star, z_star and lambda, not {sorted(unknown)}"
+        )
     n_list = _require(cfg, "n_list")
+    if not n_list:
+        raise UsageError("n_list is empty")
     if max(n_list) > 2048:
         raise UsageError("property report capped at n = 2048")
     exp_times = (0.1, 1.0, 10.0)
     rows = []
     for n in n_list:
-        op = _build_prop_operator(kind, n, cfg)
+        try:
+            op = _build_prop_operator(kind, n, cfg)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         row: dict = {"n": n}
         if kind == "theta":
             row["extra_diag_positive"] = op.off > 0

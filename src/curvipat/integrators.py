@@ -1,13 +1,17 @@
-"""Split exponential Euler steppers for the four supported geometries, the
-structured diffusion actions, forward Euler, and a dense classical
-exponential Euler reference for small problems.
+"""The split exponential Euler stepper, the structured diffusion action,
+forward Euler, and a dense classical exponential Euler reference for small
+problems.
 
+The discretized diffusion operator of every geometry is a sum of Kronecker
+products M = M_1 + ... + M_d.  Each summand M_mu acts along one mode with a
+1-d operator, scaled by diagonal weights of some other modes; the table
+``FACTORS`` lists the summands of each geometry in the fixed splitting order.
 The split scheme advances W_{n+1} = W_n + tau * P_1 P_2 (... P_d) F_n where
-F_n = M W_n + G_n and each P_mu is phi1(tau M_mu) for one Kronecker summand
-M_mu of the discretized diffusion operator M.  Every P_mu action reduces to
-mode products with precomputed orthogonal transforms plus a Hadamard product
-with a precomputed phi1 tensor, so the cost per step is a fixed number of
-BLAS-3 kernels.  The factor order is fixed per geometry and must not be
+F_n = M W_n + G_n and each P_mu is phi1(tau M_mu).  An unweighted P_mu is
+one mode product with a dense phi1 matrix; a weighted one is a mode product
+with V^-1, an elementwise product with a precomputed phi1 tensor, and a mode
+product with V.  So one code path serves every geometry and the cost per
+step is a fixed number of BLAS-3 kernels.  The factor order must not be
 permuted (the factors do not commute).
 """
 
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -22,13 +27,12 @@ import numpy as np
 from . import tensor
 from .operators import (
     DiagonalWeights,
-    EigenFactorization,
     PeriodicTridiagonal,
     TridiagonalOperator,
     eig_theta,
     eig_tridiag,
 )
-from .phifun import PhiTensor, phi1_dense_oracle, phi1_matrix, phi1_outer
+from .phifun import phi1_dense_oracle, phi1_matrix, phi1_outer
 
 DIVERGENCE_LIMIT = 1e12
 DENSE_REFERENCE_CAP = 4096
@@ -49,6 +53,29 @@ class Geometry(Enum):
     BALL = "ball"
     CYLINDER = "cylinder"
 
+    @property
+    def axes(self) -> tuple[str, ...]:
+        """Coordinate names of the field's modes, in mode order."""
+        return AXES[self]
+
+
+# Axis names per geometry; mode mu of a field runs along axes[mu - 1].
+AXES: dict[Geometry, tuple[str, ...]] = {
+    Geometry.DISK: ("rho", "theta"),
+    Geometry.SPHERE: ("theta", "phi"),
+    Geometry.BALL: ("rho", "theta", "phi"),
+    Geometry.CYLINDER: ("rho", "theta", "z"),
+}
+
+# Kronecker summands per geometry, in the fixed splitting order, as
+# (mode, modes whose diagonal weights scale the summand).
+FACTORS: dict[Geometry, tuple[tuple[int, tuple[int, ...]], ...]] = {
+    Geometry.DISK: ((1, ()), (2, (1,))),
+    Geometry.SPHERE: ((1, (2,)), (2, ())),
+    Geometry.BALL: ((1, ()), (2, (1, 3)), (3, (1,))),
+    Geometry.CYLINDER: ((1, ()), (2, (1,)), (3, ())),
+}
+
 
 @dataclass(frozen=True)
 class ComponentOps:
@@ -66,15 +93,13 @@ class ComponentOps:
     z: TridiagonalOperator | None = None
     rho_weights: DiagonalWeights | None = None
 
+    def axis_ops(self) -> list:
+        """The 1-d operators of the geometry's axes, in mode order."""
+        return [getattr(self, name) for name in self.geometry.axes]
+
     @property
     def shape(self) -> tuple[int, ...]:
-        if self.geometry is Geometry.DISK:
-            return (self.rho.n, self.theta.n)
-        if self.geometry is Geometry.SPHERE:
-            return (self.theta.n, self.phi.n)
-        if self.geometry is Geometry.BALL:
-            return (self.rho.n, self.theta.n, self.phi.n)
-        return (self.rho.n, self.theta.n, self.z.n)
+        return tuple(axis.n for axis in self.axis_ops())
 
     def rho_weight_values(self) -> np.ndarray | None:
         if self.rho is None:
@@ -83,40 +108,47 @@ class ComponentOps:
             return self.rho_weights.values
         return self.rho.grid**-2.0
 
+    def axis_weights(self, mu: int) -> np.ndarray:
+        """Diagonal weights that mode ``mu`` puts on the summands it scales:
+        rho^-2 (or the override) along rho, sin(phi)^-2 along phi."""
+        name = self.geometry.axes[mu - 1]
+        if name == "rho":
+            return self.rho_weight_values()
+        if name == "phi":
+            return np.sin(self.phi.grid) ** -2.0
+        raise ValueError(f"axis {name} carries no diagonal weights")
+
+
+@dataclass(frozen=True)
+class SplitFactor:
+    """One Kronecker summand prepared for a fixed time step.
+
+    ``A`` is the dense 1-d operator along ``mode`` (unscaled) and ``weight``
+    the broadcastable product of the diagonal weights that scale it (size 1
+    along ``mode`` and along every mode that does not weight it), or None.
+    ``phi1`` is the action of phi1(tau coeff M_mu): a dense matrix along
+    ``mode`` when the summand is unweighted, else (V^-1, phi1 tensor, V),
+    the tensor broadcast like ``weight``.
+    """
+
+    mode: int
+    A: np.ndarray
+    weight: np.ndarray | None
+    phi1: np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True)
 class GeometryOps:
-    """Everything the stepper needs for one (geometry, tau, coefficient)
-    triple: dense 1-d operator matrices for the diffusion action, the
-    orthogonal/similarity transforms, and the phi1 caches.
+    """Everything the stepper needs for one (component, tau) pair: the
+    prepared split factors in splitting order.
 
-    Built once by :func:`prepare`; the step loop performs only matrix
-    products and Hadamard products with these arrays.
+    Built once by :func:`prepare`; the step loop performs only mode
+    products and elementwise products with these arrays.
     """
 
     base: ComponentOps
     tau: float
-    # dense action matrices (unscaled; apply_diffusion multiplies by coeff)
-    A_rho: np.ndarray | None = None
-    A_theta: np.ndarray | None = None
-    A_phi: np.ndarray | None = None
-    A_z: np.ndarray | None = None
-    d_rho: np.ndarray | None = None
-    d_phi: np.ndarray | None = None
-    # spectral transforms
-    Q_theta: np.ndarray | None = None
-    lam_theta: np.ndarray | None = None
-    phi_fac: EigenFactorization | None = None
-    # phi1 caches (tau * coeff baked in)
-    phi_mix: PhiTensor | None = None
-    phi_mix_outer: PhiTensor | None = None
-    phi1_rho: np.ndarray | None = None
-    phi1_phi: np.ndarray | None = None
-    phi1_z: np.ndarray | None = None
-
-    @property
-    def geometry(self) -> Geometry:
-        return self.base.geometry
+    factors: tuple[SplitFactor, ...]
 
     @property
     def coeff(self) -> float:
@@ -133,120 +165,59 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     scale = tau * base.coeff
-    geom = base.geometry
-    kw: dict = {}
-    if base.theta is not None:
-        fac = eig_theta(base.theta)
-        kw["A_theta"] = base.theta.toarray()
-        kw["Q_theta"] = fac.Q
-        kw["lam_theta"] = fac.lambdas
-    if base.rho is not None:
-        kw["A_rho"] = base.rho.toarray()
-        kw["d_rho"] = base.rho_weight_values()
-        kw["phi1_rho"] = phi1_matrix(scale, eig_tridiag(base.rho))
-    if base.phi is not None:
-        fac = eig_tridiag(base.phi)
-        kw["A_phi"] = base.phi.toarray()
-        kw["d_phi"] = np.sin(base.phi.grid) ** -2.0
-        kw["phi_fac"] = fac
-        if geom is Geometry.SPHERE:
-            kw["phi1_phi"] = phi1_matrix(scale, fac)
-    if base.z is not None:
-        kw["A_z"] = base.z.toarray()
-        kw["phi1_z"] = phi1_matrix(scale, eig_tridiag(base.z))
-
-    if geom is Geometry.DISK:
-        kw["phi_mix"] = phi1_outer(scale, [kw["d_rho"], kw["lam_theta"]])
-    elif geom is Geometry.SPHERE:
-        kw["phi_mix"] = phi1_outer(scale, [kw["lam_theta"], kw["d_phi"]])
-    elif geom is Geometry.BALL:
-        ones_theta = np.ones(base.theta.n)
-        kw["phi_mix_outer"] = phi1_outer(
-            scale, [kw["d_rho"], ones_theta, kw["phi_fac"].lambdas]
-        )
-        kw["phi_mix"] = phi1_outer(
-            scale, [kw["d_rho"], kw["lam_theta"], kw["d_phi"]]
-        )
-    elif geom is Geometry.CYLINDER:
-        ones_z = np.ones(base.z.n)
-        kw["phi_mix"] = phi1_outer(scale, [kw["d_rho"], kw["lam_theta"], ones_z])
-    return GeometryOps(base=base, tau=tau, **kw)
+    axes = base.axis_ops()
+    factors = []
+    for mode, weighted_by in FACTORS[base.geometry]:
+        axis = axes[mode - 1]
+        if isinstance(axis, PeriodicTridiagonal):
+            fac = eig_theta(axis)
+        else:
+            fac = eig_tridiag(axis)
+        if not weighted_by:
+            factors.append(
+                SplitFactor(mode, axis.toarray(), None, phi1_matrix(scale, fac))
+            )
+            continue
+        vectors = [np.ones(1)] * len(axes)
+        for mu in weighted_by:
+            vectors[mu - 1] = base.axis_weights(mu)
+        weight = reduce(np.multiply.outer, vectors)
+        vectors[mode - 1] = fac.lambdas
+        action = (fac.V_inv, phi1_outer(scale, vectors), fac.V)
+        factors.append(SplitFactor(mode, axis.toarray(), weight, action))
+    return GeometryOps(base=base, tau=tau, factors=tuple(factors))
 
 
 def apply_diffusion(ops: GeometryOps, W: np.ndarray) -> np.ndarray:
     """Discretized diffusion term M W (including the coefficient)."""
     if W.shape != ops.shape:
         raise ValueError(f"field shape {W.shape} does not match {ops.shape}")
-    g = ops.geometry
-    if g is Geometry.DISK:
-        out = ops.A_rho @ W + ops.d_rho[:, None] * (W @ ops.A_theta)
-    elif g is Geometry.SPHERE:
-        out = (ops.A_theta @ W) * ops.d_phi[None, :] + W @ ops.A_phi.T
-    elif g is Geometry.BALL:
-        Wd = ops.d_rho[:, None, None] * W
-        out = (
-            tensor.mode_product(1, ops.A_rho, W)
-            + tensor.mode_product(2, ops.A_theta, Wd) * ops.d_phi[None, None, :]
-            + tensor.mode_product(3, ops.A_phi, Wd)
-        )
-    else:
-        Wd = ops.d_rho[:, None, None] * W
-        out = (
-            tensor.mode_product(1, ops.A_rho, W)
-            + tensor.mode_product(2, ops.A_theta, Wd)
-            + tensor.mode_product(3, ops.A_z, W)
-        )
-    return ops.coeff * out
-
-
-def step_split_disk(ops: GeometryOps, W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    F = apply_diffusion(ops, W) + G
-    T = F @ ops.Q_theta
-    T *= ops.phi_mix.field
-    T = T @ ops.Q_theta.T
-    return W + ops.tau * (ops.phi1_rho @ T)
-
-
-def step_split_sphere(ops: GeometryOps, W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    F = apply_diffusion(ops, W) + G
-    T = ops.Q_theta.T @ F @ ops.phi1_phi.T
-    T *= ops.phi_mix.field
-    return W + ops.tau * (ops.Q_theta @ T)
-
-
-def step_split_ball(ops: GeometryOps, W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    F = apply_diffusion(ops, W) + G
-    T = tensor.mode_product(3, ops.phi_fac.V_inv, F)
-    T = T * ops.phi_mix_outer.field
-    T = tensor.mode_product(3, ops.phi_fac.V, T)
-    T = tensor.mode_product(2, ops.Q_theta.T, T)
-    T *= ops.phi_mix.field
-    T = tensor.mode_product(2, ops.Q_theta, T)
-    T = tensor.mode_product(1, ops.phi1_rho, T)
-    return W + ops.tau * T
-
-
-def step_split_cylinder(ops: GeometryOps, W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    F = apply_diffusion(ops, W) + G
-    T = tensor.mode_product(3, ops.phi1_z, F)
-    T = tensor.mode_product(2, ops.Q_theta.T, T)
-    T *= ops.phi_mix.field
-    T = tensor.mode_product(2, ops.Q_theta, T)
-    T = tensor.mode_product(1, ops.phi1_rho, T)
-    return W + ops.tau * T
-
-
-STEPPERS: dict[Geometry, Callable] = {
-    Geometry.DISK: step_split_disk,
-    Geometry.SPHERE: step_split_sphere,
-    Geometry.BALL: step_split_ball,
-    Geometry.CYLINDER: step_split_cylinder,
-}
+    out = None
+    for f in ops.factors:
+        T = tensor.mode_product(f.mode, f.A, W)
+        if f.weight is not None:
+            T *= f.weight
+        if out is None:
+            out = T
+        else:
+            out += T
+    out *= ops.coeff
+    return out
 
 
 def step_split(ops: GeometryOps, W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Geometry-dispatching split exponential Euler step."""
-    return STEPPERS[ops.geometry](ops, W, G)
+    """One split exponential Euler step W + tau P_1 ... P_d (M W + G)."""
+    T = apply_diffusion(ops, W)
+    T += G
+    for f in reversed(ops.factors):
+        if f.weight is None:
+            T = tensor.mode_product(f.mode, f.phi1, T)
+        else:
+            V_inv, phi, V = f.phi1
+            T = tensor.mode_product(f.mode, V_inv, T)
+            T *= phi
+            T = tensor.mode_product(f.mode, V, T)
+    return W + ops.tau * T
 
 
 def step_forward_euler(
@@ -261,36 +232,38 @@ def step_forward_euler(
 def dense_split_factors(ops: GeometryOps) -> list[np.ndarray]:
     """The Kronecker summands M_1, ..., M_d of the diffusion matrix as dense
     matrices (coefficient included), in the fixed splitting order.  Oracle
-    use only; sizes are capped by the Kronecker assembler."""
+    use only: assembled per geometry from the base 1-d operators,
+    independently of ``FACTORS``; sizes are capped by the Kronecker
+    assembler."""
     kron = tensor.kron_assemble
-    g = ops.geometry
+    base = ops.base
+    g = base.geometry
+    if base.rho is not None:
+        A_rho = base.rho.toarray()
+        D_rho = np.diag(base.rho_weight_values())
+    if base.phi is not None:
+        A_phi = base.phi.toarray()
+        D_phi = np.diag(np.sin(base.phi.grid) ** -2.0)
+    A_theta = base.theta.toarray()
+    eye_t = np.eye(base.theta.n)
     if g is Geometry.DISK:
-        eye_t = np.eye(ops.A_theta.shape[0])
-        ms = [
-            kron([ops.A_rho, eye_t]),
-            kron([np.diag(ops.d_rho), ops.A_theta]),
-        ]
+        ms = [kron([A_rho, eye_t]), kron([D_rho, A_theta])]
     elif g is Geometry.SPHERE:
-        ms = [
-            kron([ops.A_theta, np.diag(ops.d_phi)]),
-            kron([np.eye(ops.A_theta.shape[0]), ops.A_phi]),
-        ]
+        ms = [kron([A_theta, D_phi]), kron([eye_t, A_phi])]
     elif g is Geometry.BALL:
-        eye_t = np.eye(ops.A_theta.shape[0])
-        eye_p = np.eye(ops.A_phi.shape[0])
+        eye_p = np.eye(base.phi.n)
         ms = [
-            kron([ops.A_rho, eye_t, eye_p]),
-            kron([np.diag(ops.d_rho), ops.A_theta, np.diag(ops.d_phi)]),
-            kron([np.diag(ops.d_rho), eye_t, ops.A_phi]),
+            kron([A_rho, eye_t, eye_p]),
+            kron([D_rho, A_theta, D_phi]),
+            kron([D_rho, eye_t, A_phi]),
         ]
     else:
-        eye_r = np.eye(ops.A_rho.shape[0])
-        eye_t = np.eye(ops.A_theta.shape[0])
-        eye_z = np.eye(ops.A_z.shape[0])
+        eye_r = np.eye(base.rho.n)
+        eye_z = np.eye(base.z.n)
         ms = [
-            kron([ops.A_rho, eye_t, eye_z]),
-            kron([np.diag(ops.d_rho), ops.A_theta, eye_z]),
-            kron([eye_r, eye_t, ops.A_z]),
+            kron([A_rho, eye_t, eye_z]),
+            kron([D_rho, A_theta, eye_z]),
+            kron([eye_r, eye_t, base.z.toarray()]),
         ]
     return [ops.coeff * m for m in ms]
 
@@ -313,6 +286,16 @@ def step_exact_ee_reference(
         raise ValueError(f"dense reference capped at {DENSE_REFERENCE_CAP} unknowns")
     P = phi1_dense_oracle(tau * M, max_dim=DENSE_REFERENCE_CAP)
     return w + tau * (P @ (M @ w + g))
+
+
+def check_divergence(states: dict[str, np.ndarray], step: int) -> None:
+    """Raise DivergenceError naming ``step`` and the first component with a
+    NaN or a magnitude beyond DIVERGENCE_LIMIT (one NaN-propagating pass)."""
+    for name, W in states.items():
+        if not np.max(np.abs(W)) <= DIVERGENCE_LIMIT:
+            raise DivergenceError(
+                f"component {name!r} diverged at step {step}", step=step
+            )
 
 
 def run_dense_exponential_euler(system, m: int, t_star: float) -> dict[str, np.ndarray]:
@@ -347,12 +330,7 @@ def run_dense_exponential_euler(system, m: int, t_star: float) -> dict[str, np.n
             w = tensor.vec(states[c.name])
             rhs = mats[c.name] @ w + tensor.vec(gs[c.name])
             states[c.name] = tensor.unvec(w + tau * (props[c.name] @ rhs), shapes[c.name])
-        for c in comps:
-            W = states[c.name]
-            if not np.all(np.isfinite(W)) or np.max(np.abs(W)) > DIVERGENCE_LIMIT:
-                raise DivergenceError(
-                    f"component {c.name!r} diverged at step {step}", step=step
-                )
+        check_divergence(states, step)
     return states
 
 
@@ -377,7 +355,7 @@ def run_simulation(
     sample_hook: Callable[[int, float, dict], None] | None = None,
     method: str = "split",
 ) -> RunResult:
-    """Advance a coupled system with the geometry-appropriate stepper.
+    """Advance a coupled system with the split (or forward Euler) stepper.
 
     The kinetics of all components are evaluated from the common state at
     t_n, then every component is advanced by one step.  All phi1 caches are
@@ -387,7 +365,7 @@ def run_simulation(
     """
     if m < 1:
         raise ValueError("need at least one time step")
-    if t_star <= 0:
+    if not t_star > 0:
         raise ValueError("t_star must be positive")
     if method not in ("split", "forward_euler"):
         raise ValueError(f"unknown method {method!r}")
@@ -419,12 +397,7 @@ def run_simulation(
             else:
                 new = step_forward_euler(ops, states[c.name], gs[c.name])
             states[c.name] = new
-        for c in comps:
-            W = states[c.name]
-            if not np.all(np.isfinite(W)) or np.max(np.abs(W)) > DIVERGENCE_LIMIT:
-                raise DivergenceError(
-                    f"component {c.name!r} diverged at step {step}", step=step
-                )
+        check_divergence(states, step)
         if step % every == 0 or step == m:
             take_sample(step)
     return RunResult(fields=states, times=times, series=series, steps=m, tau=tau)

@@ -217,6 +217,26 @@ _DEFAULT_SIZES: dict[ModelName, dict[str, float]] = {
 }
 
 
+# Geometry of every component, in the model's component order.
+COMPONENT_GEOMETRY: dict[ModelName, dict[str, Geometry]] = {
+    ModelName.BVAM_DISK: {"u": Geometry.DISK, "v": Geometry.DISK},
+    ModelName.SCHNAKENBERG_ANOMALOUS_DISK: {"u": Geometry.DISK, "v": Geometry.DISK},
+    ModelName.DIB_SPHERE: {"r": Geometry.SPHERE, "s": Geometry.SPHERE},
+    ModelName.BULK_SURFACE_SCHNAKENBERG_BALL: {
+        "u": Geometry.BALL,
+        "v": Geometry.BALL,
+        "r": Geometry.SPHERE,
+        "s": Geometry.SPHERE,
+    },
+    ModelName.BSDIB_CYLINDER: {
+        "u": Geometry.CYLINDER,
+        "v": Geometry.CYLINDER,
+        "r": Geometry.DISK,
+        "s": Geometry.DISK,
+    },
+}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Name, parameter map, geometry sizes and per-component perturbation
@@ -436,19 +456,18 @@ def component_shapes(
     name: ModelName, dims: dict[str, int]
 ) -> dict[str, tuple[int, ...]]:
     """Field dims per component, from the per-axis point counts."""
-    if name in (ModelName.BVAM_DISK, ModelName.SCHNAKENBERG_ANOMALOUS_DISK):
-        shape = (dims["n_rho"], dims["n_theta"])
-        return {"u": shape, "v": shape}
-    if name is ModelName.DIB_SPHERE:
-        shape = (dims["n_theta"], dims["n_phi"])
-        return {"r": shape, "s": shape}
-    if name is ModelName.BULK_SURFACE_SCHNAKENBERG_BALL:
-        bulk = (dims["n_rho"], dims["n_theta"], dims["n_phi"])
-        surf = (dims["n_theta"], dims["n_phi"])
-        return {"u": bulk, "v": bulk, "r": surf, "s": surf}
-    bulk = (dims["n_rho"], dims["n_theta"], dims["n_z"])
-    surf = (dims["n_rho"], dims["n_theta"])
-    return {"u": bulk, "v": bulk, "r": surf, "s": surf}
+    return {
+        comp: tuple(dims[f"n_{axis}"] for axis in geometry.axes)
+        for comp, geometry in COMPONENT_GEOMETRY[name].items()
+    }
+
+
+def dim_keys(name: ModelName) -> tuple[str, ...]:
+    """The point-count keys (``n_<axis>``) a model needs, in axis order."""
+    keys: dict[str, None] = {}
+    for geometry in COMPONENT_GEOMETRY[name].values():
+        keys.update((f"n_{axis}", None) for axis in geometry.axes)
+    return tuple(keys)
 
 
 def build_system(
@@ -475,10 +494,21 @@ def build_system(
 def _component(
     spec: ModelSpec,
     name: str,
-    ops: ComponentOps,
+    coeff: float,
+    axes: dict,
     initial: dict[str, np.ndarray],
     lift: float = 0.0,
+    rho_weights: DiagonalWeights | None = None,
 ) -> SystemComponent:
+    """One component on the geometry ``COMPONENT_GEOMETRY`` gives it, built
+    from the 1-d operators of that geometry's axes."""
+    geometry = COMPONENT_GEOMETRY[spec.name][name]
+    ops = ComponentOps(
+        geometry,
+        coeff,
+        rho_weights=rho_weights,
+        **{axis: axes[axis] for axis in geometry.axes},
+    )
     return SystemComponent(
         name=name,
         ops=ops,
@@ -490,12 +520,11 @@ def _component(
 
 def _build_bvam(spec: ModelSpec, dims, seed) -> CoupledSystem:
     p = spec.params
-    rho = build_rho(2, dims["n_rho"], spec.sizes["rho_star"])
-    theta = build_theta(dims["n_theta"])
+    axes = {
+        "rho": build_rho(2, dims["n_rho"], spec.sizes["rho_star"]),
+        "theta": build_theta(dims["n_theta"]),
+    }
     init = random_initial_condition(spec, seed, dims)
-
-    def make(coeff):
-        return ComponentOps(Geometry.DISK, coeff, rho=rho, theta=theta)
 
     def kinetics(states):
         b, c = bvam_kinetics(states["u"], states["v"], p)
@@ -504,8 +533,8 @@ def _build_bvam(spec: ModelSpec, dims, seed) -> CoupledSystem:
     return CoupledSystem(
         spec=spec,
         components=[
-            _component(spec, "u", make(p["gamma"]), init),
-            _component(spec, "v", make(p["delta"]), init),
+            _component(spec, "u", p["gamma"], axes, init),
+            _component(spec, "v", p["delta"], axes, init),
         ],
         kinetics=kinetics,
         equilibrium=spec.equilibrium(),
@@ -517,12 +546,13 @@ def _build_anomalous(spec: ModelSpec, dims, seed) -> CoupledSystem:
     rho, weights, theta = anomalous_setup(
         p, dims["n_rho"], dims["n_theta"], spec.sizes["rho_star"]
     )
+    axes = {"rho": rho, "theta": theta}
     init = random_initial_condition(spec, seed, dims)
     eq = spec.equilibrium()
 
-    def make(coeff):
-        return ComponentOps(
-            Geometry.DISK, coeff, rho=rho, theta=theta, rho_weights=weights
+    def component(name, coeff):
+        return _component(
+            spec, name, coeff, axes, init, lift=eq[name], rho_weights=weights
         )
 
     def kinetics(states):
@@ -534,8 +564,8 @@ def _build_anomalous(spec: ModelSpec, dims, seed) -> CoupledSystem:
     return CoupledSystem(
         spec=spec,
         components=[
-            _component(spec, "u", make(1.0), init, lift=eq["u"]),
-            _component(spec, "v", make(p["delta"]), init, lift=eq["v"]),
+            component("u", 1.0),
+            component("v", p["delta"]),
         ],
         kinetics=kinetics,
         equilibrium=eq,
@@ -545,12 +575,11 @@ def _build_anomalous(spec: ModelSpec, dims, seed) -> CoupledSystem:
 def _build_dib_sphere(spec: ModelSpec, dims, seed) -> CoupledSystem:
     p = spec.params
     rho_star = spec.sizes["rho_star"]
-    theta = build_theta(dims["n_theta"])
-    phi, _ = build_phi_op(dims["n_phi"])
+    axes = {
+        "theta": build_theta(dims["n_theta"]),
+        "phi": build_phi_op(dims["n_phi"])[0],
+    }
     init = random_initial_condition(spec, seed, dims)
-
-    def make(coeff):
-        return ComponentOps(Geometry.SPHERE, coeff, theta=theta, phi=phi)
 
     def kinetics(states):
         pr, qs = dib_kinetics(states["r"], states["s"], p)
@@ -559,8 +588,8 @@ def _build_dib_sphere(spec: ModelSpec, dims, seed) -> CoupledSystem:
     return CoupledSystem(
         spec=spec,
         components=[
-            _component(spec, "r", make(1.0 / rho_star**2), init),
-            _component(spec, "s", make(p["epsilon"] / rho_star**2), init),
+            _component(spec, "r", 1.0 / rho_star**2, axes, init),
+            _component(spec, "s", p["epsilon"] / rho_star**2, axes, init),
         ],
         kinetics=kinetics,
         equilibrium=spec.equilibrium(),
@@ -571,16 +600,12 @@ def _build_ball(spec: ModelSpec, dims, seed) -> CoupledSystem:
     p = spec.params
     rho_star = spec.sizes["rho_star"]
     rho = build_rho(3, dims["n_rho"], rho_star)
-    theta = build_theta(dims["n_theta"])
-    phi, _ = build_phi_op(dims["n_phi"])
+    axes = {
+        "rho": rho,
+        "theta": build_theta(dims["n_theta"]),
+        "phi": build_phi_op(dims["n_phi"])[0],
+    }
     init = random_initial_condition(spec, seed, dims)
-
-    def bulk(coeff):
-        return ComponentOps(Geometry.BALL, coeff, rho=rho, theta=theta, phi=phi)
-
-    def surf(coeff):
-        return ComponentOps(Geometry.SPHERE, coeff, theta=theta, phi=phi)
-
     h_rho = rho.h
     rho_edge = rho.grid[-1]
 
@@ -604,10 +629,10 @@ def _build_ball(spec: ModelSpec, dims, seed) -> CoupledSystem:
     return CoupledSystem(
         spec=spec,
         components=[
-            _component(spec, "u", bulk(1.0), init),
-            _component(spec, "v", bulk(p["delta"]), init),
-            _component(spec, "r", surf(1.0 / rho_star**2), init),
-            _component(spec, "s", surf(p["epsilon"] / rho_star**2), init),
+            _component(spec, "u", 1.0, axes, init),
+            _component(spec, "v", p["delta"], axes, init),
+            _component(spec, "r", 1.0 / rho_star**2, axes, init),
+            _component(spec, "s", p["epsilon"] / rho_star**2, axes, init),
         ],
         kinetics=kinetics,
         equilibrium=spec.equilibrium(),
@@ -616,18 +641,14 @@ def _build_ball(spec: ModelSpec, dims, seed) -> CoupledSystem:
 
 def _build_cylinder(spec: ModelSpec, dims, seed) -> CoupledSystem:
     p = spec.params
-    rho = build_rho(2, dims["n_rho"], spec.sizes["rho_star"])
-    theta = build_theta(dims["n_theta"])
     z = build_z(dims["n_z"], spec.sizes["z_star"])
+    axes = {
+        "rho": build_rho(2, dims["n_rho"], spec.sizes["rho_star"]),
+        "theta": build_theta(dims["n_theta"]),
+        "z": z,
+    }
     init = random_initial_condition(spec, seed, dims)
     eq = spec.equilibrium()
-
-    def bulk(coeff):
-        return ComponentOps(Geometry.CYLINDER, coeff, rho=rho, theta=theta, z=z)
-
-    def surf(coeff):
-        return ComponentOps(Geometry.DISK, coeff, rho=rho, theta=theta)
-
     h_z = z.h
 
     def kinetics(states):
@@ -651,10 +672,10 @@ def _build_cylinder(spec: ModelSpec, dims, seed) -> CoupledSystem:
     return CoupledSystem(
         spec=spec,
         components=[
-            _component(spec, "u", bulk(1.0), init, lift=eq["u"]),
-            _component(spec, "v", bulk(p["delta"]), init, lift=eq["v"]),
-            _component(spec, "r", surf(1.0), init),
-            _component(spec, "s", surf(p["epsilon"]), init),
+            _component(spec, "u", 1.0, axes, init, lift=eq["u"]),
+            _component(spec, "v", p["delta"], axes, init, lift=eq["v"]),
+            _component(spec, "r", 1.0, axes, init),
+            _component(spec, "s", p["epsilon"], axes, init),
         ],
         kinetics=kinetics,
         equilibrium=eq,

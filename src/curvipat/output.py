@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .integrators import ComponentOps, Geometry
+from .integrators import ComponentOps
 
 _FLOAT_FMT = "%.17g"
 
@@ -77,25 +77,6 @@ def write_heatmap(path: Path, field: np.ndarray) -> None:
         fh.write(pixels.tobytes())
 
 
-def _axis_names(geometry: Geometry) -> list[str]:
-    return {
-        Geometry.DISK: ["rho", "theta"],
-        Geometry.SPHERE: ["theta", "phi"],
-        Geometry.BALL: ["rho", "theta", "phi"],
-        Geometry.CYLINDER: ["rho", "theta", "z"],
-    }[geometry]
-
-
-def _axis_grids(cops: ComponentOps) -> list[np.ndarray]:
-    ops = {
-        "rho": cops.rho,
-        "theta": cops.theta,
-        "phi": cops.phi,
-        "z": cops.z,
-    }
-    return [ops[name].grid for name in _axis_names(cops.geometry)]
-
-
 def write_snapshot(
     path: Path,
     field: np.ndarray,
@@ -112,8 +93,8 @@ def write_snapshot(
     lists 1-based indices, node coordinates and the value, one row per node
     in flat-index (first index fastest) order.
     """
-    names = _axis_names(cops.geometry)
-    grids = _axis_grids(cops)
+    names = list(cops.geometry.axes)
+    grids = [axis.grid for axis in cops.axis_ops()]
     shape = field.shape
     index_cols = [
         axis.reshape(-1, order="F") + 1

@@ -8,7 +8,6 @@ integral of the exponential that appears in exponential one-step methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -37,23 +36,12 @@ def phi1(x):
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class PhiTensor:
-    """Elementwise phi1 values over an outer product of spectral factors.
+def phi1_outer(tau_coeff: float, factors) -> np.ndarray:
+    """Array with entries phi1(tau_coeff * f1[i] * f2[j] * f3[k]).
 
-    ``tau_scale`` records the (time step x diffusion coefficient) product the
-    tensor was built with, so consumers can verify cache consistency.
-    """
-
-    field: np.ndarray
-    tau_scale: float
-
-
-def phi1_outer(tau_coeff: float, factors) -> PhiTensor:
-    """PhiTensor with entries phi1(tau_coeff * f1[i] * f2[j] * f3[k]).
-
-    Two or three factor vectors; pass an all-ones vector for a mode that the
-    split factor does not couple ("dot" slot).
+    Two or three factor vectors; pass ``np.ones(1)`` for a mode that the
+    split factor does not couple, and the result has size 1 there, so it
+    broadcasts against the field.
     """
     if not 2 <= len(factors) <= 3:
         raise ValueError(f"need 2 or 3 factor vectors, got {len(factors)}")
@@ -61,8 +49,7 @@ def phi1_outer(tau_coeff: float, factors) -> PhiTensor:
     for f in arrs:
         if f.ndim != 1 or f.size == 0:
             raise ValueError("each factor must be a nonempty 1-d vector")
-    arg = tau_coeff * reduce(np.multiply.outer, arrs)
-    return PhiTensor(field=phi1(arg), tau_scale=tau_coeff)
+    return phi1(tau_coeff * reduce(np.multiply.outer, arrs))
 
 
 def phi1_matrix(tau: float, fac: EigenFactorization) -> np.ndarray:

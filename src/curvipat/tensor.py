@@ -1,5 +1,5 @@
-"""Dense order-1/2/3 tensor kernels: mu-mode products, the Tucker operator,
-Hadamard products and vec/unvec.
+"""Dense order-1/2/3 tensor kernels: mu-mode products, the Tucker operator
+and vec/unvec.
 
 Fields are plain ``numpy.ndarray`` objects.  The linearization convention is
 first-index-fastest: element (i, j, k) of a field with dims (n1, n2, n3)
@@ -9,6 +9,8 @@ rows, mode 3 on tubes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,21 +34,28 @@ def mode_product(mu: int, L: np.ndarray, field: np.ndarray) -> np.ndarray:
     """Multiply the square matrix L along mode ``mu`` of the field.
 
     mode_product(1, L, T)[i, j, k] = sum_m L[i, m] T[m, j, k], and
-    analogously along the other modes.  Realized as a single BLAS-shaped
-    contraction over the matching unfolding.
+    analogously along the other modes.  Realized as GEMMs on the C-order
+    unfolding (one for the first and the last mode, one per leading index
+    for a middle mode), so the result is always C-contiguous.
     """
     L = np.asarray(L)
     field = np.asarray(field)
     if not 1 <= mu <= field.ndim:
         raise ValueError(f"mode {mu} out of range for order-{field.ndim} field")
     axis = mu - 1
-    if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[1] != field.shape[axis]:
+    n = field.shape[axis]
+    if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[1] != n:
         raise ValueError(
             f"matrix of shape {L.shape} does not fit mode {mu} of field "
             f"with dims {field.shape}"
         )
-    out = np.tensordot(L, field, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+    if axis == 0:
+        out = L @ field.reshape(n, -1)
+    elif axis == field.ndim - 1:
+        out = field.reshape(-1, n) @ L.T
+    else:
+        out = L @ field.reshape(-1, n, math.prod(field.shape[mu:]))
+    return out.reshape(field.shape)
 
 
 def tucker(
@@ -72,15 +81,6 @@ def tucker(
             continue
         out = mode_product(mu, L, out)
     return out
-
-
-def hadamard(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Elementwise product of two fields with identical dims."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch {A.shape} vs {B.shape}")
-    return A * B
 
 
 def kron_assemble(matrices) -> np.ndarray:

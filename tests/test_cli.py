@@ -177,6 +177,37 @@ def test_usage_errors_exit_2(tmp_path):
         "run", "--model", "bvam_disk", "--n-rho", "6", "--n-theta", "8",
         "--m", "1", "--tstar", "1", "--set", "nonsense",
     ) == 2
+    disk = ["--model", "bvam_disk", "--n-rho", "6", "--n-theta", "8"]
+    out = ["--out", str(tmp_path / "o")]
+    for tstar in ("nan", "inf", "-inf", "0"):
+        assert run_cli("run", *disk, "--m", "1", f"--tstar={tstar}", *out) == 2
+    assert run_cli("run", *disk, "--m", "6", "--tstar", "1", "--snapshots=-3", *out) == 2
+    assert run_cli("converge", *disk, "--tstar", "0.01", "--m-list", "0,2") == 2
+    assert run_cli("converge", *disk, "--tstar", "0.01", "--m-list", "") == 2
+    assert run_cli("converge", *disk, "--tstar", "nan", "--m-list", "2,4") == 2
+    assert run_cli("props", "--kind", "theta", "--n-list", "") == 2
+    assert run_cli("props", "--kind", "theta", "--n-list", "2") == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_unknown_plain_config_keys_exit_2(tmp_path, capsys):
+    good, typo = tmp_path / "good.cfg", tmp_path / "typo.cfg"
+    good.write_text("model = bvam_disk\nn_rho = 6\nn_theta = 8\nm = 1\ntstar = 1\n")
+    typo.write_text(good.read_text() + "snapshot = 3\n")
+    out = ["--out", str(tmp_path / "o")]
+    assert run_cli("run", "--config", str(typo), *out) == 2
+    assert "'snapshot'" in capsys.readouterr().err
+    assert run_cli("run", "--config", str(good), "--set", "snapshot=3", *out) == 2
+    assert not (tmp_path / "o").exists()
+
+    props = ["props", "--kind", "lambda", "--n-list", "8"]
+    assert run_cli(*props, "--set", "lambda=-1.0") == 2
+    assert run_cli(*props, "--set", "params.rho_sta=2") == 2
+    capsys.readouterr()
+    assert run_cli(*props) == 0
+    default = capsys.readouterr().out
+    assert run_cli(*props, "--set", "params.lambda=-1.0") == 0
+    assert capsys.readouterr().out != default
 
 
 def test_converge_table_and_slope(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 from functools import reduce
 
 import numpy as np
@@ -81,13 +82,13 @@ def dense_split_reference(ops, W, G, tau):
 def test_apply_diffusion_disk_annihilates_constants():
     ops = prepare(disk_base(), 0.1)
     out = apply_diffusion(ops, np.full((4, 4), 2.5))
-    assert np.max(np.abs(out)) <= 1e-11 * np.max(np.abs(ops.A_rho))
+    assert np.max(np.abs(out)) <= 1e-11 * np.max(np.abs(ops.base.rho.toarray()))
 
 
 def test_apply_diffusion_sphere_annihilates_constants():
     ops = prepare(sphere_base(), 0.1)
     out = apply_diffusion(ops, np.full((4, 4), -1.3))
-    assert np.max(np.abs(out)) <= 1e-11 * np.max(np.abs(ops.A_phi))
+    assert np.max(np.abs(out)) <= 1e-11 * np.max(np.abs(ops.base.phi.toarray()))
 
 
 @pytest.mark.parametrize("name", sorted(ALL_BASES))
@@ -335,6 +336,47 @@ def test_run_simulation_divergence_names_step():
     assert 1 <= err.value.step <= 50
 
 
+@pytest.mark.parametrize("runner", ["forward_euler", "dense"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0001e12, 1e12])
+def test_divergence_guard_names_step_and_component(bad, runner):
+    # zero fields and zero diffusion: with tau = 1 both runners take the
+    # kinetics value into the field exactly
+    k = 3
+    system = models.build_system("bvam_disk", {"n_rho": 4, "n_theta": 6}, seed=4)
+    comps = [
+        dataclasses.replace(
+            c, initial=np.zeros(c.ops.shape), ops=dataclasses.replace(c.ops, coeff=0.0)
+        )
+        for c in system.components
+    ]
+    calls = []
+
+    def kinetics(states):
+        calls.append(None)
+        gs = {name: np.zeros(W.shape) for name, W in states.items()}
+        if len(calls) == k:
+            gs["v"][1, 2] = bad
+        return gs
+
+    system = dataclasses.replace(system, components=comps, kinetics=kinetics)
+
+    def run():
+        if runner == "dense":
+            return run_dense_exponential_euler(system, k, float(k))
+        return run_simulation(system, k, float(k), method="forward_euler").fields
+
+    if bad == 1e12:
+        assert run()["v"][1, 2] == 1e12
+        return
+    # 0 * inf in the dense runner's mat-vec spreads NaN, which the guard
+    # must catch as well
+    with np.errstate(invalid="ignore"), pytest.raises(
+        DivergenceError, match=f"'v' diverged at step {k}$"
+    ) as err:
+        run()
+    assert err.value.step == k
+
+
 def test_run_simulation_sampling_layout():
     dims = {"n_rho": 4, "n_theta": 6}
     system = models.build_system("bvam_disk", dims, seed=4)
@@ -351,6 +393,8 @@ def test_run_simulation_validates_inputs():
         run_simulation(system, 0, 1.0)
     with pytest.raises(ValueError):
         run_simulation(system, 5, -1.0)
+    with pytest.raises(ValueError):
+        run_simulation(system, 5, float("nan"))
     with pytest.raises(ValueError):
         run_simulation(system, 5, 1.0, method="leapfrog")
 
@@ -379,12 +423,6 @@ def test_dense_exponential_euler_size_cap():
     system = models.build_system("bvam_disk", dims, seed=5)
     with pytest.raises(ValueError):
         run_dense_exponential_euler(system, 2, 0.1)
-
-
-def test_phi_tensor_cache_scale():
-    base = disk_base(coeff=0.25)
-    ops = prepare(base, 0.4)
-    assert ops.phi_mix.tau_scale == pytest.approx(0.1)
 
 
 def test_small_forced_problem_first_order_self_convergence():

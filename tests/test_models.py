@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from curvipat import models
+from curvipat import cli, models, output
 from curvipat import operators as op
 from curvipat.integrators import Geometry, prepare, run_simulation, step_split
 
@@ -328,6 +328,32 @@ def test_anomalous_lifted_equilibrium_is_nonlinear_fixed_point():
 def test_anomalous_grid_offset():
     rho_op, _, _ = models.anomalous_setup({"lambda": -1.95}, 8, 8)
     assert rho_op.grid[0] == pytest.approx(1.475 * rho_op.h, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", list(models.ModelName))
+def test_geometry_table_is_the_one_source_of_axes(name, tmp_path):
+    # table axes, component_shapes, the CLI's dims, the snapshot columns and
+    # every built component's operators must agree
+    all_dims = {"n_rho": 5, "n_theta": 6, "n_phi": 4, "n_z": 3}
+    dims = cli._require_dims(all_dims, name)
+    shapes = models.component_shapes(name, dims)
+    system = models.build_system(name, dims, seed=1)
+    assert [c.name for c in system.components] == list(shapes)
+    used = set()
+    for c in system.components:
+        geometry = models.COMPONENT_GEOMETRY[name][c.name]
+        axes = geometry.axes
+        assert c.ops.geometry is geometry
+        assert shapes[c.name] == c.ops.shape == tuple(all_dims[f"n_{a}"] for a in axes)
+        assert prepare(c.ops, 0.1).shape == c.ops.shape == c.initial.shape
+        used |= {f"n_{a}" for a in axes}
+        path = tmp_path / f"{c.name}.csv"
+        output.write_snapshot(
+            path, c.initial, c.ops, component=c.name, model=name.value, step=0, t=0.0
+        )
+        header = next(l for l in path.read_text().splitlines() if l.startswith("i,"))
+        assert header.split(",")[len(axes):-1] == list(axes)
+    assert set(dims) == used
 
 
 # ---------------------------------------------------------------------------

@@ -54,15 +54,14 @@ def test_phi1_monotone_and_bounded_on_negative_axis():
 
 def test_phi1_outer_zero_scale_gives_ones():
     pt = phifun.phi1_outer(0.0, [np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])])
-    assert np.array_equal(pt.field, np.ones((2, 3)))
-    assert pt.tau_scale == 0.0
+    assert np.array_equal(pt, np.ones((2, 3)))
 
 
 def test_phi1_outer_reduces_to_scalars():
     tau = 0.3
     pt = phifun.phi1_outer(tau, [np.array([1.0]), np.array([0.0, -2.0])])
-    assert pt.field[0, 0] == 1.0
-    assert pt.field[0, 1] == phifun.phi1(-2.0 * tau)
+    assert pt[0, 0] == 1.0
+    assert pt[0, 1] == phifun.phi1(-2.0 * tau)
 
 
 def test_phi1_outer_matches_loop_exactly():
@@ -77,15 +76,15 @@ def test_phi1_outer_matches_loop_exactly():
                 loop[i, j, k] = phifun.phi1(
                     tau * ((factors[0][i] * factors[1][j]) * factors[2][k])
                 )
-    assert np.array_equal(pt.field, loop)
+    assert np.array_equal(pt, loop)
 
 
 def test_phi1_outer_positive_on_nonpositive_arguments():
     rng = np.random.RandomState(12)
     factors = [np.abs(rng.randn(4)), -np.abs(rng.randn(5))]
     pt = phifun.phi1_outer(0.8, factors)
-    assert np.all(pt.field > 0.0)
-    assert np.all(pt.field <= 1.0)
+    assert np.all(pt > 0.0)
+    assert np.all(pt <= 1.0)
 
 
 def test_phi1_outer_rejects_bad_factors():

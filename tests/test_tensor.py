@@ -54,6 +54,22 @@ def test_mode_product_matches_loop_oracle():
         assert np.max(np.abs(out - loop_mode_product(mu, L, T))) <= 1e-13
 
 
+@pytest.mark.parametrize("dims", [(4, 5), (3, 4, 5)])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_mode_product_every_mode_is_correct_and_c_contiguous(dims, transposed):
+    rng = np.random.RandomState(12)
+    T = rng.randn(*dims)
+    if transposed:
+        T = rng.randn(*dims[::-1]).T
+        assert not T.flags.c_contiguous
+    for mu in range(1, T.ndim + 1):
+        L = rng.randn(dims[mu - 1], dims[mu - 1])
+        out = tensor.mode_product(mu, L, T)
+        assert out.shape == T.shape
+        assert out.flags.c_contiguous
+        assert np.max(np.abs(out - loop_mode_product(mu, L, T))) <= 1e-13
+
+
 def test_mode_product_order2_kronecker_identity():
     rng = np.random.RandomState(3)
     T = rng.randn(4, 5)
@@ -130,19 +146,6 @@ def test_mode_products_along_distinct_modes_commute():
     a = tensor.mode_product(3, L3, tensor.mode_product(1, L1, T))
     b = tensor.mode_product(1, L1, tensor.mode_product(3, L3, T))
     assert np.max(np.abs(a - b)) <= 1e-13
-
-
-def test_hadamard():
-    rng = np.random.RandomState(9)
-    A = rng.randn(3, 4)
-    assert np.array_equal(tensor.hadamard(A, np.ones((3, 4))), A)
-    two = 2 * np.ones((2, 2))
-    assert np.array_equal(tensor.hadamard(two, two), 4 * np.ones((2, 2)))
-    B = rng.randn(3, 4)
-    loop = np.array([[A[i, j] * B[i, j] for j in range(4)] for i in range(3)])
-    assert np.array_equal(tensor.hadamard(A, B), loop)
-    with pytest.raises(ValueError):
-        tensor.hadamard(A, np.ones((4, 3)))
 
 
 def test_kron_assemble_identities_and_blocks():
