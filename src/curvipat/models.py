@@ -32,76 +32,11 @@ from .operators import (
     build_theta,
     build_z,
 )
+from .rng import Xoshiro256pp
 
 # ---------------------------------------------------------------------------
-# deterministic random numbers
+# perturbation laws
 # ---------------------------------------------------------------------------
-
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(state: int):
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
-class Xoshiro256pp:
-    """xoshiro256++ generator, seeded through splitmix64.
-
-    This exact algorithm (state update, output scrambler, seeding expansion
-    and draw order) is part of the package contract: fields produced from a
-    given seed must never change between versions.  Uniform doubles take the
-    top 53 bits; normal deviates come from the Box-Muller transform applied
-    to consecutive uniform pairs.
-    """
-
-    def __init__(self, seed: int):
-        s = seed & _MASK64
-        state = []
-        for _ in range(4):
-            s, word = _splitmix64(s)
-            state.append(word)
-        self._state = state
-
-    def next_uint64(self) -> int:
-        s0, s1, s2, s3 = self._state
-        result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._state = [s0, s1, s2, s3]
-        return result
-
-    def uniform(self, size: int) -> np.ndarray:
-        """size iid draws from U[0, 1)."""
-        out = np.empty(size)
-        for i in range(size):
-            out[i] = (self.next_uint64() >> 11) * 2.0**-53
-        return out
-
-    def normal(self, size: int) -> np.ndarray:
-        """size iid standard normal draws (Box-Muller on uniform pairs)."""
-        pairs = (size + 1) // 2
-        out = np.empty(2 * pairs)
-        for i in range(pairs):
-            # u1 in (0, 1] so the logarithm is finite
-            u1 = ((self.next_uint64() >> 11) + 1) * 2.0**-53
-            u2 = (self.next_uint64() >> 11) * 2.0**-53
-            radius = math.sqrt(-2.0 * math.log(u1))
-            out[2 * i] = radius * math.cos(2.0 * math.pi * u2)
-            out[2 * i + 1] = radius * math.sin(2.0 * math.pi * u2)
-        return out[:size]
 
 
 @dataclass(frozen=True)

@@ -91,19 +91,22 @@ def write_snapshot(
 
     Header comments carry the geometry, dims and grid vectors; the body
     lists 1-based indices, node coordinates and the value, one row per node
-    in flat-index (first index fastest) order.
+    in flat-index (first index fastest) order.  The body is written one
+    slice of the last index at a time, with the index and coordinate text
+    of every axis formatted once.
     """
     names = list(cops.geometry.axes)
     grids = [axis.grid for axis in cops.axis_ops()]
     shape = field.shape
-    index_cols = [
-        axis.reshape(-1, order="F") + 1
-        for axis in np.indices(shape)
-    ]
-    coord_cols = [
-        grids[d][index_cols[d] - 1]
-        for d in range(len(shape))
-    ]
+    index_text = [[f"{k}," for k in range(1, n + 1)] for n in shape]
+    coord_text = [[_FLOAT_FMT % c + "," for c in grid.tolist()] for grid in grids]
+    # (index text, coordinate text) of every node of one slice, first index
+    # fastest
+    prefixes = [("", "")]
+    for idx, crd in zip(index_text[:-1], coord_text[:-1]):
+        prefixes = [
+            (p_idx + i, p_crd + c) for i, c in zip(idx, crd) for p_idx, p_crd in prefixes
+        ]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# model: {model}\n")
         fh.write(f"# component: {component}\n")
@@ -116,12 +119,12 @@ def write_snapshot(
                 f"# grid_{name}: " + " ".join(_FLOAT_FMT % g for g in grid) + "\n"
             )
         fh.write(",".join(["i", "j", "k"][: len(shape)] + names + ["value"]) + "\n")
-        values = field.reshape(-1, order="F")
-        for row in range(values.size):
-            cells = [str(col[row]) for col in index_cols]
-            cells += [_FLOAT_FMT % col[row] for col in coord_cols]
-            cells.append(_FLOAT_FMT % values[row])
-            fh.write(",".join(cells) + "\n")
+        slices = field.reshape(-1, order="F").reshape(shape[-1], -1)
+        for i_k, c_k, values in zip(index_text[-1], coord_text[-1], slices):
+            # index and coordinate text hold no "%", so only the value
+            # fields are formatting directives
+            rows = "".join(f"{idx}{i_k}{crd}{c_k}{_FLOAT_FMT}\n" for idx, crd in prefixes)
+            fh.write(rows % tuple(values.tolist()))
 
 
 def write_timeseries(path: Path, names: list[str], rows: list[tuple]) -> None:

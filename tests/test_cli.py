@@ -1,10 +1,11 @@
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from curvipat import cli, output
+from curvipat import cli, models, output
 from curvipat import operators as op
 
 
@@ -117,6 +118,45 @@ def test_snapshot_headers_and_flat_index_order(tmp_path):
     assert (second[0], second[1]) == ("2", "1")  # first index fastest
 
 
+def _golden_field(shape):
+    # both signs, -0, exact integers and magnitudes 1e-300 .. 1e300, built
+    # from decimal literals so the doubles are the same on every platform
+    values = [
+        float(f"{'-' if k % 2 else ''}{1 + k % 9}.{k % 97:02d}e{(37 * k) % 601 - 300}")
+        if k % 5 else float(k - 40)
+        for k in range(int(np.prod(shape)))
+    ]
+    values[1] = -0.0
+    return np.array(values).reshape(shape, order="F")
+
+
+@pytest.mark.parametrize(
+    "model, index, digest",
+    [
+        ("bvam_disk", 0, "92b2c9fc23cd6358370c048235f72283dfff4ec2fa5d2ebc1ced5cb0b1349c8c"),
+        (
+            "bulk_surface_schnakenberg_ball", 0,
+            "3bf151e4be745772c635cdc36786eeefd71854890708c3b2cb7fe6cf804c90c8",
+        ),
+        (
+            "bulk_surface_schnakenberg_ball", 2,
+            "53069447941bbc0c9d493c325427ff19cc636f2dd6c4e9de8e87ffc84fdcdd2c",
+        ),
+    ],
+)
+def test_snapshot_bytes_frozen(tmp_path, model, index, digest):
+    # disk (order 2), ball bulk (order 3) and sphere surface: the exact
+    # %.17g text downstream readers and the benchmark gate depend on
+    dims = {"n_rho": 5, "n_theta": 6, "n_phi": 4}
+    comp = models.build_system(model, dims, seed=1).components[index]
+    path = tmp_path / "snap.csv"
+    output.write_snapshot(
+        path, _golden_field(comp.ops.shape), comp.ops,
+        component=comp.name, model="m", step=7, t=0.125,
+    )
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_heatmap_extrema_match_field_extrema(tmp_path):
     rng = np.random.RandomState(40)
     field = rng.randn(5, 7)
@@ -185,6 +225,12 @@ def test_usage_errors_exit_2(tmp_path):
     assert run_cli("converge", *disk, "--tstar", "0.01", "--m-list", "0,2") == 2
     assert run_cli("converge", *disk, "--tstar", "0.01", "--m-list", "") == 2
     assert run_cli("converge", *disk, "--tstar", "nan", "--m-list", "2,4") == 2
+    for seed in ("-1", str(2**64)):
+        step = ["--tstar", "0.01", f"--seed={seed}"]
+        assert run_cli("run", *disk, "--m", "1", *step, *out) == 2
+        assert run_cli("converge", *disk, "--m-list", "2", *step) == 2
+    top = ["--tstar", "0.01", f"--seed={2**64 - 1}", "--out", str(tmp_path / "top")]
+    assert run_cli("run", *disk, "--m", "1", *top) == 0
     assert run_cli("props", "--kind", "theta", "--n-list", "") == 2
     assert run_cli("props", "--kind", "theta", "--n-list", "2") == 2
     assert not (tmp_path / "o").exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -29,6 +30,63 @@ def test_rng_golden_values_frozen():
         13781649495232077965,
         1847458086238483744,
     ]
+
+
+# SHA-256 over, for each size, a fresh generator's draw bytes (little-endian
+# float64) followed by its four state words after the draw.
+_RNG_GOLDEN_SIZES = (0, 1, 255, 256, 257, 1001, 25601)
+_RNG_GOLDEN = {
+    (1, "uniform"): "193f18c5ab60ae130ac5c38e1dcc4cf39d97f76ef51b24a38d013a19e51d8bbe",
+    (1, "normal"): "a99621ce7c988d2a766c87ae5c56ff36a68ca9f72d5366b6a7b497f7c80a4952",
+    (2**64 - 1, "uniform"): "a6251245a12838252144719e5a382b1c31660261b24e428821241cb2741a48a4",
+    (2**64 - 1, "normal"): "81f23b550923a89800bfb854212937498b99e69d74ef6ef603012673ab4575e8",
+}
+
+
+@pytest.mark.parametrize("seed, kind", list(_RNG_GOLDEN))
+def test_rng_draws_and_states_frozen(seed, kind):
+    digest = hashlib.sha256()
+    for size in _RNG_GOLDEN_SIZES:
+        rng = models.Xoshiro256pp(seed)
+        draws = getattr(rng, kind)(size)
+        assert draws.shape == (size,)
+        digest.update(draws.astype("<f8").tobytes())
+        for word in rng._state:
+            digest.update(int(word).to_bytes(8, "little"))
+    assert digest.hexdigest() == _RNG_GOLDEN[seed, kind]
+
+
+@pytest.mark.parametrize(
+    "a, b", [(0, 7), (1, 1000), (255, 258), (256, 256), (300, 25301)]
+)
+def test_rng_split_draws_continue_the_stream(a, b):
+    whole = models.Xoshiro256pp(5)
+    split = models.Xoshiro256pp(5)
+    joined = np.concatenate([split.uniform(a), split.uniform(b)])
+    assert joined.tobytes() == whole.uniform(a + b).tobytes()
+    assert split._state == whole._state
+    # the scalar generator is the reference for both values and end state
+    scalar = models.Xoshiro256pp(5)
+    expected = [(scalar.next_uint64() >> 11) * 2.0**-53 for _ in range(a + b)]
+    assert joined.tolist() == expected
+    assert scalar._state == whole._state
+
+
+def test_rng_raw_matches_scalar_reference():
+    lanes, scalar = models.Xoshiro256pp(2**64 - 1), models.Xoshiro256pp(2**64 - 1)
+    for n in (0, 1, 2, 255, 256, 257, 1000, 4097):
+        assert lanes.raw(n).tolist() == [scalar.next_uint64() for _ in range(n)]
+        assert lanes._state == scalar._state
+    with pytest.raises(ValueError):
+        lanes.raw(-1)
+
+
+def test_rng_odd_normal_consumes_one_extra_draw():
+    odd, even = models.Xoshiro256pp(9), models.Xoshiro256pp(9)
+    z_odd, z_even = odd.normal(257), even.normal(258)
+    assert z_odd.tobytes() == z_even[:257].tobytes()
+    assert odd._state == even._state
+    assert odd.next_uint64() == even.next_uint64()
 
 
 def test_rng_uniform_range_and_mean():
