@@ -202,12 +202,12 @@ def cmd_run(cfg: dict) -> RunReport:
     snapshot_every = _require_positive(cfg, "snapshots") if "snapshots" in cfg else m
     heatmap = bool(cfg.get("heatmap", False))
     outdir = Path(cfg.get("out", "curvipat_out"))
-    outdir.mkdir(parents=True, exist_ok=True)
 
     try:
         system = models.build_system(spec, dims, seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    outdir.mkdir(parents=True, exist_ok=True)
     means = models.mean_diagnostics(system)
     comps = {c.name: c for c in system.components}
     names = [c.name for c in system.components]

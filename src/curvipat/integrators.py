@@ -10,9 +10,12 @@ The split scheme advances W_{n+1} = W_n + tau * P_1 P_2 (... P_d) F_n where
 F_n = M W_n + G_n and each P_mu is phi1(tau M_mu).  An unweighted P_mu is
 one mode product with a dense phi1 matrix; a weighted one is a mode product
 with V^-1, an elementwise product with a precomputed phi1 tensor, and a mode
-product with V.  So one code path serves every geometry and the cost per
-step is a fixed number of BLAS-3 kernels.  The factor order must not be
-permuted (the factors do not commute).
+product with V.  For a long periodic angle V is the real Fourier basis, so
+its pair of mode products becomes an rfft and an irfft.  The tridiagonal
+operators of M W are applied as diagonal blocks plus the entries between
+them along every mode but the last.  So one code path serves every
+geometry and the cost per step is a fixed number of kernels.  The factor
+order must not be permuted (the factors do not commute).
 """
 
 from __future__ import annotations
@@ -36,6 +39,16 @@ from .phifun import phi1_dense_oracle, phi1_matrix, phi1_outer
 
 DIVERGENCE_LIMIT = 1e12
 DENSE_REFERENCE_CAP = 4096
+
+# Diagonal blocks of a block-banded 1-d operator are the largest divisor of
+# n in [BLOCK_MIN, BLOCK_MAX]; smaller blocks ran slower than the dense GEMM.
+# An n without such a divisor, an n <= BLOCK_MAX and the last mode (short
+# contiguous rows, where one GEMM was fastest) stay dense.
+BLOCK_MAX = 16
+BLOCK_MIN = 8
+# Periodic angles with at least this many points apply phi1 by rfft; below
+# it the dense V^-1 and V products were as fast or faster.
+FFT_MIN_THETA = 128
 
 
 class DivergenceError(RuntimeError):
@@ -123,18 +136,41 @@ class ComponentOps:
 class SplitFactor:
     """One Kronecker summand prepared for a fixed time step.
 
-    ``A`` is the dense 1-d operator along ``mode`` (unscaled) and ``weight``
-    the broadcastable product of the diagonal weights that scale it (size 1
-    along ``mode`` and along every mode that does not weight it), or None.
-    ``phi1`` is the action of phi1(tau coeff M_mu): a dense matrix along
-    ``mode`` when the summand is unweighted, else (V^-1, phi1 tensor, V),
-    the tensor broadcast like ``weight``.
+    ``A`` is coeff times the 1-d operator along ``mode``, dense or
+    :class:`tensor.BlockBanded`, and ``weight`` the broadcastable product of
+    the diagonal weights that scale it (size 1 along ``mode`` and along
+    every mode that does not weight it), or None.  ``phi1`` is the action of
+    phi1(tau coeff M_mu): a dense matrix along ``mode`` when the summand is
+    unweighted, else (V^-1, phi1 tensor, V), the tensor broadcast like
+    ``weight``; when V is the real Fourier basis, the phi1 tensor alone,
+    over the rfft frequencies along ``mode``.
     """
 
     mode: int
-    A: np.ndarray
+    A: np.ndarray | tensor.BlockBanded
     weight: np.ndarray | None
     phi1: np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def diffusion(self, W: np.ndarray) -> np.ndarray:
+        """The summand's action coeff M_mu W (a new array)."""
+        if isinstance(self.A, tensor.BlockBanded):
+            T = tensor.banded_mode_product(self.mode, self.A, W)
+        else:
+            T = tensor.mode_product(self.mode, self.A, W)
+        if self.weight is not None:
+            T *= self.weight
+        return T
+
+    def apply_phi1(self, T: np.ndarray) -> np.ndarray:
+        """phi1(tau coeff M_mu) T (a new array)."""
+        if self.weight is None:
+            return tensor.mode_product(self.mode, self.phi1, T)
+        if not isinstance(self.phi1, tuple):
+            return tensor.fourier_mode_product(self.mode, self.phi1, T)
+        V_inv, phi, V = self.phi1
+        T = tensor.mode_product(self.mode, V_inv, T)
+        T *= phi
+        return tensor.mode_product(self.mode, V, T)
 
 
 @dataclass(frozen=True)
@@ -159,9 +195,18 @@ class GeometryOps:
         return self.base.shape
 
 
+def _block_size(n: int) -> int | None:
+    """Diagonal block size for a 1-d operator of order n, or None (dense)."""
+    if n <= BLOCK_MAX:
+        return None
+    return next((b for b in range(BLOCK_MAX, BLOCK_MIN - 1, -1) if n % b == 0), None)
+
+
 def prepare(base: ComponentOps, tau: float) -> GeometryOps:
     """Precompute all transforms and phi1 factors for one component at a
-    fixed time step; done once before the time loop."""
+    fixed time step; done once before the time loop.  Each 1-d operator
+    takes its cheapest exact form, chosen from its mode's size and
+    position alone."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     scale = tau * base.coeff
@@ -169,22 +214,28 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
     factors = []
     for mode, weighted_by in FACTORS[base.geometry]:
         axis = axes[mode - 1]
-        if isinstance(axis, PeriodicTridiagonal):
-            fac = eig_theta(axis)
-        else:
-            fac = eig_tridiag(axis)
+        A = base.coeff * axis.toarray()
+        b = _block_size(axis.n) if mode < len(axes) else None
+        if b is not None:
+            A = tensor.BlockBanded.from_dense(A, b)
+        periodic = isinstance(axis, PeriodicTridiagonal)
+        fac = eig_theta(axis) if periodic else eig_tridiag(axis)
         if not weighted_by:
-            factors.append(
-                SplitFactor(mode, axis.toarray(), None, phi1_matrix(scale, fac))
-            )
+            factors.append(SplitFactor(mode, A, None, phi1_matrix(scale, fac)))
             continue
         vectors = [np.ones(1)] * len(axes)
         for mu in weighted_by:
             vectors[mu - 1] = base.axis_weights(mu)
         weight = reduce(np.multiply.outer, vectors)
-        vectors[mode - 1] = fac.lambdas
-        action = (fac.V_inv, phi1_outer(scale, vectors), fac.V)
-        factors.append(SplitFactor(mode, axis.toarray(), weight, action))
+        if periodic and axis.n >= FFT_MIN_THETA:
+            # eig_theta orders its columns by frequency 0, 1, 1, 2, 2, ...;
+            # the cos and sin columns of one frequency share an eigenvalue
+            vectors[mode - 1] = fac.lambdas[np.r_[0, 1 : axis.n : 2]]
+            action = phi1_outer(scale, vectors)
+        else:
+            vectors[mode - 1] = fac.lambdas
+            action = (fac.V_inv, phi1_outer(scale, vectors), fac.V)
+        factors.append(SplitFactor(mode, A, weight, action))
     return GeometryOps(base=base, tau=tau, factors=tuple(factors))
 
 
@@ -192,16 +243,10 @@ def apply_diffusion(ops: GeometryOps, W: np.ndarray) -> np.ndarray:
     """Discretized diffusion term M W (including the coefficient)."""
     if W.shape != ops.shape:
         raise ValueError(f"field shape {W.shape} does not match {ops.shape}")
-    out = None
-    for f in ops.factors:
-        T = tensor.mode_product(f.mode, f.A, W)
-        if f.weight is not None:
-            T *= f.weight
-        if out is None:
-            out = T
-        else:
-            out += T
-    out *= ops.coeff
+    first, *rest = ops.factors
+    out = first.diffusion(W)
+    for f in rest:
+        out += f.diffusion(W)
     return out
 
 
@@ -210,14 +255,10 @@ def step_split(ops: GeometryOps, W: np.ndarray, G: np.ndarray) -> np.ndarray:
     T = apply_diffusion(ops, W)
     T += G
     for f in reversed(ops.factors):
-        if f.weight is None:
-            T = tensor.mode_product(f.mode, f.phi1, T)
-        else:
-            V_inv, phi, V = f.phi1
-            T = tensor.mode_product(f.mode, V_inv, T)
-            T *= phi
-            T = tensor.mode_product(f.mode, V, T)
-    return W + ops.tau * T
+        T = f.apply_phi1(T)
+    T *= ops.tau
+    T += W
+    return T
 
 
 def step_forward_euler(

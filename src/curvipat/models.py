@@ -416,6 +416,7 @@ def build_system(
         spec = model_spec(spec, overrides)
     elif overrides:
         raise ValueError("pass overrides via model_spec when supplying a ModelSpec")
+    _check_constants(spec)
     builder = {
         ModelName.BVAM_DISK: _build_bvam,
         ModelName.SCHNAKENBERG_ANOMALOUS_DISK: _build_anomalous,
@@ -424,6 +425,20 @@ def build_system(
         ModelName.BSDIB_CYLINDER: _build_cylinder,
     }[spec.name]
     return builder(spec, dims, seed)
+
+
+def _check_constants(spec: ModelSpec) -> None:
+    """Reject a non-finite parameter or size, including the derived eta4 of
+    the DIB kinetics, before anything is built."""
+    constants = {**spec.params, **spec.sizes}
+    if "zeta5" in spec.params:
+        try:
+            constants["eta4"] = eta4(spec.params)
+        except ZeroDivisionError:
+            constants["eta4"] = math.inf
+    for key, value in constants.items():
+        if not math.isfinite(value):
+            raise ValueError(f"model constant {key} must be finite, got {value!r}")
 
 
 def _component(
@@ -437,6 +452,10 @@ def _component(
 ) -> SystemComponent:
     """One component on the geometry ``COMPONENT_GEOMETRY`` gives it, built
     from the 1-d operators of that geometry's axes."""
+    if coeff < 0:
+        raise ValueError(
+            f"component {name!r} has a negative diffusion coefficient {coeff!r}"
+        )
     geometry = COMPONENT_GEOMETRY[spec.name][name]
     ops = ComponentOps(
         geometry,
@@ -587,14 +606,17 @@ def _build_cylinder(spec: ModelSpec, dims, seed) -> CoupledSystem:
     h_z = z.h
 
     def kinetics(states):
-        u = states["u"] + eq["u"]
-        v = states["v"] + eq["v"]
+        W_u, W_v = states["u"], states["v"]
         r, s = states["r"], states["s"]
         src_u, src_v, ps, qs = bs_cylinder_coupling(
-            u[:, :, 0], v[:, :, 0], r, s, p, h_z
+            W_u[:, :, 0] + eq["u"], W_v[:, :, 0] + eq["v"], r, s, p, h_z
         )
-        gu = -p["alpha1"] * (u - p["alpha2"])
-        gv = -p["beta1"] * (v - p["beta2"])
+        # -alpha1 (u - alpha2) with u = W_u + u*, without lifting the field
+        a1, b1 = p["alpha1"], p["beta1"]
+        gu = W_u * -a1
+        gu += a1 * (p["alpha2"] - eq["u"])
+        gv = W_v * -b1
+        gv += b1 * (p["beta2"] - eq["v"])
         gu[:, :, 0] += src_u
         gv[:, :, 0] += src_v
         return {

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 
 class NumericalFailure(RuntimeError):
@@ -66,6 +66,19 @@ class TridiagonalOperator:
         rs[:-1] += self.b
         rs[1:] += self.c
         return rs
+
+    @cached_property
+    def eigen(self) -> "EigenFactorization":
+        """The eigendecomposition, computed on first use and then shared
+        (read-only) by every component built on this operator."""
+        xi, sym = symmetrize(self)
+        try:
+            lam, Q = np.linalg.eigh(sym.toarray())
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise NumericalFailure(f"tridiagonal eigensolver failed: {exc}") from exc
+        for arr in (lam, Q, xi):
+            arr.flags.writeable = False
+        return EigenFactorization(lambdas=lam, Q=Q, xi=xi)
 
 
 @dataclass(frozen=True)
@@ -369,17 +382,12 @@ def symmetrize(op: TridiagonalOperator) -> tuple[np.ndarray, SymTridiagonal]:
 
 
 def eig_tridiag(op: TridiagonalOperator) -> EigenFactorization:
-    """Full eigendecomposition via symmetrization.
+    """Full eigendecomposition via symmetrization (cached per operator).
 
     Eigenvalues come back sorted ascending with the eigenvector columns of Q
     permuted accordingly; V = Xi Q diagonalizes the original operator.
     """
-    xi, sym = symmetrize(op)
-    try:
-        lam, Q = eigh_tridiagonal(sym.diag, sym.off)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalFailure(f"tridiagonal eigensolver failed: {exc}") from exc
-    return EigenFactorization(lambdas=lam, Q=Q, xi=xi)
+    return op.eigen
 
 
 def expm_taylor(A: np.ndarray) -> np.ndarray:

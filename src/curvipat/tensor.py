@@ -1,5 +1,5 @@
-"""Dense order-1/2/3 tensor kernels: mu-mode products, the Tucker operator
-and vec/unvec.
+"""Order-1/2/3 tensor kernels: dense, block-banded and real-Fourier
+mu-mode products, the Tucker operator and vec/unvec.
 
 Fields are plain ``numpy.ndarray`` objects.  The linearization convention is
 first-index-fastest: element (i, j, k) of a field with dims (n1, n2, n3)
@@ -11,6 +11,7 @@ rows, mode 3 on tubes.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +57,87 @@ def mode_product(mu: int, L: np.ndarray, field: np.ndarray) -> np.ndarray:
     else:
         out = L @ field.reshape(-1, n, math.prod(field.shape[mu:]))
     return out.reshape(field.shape)
+
+
+@dataclass(frozen=True)
+class BlockBanded:
+    """A square matrix of order n = k b held as its k diagonal b x b blocks
+    plus the few entries outside them, no two of those in one row.
+
+    For a (circulant) tridiagonal matrix the entries outside the blocks are
+    the sub- and superdiagonal entries at block boundaries and the two
+    periodic corners.
+    """
+
+    blocks: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray, b: int) -> "BlockBanded":
+        A = np.asarray(A, dtype=float)
+        n = A.shape[0]
+        if A.shape != (n, n) or b < 1 or n % b:
+            raise ValueError(f"cannot split a matrix of shape {A.shape} into {b}x{b} blocks")
+        k = n // b
+        diag = np.arange(k)
+        blocks = A.reshape(k, b, k, b)[diag, :, diag, :]
+        outside = A.copy()
+        outside.reshape(k, b, k, b)[diag, :, diag, :] = 0.0
+        rows, cols = np.nonzero(outside)
+        if len(np.unique(rows)) != len(rows):
+            raise ValueError("entries outside the diagonal blocks share a row")
+        return cls(blocks, rows, cols, outside[rows, cols])
+
+    @property
+    def n(self) -> int:
+        return self.blocks.shape[0] * self.blocks.shape[1]
+
+
+def banded_mode_product(mu: int, op: BlockBanded, field: np.ndarray) -> np.ndarray:
+    """:func:`mode_product` with a :class:`BlockBanded` matrix.
+
+    One batched GEMM multiplies the diagonal blocks over the C-order
+    unfolding (pre, k, b, post); the entries outside the blocks are then
+    gathered and added row by row.  The result is C-contiguous.  Meant for
+    modes other than the last: there the rows of the unfolding are long.
+    """
+    field = np.asarray(field)
+    if not 1 <= mu <= field.ndim or field.shape[mu - 1] != op.n:
+        raise ValueError(
+            f"block-banded matrix of order {op.n} does not fit mode {mu} of "
+            f"field with dims {field.shape}"
+        )
+    k, b, _ = op.blocks.shape
+    pre = math.prod(field.shape[: mu - 1])
+    post = math.prod(field.shape[mu:])
+    out = op.blocks @ field.reshape(pre, k, b, post)
+    X = field.reshape(pre, op.n, post)
+    out.reshape(pre, op.n, post)[:, op.rows] += op.vals[:, None] * X[:, op.cols]
+    return out.reshape(field.shape)
+
+
+def fourier_mode_product(mu: int, symbol: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """Apply along mode ``mu`` the real symmetric circulant matrices whose
+    eigenvalue at frequency k (k = 0 .. n/2) is ``symbol[..., k, ...]``:
+    irfft(symbol * rfft(field)).
+
+    ``symbol`` has n//2 + 1 entries along mode ``mu`` and broadcasts
+    against the field along the others, so the circulant may vary with the
+    other indices.
+    """
+    field = np.asarray(field)
+    axis = mu - 1
+    n = field.shape[axis]
+    if symbol.ndim != field.ndim or symbol.shape[axis] != n // 2 + 1:
+        raise ValueError(
+            f"symbol of shape {symbol.shape} does not fit mode {mu} of field "
+            f"with dims {field.shape}"
+        )
+    spectrum = np.fft.rfft(field, axis=axis)
+    spectrum *= symbol
+    return np.fft.irfft(spectrum, n, axis=axis)
 
 
 def tucker(

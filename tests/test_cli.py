@@ -229,6 +229,14 @@ def test_usage_errors_exit_2(tmp_path):
         step = ["--tstar", "0.01", f"--seed={seed}"]
         assert run_cli("run", *disk, "--m", "1", *step, *out) == 2
         assert run_cli("converge", *disk, "--m-list", "2", *step) == 2
+    # nonsense model constants are bad input, not a divergence at step 1
+    for bad in ("params.gamma=-1", "params.gamma=nan", "params.gamma=inf", "params.alpha1=-inf"):
+        step = ["--tstar", "0.01", "--set", bad]
+        assert run_cli("run", *disk, "--m", "1", *step, *out) == 2
+        assert run_cli("converge", *disk, "--m-list", "2", *step) == 2
+    sphere = ["--model", "dib_sphere", "--n-theta", "6", "--n-phi", "6", "--m", "1"]
+    for bad in ("params.zeta5=0", "params.epsilon=-20", "params.rho_star=nan"):
+        assert run_cli("run", *sphere, "--tstar", "0.01", "--set", bad, *out) == 2
     top = ["--tstar", "0.01", f"--seed={2**64 - 1}", "--out", str(tmp_path / "top")]
     assert run_cli("run", *disk, "--m", "1", *top) == 0
     assert run_cli("props", "--kind", "theta", "--n-list", "") == 2

@@ -91,9 +91,25 @@ def test_apply_diffusion_sphere_annihilates_constants():
     assert np.max(np.abs(out)) <= 1e-11 * np.max(np.abs(ops.base.phi.toarray()))
 
 
-@pytest.mark.parametrize("name", sorted(ALL_BASES))
-def test_apply_diffusion_matches_kronecker_oracle(name):
-    base = ALL_BASES[name]()
+@pytest.mark.parametrize(
+    "name,dims",
+    [pytest.param(name, ALL_BASES[name]().shape, id=name) for name in sorted(ALL_BASES)]
+    + [
+        # block-banded operators, with the periodic corners along theta
+        pytest.param(name, dims, id=f"{name}-{'x'.join(map(str, dims))}")
+        for name, dims in [
+            ("disk", (20, 4)),
+            ("sphere", (20, 4)),
+            ("ball", (20, 20, 3)),
+            ("cylinder", (20, 20, 3)),
+            ("disk", (4, 128)),
+            ("sphere", (128, 4)),
+            ("cylinder", (2, 128, 2)),
+        ]
+    ],
+)
+def test_apply_diffusion_matches_kronecker_oracle(name, dims):
+    base = ALL_BASES[name](*dims)
     ops = prepare(base, 0.0)
     rng = np.random.RandomState(20)
     W = rng.randn(*base.shape)
@@ -101,6 +117,28 @@ def test_apply_diffusion_matches_kronecker_oracle(name):
     assert np.max(np.abs(tensor.vec(apply_diffusion(ops, W)) - ref)) <= 1e-12 * max(
         1.0, np.max(np.abs(ref))
     )
+
+
+@pytest.mark.parametrize(
+    "name,dims,blocks,fourier",
+    [
+        # n <= 16, a prime n and the last mode stay dense GEMMs
+        ("cylinder", (20, 17, 20), [10, None, None], False),
+        ("disk", (16, 128), [None, None], True),
+        ("sphere", (127, 6), [None, None], False),
+        ("sphere", (128, 6), [16, None], True),
+        ("cylinder", (4, 128, 4), [None, 16, None], True),
+        ("ball", (30, 50, 30), [15, 10, None], False),
+    ],
+)
+def test_prepare_picks_forms_from_mode_size_and_position(name, dims, blocks, fourier):
+    ops = prepare(ALL_BASES[name](*dims), 0.01)
+    got = {}
+    for f in ops.factors:
+        got[f.mode] = f.A.blocks.shape[1] if isinstance(f.A, tensor.BlockBanded) else None
+        if f.weight is not None and f.mode == ops.base.geometry.axes.index("theta") + 1:
+            assert isinstance(f.phi1, tuple) is not fourier
+    assert [got[mu] for mu in range(1, len(dims) + 1)] == blocks
 
 
 def test_apply_diffusion_shape_error():
@@ -150,11 +188,15 @@ def test_step_split_cylinder_zero_field_fixed_point():
         ("sphere", (4, 4)),
         ("ball", (3, 4, 3)),
         ("cylinder", (3, 4, 4)),
+        # block-banded M W; rfft phi1 along theta (n_theta >= 128)
+        ("ball", (3, 20, 3)),
+        ("disk", (4, 128)),
+        ("sphere", (128, 4)),
+        ("cylinder", (2, 128, 2)),
     ],
 )
 def test_step_split_matches_dense_oracle(name, dims):
-    factory = ALL_BASES[name]
-    base = factory()
+    base = ALL_BASES[name](*dims)
     assert base.shape == dims
     tau = 0.037
     ops = prepare(base, tau)

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import math
+import types
 
 import numpy as np
 import pytest
@@ -87,6 +89,30 @@ def test_rng_odd_normal_consumes_one_extra_draw():
     assert z_odd.tobytes() == z_even[:257].tobytes()
     assert odd._state == even._state
     assert odd.next_uint64() == even.next_uint64()
+
+
+def test_rng_normal_takes_log_cos_sin_from_libm(monkeypatch):
+    # numpy's SIMD log/cos/sin may differ from libm in the last bit on some
+    # CPUs, which would change seeded fields; count the libm calls instead
+    calls = {"log": 0, "cos": 0, "sin": 0}
+
+    def counting(name):
+        fn = getattr(math, name)
+
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+
+        return wrapper
+
+    spy = types.SimpleNamespace(**vars(math))
+    for name in calls:
+        setattr(spy, name, counting(name))
+    monkeypatch.setattr("curvipat.rng.math", spy)
+    z = models.Xoshiro256pp(5).normal(1001)
+    assert calls == {"log": 501, "cos": 501, "sin": 501}
+    monkeypatch.undo()
+    assert z.tobytes() == models.Xoshiro256pp(5).normal(1001).tobytes()
 
 
 def test_rng_uniform_range_and_mean():
@@ -315,6 +341,25 @@ def test_cylinder_coupling_values():
     )
     expected = p["zeta2"] * (1 - p["zeta5"]) * r - p["zeta3"] * r**3
     assert np.max(np.abs(ps - expected)) <= 1e-13
+
+
+def test_cylinder_bulk_kinetics_match_lifted_formula():
+    system = models.build_system("bsdib_cylinder", {"n_rho": 5, "n_theta": 6, "n_z": 4}, 2)
+    gen = np.random.RandomState(30)
+    states = {c.name: gen.randn(*c.ops.shape) for c in system.components}
+    got = system.kinetics(states)
+    p, eq = system.spec.params, system.equilibrium
+    u, v = states["u"] + eq["u"], states["v"] + eq["v"]
+    h_z = system.components[0].ops.z.h
+    src_u, src_v, _, _ = models.bs_cylinder_coupling(
+        u[:, :, 0], v[:, :, 0], states["r"], states["s"], p, h_z
+    )
+    want_u = -p["alpha1"] * (u - p["alpha2"])
+    want_v = -p["beta1"] * (v - p["beta2"])
+    want_u[:, :, 0] += src_u
+    want_v[:, :, 0] += src_v
+    for name, want in (("u", want_u), ("v", want_v)):
+        assert np.max(np.abs(got[name] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_cylinder_coupling_alpha3_zero_decouples_u_flux():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -289,6 +293,30 @@ def test_eig_tridiag_nonpositive_spectrum_and_reconstruction():
     recon = fac_phi.V @ np.diag(fac_phi.lambdas) @ fac_phi.V_inv
     assert max_abs(recon - Aphi) <= 1e-9 * max_abs(Aphi)
     assert np.all(np.diff(fac.lambdas) >= 0)
+
+
+def test_eig_tridiag_is_computed_once_per_operator_and_read_only():
+    r = op.build_rho(2, 12, 1.0)
+    fac = op.eig_tridiag(r)
+    assert op.eig_tridiag(r) is fac
+    with pytest.raises(ValueError):
+        fac.lambdas[0] = 0.0
+
+
+def test_import_loads_no_scipy():
+    # scipy is no runtime dependency: importing it alone costs ~27 MiB of RSS
+    import curvipat
+
+    src = str(Path(curvipat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, curvipat, curvipat.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvipat import tensor
+from curvipat import operators, tensor
 
 
 def loop_mode_product(mu, L, T):
@@ -159,3 +159,59 @@ def test_kron_assemble_identities_and_blocks():
 def test_kron_assemble_size_cap():
     with pytest.raises(ValueError):
         tensor.kron_assemble([np.eye(64), np.eye(65)])
+
+
+def random_tridiagonal(n, rng, periodic):
+    A = np.diag(rng.randn(n)) + np.diag(rng.randn(n - 1), 1) + np.diag(rng.randn(n - 1), -1)
+    if periodic:
+        A[0, -1], A[-1, 0] = rng.randn(2)
+    return A
+
+
+@pytest.mark.parametrize("dims", [(20, 9), (9, 20), (20, 6, 5), (5, 20, 6), (6, 5, 20)])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_banded_mode_product_matches_dense_every_mode(dims, periodic):
+    rng = np.random.RandomState(13)
+    T = rng.randn(*dims)
+    for mu in range(1, T.ndim + 1):
+        n = dims[mu - 1]
+        A = random_tridiagonal(n, rng, periodic)
+        dense = tensor.mode_product(mu, A, T)
+        for b in [b for b in range(2, n + 1) if n % b == 0]:
+            op = tensor.BlockBanded.from_dense(A, b)
+            out = tensor.banded_mode_product(mu, op, T)
+            assert out.flags.c_contiguous
+            assert np.max(np.abs(out - dense)) <= 1e-13
+
+
+def test_block_banded_rejects_bad_splits():
+    A = random_tridiagonal(12, np.random.RandomState(14), periodic=False)
+    with pytest.raises(ValueError):
+        tensor.BlockBanded.from_dense(A, 5)
+    with pytest.raises(ValueError):  # two entries outside the blocks in one row
+        tensor.BlockBanded.from_dense(A, 1)
+    op = tensor.BlockBanded.from_dense(A, 4)
+    with pytest.raises(ValueError):
+        tensor.banded_mode_product(1, op, np.zeros((8, 3)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 16, 127, 128])
+def test_fourier_mode_product_matches_fourier_eigenbasis_products(n):
+    # eig_theta's real Fourier basis V holds frequency (j + 1) // 2 in column j
+    fac = operators.eig_theta(operators.build_theta(n))
+    freq = (np.arange(n) + 1) // 2
+    rng = np.random.RandomState(n)
+    for dims in [(n, 3), (3, n), (n, 3, 2), (3, n, 2), (3, 2, n)]:
+        T = rng.randn(*dims)
+        for mu in [m for m in range(1, T.ndim + 1) if dims[m - 1] == n]:
+            # the symbol varies along the mode before (or after) mu, too
+            shape = [1] * T.ndim
+            shape[mu - 1] = n // 2 + 1
+            other = mu - 2 if mu > 1 else mu
+            shape[other] = dims[other]
+            symbol = rng.rand(*shape)
+            full = np.take(symbol, freq, axis=mu - 1)
+            ref = tensor.mode_product(mu, fac.V, full * tensor.mode_product(mu, fac.V_inv, T))
+            out = tensor.fourier_mode_product(mu, symbol, T)
+            assert out.flags.c_contiguous
+            assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
