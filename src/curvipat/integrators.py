@@ -16,10 +16,15 @@ operators of M W are applied as diagonal blocks plus the entries between
 them along every mode but the last.  So one code path serves every
 geometry and the cost per step is a fixed number of kernels.  The factor
 order must not be permuted (the factors do not commute).
+
+Every kernel can write into a caller's array.  ``run_simulation`` owns one
+:class:`Workspace` per field shape and updates the states in place, so a
+warm step allocates no field; ``step_split`` without buffers stays pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -143,7 +148,7 @@ class SplitFactor:
     phi1(tau coeff M_mu): a dense matrix along ``mode`` when the summand is
     unweighted, else (V^-1, phi1 tensor, V), the tensor broadcast like
     ``weight``; when V is the real Fourier basis, the phi1 tensor alone,
-    over the rfft frequencies along ``mode``.
+    over the rfft frequencies along ``mode`` and stored as complex.
     """
 
     mode: int
@@ -151,26 +156,53 @@ class SplitFactor:
     weight: np.ndarray | None
     phi1: np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    def diffusion(self, W: np.ndarray) -> np.ndarray:
-        """The summand's action coeff M_mu W (a new array)."""
+    def diffusion(self, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The summand's action coeff M_mu W, into ``out`` (a C-contiguous
+        field not overlapping W) or a new array."""
         if isinstance(self.A, tensor.BlockBanded):
-            T = tensor.banded_mode_product(self.mode, self.A, W)
+            T = tensor.banded_mode_product(self.mode, self.A, W, out=out)
         else:
-            T = tensor.mode_product(self.mode, self.A, W)
+            T = tensor.mode_product(self.mode, self.A, W, out=out)
         if self.weight is not None:
             T *= self.weight
         return T
 
-    def apply_phi1(self, T: np.ndarray) -> np.ndarray:
-        """phi1(tau coeff M_mu) T (a new array)."""
+    def apply_phi1(
+        self, T: np.ndarray, out: np.ndarray | None = None, work: Workspace | None = None
+    ) -> np.ndarray:
+        """phi1(tau coeff M_mu) T, into ``out`` or a new array.  With ``out``
+        given, T may serve as scratch and is overwritten; ``work`` lends
+        the rfft spectrum."""
         if self.weight is None:
-            return tensor.mode_product(self.mode, self.phi1, T)
+            return tensor.mode_product(self.mode, self.phi1, T, out=out)
         if not isinstance(self.phi1, tuple):
-            return tensor.fourier_mode_product(self.mode, self.phi1, T)
+            spectrum = None if work is None else work.spectrum(self.mode)
+            return tensor.fourier_mode_product(
+                self.mode, self.phi1, T, out=out, spectrum=spectrum
+            )
         V_inv, phi, V = self.phi1
-        T = tensor.mode_product(self.mode, V_inv, T)
-        T *= phi
-        return tensor.mode_product(self.mode, V, T)
+        X = tensor.mode_product(self.mode, V_inv, T, out=out)
+        X = np.multiply(X, phi, out=None if out is None else T)
+        return tensor.mode_product(self.mode, V, X, out=out)
+
+
+class Workspace:
+    """Scratch for :func:`step_split` on fields of one shape: two real
+    fields, and one complex rfft spectrum per mode that needs one, made on
+    first use.  Components of one shape can share it, since a step uses it
+    only while it runs."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+        self.fields = (np.empty(shape), np.empty(shape))
+        self._spectra: dict[int, np.ndarray] = {}
+
+    def spectrum(self, mode: int) -> np.ndarray:
+        if mode not in self._spectra:
+            half = list(self.shape)
+            half[mode - 1] = half[mode - 1] // 2 + 1
+            self._spectra[mode] = np.empty(half, dtype=complex)
+        return self._spectra[mode]
 
 
 @dataclass(frozen=True)
@@ -231,7 +263,8 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
             # eig_theta orders its columns by frequency 0, 1, 1, 2, 2, ...;
             # the cos and sin columns of one frequency share an eigenvalue
             vectors[mode - 1] = fac.lambdas[np.r_[0, 1 : axis.n : 2]]
-            action = phi1_outer(scale, vectors)
+            # complex, so that scaling the spectrum needs no cast buffer
+            action = phi1_outer(scale, vectors).astype(complex)
         else:
             vectors[mode - 1] = fac.lambdas
             action = (fac.V_inv, phi1_outer(scale, vectors), fac.V)
@@ -239,26 +272,61 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
     return GeometryOps(base=base, tau=tau, factors=tuple(factors))
 
 
-def apply_diffusion(ops: GeometryOps, W: np.ndarray) -> np.ndarray:
-    """Discretized diffusion term M W (including the coefficient)."""
+def prepared_bytes(geometry: Geometry, shape: tuple[int, ...]) -> int:
+    """About the bytes :func:`prepare` holds for one component of this
+    shape: per summand four n x n matrices (the operator, eigenvectors and
+    their inverse, a phi1 matrix) and a tensor over the summand's mode and
+    the modes that weight it."""
+    total = 0
+    for mode, weighted_by in FACTORS[geometry]:
+        n = shape[mode - 1]
+        total += 4 * n * n + math.prod(shape[mu - 1] for mu in (mode, *weighted_by))
+    return 8 * total
+
+
+def apply_diffusion(
+    ops: GeometryOps,
+    W: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Discretized diffusion term M W (including the coefficient), into
+    ``out`` or a new array; each summand after the first goes through
+    ``scratch`` (or a new array) on its way into the sum."""
     if W.shape != ops.shape:
         raise ValueError(f"field shape {W.shape} does not match {ops.shape}")
     first, *rest = ops.factors
-    out = first.diffusion(W)
+    out = first.diffusion(W, out=out)
     for f in rest:
-        out += f.diffusion(W)
+        out += f.diffusion(W, out=scratch)
     return out
 
 
-def step_split(ops: GeometryOps, W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """One split exponential Euler step W + tau P_1 ... P_d (M W + G)."""
-    T = apply_diffusion(ops, W)
+def step_split(
+    ops: GeometryOps,
+    W: np.ndarray,
+    G: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+    work: Workspace | None = None,
+) -> np.ndarray:
+    """One split exponential Euler step W + tau P_1 ... P_d (M W + G).
+
+    The new state goes into ``out``, which may be W itself, or into a new
+    array.  Intermediates live in ``work``, a :class:`Workspace` for W's
+    shape (a fresh one when None), so with both given the step allocates
+    no field.
+    """
+    if work is None:
+        work = Workspace(W.shape)
+    T, spare = work.fields
+    T = apply_diffusion(ops, W, out=T, scratch=spare)
     T += G
     for f in reversed(ops.factors):
-        T = f.apply_phi1(T)
+        T, spare = f.apply_phi1(T, out=spare, work=work), T
     T *= ops.tau
-    T += W
-    return T
+    return np.add(W, T, out=out)
 
 
 def step_forward_euler(
@@ -331,9 +399,10 @@ def step_exact_ee_reference(
 
 def check_divergence(states: dict[str, np.ndarray], step: int) -> None:
     """Raise DivergenceError naming ``step`` and the first component with a
-    NaN or a magnitude beyond DIVERGENCE_LIMIT (one NaN-propagating pass)."""
+    NaN or a magnitude beyond DIVERGENCE_LIMIT (a max and a min reduction,
+    through both of which a NaN propagates; no temporary field)."""
     for name, W in states.items():
-        if not np.max(np.abs(W)) <= DIVERGENCE_LIMIT:
+        if not (W.max() <= DIVERGENCE_LIMIT and W.min() >= -DIVERGENCE_LIMIT):
             raise DivergenceError(
                 f"component {name!r} diverged at step {step}", step=step
             )
@@ -400,9 +469,13 @@ def run_simulation(
 
     The kinetics of all components are evaluated from the common state at
     t_n, then every component is advanced by one step.  All phi1 caches are
-    built once up front.  Samples (diagnostics + hook) are taken at step 0,
-    every ``record_every`` steps, and at the final step.  Non-finite or
-    absurdly large field values abort with a DivergenceError naming the step.
+    built once up front, and one :class:`Workspace` per field shape serves
+    every component of that shape.  The states are updated in place, so the
+    kinetics' outputs must not share memory with them, and a
+    ``sample_hook`` must copy what it keeps of the states it is passed.
+    Samples (diagnostics + hook) are taken at step 0, every
+    ``record_every`` steps, and at the final step.  Non-finite or absurdly
+    large field values abort with a DivergenceError naming the step.
     """
     if m < 1:
         raise ValueError("need at least one time step")
@@ -414,6 +487,7 @@ def run_simulation(
     comps = system.components
     geo = {c.name: prepare(c.ops, tau) for c in comps}
     states = {c.name: np.array(c.initial, dtype=float, copy=True) for c in comps}
+    work = {c.ops.shape: Workspace(c.ops.shape) for c in comps}
     every = record_every or m
 
     times: list[float] = []
@@ -432,12 +506,11 @@ def run_simulation(
     for step in range(1, m + 1):
         gs = system.kinetics(states)
         for c in comps:
-            ops = geo[c.name]
+            W = states[c.name]
             if method == "split":
-                new = step_split(ops, states[c.name], gs[c.name])
+                step_split(geo[c.name], W, gs[c.name], out=W, work=work[W.shape])
             else:
-                new = step_forward_euler(ops, states[c.name], gs[c.name])
-            states[c.name] = new
+                W[...] = step_forward_euler(geo[c.name], W, gs[c.name])
         check_divergence(states, step)
         if step % every == 0 or step == m:
             take_sample(step)

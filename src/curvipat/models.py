@@ -8,11 +8,17 @@ components on the boundary geometry) plus a kinetics evaluator that maps the
 current states to the full reaction term, including any boundary-flux
 sources.  Components with inhomogeneous Dirichlet data are integrated in
 lifted (deviation) variables; the ``lift`` offset restores physical values.
+
+The evaluator writes into arrays of its own, which share no memory with the
+states it is given.  While the caller holds the dict one call returned, the
+next call overwrites its arrays; a dropped result frees them.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -20,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor
-from .integrators import ComponentOps, Geometry
+from .integrators import ComponentOps, Geometry, prepared_bytes
 from .operators import (
     DiagonalWeights,
     OperatorKind,
@@ -236,19 +242,55 @@ def model_spec(
 # ---------------------------------------------------------------------------
 
 
-def bvam_kinetics(u, v, params) -> tuple[np.ndarray, np.ndarray]:
-    """Cubic activator-inhibitor kinetics of the BVAM system."""
+def _fields(shape, k: int) -> tuple[np.ndarray, ...]:
+    return tuple(np.empty(shape) for _ in range(k))
+
+
+# The kinetics helpers below write into ``out``, a tuple of C-contiguous
+# arrays of the inputs' shape sharing no memory with the inputs, or into new
+# arrays when it is None.  Each applies its formula one ufunc at a time, in
+# the formula's order of operations, so both give the same bits.
+
+
+def bvam_kinetics(u, v, params, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Cubic activator-inhibitor kinetics of the BVAM system:
+    b = a1 u (1 - a2 v^2) + v (1 - a3 u) and
+    c = b1 v (1 + (a1 a2 / b1) u v) + u (b2 + a3 v).
+    ``out`` is (b, c, scratch)."""
     a1, a2, a3 = params["alpha1"], params["alpha2"], params["alpha3"]
     b1, b2 = params["beta1"], params["beta2"]
-    b = a1 * u * (1.0 - a2 * v**2) + v * (1.0 - a3 * u)
-    c = b1 * v * (1.0 + (a1 * a2 / b1) * u * v) + u * (b2 + a3 * v)
+    b, c, t = out or _fields(np.shape(u), 3)
+    np.multiply(u, a1, out=b)
+    np.square(v, out=t)
+    t *= a2
+    np.subtract(1.0, t, out=t)
+    b *= t
+    np.multiply(u, a3, out=t)
+    np.subtract(1.0, t, out=t)
+    t *= v
+    b += t
+    np.multiply(u, a1 * a2 / b1, out=c)
+    c *= v
+    c += 1.0
+    np.multiply(v, b1, out=t)
+    c *= t
+    np.multiply(v, a3, out=t)
+    t += b2
+    t *= u
+    c += t
     return b, c
 
 
-def schnakenberg_kinetics(u, v, params) -> tuple[np.ndarray, np.ndarray]:
-    """Schnakenberg production kinetics (unscaled)."""
-    uuv = u * u * v
-    return params["alpha2"] - u + uuv, params["beta1"] - uuv
+def schnakenberg_kinetics(u, v, params, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Schnakenberg production kinetics (unscaled): alpha2 - u + u^2 v and
+    beta1 - u^2 v.  ``out`` is (b, c)."""
+    b, c = out or _fields(np.shape(u), 2)
+    np.multiply(u, u, out=c)
+    c *= v
+    np.subtract(params["alpha2"], u, out=b)
+    b += c
+    np.subtract(params["beta1"], c, out=c)
+    return b, c
 
 
 def eta4(params) -> float:
@@ -263,19 +305,44 @@ def eta4(params) -> float:
     return pre * e1 * (1.0 - z5) * (1.0 - e3 + e3 * z5) / (z5 * (1.0 + e3 * z5))
 
 
-def dib_kinetics(r, s, params) -> tuple[np.ndarray, np.ndarray]:
-    """Electrodeposition (DIB) kinetics; eta4 comes from the constraint."""
+def dib_kinetics(r, s, params, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Electrodeposition (DIB) kinetics; eta4 comes from the constraint.
+    p = z2 (1 - s) r - z3 r^3 - z4 (s - z5) and
+    q = e1 (1 + e2 r) (1 - s) (1 - e3 (1 - s)) - eta4 s (1 + e3 s) (1 + e5 r).
+    ``out`` is (p, q, scratch)."""
     z2, z3, z4, z5 = (params[k] for k in ("zeta2", "zeta3", "zeta4", "zeta5"))
     e1, e2, e3, e5 = (params[k] for k in ("eta1", "eta2", "eta3", "eta5"))
-    p = z2 * (1.0 - s) * r - z3 * r**3 - z4 * (s - z5)
-    q = e1 * (1.0 + e2 * r) * (1.0 - s) * (1.0 - e3 * (1.0 - s)) - eta4(params) * s * (
-        1.0 + e3 * s
-    ) * (1.0 + e5 * r)
+    p, q, t = out or _fields(np.shape(r), 3)
+    np.multiply(r, e2, out=q)
+    q += 1.0
+    q *= e1
+    np.subtract(1.0, s, out=t)
+    q *= t
+    t *= e3
+    np.subtract(1.0, t, out=t)
+    q *= t
+    np.multiply(s, eta4(params), out=t)
+    np.multiply(s, e3, out=p)
+    p += 1.0
+    t *= p
+    np.multiply(r, e5, out=p)
+    p += 1.0
+    t *= p
+    q -= t
+    np.subtract(1.0, s, out=p)
+    p *= z2
+    p *= r
+    np.power(r, 3, out=t)
+    t *= z3
+    p -= t
+    np.subtract(s, z5, out=t)
+    t *= z4
+    p -= t
     return p, q
 
 
 def bulk_surface_coupling_ball(
-    u_trace, v_trace, r, s, params, h_rho: float, rho_edge: float
+    u_trace, v_trace, r, s, params, h_rho: float, rho_edge: float, out=None
 ):
     """Robin-flux sources for the bulk components of the ball model plus the
     surface kinetics.
@@ -284,43 +351,76 @@ def bulk_surface_coupling_ball(
     contributions to add at the outermost radial row (the diffusion
     coefficients cancel against the Robin conditions, so none appears here),
     p and q are the surface kinetics before the zeta1 time-scale factor.
+    With d_u = z2 r - z3 u_trace and d_v = e1 s - e2 v_trace,
+    src = 2 h ghost z1 d and (p, q) = schnakenberg(r, s) - (d_u, d_v).
+    ``out`` is (src_u, src_v, p, q, scratch).
     """
     if u_trace.shape != r.shape or v_trace.shape != s.shape:
         raise ValueError("bulk traces and surface fields must share a grid")
     z1, z2, z3 = params["zeta1"], params["zeta2"], params["zeta3"]
     e1, e2 = params["eta1"], params["eta2"]
-    flux_u = z1 * (z2 * r - z3 * u_trace)
-    flux_v = z1 * (e1 * s - e2 * v_trace)
+    src_u, src_v, p, q, t = out or _fields(r.shape, 5)
     ghost = 1.0 / h_rho**2 + 1.0 / (rho_edge * h_rho)  # (d-1)/(2 rho h), d = 3
-    src_u = 2.0 * h_rho * ghost * flux_u
-    src_v = 2.0 * h_rho * ghost * flux_v
-    b, c = schnakenberg_kinetics(r, s, params)
-    p = b - (z2 * r - z3 * u_trace)
-    q = c - (e1 * s - e2 * v_trace)
+    scale = 2.0 * h_rho * ghost
+    schnakenberg_kinetics(r, s, params, out=(p, q))
+    for src, a, x, b, y, g in ((src_u, z2, r, z3, u_trace, p), (src_v, e1, s, e2, v_trace, q)):
+        np.multiply(x, a, out=t)
+        np.multiply(y, b, out=src)
+        t -= src
+        np.multiply(t, z1, out=src)
+        src *= scale
+        g -= t
     return src_u, src_v, p, q
 
 
-def bs_cylinder_coupling(u_bottom, v_bottom, r, s, params, h_z: float):
+def bs_cylinder_coupling(u_bottom, v_bottom, r, s, params, h_z: float, out=None):
     """Bottom-disk flux sources and surface kinetics of the cylinder model.
 
     Returns (src_u, src_v, p, q); the sources are added on the z = 0 slice of
     the bulk reaction terms, p and q feed both the surface equations (times
-    zeta1) and the flux conditions.
+    zeta1) and the flux conditions:
+    p = z2 u (1 - s) r - z3 r^3 - z4 (s - z5),
+    q = e1 v (1 + e2 r) (1 - s) (1 - e3 (1 - s)) - eta4 (1 + e5 r) s (1 + e3 s).
+    ``out`` is (src_u, src_v, p, q, scratch).
     """
     if u_bottom.shape != r.shape or v_bottom.shape != s.shape:
         raise ValueError("bulk bottom slices and surface fields must share a grid")
     z1 = params["zeta1"]
     z2, z3, z4, z5 = (params[k] for k in ("zeta2", "zeta3", "zeta4", "zeta5"))
     e1, e2, e3, e5 = (params[k] for k in ("eta1", "eta2", "eta3", "eta5"))
-    p = z2 * u_bottom * (1.0 - s) * r - z3 * r**3 - z4 * (s - z5)
-    q = e1 * v_bottom * (1.0 + e2 * r) * (1.0 - s) * (
-        1.0 - e3 * (1.0 - s)
-    ) - eta4(params) * (1.0 + e5 * r) * s * (1.0 + e3 * s)
+    src_u, src_v, p, q, t = out or _fields(r.shape, 5)
+    np.multiply(v_bottom, e1, out=q)
+    np.multiply(r, e2, out=t)
+    t += 1.0
+    q *= t
+    np.subtract(1.0, s, out=t)
+    q *= t
+    t *= e3
+    np.subtract(1.0, t, out=t)
+    q *= t
+    np.multiply(r, e5, out=t)
+    t += 1.0
+    t *= eta4(params)
+    t *= s
+    np.multiply(s, e3, out=p)
+    p += 1.0
+    t *= p
+    q -= t
+    np.multiply(u_bottom, z2, out=p)
+    np.subtract(1.0, s, out=t)
+    p *= t
+    p *= r
+    np.power(r, 3, out=t)
+    t *= z3
+    p -= t
+    np.subtract(s, z5, out=t)
+    t *= z4
+    p -= t
     # ghost coefficient of the axial stencil is 1/h^2; the v-source keeps the
     # bulk diffusion coefficient because its flux condition fixes the plain
     # normal derivative.
-    src_u = -(2.0 / h_z) * z1 * params["alpha3"] * p
-    src_v = -(2.0 / h_z) * z1 * params["beta3"] * params["delta"] * q
+    np.multiply(p, -(2.0 / h_z) * z1 * params["alpha3"], out=src_u)
+    np.multiply(q, -(2.0 / h_z) * z1 * params["beta3"] * params["delta"], out=src_v)
     return src_u, src_v, p, q
 
 
@@ -411,12 +511,17 @@ def build_system(
     seed: int,
     overrides: dict[str, float] | None = None,
 ) -> CoupledSystem:
-    """Assemble operators, initial fields and the kinetics evaluator."""
+    """Assemble operators, initial fields and the kinetics evaluator.
+
+    The evaluator returns a dict of arrays that its next call overwrites
+    while the caller still holds that dict (see :func:`_reusing`).
+    """
     if not isinstance(spec, ModelSpec):
         spec = model_spec(spec, overrides)
     elif overrides:
         raise ValueError("pass overrides via model_spec when supplying a ModelSpec")
     _check_constants(spec)
+    _check_memory(spec.name, dims)
     builder = {
         ModelName.BVAM_DISK: _build_bvam,
         ModelName.SCHNAKENBERG_ANOMALOUS_DISK: _build_anomalous,
@@ -424,7 +529,73 @@ def build_system(
         ModelName.BULK_SURFACE_SCHNAKENBERG_BALL: _build_ball,
         ModelName.BSDIB_CYLINDER: _build_cylinder,
     }[spec.name]
-    return builder(spec, dims, seed)
+    components, buffers, compute = builder(spec, dims, seed)
+    eq = spec.equilibrium()
+    # On one-point fields, so that the check costs the same at any dims.  At
+    # the equilibrium itself a huge constant can cancel (the DIB eta4 is
+    # derived to make it so), hence also the points one unit to either side.
+    point = {c.name: (1,) * c.initial.ndim for c in components}
+    scratch = buffers(point)
+    for shift in (0.0, 1.0, -1.0):
+        states = {
+            c.name: np.full(point[c.name], eq[c.name] - c.lift + shift) for c in components
+        }
+        with np.errstate(all="ignore"):
+            values = compute(states, scratch)
+        for name, G in values.items():
+            if not np.all(np.isfinite(G)):
+                raise ValueError(
+                    f"the model constants make the kinetics of {name!r} non-finite "
+                    f"at {shift:+g} from the equilibrium"
+                )
+    shapes = {c.name: c.ops.shape for c in components}
+    return CoupledSystem(spec, components, _reusing(lambda: buffers(shapes), compute), eq)
+
+
+class _Reaction(dict):
+    """What a kinetics evaluator returns: the reaction term per component.
+    ``buffers`` holds every array it was computed in."""
+
+
+def _reusing(allocate, compute) -> Callable[[dict[str, np.ndarray]], dict]:
+    """The one-argument kinetics evaluator: ``compute(states, buffers)``
+    returns the reaction terms, computed in ``buffers``.  While the caller
+    still holds the last result, the next call computes in its buffers
+    again, overwriting it, so that a run loop allocates no field; once the
+    caller drops it, the buffers go with it, and the next call takes new
+    ones from ``allocate()``."""
+    last = None  # weak reference to the last result
+
+    def kinetics(states):
+        nonlocal last
+        result = None if last is None else last()
+        if result is None:
+            result = _Reaction()
+            result.buffers = allocate()
+            last = weakref.ref(result)
+        result.update(compute(states, result.buffers))
+        return result
+
+    return kinetics
+
+
+def _check_memory(name: ModelName, dims: dict[str, int]) -> None:
+    """Reject dims whose arrays cannot fit in physical memory.  Counted per
+    component: the initial and the current field, a kinetics output and
+    one kinetics scratch field, and the factors ``prepare`` keeps; per field
+    shape: the step workspace, two fields and a spectrum of about one."""
+    shapes = component_shapes(name, dims)
+    need = sum(
+        8 * 4 * math.prod(shape) + prepared_bytes(COMPONENT_GEOMETRY[name][comp], shape)
+        for comp, shape in shapes.items()
+    )
+    need += sum(8 * 3 * math.prod(shape) for shape in set(shapes.values()))
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"dims {dims} need about {need / 2**30:.1f} GiB, more than the "
+            f"{have / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def _check_constants(spec: ModelSpec) -> None:
@@ -451,7 +622,8 @@ def _component(
     rho_weights: DiagonalWeights | None = None,
 ) -> SystemComponent:
     """One component on the geometry ``COMPONENT_GEOMETRY`` gives it, built
-    from the 1-d operators of that geometry's axes."""
+    from the 1-d operators of that geometry's axes.  Its initial field is
+    ``initial[name]`` itself, lifted in place."""
     if coeff < 0:
         raise ValueError(
             f"component {name!r} has a negative diffusion coefficient {coeff!r}"
@@ -466,13 +638,13 @@ def _component(
     return SystemComponent(
         name=name,
         ops=ops,
-        initial=initial[name] - lift,
+        initial=np.subtract(initial[name], lift, out=initial[name]),
         lift=lift,
         perturbation=spec.perturbations[name],
     )
 
 
-def _build_bvam(spec: ModelSpec, dims, seed) -> CoupledSystem:
+def _build_bvam(spec: ModelSpec, dims, seed):
     p = spec.params
     axes = {
         "rho": build_rho(2, dims["n_rho"], spec.sizes["rho_star"]),
@@ -480,22 +652,21 @@ def _build_bvam(spec: ModelSpec, dims, seed) -> CoupledSystem:
     }
     init = random_initial_condition(spec, seed, dims)
 
-    def kinetics(states):
-        b, c = bvam_kinetics(states["u"], states["v"], p)
+    def buffers(shapes):
+        return _fields(shapes["u"], 3)
+
+    def compute(states, out):
+        b, c = bvam_kinetics(states["u"], states["v"], p, out=out)
         return {"u": b, "v": c}
 
-    return CoupledSystem(
-        spec=spec,
-        components=[
-            _component(spec, "u", p["gamma"], axes, init),
-            _component(spec, "v", p["delta"], axes, init),
-        ],
-        kinetics=kinetics,
-        equilibrium=spec.equilibrium(),
-    )
+    components = [
+        _component(spec, "u", p["gamma"], axes, init),
+        _component(spec, "v", p["delta"], axes, init),
+    ]
+    return components, buffers, compute
 
 
-def _build_anomalous(spec: ModelSpec, dims, seed) -> CoupledSystem:
+def _build_anomalous(spec: ModelSpec, dims, seed):
     p = spec.params
     rho, weights, theta = anomalous_setup(
         p, dims["n_rho"], dims["n_theta"], spec.sizes["rho_star"]
@@ -509,24 +680,22 @@ def _build_anomalous(spec: ModelSpec, dims, seed) -> CoupledSystem:
             spec, name, coeff, axes, init, lift=eq[name], rho_weights=weights
         )
 
-    def kinetics(states):
-        u = states["u"] + eq["u"]
-        v = states["v"] + eq["v"]
-        b, c = schnakenberg_kinetics(u, v, p)
-        return {"u": p["alpha1"] * b, "v": p["alpha1"] * c}
+    def buffers(shapes):
+        return _fields(shapes["u"], 4)
 
-    return CoupledSystem(
-        spec=spec,
-        components=[
-            component("u", 1.0),
-            component("v", p["delta"]),
-        ],
-        kinetics=kinetics,
-        equilibrium=eq,
-    )
+    def compute(states, buf):
+        u, v, *out = buf
+        np.add(states["u"], eq["u"], out=u)
+        np.add(states["v"], eq["v"], out=v)
+        gu, gv = schnakenberg_kinetics(u, v, p, out=out)
+        gu *= p["alpha1"]
+        gv *= p["alpha1"]
+        return {"u": gu, "v": gv}
+
+    return [component("u", 1.0), component("v", p["delta"])], buffers, compute
 
 
-def _build_dib_sphere(spec: ModelSpec, dims, seed) -> CoupledSystem:
+def _build_dib_sphere(spec: ModelSpec, dims, seed):
     p = spec.params
     rho_star = spec.sizes["rho_star"]
     axes = {
@@ -535,22 +704,23 @@ def _build_dib_sphere(spec: ModelSpec, dims, seed) -> CoupledSystem:
     }
     init = random_initial_condition(spec, seed, dims)
 
-    def kinetics(states):
-        pr, qs = dib_kinetics(states["r"], states["s"], p)
-        return {"r": p["zeta1"] * pr, "s": p["zeta1"] * qs}
+    def buffers(shapes):
+        return _fields(shapes["r"], 3)
 
-    return CoupledSystem(
-        spec=spec,
-        components=[
-            _component(spec, "r", 1.0 / rho_star**2, axes, init),
-            _component(spec, "s", p["epsilon"] / rho_star**2, axes, init),
-        ],
-        kinetics=kinetics,
-        equilibrium=spec.equilibrium(),
-    )
+    def compute(states, out):
+        pr, qs = dib_kinetics(states["r"], states["s"], p, out=out)
+        pr *= p["zeta1"]
+        qs *= p["zeta1"]
+        return {"r": pr, "s": qs}
+
+    components = [
+        _component(spec, "r", 1.0 / rho_star**2, axes, init),
+        _component(spec, "s", p["epsilon"] / rho_star**2, axes, init),
+    ]
+    return components, buffers, compute
 
 
-def _build_ball(spec: ModelSpec, dims, seed) -> CoupledSystem:
+def _build_ball(spec: ModelSpec, dims, seed):
     p = spec.params
     rho_star = spec.sizes["rho_star"]
     rho = build_rho(3, dims["n_rho"], rho_star)
@@ -563,37 +733,34 @@ def _build_ball(spec: ModelSpec, dims, seed) -> CoupledSystem:
     h_rho = rho.h
     rho_edge = rho.grid[-1]
 
-    def kinetics(states):
+    def buffers(shapes):
+        return _fields(shapes["u"], 2), _fields(shapes["r"], 5)
+
+    def compute(states, buf):
+        bulk, surface = buf
         u, v, r, s = states["u"], states["v"], states["r"], states["s"]
         src_u, src_v, ps, qs = bulk_surface_coupling_ball(
-            u[-1, :, :], v[-1, :, :], r, s, p, h_rho, rho_edge
+            u[-1, :, :], v[-1, :, :], r, s, p, h_rho, rho_edge, out=surface
         )
-        b, c = schnakenberg_kinetics(u, v, p)
-        gu = p["alpha1"] * b
-        gv = p["alpha1"] * c
+        gu, gv = schnakenberg_kinetics(u, v, p, out=bulk)
+        gu *= p["alpha1"]
+        gv *= p["alpha1"]
         gu[-1, :, :] += src_u
         gv[-1, :, :] += src_v
-        return {
-            "u": gu,
-            "v": gv,
-            "r": p["zeta1"] * ps,
-            "s": p["zeta1"] * qs,
-        }
+        ps *= p["zeta1"]
+        qs *= p["zeta1"]
+        return {"u": gu, "v": gv, "r": ps, "s": qs}
 
-    return CoupledSystem(
-        spec=spec,
-        components=[
-            _component(spec, "u", 1.0, axes, init),
-            _component(spec, "v", p["delta"], axes, init),
-            _component(spec, "r", 1.0 / rho_star**2, axes, init),
-            _component(spec, "s", p["epsilon"] / rho_star**2, axes, init),
-        ],
-        kinetics=kinetics,
-        equilibrium=spec.equilibrium(),
-    )
+    components = [
+        _component(spec, "u", 1.0, axes, init),
+        _component(spec, "v", p["delta"], axes, init),
+        _component(spec, "r", 1.0 / rho_star**2, axes, init),
+        _component(spec, "s", p["epsilon"] / rho_star**2, axes, init),
+    ]
+    return components, buffers, compute
 
 
-def _build_cylinder(spec: ModelSpec, dims, seed) -> CoupledSystem:
+def _build_cylinder(spec: ModelSpec, dims, seed):
     p = spec.params
     z = build_z(dims["n_z"], spec.sizes["z_star"])
     axes = {
@@ -605,38 +772,36 @@ def _build_cylinder(spec: ModelSpec, dims, seed) -> CoupledSystem:
     eq = spec.equilibrium()
     h_z = z.h
 
-    def kinetics(states):
+    def buffers(shapes):
+        return _fields(shapes["u"], 2), _fields(shapes["r"], 7)
+
+    def compute(states, buf):
+        (out_u, out_v), (u_bottom, v_bottom, *surface) = buf
         W_u, W_v = states["u"], states["v"]
-        r, s = states["r"], states["s"]
+        np.add(W_u[:, :, 0], eq["u"], out=u_bottom)
+        np.add(W_v[:, :, 0], eq["v"], out=v_bottom)
         src_u, src_v, ps, qs = bs_cylinder_coupling(
-            W_u[:, :, 0] + eq["u"], W_v[:, :, 0] + eq["v"], r, s, p, h_z
+            u_bottom, v_bottom, states["r"], states["s"], p, h_z, out=surface
         )
         # -alpha1 (u - alpha2) with u = W_u + u*, without lifting the field
         a1, b1 = p["alpha1"], p["beta1"]
-        gu = W_u * -a1
+        gu = np.multiply(W_u, -a1, out=out_u)
         gu += a1 * (p["alpha2"] - eq["u"])
-        gv = W_v * -b1
+        gv = np.multiply(W_v, -b1, out=out_v)
         gv += b1 * (p["beta2"] - eq["v"])
         gu[:, :, 0] += src_u
         gv[:, :, 0] += src_v
-        return {
-            "u": gu,
-            "v": gv,
-            "r": p["zeta1"] * ps,
-            "s": p["zeta1"] * qs,
-        }
+        ps *= p["zeta1"]
+        qs *= p["zeta1"]
+        return {"u": gu, "v": gv, "r": ps, "s": qs}
 
-    return CoupledSystem(
-        spec=spec,
-        components=[
-            _component(spec, "u", 1.0, axes, init, lift=eq["u"]),
-            _component(spec, "v", p["delta"], axes, init, lift=eq["v"]),
-            _component(spec, "r", 1.0, axes, init),
-            _component(spec, "s", p["epsilon"], axes, init),
-        ],
-        kinetics=kinetics,
-        equilibrium=eq,
-    )
+    components = [
+        _component(spec, "u", 1.0, axes, init, lift=eq["u"]),
+        _component(spec, "v", p["delta"], axes, init, lift=eq["v"]),
+        _component(spec, "r", 1.0, axes, init),
+        _component(spec, "s", p["epsilon"], axes, init),
+    ]
+    return components, buffers, compute
 
 
 # ---------------------------------------------------------------------------

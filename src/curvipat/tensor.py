@@ -31,13 +31,17 @@ def unvec(w: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     return w.reshape(dims, order="F")
 
 
-def mode_product(mu: int, L: np.ndarray, field: np.ndarray) -> np.ndarray:
+def mode_product(
+    mu: int, L: np.ndarray, field: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Multiply the square matrix L along mode ``mu`` of the field.
 
     mode_product(1, L, T)[i, j, k] = sum_m L[i, m] T[m, j, k], and
     analogously along the other modes.  Realized as GEMMs on the C-order
     unfolding (one for the first and the last mode, one per leading index
-    for a middle mode), so the result is always C-contiguous.
+    for a middle mode), so the result is always C-contiguous.  The result is
+    written into ``out`` (C-contiguous, of the field's shape, not overlapping
+    it) when given, else into a new array.
     """
     L = np.asarray(L)
     field = np.asarray(field)
@@ -51,12 +55,17 @@ def mode_product(mu: int, L: np.ndarray, field: np.ndarray) -> np.ndarray:
             f"with dims {field.shape}"
         )
     if axis == 0:
-        out = L @ field.reshape(n, -1)
+        X = field.reshape(n, -1)
+        a, b = L, X
     elif axis == field.ndim - 1:
-        out = field.reshape(-1, n) @ L.T
+        X = field.reshape(-1, n)
+        a, b = X, L.T
     else:
-        out = L @ field.reshape(-1, n, math.prod(field.shape[mu:]))
-    return out.reshape(field.shape)
+        X = field.reshape(-1, n, math.prod(field.shape[mu:]))
+        a, b = L, X
+    # the product has the shape of the unfolding it multiplies
+    dst = None if out is None else out.reshape(X.shape)
+    return np.matmul(a, b, out=dst).reshape(field.shape)
 
 
 @dataclass(frozen=True)
@@ -95,13 +104,16 @@ class BlockBanded:
         return self.blocks.shape[0] * self.blocks.shape[1]
 
 
-def banded_mode_product(mu: int, op: BlockBanded, field: np.ndarray) -> np.ndarray:
-    """:func:`mode_product` with a :class:`BlockBanded` matrix.
+def banded_mode_product(
+    mu: int, op: BlockBanded, field: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """:func:`mode_product` with a :class:`BlockBanded` matrix, into ``out``
+    as there.
 
     One batched GEMM multiplies the diagonal blocks over the C-order
     unfolding (pre, k, b, post); the entries outside the blocks are then
-    gathered and added row by row.  The result is C-contiguous.  Meant for
-    modes other than the last: there the rows of the unfolding are long.
+    gathered and added row by row.  Meant for modes other than the last:
+    there the rows of the unfolding are long.
     """
     field = np.asarray(field)
     if not 1 <= mu <= field.ndim or field.shape[mu - 1] != op.n:
@@ -112,20 +124,30 @@ def banded_mode_product(mu: int, op: BlockBanded, field: np.ndarray) -> np.ndarr
     k, b, _ = op.blocks.shape
     pre = math.prod(field.shape[: mu - 1])
     post = math.prod(field.shape[mu:])
-    out = op.blocks @ field.reshape(pre, k, b, post)
+    blocked = (pre, k, b, post)
+    dst = None if out is None else out.reshape(blocked)
+    res = np.matmul(op.blocks, field.reshape(blocked), out=dst)
     X = field.reshape(pre, op.n, post)
-    out.reshape(pre, op.n, post)[:, op.rows] += op.vals[:, None] * X[:, op.cols]
-    return out.reshape(field.shape)
+    res.reshape(pre, op.n, post)[:, op.rows] += op.vals[:, None] * X[:, op.cols]
+    return res.reshape(field.shape)
 
 
-def fourier_mode_product(mu: int, symbol: np.ndarray, field: np.ndarray) -> np.ndarray:
+def fourier_mode_product(
+    mu: int,
+    symbol: np.ndarray,
+    field: np.ndarray,
+    out: np.ndarray | None = None,
+    spectrum: np.ndarray | None = None,
+) -> np.ndarray:
     """Apply along mode ``mu`` the real symmetric circulant matrices whose
     eigenvalue at frequency k (k = 0 .. n/2) is ``symbol[..., k, ...]``:
     irfft(symbol * rfft(field)).
 
     ``symbol`` has n//2 + 1 entries along mode ``mu`` and broadcasts
     against the field along the others, so the circulant may vary with the
-    other indices.
+    other indices.  The result goes into ``out`` as in :func:`mode_product`,
+    and the complex spectrum into ``spectrum`` (the field's shape with
+    n//2 + 1 along mode ``mu``) when given.
     """
     field = np.asarray(field)
     axis = mu - 1
@@ -135,9 +157,9 @@ def fourier_mode_product(mu: int, symbol: np.ndarray, field: np.ndarray) -> np.n
             f"symbol of shape {symbol.shape} does not fit mode {mu} of field "
             f"with dims {field.shape}"
         )
-    spectrum = np.fft.rfft(field, axis=axis)
+    spectrum = np.fft.rfft(field, axis=axis, out=spectrum)
     spectrum *= symbol
-    return np.fft.irfft(spectrum, n, axis=axis)
+    return np.fft.irfft(spectrum, n, axis=axis, out=out)
 
 
 def tucker(

@@ -237,6 +237,11 @@ def test_usage_errors_exit_2(tmp_path):
     sphere = ["--model", "dib_sphere", "--n-theta", "6", "--n-phi", "6", "--m", "1"]
     for bad in ("params.zeta5=0", "params.epsilon=-20", "params.rho_star=nan"):
         assert run_cli("run", *sphere, "--tstar", "0.01", "--set", bad, *out) == 2
+    # finite, but the kinetics overflow one unit from the equilibrium
+    assert run_cli("run", *sphere, "--tstar", "0.1", "--set", "params.eta3=-1e308", *out) == 2
+    # fields and factors far beyond physical memory
+    huge = ["--model", "bvam_disk", "--n-rho", "100000", "--n-theta", "100000"]
+    assert run_cli("run", *huge, "--m", "2", "--tstar", "0.1", *out) == 2
     top = ["--tstar", "0.01", f"--seed={2**64 - 1}", "--out", str(tmp_path / "top")]
     assert run_cli("run", *disk, "--m", "1", *top) == 0
     assert run_cli("props", "--kind", "theta", "--n-list", "") == 2

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -15,6 +17,7 @@ from curvipat.integrators import (
     dense_split_factors,
     prepare,
     run_dense_exponential_euler,
+    SplitFactor,
     run_simulation,
     step_exact_ee_reference,
     step_forward_euler,
@@ -341,17 +344,109 @@ def test_linear_step_never_expands_any_state():
 # ---------------------------------------------------------------------------
 
 
+# Five steps from seed 3 of every model, at dims that take every factor form
+# prepare has: dense and block-banded M W (n > 16 off the last mode), dense
+# phi1 matrices, the V^-1/V triple and the rfft (n_theta >= 128, along the
+# first and a middle mode).  Digest: SHA-256 of the final fields' bytes in
+# component order, as computed before the step became allocation-free.
+GOLDEN_RUNS = {
+    "bvam_disk": (
+        {"n_rho": 24, "n_theta": 128}, 0.5,
+        "53a0517b1d08ca0f2c1747672a0094e7e0375eaaa81497a23ad67d56345898f8",
+    ),
+    "schnakenberg_anomalous_disk": (
+        {"n_rho": 20, "n_theta": 12}, 1e-3,
+        "c705e69f1266d37c9bc1428f6b927326e7039edde8ba38f1e1e70fb815903468",
+    ),
+    "dib_sphere": (
+        {"n_theta": 128, "n_phi": 18}, 0.01,
+        "f0588bde44eb736909e08c1af20ad76ccab485bc3f78cb6bead8fb316713973f",
+    ),
+    "bulk_surface_schnakenberg_ball": (
+        {"n_rho": 18, "n_theta": 8, "n_phi": 6}, 1e-3,
+        "9607affe3f8b9ada1f482272894353b61ad14677df2683120bd3d314dfc6c190",
+    ),
+    "bsdib_cylinder": (
+        {"n_rho": 20, "n_theta": 128, "n_z": 4}, 0.05,
+        "ceb78760057072f04bbdb377ce90d6ecef12e646e9dd30be51d70c879e55a477",
+    ),
+}
+
+
+def factor_forms(f: SplitFactor) -> set[str]:
+    diffusion = "banded" if isinstance(f.A, tensor.BlockBanded) else "dense"
+    if f.weight is None:
+        return {diffusion, "dense"}
+    return {diffusion, "triple" if isinstance(f.phi1, tuple) else "rfft"}
+
+
+def test_run_simulation_final_fields_frozen():
+    forms = set()
+    for name, (dims, t_star, digest) in GOLDEN_RUNS.items():
+        system = models.build_system(name, dims, seed=3)
+        fields = run_simulation(system, 5, t_star).fields
+        got = hashlib.sha256(b"".join(fields[c.name].tobytes() for c in system.components))
+        assert got.hexdigest() == digest, name
+        for c in system.components:
+            forms.update(*map(factor_forms, prepare(c.ops, t_star / 5).factors))
+    assert forms == {"dense", "banded", "triple", "rfft"}
+
+
 def test_run_simulation_single_step_equals_manual():
-    dims = {"n_rho": 5, "n_theta": 8}
-    system = models.build_system("bvam_disk", dims, seed=4)
-    res = run_simulation(system, 1, 0.01)
-    states = {c.name: c.initial.copy() for c in system.components}
-    gs = system.kinetics(states)
-    for c in system.components:
-        ops = prepare(c.ops, 0.01)
-        states[c.name] = step_split(ops, states[c.name], gs[c.name])
-    for name in states:
-        assert np.array_equal(res.fields[name], states[name])
+    # one step and several, on every model: the in-place run loop equals a
+    # loop of pure steps
+    for name, (dims, t_star, _) in GOLDEN_RUNS.items():
+        for m in (1, 4):
+            system = models.build_system(name, dims, seed=4)
+            res = run_simulation(system, m, t_star)
+            tau = t_star / m
+            states = {c.name: c.initial.copy() for c in system.components}
+            geo = {c.name: prepare(c.ops, tau) for c in system.components}
+            for _ in range(m):
+                gs = system.kinetics(states)
+                states = {
+                    c.name: step_split(geo[c.name], states[c.name], gs[c.name])
+                    for c in system.components
+                }
+            for c in system.components:
+                assert np.array_equal(res.fields[c.name], states[c.name]), (name, m)
+
+
+@pytest.mark.parametrize(
+    "name, dims",
+    [
+        ("bvam_disk", {"n_rho": 80, "n_theta": 320}),
+        ("schnakenberg_anomalous_disk", {"n_rho": 160, "n_theta": 120}),
+        ("dib_sphere", {"n_theta": 128, "n_phi": 160}),
+        ("bulk_surface_schnakenberg_ball", {"n_rho": 30, "n_theta": 50, "n_phi": 30}),
+        ("bsdib_cylinder", {"n_rho": 40, "n_theta": 128, "n_z": 8}),
+    ],
+)
+def test_run_loop_allocates_less_than_one_field(name, dims):
+    # the run loop keeps its states, kinetics outputs and step workspaces;
+    # what a warm step allocates beyond them (ufunc buffers, the gathered
+    # entries between diagonal blocks) stays below one field
+    system = models.build_system(name, dims, seed=3)
+    largest = max(c.initial.nbytes for c in system.components)
+    marks = {}
+
+    def hook(step, t, states):
+        if step == 2:
+            tracemalloc.reset_peak()
+            marks["start"] = tracemalloc.get_traced_memory()[0]
+        elif step == 5:
+            marks["peak"] = tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        res = run_simulation(system, 5, 1e-3, record_every=1, sample_hook=hook)
+    finally:
+        tracemalloc.stop()
+    assert marks["peak"] - marks["start"] < largest
+    # the states are updated in place, so no kinetics output may alias one
+    gs = system.kinetics(res.fields)
+    for G in gs.values():
+        assert not any(np.shares_memory(G, W) for W in res.fields.values())
 
 
 def test_run_simulation_zero_data_stays_zero():

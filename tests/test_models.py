@@ -280,6 +280,83 @@ def test_every_system_reaction_vanishes_at_equilibrium():
             assert np.max(np.abs(G)) <= 1e-13 * max(1.0, scale), (name, comp)
 
 
+def _expression_kinetics(name, u, v, r, s, p, h):
+    """The kinetics helpers' formulas as plain numpy expressions, each
+    allocating its temporaries: the reference for their ufunc sequences."""
+    if name == "bvam":
+        return (
+            p["alpha1"] * u * (1.0 - p["alpha2"] * v**2) + v * (1.0 - p["alpha3"] * u),
+            p["beta1"] * v * (1.0 + (p["alpha1"] * p["alpha2"] / p["beta1"]) * u * v)
+            + u * (p["beta2"] + p["alpha3"] * v),
+        )
+    if name == "schnakenberg":
+        uuv = u * u * v
+        return p["alpha2"] - u + uuv, p["beta1"] - uuv
+    z1, z2, z3, z4, z5 = (p.get(f"zeta{k}") for k in range(1, 6))
+    e1, e2, e3, e5 = (p.get(f"eta{k}") for k in (1, 2, 3, 5))
+    if name == "dib":
+        return (
+            z2 * (1.0 - s) * r - z3 * r**3 - z4 * (s - z5),
+            e1 * (1.0 + e2 * r) * (1.0 - s) * (1.0 - e3 * (1.0 - s))
+            - models.eta4(p) * s * (1.0 + e3 * s) * (1.0 + e5 * r),
+        )
+    if name == "ball":
+        edge = 1.3
+        ghost = 1.0 / h**2 + 1.0 / (edge * h)
+        b, c = _expression_kinetics("schnakenberg", r, s, None, None, p, h)
+        return (
+            2.0 * h * ghost * (z1 * (z2 * r - z3 * u)),
+            2.0 * h * ghost * (z1 * (e1 * s - e2 * v)),
+            b - (z2 * r - z3 * u),
+            c - (e1 * s - e2 * v),
+        )
+    pr = z2 * u * (1.0 - s) * r - z3 * r**3 - z4 * (s - z5)
+    qs = e1 * v * (1.0 + e2 * r) * (1.0 - s) * (1.0 - e3 * (1.0 - s)) - models.eta4(p) * (
+        1.0 + e5 * r
+    ) * s * (1.0 + e3 * s)
+    return (
+        -(2.0 / h) * z1 * p["alpha3"] * pr,
+        -(2.0 / h) * z1 * p["beta3"] * p["delta"] * qs,
+        pr,
+        qs,
+    )
+
+
+@pytest.mark.parametrize("name", ["bvam", "schnakenberg", "dib", "ball", "cylinder"])
+def test_kinetics_helpers_match_expressions_bitwise(name):
+    # into given arrays or new ones, the ufunc sequences reproduce the
+    # expressions' bits, signed zeros included
+    model = {
+        "bvam": "bvam_disk",
+        "schnakenberg": "schnakenberg_anomalous_disk",
+        "dib": "dib_sphere",
+        "ball": "bulk_surface_schnakenberg_ball",
+        "cylinder": "bsdib_cylinder",
+    }[name]
+    p = models.model_spec(model).params
+    rng = np.random.RandomState(34)
+    u, v, r, s = (rng.randn(7, 9) for _ in range(4))
+    for x in (u, v, r, s):
+        x[rng.rand(7, 9) < 0.2] = 0.0
+        x[rng.rand(7, 9) < 0.1] = -0.0
+    h = 0.37
+    call = {
+        "bvam": lambda out: models.bvam_kinetics(u, v, p, out=out),
+        "schnakenberg": lambda out: models.schnakenberg_kinetics(u, v, p, out=out),
+        "dib": lambda out: models.dib_kinetics(r, s, p, out=out),
+        "ball": lambda out: models.bulk_surface_coupling_ball(u, v, r, s, p, h, 1.3, out=out),
+        "cylinder": lambda out: models.bs_cylinder_coupling(u, v, r, s, p, h, out=out),
+    }[name]
+    want = _expression_kinetics(name, u, v, r, s, p, h)
+    size = {"schnakenberg": 2, "ball": 5, "cylinder": 5}.get(name, 3)
+    buffers = tuple(np.empty((7, 9)) for _ in range(size))
+    for got in (call(None), call(buffers)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+    assert all(any(g is b for b in buffers) for g in call(buffers))
+
+
 # ---------------------------------------------------------------------------
 # bulk-surface couplings
 # ---------------------------------------------------------------------------

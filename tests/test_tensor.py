@@ -68,6 +68,9 @@ def test_mode_product_every_mode_is_correct_and_c_contiguous(dims, transposed):
         assert out.shape == T.shape
         assert out.flags.c_contiguous
         assert np.max(np.abs(out - loop_mode_product(mu, L, T))) <= 1e-13
+        buf = np.empty(dims)
+        into = tensor.mode_product(mu, L, T, out=buf)
+        assert np.shares_memory(into, buf) and np.array_equal(into, out)
 
 
 def test_mode_product_order2_kronecker_identity():
@@ -182,6 +185,9 @@ def test_banded_mode_product_matches_dense_every_mode(dims, periodic):
             out = tensor.banded_mode_product(mu, op, T)
             assert out.flags.c_contiguous
             assert np.max(np.abs(out - dense)) <= 1e-13
+            buf = np.empty(dims)
+            into = tensor.banded_mode_product(mu, op, T, out=buf)
+            assert np.shares_memory(into, buf) and np.array_equal(into, out)
 
 
 def test_block_banded_rejects_bad_splits():
@@ -214,4 +220,9 @@ def test_fourier_mode_product_matches_fourier_eigenbasis_products(n):
             ref = tensor.mode_product(mu, fac.V, full * tensor.mode_product(mu, fac.V_inv, T))
             out = tensor.fourier_mode_product(mu, symbol, T)
             assert out.flags.c_contiguous
+            half = list(dims)
+            half[mu - 1] = n // 2 + 1
+            buf, spectrum = np.empty(dims), np.empty(half, dtype=complex)
+            into = tensor.fourier_mode_product(mu, symbol, T, out=buf, spectrum=spectrum)
+            assert np.shares_memory(into, buf) and np.array_equal(into, out)
             assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
