@@ -54,7 +54,8 @@ class UsageError(ValueError):
     pass
 
 
-_INT_KEYS = {"n_rho", "n_theta", "n_phi", "n_z", "m", "snapshots", "m_ref", "seed"}
+_DIM_KEYS = {"n_rho", "n_theta", "n_phi", "n_z"}
+_INT_KEYS = _DIM_KEYS | {"m", "snapshots", "m_ref", "seed"}
 _FLOAT_KEYS = {"tstar"}
 _BOOL_KEYS = {"heatmap", "fe", "dense"}
 _LIST_KEYS = {"m_list", "n_list"}
@@ -161,8 +162,15 @@ def _require_model(cfg: dict) -> models.ModelSpec:
 
 
 def _require_dims(cfg: dict, name: models.ModelName) -> dict[str, int]:
+    keys = models.dim_keys(name)
+    foreign = sorted(_DIM_KEYS.intersection(cfg).difference(keys))
+    if foreign:
+        raise UsageError(
+            f"model {name.value} has no axis for {', '.join(foreign)}; "
+            f"its dimensions are {', '.join(keys)}"
+        )
     dims = {}
-    for key in models.dim_keys(name):
+    for key in keys:
         if key not in cfg:
             raise UsageError(f"model {name.value} needs dimension {key}")
         if cfg[key] < 2:

@@ -11,11 +11,14 @@ F_n = M W_n + G_n and each P_mu is phi1(tau M_mu).  An unweighted P_mu is
 one mode product with a dense phi1 matrix; a weighted one is a mode product
 with V^-1, an elementwise product with a precomputed phi1 tensor, and a mode
 product with V.  For a long periodic angle V is the real Fourier basis, so
-its pair of mode products becomes an rfft and an irfft.  The tridiagonal
-operators of M W are applied as diagonal blocks plus the entries between
-them along every mode but the last.  So one code path serves every
-geometry and the cost per step is a fixed number of kernels.  The factor
-order must not be permuted (the factors do not commute).
+its pair of mode products becomes an rfft and an irfft.  A summand along
+the last mode weighted by the first mode alone (the ball's phi summand) is
+a stack of one matrix per slice of the first mode, for M W and for phi1,
+each applied as one batched GEMM.  The tridiagonal operators of M W are
+applied as diagonal blocks plus the entries between them, along the last
+mode only when it is long.  So one code path serves every geometry and the
+cost per step is a fixed number of kernels.  The factor order must not be
+permuted (the factors do not commute).
 
 Every kernel can write into a caller's array.  ``run_simulation`` owns one
 :class:`Workspace` per field shape and updates the states in place, so a
@@ -47,10 +50,14 @@ DENSE_REFERENCE_CAP = 4096
 
 # Diagonal blocks of a block-banded 1-d operator are the largest divisor of
 # n in [BLOCK_MIN, BLOCK_MAX]; smaller blocks ran slower than the dense GEMM.
-# An n without such a divisor, an n <= BLOCK_MAX and the last mode (short
-# contiguous rows, where one GEMM was fastest) stay dense.
+# An n without such a divisor and an n <= BLOCK_MAX stay dense.  Along the
+# last mode the rows of the unfolding are short and one dense GEMM is hard
+# to beat: there the blocks are used from BLOCK_LAST_MIN points on (on 40,
+# 160 and 1600 rows, 80 to 160 points took 0.2-1.0x the dense time; 20 to
+# 72 points took up to 2.7x on 40 rows).
 BLOCK_MAX = 16
 BLOCK_MIN = 8
+BLOCK_LAST_MIN = 80
 # Periodic angles with at least this many points apply phi1 by rfft; below
 # it the dense V^-1 and V products were as fast or faster.
 FFT_MIN_THETA = 128
@@ -149,6 +156,12 @@ class SplitFactor:
     unweighted, else (V^-1, phi1 tensor, V), the tensor broadcast like
     ``weight``; when V is the real Fourier basis, the phi1 tensor alone,
     over the rfft frequencies along ``mode`` and stored as complex.
+
+    A summand along the last mode weighted by the first mode alone may
+    instead be a stack of n_1 matrices, one per slice of the first mode (see
+    :func:`tensor.sliced_mode_product`): ``A`` holds coeff w_i A and
+    ``phi1`` V diag(phi1(tau coeff w_i lambda)) V^-1, ``weight`` is None,
+    and each action is one GEMM.
     """
 
     mode: int
@@ -159,10 +172,7 @@ class SplitFactor:
     def diffusion(self, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The summand's action coeff M_mu W, into ``out`` (a C-contiguous
         field not overlapping W) or a new array."""
-        if isinstance(self.A, tensor.BlockBanded):
-            T = tensor.banded_mode_product(self.mode, self.A, W, out=out)
-        else:
-            T = tensor.mode_product(self.mode, self.A, W, out=out)
+        T = _along(self.mode, self.A, W, out)
         if self.weight is not None:
             T *= self.weight
         return T
@@ -174,7 +184,7 @@ class SplitFactor:
         given, T may serve as scratch and is overwritten; ``work`` lends
         the rfft spectrum."""
         if self.weight is None:
-            return tensor.mode_product(self.mode, self.phi1, T, out=out)
+            return _along(self.mode, self.phi1, T, out)
         if not isinstance(self.phi1, tuple):
             spectrum = None if work is None else work.spectrum(self.mode)
             return tensor.fourier_mode_product(
@@ -227,6 +237,16 @@ class GeometryOps:
         return self.base.shape
 
 
+def _along(mode: int, op, field: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """A prepared operator along ``mode``: dense, block-banded, or a stack
+    of per-slice matrices (three indices)."""
+    if isinstance(op, tensor.BlockBanded):
+        return tensor.banded_mode_product(mode, op, field, out=out)
+    if op.ndim == 3:
+        return tensor.sliced_mode_product(op, field, out=out)
+    return tensor.mode_product(mode, op, field, out=out)
+
+
 def _block_size(n: int) -> int | None:
     """Diagonal block size for a 1-d operator of order n, or None (dense)."""
     if n <= BLOCK_MAX:
@@ -234,11 +254,33 @@ def _block_size(n: int) -> int | None:
     return next((b for b in range(BLOCK_MAX, BLOCK_MIN - 1, -1) if n % b == 0), None)
 
 
+def _form(
+    geometry: Geometry, shape: tuple[int, ...], mode: int, weighted_by: tuple[int, ...]
+) -> tuple[int | None, str]:
+    """How :func:`prepare` holds one summand, from the sizes alone: the
+    block size of its M W operator (None: dense) and the form of its phi1,
+    one of "dense" (unweighted), "stacked", "rfft" or "triple".
+
+    A last-mode summand weighted by the first mode alone is stacked (M W
+    too) when its stack of n_1 matrices holds no more entries than a field,
+    i.e. n_d is at most the product of the middle modes."""
+    n = shape[mode - 1]
+    last = mode == len(shape)
+    if last and weighted_by == (1,) and n <= math.prod(shape[1:-1]):
+        return None, "stacked"
+    b = None if last and n < BLOCK_LAST_MIN else _block_size(n)
+    if not weighted_by:
+        return b, "dense"
+    if geometry.axes[mode - 1] == "theta" and n >= FFT_MIN_THETA:
+        return b, "rfft"
+    return b, "triple"
+
+
 def prepare(base: ComponentOps, tau: float) -> GeometryOps:
     """Precompute all transforms and phi1 factors for one component at a
     fixed time step; done once before the time loop.  Each 1-d operator
     takes its cheapest exact form, chosen from its mode's size and
-    position alone."""
+    position alone (:func:`_form`)."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     scale = tau * base.coeff
@@ -246,20 +288,32 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
     factors = []
     for mode, weighted_by in FACTORS[base.geometry]:
         axis = axes[mode - 1]
+        b, form = _form(base.geometry, base.shape, mode, weighted_by)
         A = base.coeff * axis.toarray()
-        b = _block_size(axis.n) if mode < len(axes) else None
         if b is not None:
-            A = tensor.BlockBanded.from_dense(A, b)
+            A = tensor.BlockBanded.from_dense(A, b, last_mode=mode == len(axes))
         periodic = isinstance(axis, PeriodicTridiagonal)
         fac = eig_theta(axis) if periodic else eig_tridiag(axis)
-        if not weighted_by:
+        if form == "dense":
             factors.append(SplitFactor(mode, A, None, phi1_matrix(scale, fac)))
             continue
         vectors = [np.ones(1)] * len(axes)
         for mu in weighted_by:
             vectors[mu - 1] = base.axis_weights(mu)
+        if form == "stacked":
+            # slice i of the first mode gets w_i A and V diag(phi_i) V^-1,
+            # built transposed and contiguous, then viewed untransposed
+            w = vectors[0]
+            vectors[mode - 1] = fac.lambdas
+            phi = phi1_outer(scale, vectors).reshape(w.size, 1, axis.n)
+            A_t = w[:, None, None] * A.T
+            P_t = (fac.V_inv.T * phi) @ fac.V.T
+            factors.append(
+                SplitFactor(mode, A_t.transpose(0, 2, 1), None, P_t.transpose(0, 2, 1))
+            )
+            continue
         weight = reduce(np.multiply.outer, vectors)
-        if periodic and axis.n >= FFT_MIN_THETA:
+        if form == "rfft":
             # eig_theta orders its columns by frequency 0, 1, 1, 2, 2, ...;
             # the cos and sin columns of one frequency share an eigenvalue
             vectors[mode - 1] = fac.lambdas[np.r_[0, 1 : axis.n : 2]]
@@ -273,14 +327,30 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
 
 
 def prepared_bytes(geometry: Geometry, shape: tuple[int, ...]) -> int:
-    """About the bytes :func:`prepare` holds for one component of this
-    shape: per summand four n x n matrices (the operator, eigenvectors and
-    their inverse, a phi1 matrix) and a tensor over the summand's mode and
-    the modes that weight it."""
+    """An upper bound on the bytes :func:`prepare` holds for one component
+    of this shape, in the forms :func:`_form` picks.  Per summand: the M W
+    operator (n x n, or b x b blocks plus the index pairs and values of at
+    most 2 n / b entries outside them), its weights, and phi1 (an n x n
+    matrix; V^-1 and V with a phi1 tensor over the mode and its weights;
+    or a complex rfft symbol); a stacked summand holds two stacks of n_1
+    matrices instead."""
     total = 0
     for mode, weighted_by in FACTORS[geometry]:
         n = shape[mode - 1]
-        total += 4 * n * n + math.prod(shape[mu - 1] for mu in (mode, *weighted_by))
+        b, form = _form(geometry, shape, mode, weighted_by)
+        if form == "stacked":
+            total += 2 * shape[0] * n * n
+            continue
+        total += n * n if b is None else n * b + 3 * 2 * (n // b)
+        if form == "dense":
+            total += n * n
+            continue
+        weights = math.prod(shape[mu - 1] for mu in weighted_by)
+        total += weights
+        if form == "rfft":
+            total += 2 * (n // 2 + 1) * weights
+        else:
+            total += 2 * n * n + n * weights
     return 8 * total
 
 

@@ -332,7 +332,8 @@ def dib_kinetics(r, s, params, out=None) -> tuple[np.ndarray, np.ndarray]:
     np.subtract(1.0, s, out=p)
     p *= z2
     p *= r
-    np.power(r, 3, out=t)
+    np.multiply(r, r, out=t)
+    t *= r
     t *= z3
     p -= t
     np.subtract(s, z5, out=t)
@@ -410,7 +411,8 @@ def bs_cylinder_coupling(u_bottom, v_bottom, r, s, params, h_z: float, out=None)
     np.subtract(1.0, s, out=t)
     p *= t
     p *= r
-    np.power(r, 3, out=t)
+    np.multiply(r, r, out=t)
+    t *= r
     t *= z3
     p -= t
     np.subtract(s, z5, out=t)
@@ -444,11 +446,6 @@ class CoupledSystem:
     components: list[SystemComponent]
     kinetics: Callable[[dict[str, np.ndarray]], dict[str, np.ndarray]]
     equilibrium: dict[str, float]
-
-    def physical_fields(self, states: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Undo the constant lifting of Dirichlet components."""
-        lifts = {c.name: c.lift for c in self.components}
-        return {name: W + lifts[name] for name, W in states.items()}
 
 
 def anomalous_setup(

@@ -1,5 +1,5 @@
-"""Order-1/2/3 tensor kernels: dense, block-banded and real-Fourier
-mu-mode products, the Tucker operator and vec/unvec.
+"""Order-1/2/3 tensor kernels: dense, block-banded, real-Fourier and
+per-slice mu-mode products, the Tucker operator and vec/unvec.
 
 Fields are plain ``numpy.ndarray`` objects.  The linearization convention is
 first-index-fastest: element (i, j, k) of a field with dims (n1, n2, n3)
@@ -84,7 +84,10 @@ class BlockBanded:
     vals: np.ndarray
 
     @classmethod
-    def from_dense(cls, A: np.ndarray, b: int) -> "BlockBanded":
+    def from_dense(cls, A: np.ndarray, b: int, last_mode: bool = False) -> "BlockBanded":
+        """Split A into b x b diagonal blocks.  With ``last_mode`` each block
+        is laid out transposed in memory (same values), so that the
+        last-mode product reads it as a contiguous right factor."""
         A = np.asarray(A, dtype=float)
         n = A.shape[0]
         if A.shape != (n, n) or b < 1 or n % b:
@@ -92,6 +95,8 @@ class BlockBanded:
         k = n // b
         diag = np.arange(k)
         blocks = A.reshape(k, b, k, b)[diag, :, diag, :]
+        if last_mode:
+            blocks = np.ascontiguousarray(blocks.transpose(0, 2, 1)).transpose(0, 2, 1)
         outside = A.copy()
         outside.reshape(k, b, k, b)[diag, :, diag, :] = 0.0
         rows, cols = np.nonzero(outside)
@@ -110,10 +115,13 @@ def banded_mode_product(
     """:func:`mode_product` with a :class:`BlockBanded` matrix, into ``out``
     as there.
 
-    One batched GEMM multiplies the diagonal blocks over the C-order
-    unfolding (pre, k, b, post); the entries outside the blocks are then
-    gathered and added row by row.  Meant for modes other than the last:
-    there the rows of the unfolding are long.
+    One batched GEMM multiplies the diagonal blocks, then the entries
+    outside the blocks are gathered and added row by row.  Off the last
+    mode the blocks multiply the C-order unfolding (pre, k, b, post) from
+    the left.  Along the last mode the batch runs over a transposed view
+    (k, pre, b) of the field, and each (pre x b) slab is multiplied from
+    the right by its block's transpose: k GEMMs with long rows, where one
+    (pre x n) @ (n x n) GEMM would spend most of its flops on zeros.
     """
     field = np.asarray(field)
     if not 1 <= mu <= field.ndim or field.shape[mu - 1] != op.n:
@@ -124,12 +132,46 @@ def banded_mode_product(
     k, b, _ = op.blocks.shape
     pre = math.prod(field.shape[: mu - 1])
     post = math.prod(field.shape[mu:])
-    blocked = (pre, k, b, post)
-    dst = None if out is None else out.reshape(blocked)
-    res = np.matmul(op.blocks, field.reshape(blocked), out=dst)
+    res = np.empty(field.shape) if out is None else out
+    if post == 1:
+        slabs = (pre, k, b)
+        np.matmul(
+            field.reshape(slabs).transpose(1, 0, 2),
+            op.blocks.transpose(0, 2, 1),
+            out=res.reshape(slabs).transpose(1, 0, 2),
+        )
+    else:
+        blocked = (pre, k, b, post)
+        np.matmul(op.blocks, field.reshape(blocked), out=res.reshape(blocked))
     X = field.reshape(pre, op.n, post)
     res.reshape(pre, op.n, post)[:, op.rows] += op.vals[:, None] * X[:, op.cols]
-    return res.reshape(field.shape)
+    return res
+
+
+def sliced_mode_product(
+    stack: np.ndarray, field: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Multiply along the last mode by a different square matrix on each
+    slice of the first: result[i, ..., :] = stack[i] @ field[i, ..., :].
+
+    ``stack`` has shape (n_1, n_d, n_d).  One broadcasting GEMM over the
+    unfolding (n_1, middle, n_d) multiplies each slice from the right by
+    ``stack[i]`` transposed; that factor is read contiguously when each
+    matrix of the stack is laid out transposed in memory.  The result goes
+    into ``out`` as in :func:`mode_product`.
+    """
+    field = np.asarray(field)
+    n1, nd = field.shape[0], field.shape[-1]
+    if field.ndim < 2 or stack.shape != (n1, nd, nd):
+        raise ValueError(
+            f"matrix stack of shape {stack.shape} does not fit the first and "
+            f"last mode of field with dims {field.shape}"
+        )
+    slices = (n1, -1, nd)
+    dst = None if out is None else out.reshape(slices)
+    return np.matmul(
+        field.reshape(slices), stack.transpose(0, 2, 1), out=dst
+    ).reshape(field.shape)
 
 
 def fourier_mode_product(

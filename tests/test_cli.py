@@ -1,9 +1,12 @@
 import hashlib
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvipat import cli, models, output
 from curvipat import operators as op
@@ -242,11 +245,49 @@ def test_usage_errors_exit_2(tmp_path):
     # fields and factors far beyond physical memory
     huge = ["--model", "bvam_disk", "--n-rho", "100000", "--n-theta", "100000"]
     assert run_cli("run", *huge, "--m", "2", "--tstar", "0.1", *out) == 2
+    # a dimension the model has no axis for is a mistake, not a quiet no-op
+    for foreign in (["--n-z", "20"], ["--set", "n_phi=3"]):
+        assert run_cli("run", *disk, *foreign, "--m", "1", "--tstar", "0.01", *out) == 2
+        assert run_cli("converge", *disk, *foreign, "--tstar", "0.01", "--m-list", "2") == 2
     top = ["--tstar", "0.01", f"--seed={2**64 - 1}", "--out", str(tmp_path / "top")]
     assert run_cli("run", *disk, "--m", "1", *top) == 0
     assert run_cli("props", "--kind", "theta", "--n-list", "") == 2
     assert run_cli("props", "--kind", "theta", "--n-list", "2") == 2
     assert not (tmp_path / "o").exists()
+
+
+_DISK_SPEC = models.model_spec("bvam_disk")
+# dimensions of axes a disk lacks; the parser knows them, a disk run must not
+_NOT_DISK_DIMS = sorted(cli._DIM_KEYS - set(models.dim_keys(models.ModelName.BVAM_DISK)))
+# what a bvam_disk run accepts: the other config keys, and the model
+# constants behind the params. prefix
+_DISK_KEYS = (cli._KEYS - set(_NOT_DISK_DIMS)) | {
+    f"params.{name}" for name in {**_DISK_SPEC.params, **_DISK_SPEC.sizes}
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.one_of(
+        st.text("abcdefghijklmnopqrstuvwxyzAZ0123456789_.-", min_size=1, max_size=16),
+        st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=10).map("params.".__add__),
+        st.sampled_from(_NOT_DISK_DIMS),
+    ).filter(lambda key: key not in _DISK_KEYS),
+    via_set=st.booleans(),
+)
+def test_any_unknown_key_exits_2_before_running(key, via_set):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        text = "model = bvam_disk\nn_rho = 4\nn_theta = 4\nm = 1\ntstar = 0.01\n"
+        extra = []
+        if via_set:
+            extra = [f"--set={key}=3"]  # one token, so a key like "-" is no flag
+        else:
+            text += f"{key} = 3\n"
+        cfg.write_text(text)
+        out = Path(tmp) / "o"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out), *extra) == 2
+        assert not out.exists()
 
 
 def test_unknown_plain_config_keys_exit_2(tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from curvipat.integrators import (
     dense_operator,
     dense_split_factors,
     prepare,
+    prepared_bytes,
     run_dense_exponential_euler,
     SplitFactor,
     run_simulation,
@@ -24,7 +26,7 @@ from curvipat.integrators import (
     step_split,
 )
 from curvipat.phifun import phi1_dense_oracle
-from curvipat import models
+from curvipat import cli, models
 
 
 def disk_base(n_rho=4, n_theta=4, coeff=0.7):
@@ -125,20 +127,36 @@ def test_apply_diffusion_matches_kronecker_oracle(name, dims):
 @pytest.mark.parametrize(
     "name,dims,blocks,fourier",
     [
-        # n <= 16, a prime n and the last mode stay dense GEMMs
+        # n <= 16, a prime n and a last mode below BLOCK_LAST_MIN stay dense
         ("cylinder", (20, 17, 20), [10, None, None], False),
-        ("disk", (16, 128), [None, None], True),
+        ("disk", (16, 128), [None, 16], True),
         ("sphere", (127, 6), [None, None], False),
         ("sphere", (128, 6), [16, None], True),
         ("cylinder", (4, 128, 4), [None, 16, None], True),
-        ("ball", (30, 50, 30), [15, 10, None], False),
+        # the last-mode summand of the ball, weighted by rho alone, is
+        # stacked while n_phi <= n_theta, else block-banded or dense
+        ("ball", (30, 50, 30), [15, 10, "stacked"], False),
+        ("ball", (30, 20, 96), [15, 10, 16], False),
+        ("ball", (30, 50, 60), [15, 10, None], False),
+        ("disk", (16, 64), [None, None], False),
+        # the other benchmark shapes (the ball's is above)
+        ("cylinder", (160, 160, 20), [16, 16, None], True),
+        ("disk", (160, 160), [16, 16], True),
     ],
 )
 def test_prepare_picks_forms_from_mode_size_and_position(name, dims, blocks, fourier):
     ops = prepare(ALL_BASES[name](*dims), 0.01)
     got = {}
     for f in ops.factors:
-        got[f.mode] = f.A.blocks.shape[1] if isinstance(f.A, tensor.BlockBanded) else None
+        if isinstance(f.A, tensor.BlockBanded):
+            got[f.mode] = f.A.blocks.shape[1]
+        elif f.A.ndim == 3:
+            got[f.mode] = "stacked"
+            n = dims[f.mode - 1]
+            assert f.mode == len(dims) and f.weight is None
+            assert f.A.shape == f.phi1.shape == (dims[0], n, n)
+        else:
+            got[f.mode] = None
         if f.weight is not None and f.mode == ops.base.geometry.axes.index("theta") + 1:
             assert isinstance(f.phi1, tuple) is not fourier
     assert [got[mu] for mu in range(1, len(dims) + 1)] == blocks
@@ -191,7 +209,8 @@ def test_step_split_cylinder_zero_field_fixed_point():
         ("sphere", (4, 4)),
         ("ball", (3, 4, 3)),
         ("cylinder", (3, 4, 4)),
-        # block-banded M W; rfft phi1 along theta (n_theta >= 128)
+        # block-banded M W (along the disk's last mode too); rfft phi1
+        # along theta (n_theta >= 128); the ball's stacked phi summand
         ("ball", (3, 20, 3)),
         ("disk", (4, 128)),
         ("sphere", (128, 4)),
@@ -345,14 +364,18 @@ def test_linear_step_never_expands_any_state():
 
 
 # Five steps from seed 3 of every model, at dims that take every factor form
-# prepare has: dense and block-banded M W (n > 16 off the last mode), dense
-# phi1 matrices, the V^-1/V triple and the rfft (n_theta >= 128, along the
-# first and a middle mode).  Digest: SHA-256 of the final fields' bytes in
-# component order, as computed before the step became allocation-free.
+# prepare has: dense and block-banded M W (n > 16 off the last mode, and the
+# disk's last mode n_theta = 128 >= BLOCK_LAST_MIN), dense phi1 matrices, the
+# V^-1/V triple, the rfft (n_theta >= 128, along the first and a middle mode)
+# and the ball's stacked phi summand (n_phi = 6 <= n_theta = 8).  Digest:
+# SHA-256 of the final fields' bytes in component order.  The disk, ball and
+# cylinder digests were re-recorded when the last-mode forms and the cube by
+# multiplication (in the DIB kinetics) came in; the anomalous disk (no form
+# along its 12-point last mode changed) and the sphere kept theirs.
 GOLDEN_RUNS = {
     "bvam_disk": (
         {"n_rho": 24, "n_theta": 128}, 0.5,
-        "53a0517b1d08ca0f2c1747672a0094e7e0375eaaa81497a23ad67d56345898f8",
+        "71ec5187aafca0cc0568c46d67151a0e454806b6f924999c195da51aecf3951d",
     ),
     "schnakenberg_anomalous_disk": (
         {"n_rho": 20, "n_theta": 12}, 1e-3,
@@ -364,19 +387,22 @@ GOLDEN_RUNS = {
     ),
     "bulk_surface_schnakenberg_ball": (
         {"n_rho": 18, "n_theta": 8, "n_phi": 6}, 1e-3,
-        "9607affe3f8b9ada1f482272894353b61ad14677df2683120bd3d314dfc6c190",
+        "1a36b6ed6aafb24c5892eae53cdd5de564693a6c3a491f6e67e2b91ca12d2694",
     ),
     "bsdib_cylinder": (
         {"n_rho": 20, "n_theta": 128, "n_z": 4}, 0.05,
-        "ceb78760057072f04bbdb377ce90d6ecef12e646e9dd30be51d70c879e55a477",
+        "a618668352570dc5a1352a85bbefa7719dcf4f3b8442ebbcc93ab2c30bf83714",
     ),
 }
 
 
-def factor_forms(f: SplitFactor) -> set[str]:
-    diffusion = "banded" if isinstance(f.A, tensor.BlockBanded) else "dense"
+def factor_forms(f: SplitFactor, order: int) -> set[str]:
+    if isinstance(f.A, tensor.BlockBanded):
+        diffusion = "banded-last" if f.mode == order else "banded"
+    else:
+        diffusion = "stacked" if f.A.ndim == 3 else "dense"
     if f.weight is None:
-        return {diffusion, "dense"}
+        return {diffusion, "stacked" if f.phi1.ndim == 3 else "dense"}
     return {diffusion, "triple" if isinstance(f.phi1, tuple) else "rfft"}
 
 
@@ -388,8 +414,49 @@ def test_run_simulation_final_fields_frozen():
         got = hashlib.sha256(b"".join(fields[c.name].tobytes() for c in system.components))
         assert got.hexdigest() == digest, name
         for c in system.components:
-            forms.update(*map(factor_forms, prepare(c.ops, t_star / 5).factors))
-    assert forms == {"dense", "banded", "triple", "rfft"}
+            for f in prepare(c.ops, t_star / 5).factors:
+                forms.update(factor_forms(f, len(c.ops.shape)))
+    assert forms == {"dense", "banded", "banded-last", "stacked", "triple", "rfft"}
+
+
+def held_bytes(ops) -> int:
+    """Bytes of every array the prepared factors hold."""
+    arrays = []
+    for f in ops.factors:
+        for part in (f.A, f.weight, f.phi1):
+            if isinstance(part, tensor.BlockBanded):
+                arrays += [part.blocks, part.rows, part.cols, part.vals]
+            elif isinstance(part, tuple):
+                arrays += part
+            elif part is not None:
+                arrays.append(part)
+    return sum(a.nbytes for a in arrays)
+
+
+def shipped_dims():
+    """(model, dims) of the golden runs, the benchmark workloads and every
+    configs/*.cfg."""
+    yield from ((name, dims) for name, (dims, _, _) in GOLDEN_RUNS.items())
+    yield "bsdib_cylinder", {"n_rho": 160, "n_theta": 160, "n_z": 20}
+    yield "bulk_surface_schnakenberg_ball", {"n_rho": 30, "n_theta": 50, "n_phi": 30}
+    yield "schnakenberg_anomalous_disk", {"n_rho": 160, "n_theta": 160}
+    configs = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
+    assert configs
+    for path in configs:
+        raw = cli.parse_config_file(path)
+        keys = models.dim_keys(models.ModelName(raw["model"]))
+        yield raw["model"], {key: int(raw[key]) for key in keys}
+
+
+def test_prepared_bytes_bounds_what_prepare_holds():
+    # the memory check before a run counts prepared factors by this estimate,
+    # so it must cover every form prepare picks, stacks included
+    for name, dims in shipped_dims():
+        system = models.build_system(name, dims, seed=1)
+        for c in system.components:
+            held = held_bytes(prepare(c.ops, 1e-3))
+            estimate = prepared_bytes(c.ops.geometry, c.ops.shape)
+            assert held <= estimate <= 1.05 * held, (name, dims, c.name)
 
 
 def test_run_simulation_single_step_equals_manual():

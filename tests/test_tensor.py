@@ -181,13 +181,15 @@ def test_banded_mode_product_matches_dense_every_mode(dims, periodic):
         A = random_tridiagonal(n, rng, periodic)
         dense = tensor.mode_product(mu, A, T)
         for b in [b for b in range(2, n + 1) if n % b == 0]:
-            op = tensor.BlockBanded.from_dense(A, b)
-            out = tensor.banded_mode_product(mu, op, T)
-            assert out.flags.c_contiguous
-            assert np.max(np.abs(out - dense)) <= 1e-13
-            buf = np.empty(dims)
-            into = tensor.banded_mode_product(mu, op, T, out=buf)
-            assert np.shares_memory(into, buf) and np.array_equal(into, out)
+            # either block layout serves every mode
+            for last_mode in (False, True):
+                op = tensor.BlockBanded.from_dense(A, b, last_mode=last_mode)
+                out = tensor.banded_mode_product(mu, op, T)
+                assert out.flags.c_contiguous
+                assert np.max(np.abs(out - dense)) <= 1e-13
+                buf = np.empty(dims)
+                into = tensor.banded_mode_product(mu, op, T, out=buf)
+                assert np.shares_memory(into, buf) and np.array_equal(into, out)
 
 
 def test_block_banded_rejects_bad_splits():
@@ -199,6 +201,28 @@ def test_block_banded_rejects_bad_splits():
     op = tensor.BlockBanded.from_dense(A, 4)
     with pytest.raises(ValueError):
         tensor.banded_mode_product(1, op, np.zeros((8, 3)))
+
+
+@pytest.mark.parametrize("dims", [(4, 5, 3), (3, 1, 2), (5, 2, 3, 4)])
+def test_sliced_mode_product_matches_per_slice_products(dims):
+    rng = np.random.RandomState(15)
+    T = rng.randn(*dims)
+    n = dims[-1]
+    stack = rng.randn(dims[0], n, n)
+    ref = np.stack([tensor.mode_product(T.ndim - 1, L, X) for L, X in zip(stack, T)])
+    # each matrix laid out transposed in memory, as prepare stores it
+    transposed = np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1)
+    for S in (stack, transposed):
+        out = tensor.sliced_mode_product(S, T)
+        assert out.flags.c_contiguous
+        assert np.max(np.abs(out - ref)) <= 1e-13
+        buf = np.empty(dims)
+        into = tensor.sliced_mode_product(S, T, out=buf)
+        assert np.shares_memory(into, buf) and np.array_equal(into, out)
+    with pytest.raises(ValueError):
+        tensor.sliced_mode_product(stack[:-1], T)
+    with pytest.raises(ValueError):
+        tensor.sliced_mode_product(stack, T[..., :-1])
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 16, 127, 128])
