@@ -28,12 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models, output
-from .integrators import (
-    DENSE_REFERENCE_CAP,
-    DivergenceError,
-    run_dense_exponential_euler,
-    run_simulation,
-)
+from .integrators import DENSE_REFERENCE_CAP, DivergenceError, run_simulation
 from .operators import (
     NumericalFailure,
     build_lambda,
@@ -131,10 +126,7 @@ def merge_config(args: argparse.Namespace) -> dict:
     if args.config:
         for key, value in parse_config_file(Path(args.config)).items():
             _assign(cfg, overrides, key, value)
-    for key in (
-        "model seed out m tstar snapshots heatmap m_list m_ref fe dense "
-        "kind n_list n_rho n_theta n_phi n_z"
-    ).split():
+    for key in sorted(_KEYS):
         value = getattr(args, key, None)
         if value is not None and value is not False:
             cfg[key] = value
@@ -313,7 +305,8 @@ def cmd_converge(cfg: dict) -> dict:
         )
         if with_dense:
             entry["err_dense"] = _relative_error(
-                run_dense_exponential_euler(fresh_system(), m, t_star), reference
+                run_simulation(fresh_system(), m, t_star, method="dense").fields,
+                reference,
             )
         if with_fe:
             try:
@@ -335,17 +328,16 @@ def cmd_converge(cfg: dict) -> dict:
         header.append("err_dense")
     if with_fe:
         header.append("err_fe")
+
+    def row(entry: dict, diverged: str) -> str:
+        # the cell of a diverged forward Euler run, which has no error
+        cells = [str(entry["m"])]
+        cells += [diverged if entry[k] is None else _FMT % entry[k] for k in header[1:]]
+        return ",".join(cells)
+
     print(",".join(header))
     for entry in table:
-        cells = [str(entry["m"]), _FMT % entry["err_split"]]
-        if with_dense:
-            cells.append(_FMT % entry["err_dense"])
-        if with_fe:
-            if entry.get("err_fe") is None:
-                cells.append(f"diverged@{entry['fe_diverged_at']}")
-            else:
-                cells.append(_FMT % entry["err_fe"])
-        print(",".join(cells))
+        print(row(entry, f"diverged@{entry.get('fe_diverged_at')}"))
     print(f"least-squares slope of log(err) vs log(m): {slope:.4f}")
     print(f"observed order: {-slope:.4f}")
 
@@ -356,14 +348,7 @@ def cmd_converge(cfg: dict) -> dict:
         with open(outdir / "convergence.csv", "w", encoding="ascii") as fh:
             fh.write(",".join(header) + "\n")
             for entry in table:
-                cells = [str(entry["m"]), _FMT % entry["err_split"]]
-                if with_dense:
-                    cells.append(_FMT % entry["err_dense"])
-                if with_fe:
-                    cells.append(
-                        "nan" if entry.get("err_fe") is None else _FMT % entry["err_fe"]
-                    )
-                fh.write(",".join(cells) + "\n")
+                fh.write(row(entry, "nan") + "\n")
     return {"table": table, "slope": slope}
 
 

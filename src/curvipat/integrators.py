@@ -1,11 +1,12 @@
-"""The split exponential Euler stepper, the structured diffusion action,
-forward Euler, and a dense classical exponential Euler reference for small
-problems.
+"""The split exponential Euler stepper, the structured diffusion action, and
+one simulation driver for three schemes: split exponential Euler, forward
+Euler, and a dense classical exponential Euler reference for small problems.
 
 The discretized diffusion operator of every geometry is a sum of Kronecker
 products M = M_1 + ... + M_d.  Each summand M_mu acts along one mode with a
-1-d operator, scaled by diagonal weights of some other modes; the table
-``FACTORS`` lists the summands of each geometry in the fixed splitting order.
+1-d operator, scaled by the diagonal weights that the 1-d operators of some
+other modes carry; the table ``FACTORS`` lists the summands of each
+geometry in the fixed splitting order.
 The split scheme advances W_{n+1} = W_n + tau * P_1 P_2 (... P_d) F_n where
 F_n = M W_n + G_n and each P_mu is phi1(tau M_mu).  An unweighted P_mu is
 one mode product with a dense phi1 matrix; a weighted one is a mode product
@@ -36,13 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor
-from .operators import (
-    DiagonalWeights,
-    PeriodicTridiagonal,
-    TridiagonalOperator,
-    eig_theta,
-    eig_tridiag,
-)
+from .operators import PeriodicTridiagonal, TridiagonalOperator, eig_theta, eig_tridiag
 from .phifun import phi1_dense_oracle, phi1_matrix, phi1_outer
 
 DIVERGENCE_LIMIT = 1e12
@@ -105,10 +100,8 @@ FACTORS: dict[Geometry, tuple[tuple[int, tuple[int, ...]], ...]] = {
 @dataclass(frozen=True)
 class ComponentOps:
     """Time-step independent ingredients for one diffusing component:
-    geometry tag, diffusion coefficient, and the 1-d operators of its axes.
-
-    ``rho_weights`` overrides the default rho^-2 diagonal (the anomalous
-    disk uses rho^-(2+lambda))."""
+    geometry tag, diffusion coefficient, and the 1-d operators of its axes,
+    each carrying its own diagonal weights and quadrature measure."""
 
     geometry: Geometry
     coeff: float
@@ -116,7 +109,6 @@ class ComponentOps:
     theta: PeriodicTridiagonal | None = None
     phi: TridiagonalOperator | None = None
     z: TridiagonalOperator | None = None
-    rho_weights: DiagonalWeights | None = None
 
     def axis_ops(self) -> list:
         """The 1-d operators of the geometry's axes, in mode order."""
@@ -125,23 +117,6 @@ class ComponentOps:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(axis.n for axis in self.axis_ops())
-
-    def rho_weight_values(self) -> np.ndarray | None:
-        if self.rho is None:
-            return None
-        if self.rho_weights is not None:
-            return self.rho_weights.values
-        return self.rho.grid**-2.0
-
-    def axis_weights(self, mu: int) -> np.ndarray:
-        """Diagonal weights that mode ``mu`` puts on the summands it scales:
-        rho^-2 (or the override) along rho, sin(phi)^-2 along phi."""
-        name = self.geometry.axes[mu - 1]
-        if name == "rho":
-            return self.rho_weight_values()
-        if name == "phi":
-            return np.sin(self.phi.grid) ** -2.0
-        raise ValueError(f"axis {name} carries no diagonal weights")
 
 
 @dataclass(frozen=True)
@@ -299,7 +274,7 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
             continue
         vectors = [np.ones(1)] * len(axes)
         for mu in weighted_by:
-            vectors[mu - 1] = base.axis_weights(mu)
+            vectors[mu - 1] = axes[mu - 1].weights
         if form == "stacked":
             # slice i of the first mode gets w_i A and V diag(phi_i) V^-1,
             # built transposed and contiguous, then viewed untransposed
@@ -410,19 +385,19 @@ def step_forward_euler(
 
 def dense_split_factors(ops: GeometryOps) -> list[np.ndarray]:
     """The Kronecker summands M_1, ..., M_d of the diffusion matrix as dense
-    matrices (coefficient included), in the fixed splitting order.  Oracle
-    use only: assembled per geometry from the base 1-d operators,
-    independently of ``FACTORS``; sizes are capped by the Kronecker
-    assembler."""
+    matrices (coefficient included), in the fixed splitting order, for the
+    dense scheme and the oracles: assembled per geometry from the base 1-d
+    operators, independently of ``FACTORS``; sizes are capped by the
+    Kronecker assembler."""
     kron = tensor.kron_assemble
     base = ops.base
     g = base.geometry
     if base.rho is not None:
         A_rho = base.rho.toarray()
-        D_rho = np.diag(base.rho_weight_values())
+        D_rho = np.diag(base.rho.weights)
     if base.phi is not None:
         A_phi = base.phi.toarray()
-        D_phi = np.diag(np.sin(base.phi.grid) ** -2.0)
+        D_phi = np.diag(base.phi.weights)
     A_theta = base.theta.toarray()
     eye_t = np.eye(base.theta.n)
     if g is Geometry.DISK:
@@ -455,16 +430,17 @@ def dense_operator(ops: GeometryOps) -> np.ndarray:
     return out
 
 
-def step_exact_ee_reference(
-    M: np.ndarray, w: np.ndarray, g: np.ndarray, tau: float
-) -> np.ndarray:
-    """One classical exponential Euler step w + tau phi1(tau M)(M w + g) with
-    a dense phi1; limited to DENSE_REFERENCE_CAP unknowns."""
-    n = len(w)
-    if n > DENSE_REFERENCE_CAP:
-        raise ValueError(f"dense reference capped at {DENSE_REFERENCE_CAP} unknowns")
-    P = phi1_dense_oracle(tau * M, max_dim=DENSE_REFERENCE_CAP)
-    return w + tau * (P @ (M @ w + g))
+def _dense_matrices(name: str, ops: GeometryOps) -> tuple[np.ndarray, np.ndarray]:
+    """M and phi1(tau M) of one component as dense matrices, for the classical
+    exponential Euler scheme; limited to DENSE_REFERENCE_CAP unknowns."""
+    size = math.prod(ops.shape)
+    if size > DENSE_REFERENCE_CAP:
+        raise ValueError(
+            f"component {name!r} has {size} unknowns, beyond the dense "
+            f"reference cap {DENSE_REFERENCE_CAP}"
+        )
+    M = dense_operator(ops)
+    return M, phi1_dense_oracle(ops.tau * M, max_dim=DENSE_REFERENCE_CAP)
 
 
 def check_divergence(states: dict[str, np.ndarray], step: int) -> None:
@@ -478,42 +454,6 @@ def check_divergence(states: dict[str, np.ndarray], step: int) -> None:
             )
 
 
-def run_dense_exponential_euler(system, m: int, t_star: float) -> dict[str, np.ndarray]:
-    """Classical (unsplit) exponential Euler trajectory with dense phi1
-    matrices, for error comparisons at desk scale.
-
-    phi1(tau M) is assembled once per component; every step is then a pair
-    of dense mat-vecs.  Limited to DENSE_REFERENCE_CAP unknowns per
-    component.  Returns the final (lifted) fields.
-    """
-    if m < 1:
-        raise ValueError("need at least one time step")
-    tau = t_star / m
-    comps = system.components
-    mats: dict[str, np.ndarray] = {}
-    props: dict[str, np.ndarray] = {}
-    for c in comps:
-        size = int(np.prod(c.ops.shape))
-        if size > DENSE_REFERENCE_CAP:
-            raise ValueError(
-                f"component {c.name!r} has {size} unknowns, beyond the dense "
-                f"reference cap {DENSE_REFERENCE_CAP}"
-            )
-        M = dense_operator(prepare(c.ops, tau))
-        mats[c.name] = M
-        props[c.name] = phi1_dense_oracle(tau * M, max_dim=DENSE_REFERENCE_CAP)
-    states = {c.name: np.array(c.initial, dtype=float, copy=True) for c in comps}
-    shapes = {c.name: c.ops.shape for c in comps}
-    for step in range(1, m + 1):
-        gs = system.kinetics(states)
-        for c in comps:
-            w = tensor.vec(states[c.name])
-            rhs = mats[c.name] @ w + tensor.vec(gs[c.name])
-            states[c.name] = tensor.unvec(w + tau * (props[c.name] @ rhs), shapes[c.name])
-        check_divergence(states, step)
-    return states
-
-
 @dataclass
 class RunResult:
     """Final (lifted) fields plus the sampled diagnostic time series."""
@@ -521,8 +461,6 @@ class RunResult:
     fields: dict[str, np.ndarray]
     times: list[float]
     series: dict[str, list[float]]
-    steps: int
-    tau: float
 
 
 def run_simulation(
@@ -535,7 +473,11 @@ def run_simulation(
     sample_hook: Callable[[int, float, dict], None] | None = None,
     method: str = "split",
 ) -> RunResult:
-    """Advance a coupled system with the split (or forward Euler) stepper.
+    """Advance a coupled system with one of three schemes: ``method`` is
+    "split" (split exponential Euler), "forward_euler", or "dense", the
+    classical (unsplit) exponential Euler with dense M and phi1(tau M) per
+    component, for error comparisons at desk scale (limited to
+    DENSE_REFERENCE_CAP unknowns per component).
 
     The kinetics of all components are evaluated from the common state at
     t_n, then every component is advanced by one step.  All phi1 caches are
@@ -551,11 +493,13 @@ def run_simulation(
         raise ValueError("need at least one time step")
     if not t_star > 0:
         raise ValueError("t_star must be positive")
-    if method not in ("split", "forward_euler"):
+    if method not in ("split", "forward_euler", "dense"):
         raise ValueError(f"unknown method {method!r}")
     tau = t_star / m
     comps = system.components
     geo = {c.name: prepare(c.ops, tau) for c in comps}
+    if method == "dense":
+        dense = {c.name: _dense_matrices(c.name, geo[c.name]) for c in comps}
     states = {c.name: np.array(c.initial, dtype=float, copy=True) for c in comps}
     work = {c.ops.shape: Workspace(c.ops.shape) for c in comps}
     every = record_every or m
@@ -579,9 +523,14 @@ def run_simulation(
             W = states[c.name]
             if method == "split":
                 step_split(geo[c.name], W, gs[c.name], out=W, work=work[W.shape])
+            elif method == "dense":
+                M, P = dense[c.name]
+                w = tensor.vec(W)
+                rhs = M @ w + tensor.vec(gs[c.name])
+                W[...] = tensor.unvec(w + tau * (P @ rhs), W.shape)
             else:
                 W[...] = step_forward_euler(geo[c.name], W, gs[c.name])
         check_divergence(states, step)
         if step % every == 0 or step == m:
             take_sample(step)
-    return RunResult(fields=states, times=times, series=series, steps=m, tau=tau)
+    return RunResult(fields=states, times=times, series=series)

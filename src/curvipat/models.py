@@ -1,6 +1,7 @@
 """The five diffusion-reaction experiments: kinetics, parameter defaults,
 equilibria, seeded random initial fields, boundary-coupling sources and
-integral-mean diagnostics.
+integral-mean diagnostics, whose quadrature weights are the outer product
+of the measures the 1-d operators carry.
 
 Each model is assembled into a :class:`CoupledSystem` holding one diffusing
 component per unknown (bulk components on the volume geometry, surface
@@ -21,23 +22,14 @@ import os
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
 from . import tensor
 from .integrators import ComponentOps, Geometry, prepared_bytes
-from .operators import (
-    DiagonalWeights,
-    OperatorKind,
-    PeriodicTridiagonal,
-    TridiagonalOperator,
-    build_lambda,
-    build_phi_op,
-    build_rho,
-    build_theta,
-    build_z,
-)
+from .operators import build_lambda, build_phi_op, build_rho, build_theta, build_z
 from .rng import Xoshiro256pp
 
 # ---------------------------------------------------------------------------
@@ -437,7 +429,6 @@ class SystemComponent:
     ops: ComponentOps
     initial: np.ndarray
     lift: float = 0.0
-    perturbation: Perturbation | None = None
 
 
 @dataclass(frozen=True)
@@ -446,19 +437,6 @@ class CoupledSystem:
     components: list[SystemComponent]
     kinetics: Callable[[dict[str, np.ndarray]], dict[str, np.ndarray]]
     equilibrium: dict[str, float]
-
-
-def anomalous_setup(
-    params, n_rho: int, n_theta: int, rho_star: float = 1.0
-) -> tuple[TridiagonalOperator, DiagonalWeights, PeriodicTridiagonal]:
-    """Disk operator family for the superdiffusive model: the weighted radial
-    stencil plus the matching rho^-(2+lambda) diagonal, and the usual
-    periodic angular stencil.  The system is integrated in lifted variables
-    (homogeneous Dirichlet)."""
-    lam = params["lambda"]
-    rho_op = build_lambda(n_rho, rho_star, lam)
-    weights = DiagonalWeights(rho_op.grid ** (-2.0 - lam))
-    return rho_op, weights, build_theta(n_theta)
 
 
 def random_initial_condition(
@@ -616,7 +594,6 @@ def _component(
     axes: dict,
     initial: dict[str, np.ndarray],
     lift: float = 0.0,
-    rho_weights: DiagonalWeights | None = None,
 ) -> SystemComponent:
     """One component on the geometry ``COMPONENT_GEOMETRY`` gives it, built
     from the 1-d operators of that geometry's axes.  Its initial field is
@@ -626,18 +603,12 @@ def _component(
             f"component {name!r} has a negative diffusion coefficient {coeff!r}"
         )
     geometry = COMPONENT_GEOMETRY[spec.name][name]
-    ops = ComponentOps(
-        geometry,
-        coeff,
-        rho_weights=rho_weights,
-        **{axis: axes[axis] for axis in geometry.axes},
-    )
+    ops = ComponentOps(geometry, coeff, **{axis: axes[axis] for axis in geometry.axes})
     return SystemComponent(
         name=name,
         ops=ops,
         initial=np.subtract(initial[name], lift, out=initial[name]),
         lift=lift,
-        perturbation=spec.perturbations[name],
     )
 
 
@@ -665,17 +636,17 @@ def _build_bvam(spec: ModelSpec, dims, seed):
 
 def _build_anomalous(spec: ModelSpec, dims, seed):
     p = spec.params
-    rho, weights, theta = anomalous_setup(
-        p, dims["n_rho"], dims["n_theta"], spec.sizes["rho_star"]
-    )
-    axes = {"rho": rho, "theta": theta}
+    # the weighted radial stencil and the usual periodic angle, integrated
+    # in lifted variables (homogeneous Dirichlet)
+    axes = {
+        "rho": build_lambda(dims["n_rho"], spec.sizes["rho_star"], p["lambda"]),
+        "theta": build_theta(dims["n_theta"]),
+    }
     init = random_initial_condition(spec, seed, dims)
     eq = spec.equilibrium()
 
     def component(name, coeff):
-        return _component(
-            spec, name, coeff, axes, init, lift=eq[name], rho_weights=weights
-        )
+        return _component(spec, name, coeff, axes, init, lift=eq[name])
 
     def buffers(shapes):
         return _fields(shapes["u"], 4)
@@ -806,74 +777,22 @@ def _build_cylinder(spec: ModelSpec, dims, seed):
 # ---------------------------------------------------------------------------
 
 
-def _clipped_widths(grid: np.ndarray, h: float, lo: float, hi: float) -> np.ndarray:
-    left = np.clip(grid - h / 2.0, lo, hi)
-    right = np.clip(grid + h / 2.0, lo, hi)
-    return right - left
-
-
-def quadrature_weights(
-    cops: ComponentOps, normalized: bool = True, rho_star: float | None = None
-) -> np.ndarray:
-    """Node-centered quadrature weights with the coordinate Jacobian.
-
-    Cells are node-centered and truncated at the domain boundaries (e.g.
-    half cells where a node sits on the boundary).  Normalized weights make
-    the integral mean of a constant exact; unnormalized weights approximate
-    the measure of the domain.  ``rho_star`` only matters for the sphere,
-    whose radius is not recoverable from its angular operators.
-    """
-    g = cops.geometry
-    if g is Geometry.SPHERE:
-        theta, phi = cops.theta, cops.phi
-        radius = 1.0 if rho_star is None else rho_star
-        wphi = _clipped_widths(phi.grid, phi.h, 0.0, np.pi)
-        w = np.multiply.outer(
-            np.full(theta.n, theta.h), radius**2 * np.sin(phi.grid) * wphi
-        )
-    else:
-        rho = cops.rho
-        if rho.kind is OperatorKind.LAMBDA:
-            edge = rho.grid[-1] + rho.h
-        else:
-            edge = rho.grid[-1]
-        wrho = _clipped_widths(rho.grid, rho.h, 0.0, edge)
-        theta_w = np.full(cops.theta.n, cops.theta.h)
-        if g is Geometry.DISK:
-            w = np.multiply.outer(rho.grid * wrho, theta_w)
-        elif g is Geometry.BALL:
-            phi = cops.phi
-            wphi = _clipped_widths(phi.grid, phi.h, 0.0, np.pi)
-            w = np.multiply.outer(
-                np.multiply.outer(rho.grid**2 * wrho, theta_w),
-                np.sin(phi.grid) * wphi,
-            )
-        else:
-            zop = cops.z
-            wz = _clipped_widths(zop.grid, zop.h, 0.0, zop.grid[-1] + zop.h)
-            w = np.multiply.outer(np.multiply.outer(rho.grid * wrho, theta_w), wz)
-    return w / np.sum(w) if normalized else w
-
-
-def integral_mean(
-    field: np.ndarray, cops: ComponentOps, rho_star: float | None = None
-) -> float:
-    """Domain-averaged field value (stabilization diagnostic)."""
-    w = quadrature_weights(cops, normalized=True, rho_star=rho_star)
-    if field.shape != w.shape:
-        raise ValueError(f"field shape {field.shape} does not match {w.shape}")
-    return float(np.sum(field * w))
+def quadrature_weights(cops: ComponentOps) -> np.ndarray:
+    """Node-centred quadrature weights with the coordinate Jacobian, the
+    outer product of the measures of the component's axes; they sum to
+    about the measure of the domain."""
+    return reduce(np.multiply.outer, [axis.measure for axis in cops.axis_ops()])
 
 
 def mean_diagnostics(system: CoupledSystem) -> Callable[[dict], dict]:
     """Diagnostics closure returning the physical integral mean of every
-    component (lift restored).  Quadrature weights are built once."""
-    rho_star = system.spec.sizes.get("rho_star")
+    component (lift restored).  Normalized quadrature weights are built
+    once."""
     lifts = {c.name: c.lift for c in system.components}
-    weights = {
-        c.name: quadrature_weights(c.ops, normalized=True, rho_star=rho_star)
-        for c in system.components
-    }
+    weights = {}
+    for c in system.components:
+        w = quadrature_weights(c.ops)
+        weights[c.name] = w / np.sum(w)
 
     def evaluate(states: dict[str, np.ndarray]) -> dict[str, float]:
         return {
@@ -882,20 +801,3 @@ def mean_diagnostics(system: CoupledSystem) -> Callable[[dict], dict]:
         }
 
     return evaluate
-
-
-def is_stabilized(times, values, rel: float = 1e-3, abs_tol: float = 1e-6) -> bool:
-    """True when the diagnostic at the final time differs from its value at
-    90% of the final time by at most rel*|final| + abs_tol."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    t_star = times[-1]
-    idx = int(np.argmin(np.abs(times - 0.9 * t_star)))
-    return abs(values[-1] - values[idx]) <= rel * abs(values[-1]) + abs_tol
-
-
-def pattern_amplitude(system: CoupledSystem, states: dict[str, np.ndarray], name: str):
-    """(spatial std of the component, 10x its initial perturbation scale)."""
-    comp = next(c for c in system.components if c.name == name)
-    scale = comp.perturbation.scale if comp.perturbation is not None else 0.0
-    return float(np.std(states[name])), 10.0 * scale

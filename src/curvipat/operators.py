@@ -1,7 +1,8 @@
 """One-dimensional finite-difference operators on curvilinear grids.
 
 Builders for the radial, angular and axial second-order stencils used by the
-simulation engine, together with their diagonal symmetrizers and
+simulation engine, together with the diagonal weights and quadrature
+measure of each coordinate, their diagonal symmetrizers and
 eigendecompositions.  Every operator built here is tridiagonal (or circulant
 tridiagonal for the periodic angle), has positive extra-diagonal entries, and
 has a nonpositive real spectrum, which is what makes the exponential-type
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -25,19 +25,16 @@ class NumericalFailure(RuntimeError):
     """An iterative numerical procedure failed to converge."""
 
 
-class OperatorKind(Enum):
-    RHO2 = "rho2"
-    RHO3 = "rho3"
-    PHI = "phi"
-    Z = "z"
-    LAMBDA = "lambda"
-
-
 @dataclass(frozen=True)
 class TridiagonalOperator:
     """Tridiagonal matrix with bands ``a`` (diagonal, length n), ``b``
     (superdiagonal, length n-1) and ``c`` (subdiagonal, length n-1), plus the
-    coordinate grid it discretizes."""
+    coordinate grid it discretizes.
+
+    ``weights`` is the strictly positive diagonal this coordinate puts on
+    the Kronecker summands it scales (rho^-2, sin(phi)^-2), or None, and
+    ``measure`` the quadrature measure of its nodes: node-centred cell
+    widths, clipped to the domain, times the coordinate Jacobian."""
 
     n: int
     a: np.ndarray
@@ -45,7 +42,8 @@ class TridiagonalOperator:
     c: np.ndarray
     grid: np.ndarray
     h: float
-    kind: OperatorKind
+    weights: np.ndarray | None = None
+    measure: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -54,6 +52,11 @@ class TridiagonalOperator:
             raise ValueError("band/grid length mismatch")
         if len(self.b) != self.n - 1 or len(self.c) != self.n - 1:
             raise ValueError("off-diagonal band length mismatch")
+        if self.weights is not None:
+            if len(self.weights) != self.n:
+                raise ValueError("weights/grid length mismatch")
+            if np.any(self.weights <= 0):
+                raise ValueError("diagonal weights must be strictly positive")
 
     def toarray(self) -> np.ndarray:
         A = np.diag(self.a)
@@ -83,13 +86,16 @@ class TridiagonalOperator:
 
 @dataclass(frozen=True)
 class PeriodicTridiagonal:
-    """Symmetric circulant tridiagonal matrix (periodic angular stencil)."""
+    """Symmetric circulant tridiagonal matrix (periodic angular stencil);
+    ``weights`` and ``measure`` as for :class:`TridiagonalOperator`."""
 
     n: int
     h: float
     diag: float
     off: float
     grid: np.ndarray
+    weights: None = None  # the angle scales no other summand
+    measure: np.ndarray | None = None
 
     def toarray(self) -> np.ndarray:
         A = np.full((self.n, self.n), 0.0)
@@ -122,17 +128,6 @@ class EigenFactorization:
 
 
 @dataclass(frozen=True)
-class DiagonalWeights:
-    """Strictly positive diagonal scaling (e.g. rho_i^-2 or sin^-2 phi_k)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.values <= 0):
-            raise ValueError("diagonal weights must be strictly positive")
-
-
-@dataclass(frozen=True)
 class SymTridiagonal:
     """Symmetric tridiagonal matrix stored as (diagonal, off-diagonal) bands."""
 
@@ -149,7 +144,16 @@ def build_theta(n: int) -> PeriodicTridiagonal:
         raise ValueError(f"periodic stencil needs n >= 3, got {n}")
     h = 2.0 * np.pi / n
     grid = h * np.arange(1, n + 1)
-    return PeriodicTridiagonal(n=n, h=h, diag=-2.0 / h**2, off=1.0 / h**2, grid=grid)
+    return PeriodicTridiagonal(
+        n=n, h=h, diag=-2.0 / h**2, off=1.0 / h**2, grid=grid, measure=np.full(n, h)
+    )
+
+
+def _widths(grid: np.ndarray, h: float, lo: float, hi: float) -> np.ndarray:
+    """Node-centred cells of width h, clipped to [lo, hi]."""
+    left = np.clip(grid - h / 2.0, lo, hi)
+    right = np.clip(grid + h / 2.0, lo, hi)
+    return right - left
 
 
 def eig_theta(op: PeriodicTridiagonal) -> EigenFactorization:
@@ -202,16 +206,19 @@ def build_rho(d: int, n: int, rho_star: float) -> TridiagonalOperator:
         grid = h / 2.0 + h * np.arange(n)
         b = 2.0 * ell / ((2.0 * ell - 1.0) * h**2)
         c = 2.0 * ell / ((2.0 * ell + 1.0) * h**2)
-        kind = OperatorKind.RHO2
     else:
         h = rho_star / n
         grid = h * np.arange(1, n + 1)
         b = (ell + 1.0) / (ell * h**2)
         c = ell / ((ell + 1.0) * h**2)
-        kind = OperatorKind.RHO3
     c[-1] = 2.0 / h**2  # eliminated Neumann ghost at rho_star
     a = np.full(n, -2.0 / h**2)
-    return TridiagonalOperator(n=n, a=a, b=b, c=c, grid=grid, h=h, kind=kind)
+    jacobian = grid if d == 2 else grid**2
+    return TridiagonalOperator(
+        n=n, a=a, b=b, c=c, grid=grid, h=h,
+        weights=grid**-2.0,
+        measure=jacobian * _widths(grid, h, 0.0, grid[-1]),
+    )
 
 
 # Taylor coefficients of 1 - y*cot(y) = y^2/3 + y^4/45 + 2 y^6/945 + ...
@@ -301,8 +308,11 @@ def build_phi_op(n: int, tol: float = 1e-14) -> tuple[TridiagonalOperator, float
     b = 1.0 / h**2 + np.cos(x) / np.sin(x) / (2.0 * h)
     c = b[::-1].copy()  # c_l = b_{n-l} by the grid symmetry
     a = np.full(n, -2.0 / h**2)
+    sin = np.sin(grid)
     op = TridiagonalOperator(
-        n=n, a=a, b=b, c=c, grid=grid, h=h, kind=OperatorKind.PHI
+        n=n, a=a, b=b, c=c, grid=grid, h=h,
+        weights=sin**-2.0,
+        measure=sin * _widths(grid, h, 0.0, np.pi),
     )
     return op, sigma
 
@@ -320,24 +330,9 @@ def build_z(n: int, z_star: float) -> TridiagonalOperator:
     b = np.full(n - 1, 1.0 / h**2)
     b[0] = 2.0 / h**2
     c = np.full(n - 1, 1.0 / h**2)
-    return TridiagonalOperator(n=n, a=a, b=b, c=c, grid=grid, h=h, kind=OperatorKind.Z)
-
-
-def explicit_z_eigenpairs(n: int, z_star: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigenpairs of the axial stencil.
-
-    Returns (lambdas, V) where lambdas[k-1] = -2/h^2 (1 - cos(pi(k-1/2)/n))
-    and column k-1 of V has components sin((n-i+1) pi (k-1/2)/n) normalized
-    so that the last one equals 1.
-    """
-    h = z_star / n
-    k = np.arange(1, n + 1, dtype=float)
-    alpha = np.pi * (k - 0.5) / n
-    lam = (-2.0 / h**2) * (1.0 - np.cos(alpha))
-    i = np.arange(1, n + 1, dtype=float)[:, None]
-    V = np.sin((n - i + 1.0) * alpha[None, :]) / np.sin(alpha[None, :])
-    V[-1, :] = 1.0
-    return lam, V
+    return TridiagonalOperator(
+        n=n, a=a, b=b, c=c, grid=grid, h=h, measure=_widths(grid, h, 0.0, grid[-1] + h)
+    )
 
 
 def build_lambda(n: int, rho_star: float, lam: float) -> TridiagonalOperator:
@@ -363,7 +358,9 @@ def build_lambda(n: int, rho_star: float, lam: float) -> TridiagonalOperator:
     b = (2.0 * m + ell - 1.0) / ((m + ell - 1.0) ** (1.0 + lam) * scale)
     c = ell / ((m + ell) ** (1.0 + lam) * scale)
     return TridiagonalOperator(
-        n=n, a=a, b=b, c=c, grid=grid, h=h, kind=OperatorKind.LAMBDA
+        n=n, a=a, b=b, c=c, grid=grid, h=h,
+        weights=grid ** (-2.0 - lam),
+        measure=grid * _widths(grid, h, 0.0, grid[-1] + h),
     )
 
 

@@ -1,5 +1,5 @@
 """Order-1/2/3 tensor kernels: dense, block-banded, real-Fourier and
-per-slice mu-mode products, the Tucker operator and vec/unvec.
+per-slice mu-mode products, vec/unvec and a dense Kronecker assembler.
 
 Fields are plain ``numpy.ndarray`` objects.  The linearization convention is
 first-index-fastest: element (i, j, k) of a field with dims (n1, n2, n3)
@@ -202,31 +202,6 @@ def fourier_mode_product(
     spectrum = np.fft.rfft(field, axis=axis, out=spectrum)
     spectrum *= symbol
     return np.fft.irfft(spectrum, n, axis=axis, out=out)
-
-
-def tucker(
-    field: np.ndarray,
-    matrices,
-    skip: set[int] | None = None,
-) -> np.ndarray:
-    """Concatenated mode products in ascending mode order.
-
-    ``matrices`` holds one matrix per mode (entry ``None`` leaves the mode
-    untouched, as does listing the mode in ``skip``).  Equivalent to applying
-    the Kronecker product L_d x ... x L_1 to ``vec(field)``.
-    """
-    field = np.asarray(field)
-    if len(matrices) != field.ndim:
-        raise ValueError(
-            f"expected {field.ndim} mode matrices, got {len(matrices)}"
-        )
-    skip = skip or set()
-    out = field
-    for mu, L in enumerate(matrices, start=1):
-        if mu in skip or L is None:
-            continue
-        out = mode_product(mu, L, out)
-    return out
 
 
 def kron_assemble(matrices) -> np.ndarray:

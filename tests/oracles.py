@@ -1,0 +1,83 @@
+"""Reference code that only the tests use: the Tucker operator, one dense
+classical exponential Euler step, the closed-form axial eigenpairs, and the
+integral-mean, stabilization and amplitude checks of the acceptance
+criteria."""
+
+import numpy as np
+
+from curvipat import models, tensor
+from curvipat.integrators import DENSE_REFERENCE_CAP, ComponentOps
+from curvipat.phifun import phi1_dense_oracle
+
+
+def tucker(field: np.ndarray, matrices, skip: set[int] | None = None) -> np.ndarray:
+    """Concatenated mode products in ascending mode order.
+
+    ``matrices`` holds one matrix per mode (entry ``None`` leaves the mode
+    untouched, as does listing the mode in ``skip``).  Equivalent to applying
+    the Kronecker product L_d x ... x L_1 to ``vec(field)``.
+    """
+    field = np.asarray(field)
+    if len(matrices) != field.ndim:
+        raise ValueError(f"expected {field.ndim} mode matrices, got {len(matrices)}")
+    skip = skip or set()
+    out = field
+    for mu, L in enumerate(matrices, start=1):
+        if mu in skip or L is None:
+            continue
+        out = tensor.mode_product(mu, L, out)
+    return out
+
+
+def step_exact_ee_reference(
+    M: np.ndarray, w: np.ndarray, g: np.ndarray, tau: float
+) -> np.ndarray:
+    """One classical exponential Euler step w + tau phi1(tau M)(M w + g) with
+    a dense phi1; limited to DENSE_REFERENCE_CAP unknowns."""
+    n = len(w)
+    if n > DENSE_REFERENCE_CAP:
+        raise ValueError(f"dense reference capped at {DENSE_REFERENCE_CAP} unknowns")
+    P = phi1_dense_oracle(tau * M, max_dim=DENSE_REFERENCE_CAP)
+    return w + tau * (P @ (M @ w + g))
+
+
+def explicit_z_eigenpairs(n: int, z_star: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenpairs of the axial stencil.
+
+    Returns (lambdas, V) where lambdas[k-1] = -2/h^2 (1 - cos(pi(k-1/2)/n))
+    and column k-1 of V has components sin((n-i+1) pi (k-1/2)/n) normalized
+    so that the last one equals 1.
+    """
+    h = z_star / n
+    k = np.arange(1, n + 1, dtype=float)
+    alpha = np.pi * (k - 0.5) / n
+    lam = (-2.0 / h**2) * (1.0 - np.cos(alpha))
+    i = np.arange(1, n + 1, dtype=float)[:, None]
+    V = np.sin((n - i + 1.0) * alpha[None, :]) / np.sin(alpha[None, :])
+    V[-1, :] = 1.0
+    return lam, V
+
+
+def integral_mean(field: np.ndarray, cops: ComponentOps) -> float:
+    """Domain-averaged field value (stabilization diagnostic)."""
+    w = models.quadrature_weights(cops)
+    if field.shape != w.shape:
+        raise ValueError(f"field shape {field.shape} does not match {w.shape}")
+    return float(np.sum(field * (w / np.sum(w))))
+
+
+def is_stabilized(times, values, rel: float = 1e-3, abs_tol: float = 1e-6) -> bool:
+    """True when the diagnostic at the final time differs from its value at
+    90% of the final time by at most rel*|final| + abs_tol."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    t_star = times[-1]
+    idx = int(np.argmin(np.abs(times - 0.9 * t_star)))
+    return abs(values[-1] - values[idx]) <= rel * abs(values[-1]) + abs_tol
+
+
+def pattern_amplitude(system: models.CoupledSystem, states: dict, name: str):
+    """(spatial std of the component, 10x its initial perturbation scale)."""
+    law = system.spec.perturbations[name]
+    scale = law.scale if law is not None else 0.0
+    return float(np.std(states[name])), 10.0 * scale

@@ -332,6 +332,32 @@ def test_converge_table_and_slope(tmp_path, capsys):
     assert "least-squares slope" in captured
 
 
+def test_converge_table_cells_of_a_diverged_forward_euler_run(tmp_path, capsys):
+    # forward Euler diverges at m = 10 and runs at m = 20: stdout names the
+    # step, the CSV holds nan, and every other cell is its error to 17 digits
+    out = tmp_path / "c"
+    cfg = {
+        "model": "bvam_disk", "n_rho": 6, "n_theta": 8, "tstar": 5.0,
+        "m_list": [10, 20], "seed": 3, "out": str(out),
+        "dense": True, "fe": True, "overrides": {},
+    }
+    first, second = cli.cmd_converge(cfg)["table"]
+    assert first["err_fe"] is None and first["fe_diverged_at"] == 9
+
+    def cells(entry, keys):
+        return ",".join([str(entry["m"]), *("%.17g" % entry[k] for k in keys)])
+
+    header = "m,err_split,err_dense,err_fe"
+    last = cells(second, ("err_split", "err_dense", "err_fe"))
+    first_cells = cells(first, ("err_split", "err_dense"))
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        header, first_cells + ",diverged@9", last
+    ]
+    assert (out / "convergence.csv").read_text() == (
+        f"{header}\n{first_cells},nan\n{last}\n"
+    )
+
+
 def test_converge_skips_dense_over_cap_with_notice(capsys):
     cfg = {
         "model": "bvam_disk", "n_rho": 80, "n_theta": 80, "tstar": 0.01,

@@ -18,15 +18,14 @@ from curvipat.integrators import (
     dense_split_factors,
     prepare,
     prepared_bytes,
-    run_dense_exponential_euler,
     SplitFactor,
     run_simulation,
-    step_exact_ee_reference,
     step_forward_euler,
     step_split,
 )
 from curvipat.phifun import phi1_dense_oracle
 from curvipat import cli, models
+from oracles import step_exact_ee_reference
 
 
 def disk_base(n_rho=4, n_theta=4, coeff=0.7):
@@ -565,9 +564,7 @@ def test_divergence_guard_names_step_and_component(bad, runner):
     system = dataclasses.replace(system, components=comps, kinetics=kinetics)
 
     def run():
-        if runner == "dense":
-            return run_dense_exponential_euler(system, k, float(k))
-        return run_simulation(system, k, float(k), method="forward_euler").fields
+        return run_simulation(system, k, float(k), method=runner).fields
 
     if bad == 1e12:
         assert run()["v"][1, 2] == 1e12
@@ -607,7 +604,7 @@ def test_dense_exponential_euler_matches_manual_steps():
     dims = {"n_rho": 4, "n_theta": 6}
     system = models.build_system("bvam_disk", dims, seed=5)
     tau = 0.02
-    out = run_dense_exponential_euler(system, 3, 3 * tau)
+    out = run_simulation(system, 3, 3 * tau, method="dense").fields
     states = {c.name: c.initial.copy() for c in system.components}
     mats = {c.name: dense_operator(prepare(c.ops, tau)) for c in system.components}
     shapes = {c.name: c.ops.shape for c in system.components}
@@ -626,7 +623,7 @@ def test_dense_exponential_euler_size_cap():
     dims = {"n_rho": 80, "n_theta": 80}
     system = models.build_system("bvam_disk", dims, seed=5)
     with pytest.raises(ValueError):
-        run_dense_exponential_euler(system, 2, 0.1)
+        run_simulation(system, 2, 0.1, method="dense")
 
 
 def test_small_forced_problem_first_order_self_convergence():

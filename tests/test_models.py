@@ -8,7 +8,14 @@ import pytest
 
 from curvipat import cli, models, output
 from curvipat import operators as op
-from curvipat.integrators import Geometry, prepare, run_simulation, step_split
+from curvipat.integrators import (
+    ComponentOps,
+    Geometry,
+    prepare,
+    run_simulation,
+    step_split,
+)
+from oracles import integral_mean, is_stabilized
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +491,10 @@ def test_zeroed_coupling_reproduces_standalone_bulk_bitwise():
 
 
 def test_anomalous_setup_lambda_zero_is_classical_disk_family():
-    params = {"lambda": 0.0}
-    rho_op, weights, theta = models.anomalous_setup(params, 6, 8)
+    rho_op = op.build_lambda(6, 1.0, 0.0)
     disk = op.build_rho(2, 6, 1.0)
     assert np.allclose(rho_op.b * rho_op.h**2, disk.b * disk.h**2, rtol=1e-14)
-    assert np.allclose(weights.values, rho_op.grid**-2.0)
-    assert theta.n == 8
+    assert np.allclose(rho_op.weights, rho_op.grid**-2.0)
 
 
 def test_anomalous_lifted_equilibrium_is_nonlinear_fixed_point():
@@ -506,7 +511,7 @@ def test_anomalous_lifted_equilibrium_is_nonlinear_fixed_point():
 
 
 def test_anomalous_grid_offset():
-    rho_op, _, _ = models.anomalous_setup({"lambda": -1.95}, 8, 8)
+    rho_op = op.build_lambda(8, 1.0, -1.95)
     assert rho_op.grid[0] == pytest.approx(1.475 * rho_op.h, rel=1e-14)
 
 
@@ -585,8 +590,6 @@ def test_cylinder_bulk_starts_exactly_at_equilibrium():
 
 
 def _disk_cops(n_rho, n_theta, rho_star=1.0):
-    from curvipat.integrators import ComponentOps
-
     return ComponentOps(
         Geometry.DISK,
         1.0,
@@ -597,31 +600,34 @@ def _disk_cops(n_rho, n_theta, rho_star=1.0):
 
 def test_integral_mean_constant_is_exact():
     cops = _disk_cops(10, 12)
-    assert models.integral_mean(np.full((10, 12), 3.25), cops) == pytest.approx(
+    assert integral_mean(np.full((10, 12), 3.25), cops) == pytest.approx(
         3.25, abs=1e-12
     )
 
 
 def test_disk_quadrature_area():
     cops = _disk_cops(100, 100, rho_star=1.0)
-    w = models.quadrature_weights(cops, normalized=False)
+    w = models.quadrature_weights(cops)
     assert np.sum(w) == pytest.approx(np.pi, rel=0.01)
 
 
 def test_sphere_quadrature_odd_symmetry():
-    from curvipat.integrators import ComponentOps
-
     cops = ComponentOps(
         Geometry.SPHERE, 1.0, theta=op.build_theta(64), phi=op.build_phi_op(32)[0]
     )
     phi_grid = cops.phi.grid
     field = np.broadcast_to(np.cos(phi_grid)[None, :], (64, 32)).copy()
-    assert abs(models.integral_mean(field, cops, rho_star=1.1653)) <= 1e-3
+    assert abs(integral_mean(field, cops)) <= 1e-3
+
+
+def test_unit_sphere_quadrature_area():
+    cops = ComponentOps(
+        Geometry.SPHERE, 1.0, theta=op.build_theta(60), phi=op.build_phi_op(40)[0]
+    )
+    assert np.sum(models.quadrature_weights(cops)) == pytest.approx(4 * np.pi, rel=0.02)
 
 
 def test_ball_and_cylinder_quadrature_measures():
-    from curvipat.integrators import ComponentOps
-
     ball = ComponentOps(
         Geometry.BALL,
         1.0,
@@ -629,7 +635,7 @@ def test_ball_and_cylinder_quadrature_measures():
         theta=op.build_theta(60),
         phi=op.build_phi_op(40)[0],
     )
-    vol = np.sum(models.quadrature_weights(ball, normalized=False))
+    vol = np.sum(models.quadrature_weights(ball))
     assert vol == pytest.approx(4 * np.pi / 3, rel=0.02)
     cyl = ComponentOps(
         Geometry.CYLINDER,
@@ -638,7 +644,7 @@ def test_ball_and_cylinder_quadrature_measures():
         theta=op.build_theta(40),
         z=op.build_z(30, 2.0),
     )
-    vol = np.sum(models.quadrature_weights(cyl, normalized=False))
+    vol = np.sum(models.quadrature_weights(cyl))
     assert vol == pytest.approx(2 * np.pi, rel=0.02)
 
 
@@ -656,6 +662,6 @@ def test_mean_diagnostics_restores_lift():
 def test_is_stabilized():
     times = np.linspace(0.0, 10.0, 101)
     flat = np.ones(101)
-    assert models.is_stabilized(times, flat)
+    assert is_stabilized(times, flat)
     drifting = np.linspace(0.0, 1.0, 101)
-    assert not models.is_stabilized(times, drifting)
+    assert not is_stabilized(times, drifting)

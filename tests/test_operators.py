@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from curvipat import operators as op
+from oracles import explicit_z_eigenpairs
 
 
 def max_abs(A):
@@ -185,7 +186,7 @@ def test_build_z_n4_hand_values():
 
 
 def test_explicit_z_first_eigenvalue_n4():
-    lam, _ = op.explicit_z_eigenpairs(4, 1.0)
+    lam, _ = explicit_z_eigenpairs(4, 1.0)
     assert lam[0] == pytest.approx(-2.4358549596388244, rel=1e-14)
     assert np.all(lam < 0.0)
 
@@ -193,7 +194,7 @@ def test_explicit_z_first_eigenvalue_n4():
 @pytest.mark.parametrize("n", [4, 16, 64])
 def test_explicit_z_eigenpairs_residual(n):
     z = op.build_z(n, 1.0)
-    lam, V = op.explicit_z_eigenpairs(n, 1.0)
+    lam, V = explicit_z_eigenpairs(n, 1.0)
     A = z.toarray()
     resid = max_abs(A @ V - V * lam[None, :])
     assert resid <= 1e-10 * max_abs(A)
@@ -201,7 +202,7 @@ def test_explicit_z_eigenpairs_residual(n):
 
 def test_build_z_eigenvalues_match_eig_tridiag_n8():
     z = op.build_z(8, 1.0)
-    lam, _ = op.explicit_z_eigenpairs(8, 1.0)
+    lam, _ = explicit_z_eigenpairs(8, 1.0)
     fac = op.eig_tridiag(z)
     assert np.allclose(np.sort(lam), fac.lambdas, atol=1e-10 * max_abs(z.a))
 
@@ -247,6 +248,53 @@ def test_build_lambda_rejects_out_of_range():
 
 
 # ---------------------------------------------------------------------------
+# diagonal weights carried by the operators
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build,closed_form",
+    [
+        pytest.param(lambda: op.build_rho(2, 7, 1.3), lambda g: g**-2.0, id="rho2"),
+        pytest.param(lambda: op.build_rho(3, 7, 1.3), lambda g: g**-2.0, id="rho3"),
+        pytest.param(
+            lambda: op.build_lambda(7, 1.3, 0.0), lambda g: g**-2.0, id="lambda0"
+        ),
+        pytest.param(
+            lambda: op.build_lambda(7, 1.3, -1.95), lambda g: g**-0.05, id="lambda-1.95"
+        ),
+        pytest.param(lambda: op.build_phi_op(7)[0], lambda g: np.sin(g) ** -2, id="phi"),
+        pytest.param(lambda: op.build_theta(7), None, id="theta"),
+        pytest.param(lambda: op.build_z(7, 2.0), None, id="z"),
+    ],
+)
+def test_operator_weights_closed_forms(build, closed_form):
+    axis = build()
+    if closed_form is None:
+        assert axis.weights is None
+    else:
+        assert np.allclose(axis.weights, closed_form(axis.grid), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[1.0, 0.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0]],
+    ids=["zero", "negative", "short"],
+)
+def test_operator_rejects_bad_weights(weights):
+    with pytest.raises(ValueError):
+        op.TridiagonalOperator(
+            n=3,
+            a=np.full(3, -2.0),
+            b=np.ones(2),
+            c=np.ones(2),
+            grid=np.arange(1.0, 4.0),
+            h=1.0,
+            weights=np.array(weights),
+        )
+
+
+# ---------------------------------------------------------------------------
 # symmetrization and eigendecomposition
 # ---------------------------------------------------------------------------
 
@@ -276,7 +324,6 @@ def test_symmetrize_rejects_nonpositive_bands():
         c=np.array([1.0, 1.0]),
         grid=np.arange(3.0),
         h=1.0,
-        kind=op.OperatorKind.Z,
     )
     with pytest.raises(ValueError):
         op.symmetrize(bad)
