@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models, output
-from .integrators import DENSE_REFERENCE_CAP, DivergenceError, run_simulation
+from .integrators import AXES, DENSE_REFERENCE_CAP, DivergenceError, run_simulation
 from .operators import (
     NumericalFailure,
     build_lambda,
@@ -49,7 +49,9 @@ class UsageError(ValueError):
     pass
 
 
-_DIM_KEYS = {"n_rho", "n_theta", "n_phi", "n_z"}
+# every axis of any geometry, in order of first use: rho, theta, phi, z
+_AXIS_NAMES = tuple(dict.fromkeys(axis for axes in AXES.values() for axis in axes))
+_DIM_KEYS = {f"n_{axis}" for axis in _AXIS_NAMES}
 _INT_KEYS = _DIM_KEYS | {"m", "snapshots", "m_ref", "seed"}
 _FLOAT_KEYS = {"tstar"}
 _BOOL_KEYS = {"heatmap", "fe", "dense"}
@@ -282,11 +284,11 @@ def cmd_converge(cfg: dict) -> dict:
     with_fe = bool(cfg.get("fe", False))
     with_dense = bool(cfg.get("dense", False))
 
-    def fresh_system():
-        return models.build_system(spec, dims, seed)
-
+    # every run copies the initial fields and changes nothing else, so one
+    # system serves them all
     try:
-        reference = run_simulation(fresh_system(), m_ref, t_star).fields
+        system = models.build_system(spec, dims, seed)
+        reference = run_simulation(system, m_ref, t_star).fields
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     unknowns = max(field.size for field in reference.values())
@@ -301,18 +303,16 @@ def cmd_converge(cfg: dict) -> dict:
     for m in m_list:
         entry: dict = {"m": m}
         entry["err_split"] = _relative_error(
-            run_simulation(fresh_system(), m, t_star).fields, reference
+            run_simulation(system, m, t_star).fields, reference
         )
         if with_dense:
             entry["err_dense"] = _relative_error(
-                run_simulation(fresh_system(), m, t_star, method="dense").fields,
+                run_simulation(system, m, t_star, method="dense").fields,
                 reference,
             )
         if with_fe:
             try:
-                fe_fields = run_simulation(
-                    fresh_system(), m, t_star, method="forward_euler"
-                ).fields
+                fe_fields = run_simulation(system, m, t_star, method="forward_euler").fields
                 entry["err_fe"] = _relative_error(fe_fields, reference)
             except DivergenceError as exc:
                 entry["err_fe"] = None
@@ -352,32 +352,25 @@ def cmd_converge(cfg: dict) -> dict:
     return {"table": table, "slope": slope}
 
 
-_PROP_KINDS = frozenset({"theta", "rho2", "rho3", "phi", "z", "lambda"})
-
-
-def _build_prop_operator(kind: str, n: int, cfg: dict):
-    overrides = cfg.get("overrides", {})
-    rho_star = overrides.get("rho_star", 1.0)
-    z_star = overrides.get("z_star", 1.0)
-    lam = overrides.get("lambda", -1.95)
-    if kind == "theta":
-        return build_theta(n)
-    if kind == "rho2":
-        return build_rho(2, n, rho_star)
-    if kind == "rho3":
-        return build_rho(3, n, rho_star)
-    if kind == "phi":
-        return build_phi_op(n)[0]
-    if kind == "z":
-        return build_z(n, z_star)
-    return build_lambda(n, rho_star, lam)
+# The operator families of ``props``, each built from n and the constants
+# below (patched by params.<name>).
+_PROP_CONSTANTS = {"rho_star": 1.0, "z_star": 1.0, "lambda": -1.95}
+_PROP_BUILDERS = {
+    "theta": lambda n, k: build_theta(n),
+    "rho2": lambda n, k: build_rho(2, n, k["rho_star"]),
+    "rho3": lambda n, k: build_rho(3, n, k["rho_star"]),
+    "phi": lambda n, k: build_phi_op(n)[0],
+    "z": lambda n, k: build_z(n, k["z_star"]),
+    "lambda": lambda n, k: build_lambda(n, k["rho_star"], k["lambda"]),
+}
 
 
 def cmd_props(cfg: dict) -> list[dict]:
     kind = _require(cfg, "kind")
-    if kind not in _PROP_KINDS:
+    if kind not in _PROP_BUILDERS:
         raise UsageError(f"unknown operator kind {kind!r}")
-    unknown = set(cfg.get("overrides", {})) - {"rho_star", "z_star", "lambda"}
+    overrides = cfg.get("overrides", {})
+    unknown = set(overrides) - set(_PROP_CONSTANTS)
     if unknown:
         raise UsageError(
             f"props takes params.rho_star, z_star and lambda, not {sorted(unknown)}"
@@ -387,11 +380,12 @@ def cmd_props(cfg: dict) -> list[dict]:
         raise UsageError("n_list is empty")
     if max(n_list) > 2048:
         raise UsageError("property report capped at n = 2048")
+    constants = _PROP_CONSTANTS | overrides
     exp_times = (0.1, 1.0, 10.0)
     rows = []
     for n in n_list:
         try:
-            op = _build_prop_operator(kind, n, cfg)
+            op = _PROP_BUILDERS[kind](n, constants)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         row: dict = {"n": n}
@@ -458,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tstar", type=float, help="final time")
         p.add_argument("--snapshots", type=int, help="sample every this many steps")
         p.add_argument("--heatmap", action="store_true", default=None)
-        for dim in ("n-rho", "n-theta", "n-phi", "n-z"):
-            p.add_argument(f"--{dim}", type=int, dest=dim.replace("-", "_"))
+        for axis in _AXIS_NAMES:
+            p.add_argument(f"--n-{axis}", type=int, dest=f"n_{axis}")
 
     run_p = sub.add_parser("run", help="run one simulation")
     add_common(run_p)
@@ -476,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     props_p = sub.add_parser("props", help="operator property report")
     add_common(props_p)
-    props_p.add_argument("--kind", choices=sorted(_PROP_KINDS))
+    props_p.add_argument("--kind", choices=sorted(_PROP_BUILDERS))
     props_p.add_argument("--n-list", dest="n_list",
                          type=lambda s: [int(t) for t in s.replace(",", " ").split()])
     return parser

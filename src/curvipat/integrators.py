@@ -6,7 +6,10 @@ The discretized diffusion operator of every geometry is a sum of Kronecker
 products M = M_1 + ... + M_d.  Each summand M_mu acts along one mode with a
 1-d operator, scaled by the diagonal weights that the 1-d operators of some
 other modes carry; the table ``FACTORS`` lists the summands of each
-geometry in the fixed splitting order.
+geometry in the fixed splitting order.  It is the one description of them:
+``prepare`` and the dense reference (:func:`dense_split_factors`) are both
+built from it, and the tests check both against summands written out per
+geometry by hand in ``tests/oracles.py``.
 The split scheme advances W_{n+1} = W_n + tau * P_1 P_2 (... P_d) F_n where
 F_n = M W_n + G_n and each P_mu is phi1(tau M_mu).  An unweighted P_mu is
 one mode product with a dense phi1 matrix; a weighted one is a mode product
@@ -204,10 +207,6 @@ class GeometryOps:
     factors: tuple[SplitFactor, ...]
 
     @property
-    def coeff(self) -> float:
-        return self.base.coeff
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return self.base.shape
 
@@ -374,73 +373,42 @@ def step_split(
     return np.add(W, T, out=out)
 
 
-def step_forward_euler(
-    ops: GeometryOps, W: np.ndarray, G: np.ndarray, tau: float | None = None
-) -> np.ndarray:
+def step_forward_euler(ops: GeometryOps, W: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Classical explicit Euler step (stability-limited; for comparison)."""
-    if tau is None:
-        tau = ops.tau
-    return W + tau * (apply_diffusion(ops, W) + G)
+    return W + ops.tau * (apply_diffusion(ops, W) + G)
 
 
-def dense_split_factors(ops: GeometryOps) -> list[np.ndarray]:
+def dense_split_factors(base: ComponentOps) -> list[np.ndarray]:
     """The Kronecker summands M_1, ..., M_d of the diffusion matrix as dense
-    matrices (coefficient included), in the fixed splitting order, for the
-    dense scheme and the oracles: assembled per geometry from the base 1-d
-    operators, independently of ``FACTORS``; sizes are capped by the
-    Kronecker assembler."""
-    kron = tensor.kron_assemble
-    base = ops.base
-    g = base.geometry
-    if base.rho is not None:
-        A_rho = base.rho.toarray()
-        D_rho = np.diag(base.rho.weights)
-    if base.phi is not None:
-        A_phi = base.phi.toarray()
-        D_phi = np.diag(base.phi.weights)
-    A_theta = base.theta.toarray()
-    eye_t = np.eye(base.theta.n)
-    if g is Geometry.DISK:
-        ms = [kron([A_rho, eye_t]), kron([D_rho, A_theta])]
-    elif g is Geometry.SPHERE:
-        ms = [kron([A_theta, D_phi]), kron([eye_t, A_phi])]
-    elif g is Geometry.BALL:
-        eye_p = np.eye(base.phi.n)
-        ms = [
-            kron([A_rho, eye_t, eye_p]),
-            kron([D_rho, A_theta, D_phi]),
-            kron([D_rho, eye_t, A_phi]),
+    matrices (coefficient included), assembled from ``FACTORS`` in the
+    splitting order: the 1-d operator along the summand's mode, the
+    diagonal weights on the modes that weight it, the identity elsewhere.
+    Sizes are capped by the Kronecker assembler."""
+    axes = base.axis_ops()
+    summands = []
+    for mode, weighted_by in FACTORS[base.geometry]:
+        mats = [
+            np.diag(axis.weights) if mu in weighted_by else np.eye(axis.n)
+            for mu, axis in enumerate(axes, start=1)
         ]
-    else:
-        eye_r = np.eye(base.rho.n)
-        eye_z = np.eye(base.z.n)
-        ms = [
-            kron([A_rho, eye_t, eye_z]),
-            kron([D_rho, A_theta, eye_z]),
-            kron([eye_r, eye_t, base.z.toarray()]),
-        ]
-    return [ops.coeff * m for m in ms]
+        mats[mode - 1] = axes[mode - 1].toarray()
+        summands.append(base.coeff * tensor.kron_assemble(mats))
+    return summands
 
 
-def dense_operator(ops: GeometryOps) -> np.ndarray:
-    """Full dense diffusion matrix M (coefficient included); oracle-sized."""
-    out = None
-    for m in dense_split_factors(ops):
-        out = m if out is None else out + m
-    return out
-
-
-def _dense_matrices(name: str, ops: GeometryOps) -> tuple[np.ndarray, np.ndarray]:
+def _dense_matrices(
+    name: str, base: ComponentOps, tau: float
+) -> tuple[np.ndarray, np.ndarray]:
     """M and phi1(tau M) of one component as dense matrices, for the classical
     exponential Euler scheme; limited to DENSE_REFERENCE_CAP unknowns."""
-    size = math.prod(ops.shape)
+    size = math.prod(base.shape)
     if size > DENSE_REFERENCE_CAP:
         raise ValueError(
             f"component {name!r} has {size} unknowns, beyond the dense "
             f"reference cap {DENSE_REFERENCE_CAP}"
         )
-    M = dense_operator(ops)
-    return M, phi1_dense_oracle(ops.tau * M, max_dim=DENSE_REFERENCE_CAP)
+    M = reduce(np.add, dense_split_factors(base))
+    return M, phi1_dense_oracle(tau * M, max_dim=DENSE_REFERENCE_CAP)
 
 
 def check_divergence(states: dict[str, np.ndarray], step: int) -> None:
@@ -480,9 +448,11 @@ def run_simulation(
     DENSE_REFERENCE_CAP unknowns per component).
 
     The kinetics of all components are evaluated from the common state at
-    t_n, then every component is advanced by one step.  All phi1 caches are
-    built once up front, and one :class:`Workspace` per field shape serves
-    every component of that shape.  The states are updated in place, so the
+    t_n, then every component is advanced by one step.  Each scheme builds
+    once up front only what it applies: the split scheme the prepared
+    factors and one :class:`Workspace` per field shape, shared by every
+    component of that shape; forward Euler the prepared M W; the dense
+    scheme its two matrices.  The states are updated in place, so the
     kinetics' outputs must not share memory with them, and a
     ``sample_hook`` must copy what it keeps of the states it is passed.
     Samples (diagnostics + hook) are taken at step 0, every
@@ -497,11 +467,13 @@ def run_simulation(
         raise ValueError(f"unknown method {method!r}")
     tau = t_star / m
     comps = system.components
-    geo = {c.name: prepare(c.ops, tau) for c in comps}
     if method == "dense":
-        dense = {c.name: _dense_matrices(c.name, geo[c.name]) for c in comps}
+        dense = {c.name: _dense_matrices(c.name, c.ops, tau) for c in comps}
+    else:
+        geo = {c.name: prepare(c.ops, tau) for c in comps}
     states = {c.name: np.array(c.initial, dtype=float, copy=True) for c in comps}
-    work = {c.ops.shape: Workspace(c.ops.shape) for c in comps}
+    if method == "split":
+        work = {shape: Workspace(shape) for shape in {c.ops.shape for c in comps}}
     every = record_every or m
 
     times: list[float] = []

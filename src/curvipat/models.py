@@ -42,11 +42,6 @@ class Uniform:
     lo: float
     hi: float
 
-    @property
-    def scale(self) -> float:
-        # standard deviation, so the meaning matches Normal.scale
-        return (self.hi - self.lo) / math.sqrt(12.0)
-
     def draw(self, rng: Xoshiro256pp, size: int) -> np.ndarray:
         return self.lo + (self.hi - self.lo) * rng.uniform(size)
 
@@ -54,10 +49,6 @@ class Uniform:
 @dataclass(frozen=True)
 class Normal:
     sigma: float
-
-    @property
-    def scale(self) -> float:
-        return self.sigma
 
     def draw(self, rng: Xoshiro256pp, size: int) -> np.ndarray:
         return self.sigma * rng.normal(size)

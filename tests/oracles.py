@@ -1,12 +1,15 @@
-"""Reference code that only the tests use: the Tucker operator, one dense
-classical exponential Euler step, the closed-form axial eigenpairs, and the
+"""Reference code that only the tests use: the Tucker operator, each
+geometry's Kronecker summands written out by hand, one dense classical
+exponential Euler step, the closed-form axial eigenpairs, and the
 integral-mean, stabilization and amplitude checks of the acceptance
 criteria."""
+
+import math
 
 import numpy as np
 
 from curvipat import models, tensor
-from curvipat.integrators import DENSE_REFERENCE_CAP, ComponentOps
+from curvipat.integrators import DENSE_REFERENCE_CAP, ComponentOps, Geometry
 from curvipat.phifun import phi1_dense_oracle
 
 
@@ -26,6 +29,52 @@ def tucker(field: np.ndarray, matrices, skip: set[int] | None = None) -> np.ndar
         if mu in skip or L is None:
             continue
         out = tensor.mode_product(mu, L, out)
+    return out
+
+
+def kronecker_summands(base: ComponentOps) -> list[np.ndarray]:
+    """The Kronecker summands M_1, ..., M_d of the diffusion matrix as dense
+    matrices (coefficient included), in the fixed splitting order: written
+    out per geometry from the base 1-d operators, independently of the
+    ``FACTORS`` table that the package builds them from; sizes are capped
+    by the Kronecker assembler."""
+    kron = tensor.kron_assemble
+    g = base.geometry
+    if base.rho is not None:
+        A_rho = base.rho.toarray()
+        D_rho = np.diag(base.rho.weights)
+    if base.phi is not None:
+        A_phi = base.phi.toarray()
+        D_phi = np.diag(base.phi.weights)
+    A_theta = base.theta.toarray()
+    eye_t = np.eye(base.theta.n)
+    if g is Geometry.DISK:
+        ms = [kron([A_rho, eye_t]), kron([D_rho, A_theta])]
+    elif g is Geometry.SPHERE:
+        ms = [kron([A_theta, D_phi]), kron([eye_t, A_phi])]
+    elif g is Geometry.BALL:
+        eye_p = np.eye(base.phi.n)
+        ms = [
+            kron([A_rho, eye_t, eye_p]),
+            kron([D_rho, A_theta, D_phi]),
+            kron([D_rho, eye_t, A_phi]),
+        ]
+    else:
+        eye_r = np.eye(base.rho.n)
+        eye_z = np.eye(base.z.n)
+        ms = [
+            kron([A_rho, eye_t, eye_z]),
+            kron([D_rho, A_theta, eye_z]),
+            kron([eye_r, eye_t, base.z.toarray()]),
+        ]
+    return [base.coeff * m for m in ms]
+
+
+def dense_operator(base: ComponentOps) -> np.ndarray:
+    """Full dense diffusion matrix M (coefficient included); oracle-sized."""
+    out = None
+    for m in kronecker_summands(base):
+        out = m if out is None else out + m
     return out
 
 
@@ -77,7 +126,13 @@ def is_stabilized(times, values, rel: float = 1e-3, abs_tol: float = 1e-6) -> bo
 
 
 def pattern_amplitude(system: models.CoupledSystem, states: dict, name: str):
-    """(spatial std of the component, 10x its initial perturbation scale)."""
+    """(spatial std of the component, 10x the standard deviation of its
+    initial perturbation law)."""
     law = system.spec.perturbations[name]
-    scale = law.scale if law is not None else 0.0
+    if isinstance(law, models.Uniform):
+        scale = (law.hi - law.lo) / math.sqrt(12.0)
+    elif isinstance(law, models.Normal):
+        scale = law.sigma
+    else:
+        scale = 0.0
     return float(np.std(states[name])), 10.0 * scale

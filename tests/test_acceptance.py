@@ -25,13 +25,18 @@ from curvipat.integrators import (
     ComponentOps,
     DivergenceError,
     Geometry,
-    dense_split_factors,
     prepare,
     run_simulation,
     step_split,
 )
 from curvipat.phifun import phi1_dense_oracle
-from oracles import explicit_z_eigenpairs, is_stabilized, pattern_amplitude, tucker
+from oracles import (
+    explicit_z_eigenpairs,
+    is_stabilized,
+    kronecker_summands,
+    pattern_amplitude,
+    tucker,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -123,7 +128,7 @@ def test_criterion_3_splitting_defect_order():
     base = ComponentOps(
         Geometry.DISK, 3.87e-3, rho=op.build_rho(2, 6, 1.0), theta=op.build_theta(8)
     )
-    M1, M2 = dense_split_factors(prepare(base, 0.1))
+    M1, M2 = kronecker_summands(base)
     M = M1 + M2
 
     def defect(tau):
@@ -261,7 +266,7 @@ def test_criterion_7_stepper_oracle_equivalence():
         W = rng.randn(*base.shape)
         G = rng.randn(*base.shape)
         mine = step_split(ops, W, G)
-        factors = dense_split_factors(ops)
+        factors = kronecker_summands(base)
         M = reduce(np.add, factors)
         action = M @ tensor.vec(W) + tensor.vec(G)
         for Mi in reversed(factors):

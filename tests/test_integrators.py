@@ -14,7 +14,6 @@ from curvipat.integrators import (
     DivergenceError,
     Geometry,
     apply_diffusion,
-    dense_operator,
     dense_split_factors,
     prepare,
     prepared_bytes,
@@ -24,8 +23,8 @@ from curvipat.integrators import (
     step_split,
 )
 from curvipat.phifun import phi1_dense_oracle
-from curvipat import cli, models
-from oracles import step_exact_ee_reference
+from curvipat import cli, integrators, models
+from oracles import dense_operator, kronecker_summands, step_exact_ee_reference
 
 
 def disk_base(n_rho=4, n_theta=4, coeff=0.7):
@@ -70,7 +69,7 @@ ALL_BASES = {
 
 def dense_split_reference(ops, W, G, tau):
     """vec-form split step with dense phi1 factors in the printed order."""
-    factors = dense_split_factors(ops)
+    factors = kronecker_summands(ops.base)
     M = reduce(np.add, factors)
     action = M @ tensor.vec(W) + tensor.vec(G)
     for Mi in reversed(factors):
@@ -117,7 +116,7 @@ def test_apply_diffusion_matches_kronecker_oracle(name, dims):
     ops = prepare(base, 0.0)
     rng = np.random.RandomState(20)
     W = rng.randn(*base.shape)
-    ref = dense_operator(ops) @ tensor.vec(W)
+    ref = dense_operator(base) @ tensor.vec(W)
     assert np.max(np.abs(tensor.vec(apply_diffusion(ops, W)) - ref)) <= 1e-12 * max(
         1.0, np.max(np.abs(ref))
     )
@@ -290,7 +289,7 @@ def test_one_step_split_defect_second_order_vs_exact_ee():
     rng = np.random.RandomState(26)
     w = rng.randn(48)
     g = rng.randn(48)
-    M = dense_operator(prepare(base, 0.0))
+    M = dense_operator(base)
 
     def defect(tau):
         ops = prepare(base, tau)
@@ -304,6 +303,66 @@ def test_one_step_split_defect_second_order_vs_exact_ee():
     assert all(3.3 <= r <= 4.8 for r in ratios)
 
 
+def superdiffusive_disk_base(n_rho=4, n_theta=4, coeff=0.6):
+    return ComponentOps(
+        Geometry.DISK,
+        coeff,
+        rho=op.build_lambda(n_rho, 1.0, -1.95),
+        theta=op.build_theta(n_theta),
+    )
+
+
+@pytest.mark.parametrize(
+    "make,dims",
+    [pytest.param(ALL_BASES[name], (), id=name) for name in sorted(ALL_BASES)]
+    + [
+        pytest.param(ALL_BASES[name], dims, id=f"{name}-{'x'.join(map(str, dims))}")
+        for name, dims in [
+            ("disk", (7, 5)),
+            ("sphere", (5, 7)),
+            ("ball", (4, 5, 6)),
+            ("cylinder", (5, 6, 4)),
+        ]
+    ]
+    + [pytest.param(superdiffusive_disk_base, (5, 6), id="superdiffusive-disk")],
+)
+def test_dense_split_factors_equal_the_written_out_oracle(make, dims):
+    # the summands assembled from FACTORS are the hand-written ones, bit
+    # for bit, including the rho^-(2+lambda) weights of build_lambda
+    base = make(*dims)
+    mine = dense_split_factors(base)
+    oracle = kronecker_summands(base)
+    assert len(mine) == len(oracle) == len(base.shape)
+    for M, ref in zip(mine, oracle):
+        assert M.shape == ref.shape
+        assert M.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "method,prepares,workspaces",
+    [("split", 2, 1), ("forward_euler", 2, 0), ("dense", 0, 0)],
+)
+def test_each_scheme_builds_only_what_it_applies(monkeypatch, method, prepares, workspaces):
+    # the dense scheme applies only its own matrices, forward Euler only the
+    # prepared M W; neither needs the split step's scratch
+    calls = {"prepare": 0, "Workspace": 0}
+
+    def spy(name):
+        real = getattr(integrators, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(integrators, name, counted)
+
+    spy("prepare")
+    spy("Workspace")
+    system = models.build_system("bvam_disk", {"n_rho": 4, "n_theta": 6}, seed=5)
+    run_simulation(system, 3, 0.06, method=method)
+    assert calls == {"prepare": prepares, "Workspace": workspaces}
+
+
 # ---------------------------------------------------------------------------
 # stability of the linear step
 # ---------------------------------------------------------------------------
@@ -313,8 +372,7 @@ def test_one_step_split_defect_second_order_vs_exact_ee():
 @pytest.mark.parametrize("tau", [0.1, 1.0, 10.0])
 def test_linear_step_operator_is_power_bounded(name, tau):
     base = ALL_BASES[name]()
-    ops = prepare(base, tau)
-    factors = dense_split_factors(ops)
+    factors = kronecker_summands(base)
     M = reduce(np.add, factors)
     P = np.eye(M.shape[0])
     for Mi in factors:
@@ -606,7 +664,7 @@ def test_dense_exponential_euler_matches_manual_steps():
     tau = 0.02
     out = run_simulation(system, 3, 3 * tau, method="dense").fields
     states = {c.name: c.initial.copy() for c in system.components}
-    mats = {c.name: dense_operator(prepare(c.ops, tau)) for c in system.components}
+    mats = {c.name: dense_operator(c.ops) for c in system.components}
     shapes = {c.name: c.ops.shape for c in system.components}
     for _ in range(3):
         gs = system.kinetics(states)

@@ -32,3 +32,37 @@ def test_every_top_level_definition_is_used_in_src():
             if not any(name == node.name and id(ref) not in own for name, ref in refs):
                 unused.append(f"{module}:{node.name}")
     assert unused == []
+
+
+
+def _geometry_members(node: ast.AST):
+    """Every ``Geometry.<MEMBER>`` attribute inside ``node``."""
+    for inner in ast.walk(node):
+        if (
+            isinstance(inner, ast.Attribute)
+            and isinstance(inner.value, ast.Name)
+            and inner.value.id == "Geometry"
+            and inner.attr.isupper()
+        ):
+            yield inner
+
+
+def test_no_src_module_compares_against_a_geometry_member():
+    # geometry is data: the tables keyed by Geometry hold what differs
+    # between geometries, so no code compares a value against one member
+    # (is, ==, in and their negations, or a match case)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.match_case):
+                operands = [node.pattern]
+            else:
+                continue
+            found += [
+                f"{path.name}:{member.lineno}:Geometry.{member.attr}"
+                for operand in operands
+                for member in _geometry_members(operand)
+            ]
+    assert found == []

@@ -6,7 +6,8 @@ import pytest
 
 from curvipat import operators as op
 from curvipat import phifun
-from curvipat.integrators import ComponentOps, Geometry, dense_split_factors, prepare
+from curvipat.integrators import ComponentOps, Geometry
+from oracles import kronecker_summands
 
 
 def phi1_mpmath(x):
@@ -156,8 +157,8 @@ def test_split_defect_is_second_order():
     # squarely in it.
     rho = op.build_rho(2, 6, 1.0)
     theta = op.build_theta(6)
-    ops = prepare(ComponentOps(Geometry.DISK, 3.87e-3, rho=rho, theta=theta), 0.1)
-    M1, M2 = dense_split_factors(ops)
+    base = ComponentOps(Geometry.DISK, 3.87e-3, rho=rho, theta=theta)
+    M1, M2 = kronecker_summands(base)
     M = M1 + M2
 
     def defect(tau):
