@@ -1,18 +1,21 @@
-"""The five diffusion-reaction experiments: kinetics, parameter defaults,
-equilibria, seeded random initial fields, boundary-coupling sources and
-integral-mean diagnostics, whose quadrature weights are the outer product
-of the measures the 1-d operators carry.
+"""The five diffusion-reaction experiments, one :class:`Model` record each
+in ``MODELS``; :func:`build_system`, which assembles any of them; and the
+integral-mean diagnostics.
 
-Each model is assembled into a :class:`CoupledSystem` holding one diffusing
-component per unknown (bulk components on the volume geometry, surface
-components on the boundary geometry) plus a kinetics evaluator that maps the
-current states to the full reaction term, including any boundary-flux
-sources.  Components with inhomogeneous Dirichlet data are integrated in
-lifted (deviation) variables; the ``lift`` offset restores physical values.
+A record states once what differs between the models: the published
+constants and sizes, the components in order (geometry, diffusion
+coefficient, perturbation law, lifted or not), the equilibrium, the radial
+operator, the shape of each kinetics buffer and the reaction function.
+The surface components of a bulk-surface model live on the boundary
+geometry, and the reaction term carries the boundary-flux sources.  Lifted
+components (inhomogeneous Dirichlet data) are integrated as deviations from
+their equilibrium value; the ``lift`` offset restores physical values.
+Adding a model takes a :class:`ModelName` member, one record and one
+reaction function, which may share the kinetics helpers below.
 
-The evaluator writes into arrays of its own, which share no memory with the
-states it is given.  While the caller holds the dict one call returned, the
-next call overwrites its arrays; a dropped result frees them.
+The kinetics evaluator writes into arrays of its own, which share no memory
+with the states it is given.  While the caller holds the dict one call
+returned, the next call overwrites its arrays; a dropped result frees them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ import numpy as np
 
 from . import tensor
 from .integrators import ComponentOps, Geometry, prepared_bytes
-from .operators import build_lambda, build_phi_op, build_rho, build_theta, build_z
+from .operators import (
+    TridiagonalOperator,
+    build_lambda,
+    build_phi_op,
+    build_rho,
+    build_theta,
+    build_z,
+)
 from .rng import Xoshiro256pp
 
 # ---------------------------------------------------------------------------
@@ -70,97 +80,6 @@ class ModelName(Enum):
     BSDIB_CYLINDER = "bsdib_cylinder"
 
 
-_DEFAULT_PARAMS: dict[ModelName, dict[str, float]] = {
-    ModelName.BVAM_DISK: {
-        "gamma": 3.87e-3,
-        "delta": 7.5e-3,
-        "alpha1": 0.899,
-        "alpha2": 0.2,
-        "alpha3": 0.2,
-        "beta1": -0.91,
-        "beta2": -0.899,
-    },
-    ModelName.SCHNAKENBERG_ANOMALOUS_DISK: {
-        "alpha1": 5.0e2,
-        "alpha2": 1.4e-1,
-        "beta1": 1.34,
-        "delta": 5.0e1,
-        "lambda": -1.95,
-    },
-    ModelName.DIB_SPHERE: {
-        "zeta1": 10.0,
-        "zeta2": 10.0,
-        "zeta3": 1.0,
-        "zeta4": 48.0,
-        "zeta5": 0.5,
-        "eta1": 5.0,
-        "eta2": 2.5,
-        "eta3": 0.2,
-        "eta5": 1.5,
-        "epsilon": 20.0,
-    },
-    ModelName.BULK_SURFACE_SCHNAKENBERG_BALL: {
-        "alpha1": 55.0,
-        "alpha2": 0.1,
-        "beta1": 0.9,
-        "zeta1": 55.0,
-        "zeta2": 5.0 / 12.0,
-        "zeta3": 5.0 / 12.0,
-        "eta1": 5.0,
-        "eta2": 5.0,
-        "delta": 10.0,
-        "epsilon": 10.0,
-    },
-    ModelName.BSDIB_CYLINDER: {
-        "alpha1": 1.0,
-        "alpha2": 1.0,
-        "alpha3": 0.15,
-        "beta1": 1.0,
-        "beta2": 1.0,
-        "beta3": 0.15,
-        "delta": 1.0,
-        "epsilon": 20.0,
-        "zeta1": 1.0,
-        "zeta2": 10.0,
-        "zeta3": 1.0,
-        "zeta4": 66.0,
-        "zeta5": 0.5,
-        "eta1": 3.0,
-        "eta2": 2.5,
-        "eta3": 0.2,
-        "eta5": 1.5,
-    },
-}
-
-_DEFAULT_SIZES: dict[ModelName, dict[str, float]] = {
-    ModelName.BVAM_DISK: {"rho_star": 1.0},
-    ModelName.SCHNAKENBERG_ANOMALOUS_DISK: {"rho_star": 1.0},
-    ModelName.DIB_SPHERE: {"rho_star": 1.1653},
-    ModelName.BULK_SURFACE_SCHNAKENBERG_BALL: {"rho_star": 1.0},
-    ModelName.BSDIB_CYLINDER: {"rho_star": 25.0, "z_star": 25.0},
-}
-
-
-# Geometry of every component, in the model's component order.
-COMPONENT_GEOMETRY: dict[ModelName, dict[str, Geometry]] = {
-    ModelName.BVAM_DISK: {"u": Geometry.DISK, "v": Geometry.DISK},
-    ModelName.SCHNAKENBERG_ANOMALOUS_DISK: {"u": Geometry.DISK, "v": Geometry.DISK},
-    ModelName.DIB_SPHERE: {"r": Geometry.SPHERE, "s": Geometry.SPHERE},
-    ModelName.BULK_SURFACE_SCHNAKENBERG_BALL: {
-        "u": Geometry.BALL,
-        "v": Geometry.BALL,
-        "r": Geometry.SPHERE,
-        "s": Geometry.SPHERE,
-    },
-    ModelName.BSDIB_CYLINDER: {
-        "u": Geometry.CYLINDER,
-        "v": Geometry.CYLINDER,
-        "r": Geometry.DISK,
-        "s": Geometry.DISK,
-    },
-}
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Name, parameter map, geometry sizes and per-component perturbation
@@ -173,19 +92,7 @@ class ModelSpec:
     perturbations: dict[str, Perturbation | None]
 
     def equilibrium(self) -> dict[str, float]:
-        p = self.params
-        if self.name is ModelName.BVAM_DISK:
-            return {"u": 0.0, "v": 0.0}
-        if self.name is ModelName.SCHNAKENBERG_ANOMALOUS_DISK:
-            ue = p["alpha2"] + p["beta1"]
-            return {"u": ue, "v": p["beta1"] / ue**2}
-        if self.name is ModelName.DIB_SPHERE:
-            return {"r": 0.0, "s": p["zeta5"]}
-        if self.name is ModelName.BULK_SURFACE_SCHNAKENBERG_BALL:
-            ue = p["alpha2"] + p["beta1"]
-            ve = p["beta1"] / ue**2
-            return {"u": ue, "v": ve, "r": ue, "s": ve}
-        return {"u": p["alpha2"], "v": p["beta2"], "r": 0.0, "s": p["zeta5"]}
+        return MODELS[self.name].equilibrium(self.params)
 
 
 def model_spec(
@@ -195,8 +102,9 @@ def model_spec(
     (keys: parameter names, or geometry sizes rho_star / z_star)."""
     if isinstance(name, str):
         name = ModelName(name)
-    params = dict(_DEFAULT_PARAMS[name])
-    sizes = dict(_DEFAULT_SIZES[name])
+    model = MODELS[name]
+    params = dict(model.params)
+    sizes = dict(model.sizes)
     for key, value in (overrides or {}).items():
         if key in sizes:
             sizes[key] = float(value)
@@ -204,19 +112,7 @@ def model_spec(
             params[key] = float(value)
         else:
             raise KeyError(f"unknown parameter {key!r} for model {name.value}")
-    if name is ModelName.BVAM_DISK:
-        perts: dict[str, Perturbation | None] = {
-            "u": Uniform(-0.5, 0.5),
-            "v": Uniform(-0.5, 0.5),
-        }
-    elif name is ModelName.SCHNAKENBERG_ANOMALOUS_DISK:
-        perts = {"u": Normal(1e-5), "v": Normal(1e-5)}
-    elif name is ModelName.DIB_SPHERE:
-        perts = {"r": Normal(1e-6), "s": Normal(1e-6)}
-    elif name is ModelName.BULK_SURFACE_SCHNAKENBERG_BALL:
-        perts = {c: Normal(1e-3) for c in ("u", "v", "r", "s")}
-    else:
-        perts = {"u": None, "v": None, "r": Uniform(0.0, 1e-2), "s": Uniform(0.0, 1e-2)}
+    perts = {comp: c.perturbation for comp, c in model.components.items()}
     return ModelSpec(name=name, params=params, sizes=sizes, perturbations=perts)
 
 
@@ -410,6 +306,248 @@ def bs_cylinder_coupling(u_bottom, v_bottom, r, s, params, h_z: float, out=None)
 
 
 # ---------------------------------------------------------------------------
+# reaction terms and model records
+# ---------------------------------------------------------------------------
+
+# A reaction function maps (states, out, params, eq, axes) to the reaction
+# term of every component, computed in ``out``: the kinetics buffers, one
+# field of the shape that the record's ``buffers`` names for each.  ``eq``
+# is the equilibrium and ``axes`` the 1-d operators by axis name.
+
+
+def _bvam_reaction(states, out, p, eq, axes):
+    b, c = bvam_kinetics(states["u"], states["v"], p, out=out)
+    return {"u": b, "v": c}
+
+
+def _anomalous_reaction(states, out, p, eq, axes):
+    u, v, *out = out
+    np.add(states["u"], eq["u"], out=u)
+    np.add(states["v"], eq["v"], out=v)
+    gu, gv = schnakenberg_kinetics(u, v, p, out=out)
+    gu *= p["alpha1"]
+    gv *= p["alpha1"]
+    return {"u": gu, "v": gv}
+
+
+def _dib_reaction(states, out, p, eq, axes):
+    pr, qs = dib_kinetics(states["r"], states["s"], p, out=out)
+    pr *= p["zeta1"]
+    qs *= p["zeta1"]
+    return {"r": pr, "s": qs}
+
+
+def _ball_reaction(states, out, p, eq, axes):
+    u, v, r, s = states["u"], states["v"], states["r"], states["s"]
+    rho = axes["rho"]
+    src_u, src_v, ps, qs = bulk_surface_coupling_ball(
+        u[-1, :, :], v[-1, :, :], r, s, p, rho.h, rho.grid[-1], out=out[2:]
+    )
+    gu, gv = schnakenberg_kinetics(u, v, p, out=out[:2])
+    gu *= p["alpha1"]
+    gv *= p["alpha1"]
+    gu[-1, :, :] += src_u
+    gv[-1, :, :] += src_v
+    ps *= p["zeta1"]
+    qs *= p["zeta1"]
+    return {"u": gu, "v": gv, "r": ps, "s": qs}
+
+
+def _cylinder_reaction(states, out, p, eq, axes):
+    out_u, out_v, u_bottom, v_bottom, *surface = out
+    W_u, W_v = states["u"], states["v"]
+    np.add(W_u[:, :, 0], eq["u"], out=u_bottom)
+    np.add(W_v[:, :, 0], eq["v"], out=v_bottom)
+    src_u, src_v, ps, qs = bs_cylinder_coupling(
+        u_bottom, v_bottom, states["r"], states["s"], p, axes["z"].h, out=surface
+    )
+    # -alpha1 (u - alpha2) with u = W_u + u*, without lifting the field
+    a1, b1 = p["alpha1"], p["beta1"]
+    gu = np.multiply(W_u, -a1, out=out_u)
+    gu += a1 * (p["alpha2"] - eq["u"])
+    gv = np.multiply(W_v, -b1, out=out_v)
+    gv += b1 * (p["beta2"] - eq["v"])
+    gu[:, :, 0] += src_u
+    gv[:, :, 0] += src_v
+    ps *= p["zeta1"]
+    qs *= p["zeta1"]
+    return {"u": gu, "v": gv, "r": ps, "s": qs}
+
+
+def _schnakenberg_steady(p) -> tuple[float, float]:
+    ue = p["alpha2"] + p["beta1"]
+    return ue, p["beta1"] / ue**2
+
+
+@dataclass(frozen=True)
+class Component:
+    """One unknown of a model: its geometry, its diffusion coefficient as a
+    function of (params, sizes), the law of its initial perturbation (None:
+    it starts at the equilibrium), and whether it is lifted."""
+
+    geometry: Geometry
+    coeff: Callable[[dict, dict], float]
+    perturbation: Perturbation | None
+    lifted: bool = False
+
+
+@dataclass(frozen=True)
+class Model:
+    """One experiment: published ``params`` and ``sizes``; ``components`` in
+    the model's order; ``equilibrium(params)``; ``rho(n, params, sizes)``,
+    the radial operator, or None when no component has a radial axis;
+    ``buffers``, the component whose field shape each kinetics buffer
+    takes; and the ``reaction`` function."""
+
+    params: dict[str, float]
+    sizes: dict[str, float]
+    components: dict[str, Component]
+    equilibrium: Callable[[dict], dict[str, float]]
+    rho: Callable[[int, dict, dict], TridiagonalOperator] | None
+    buffers: tuple[str, ...]
+    reaction: Callable[..., dict[str, np.ndarray]]
+
+    def allocate(self, shapes: dict[str, tuple[int, ...]]) -> tuple[np.ndarray, ...]:
+        """The kinetics buffers, for these component field shapes."""
+        return tuple(np.empty(shapes[c]) for c in self.buffers)
+
+    def buffer_bytes(self, shapes: dict[str, tuple[int, ...]]) -> int:
+        """What :meth:`allocate` takes, in bytes."""
+        return sum(8 * math.prod(shapes[c]) for c in self.buffers)
+
+
+def _sphere_surface(law: Perturbation) -> dict[str, Component]:
+    """r and s on the sphere of radius rho_star, where the unit sphere's
+    operator is scaled by 1/rho_star^2 and s diffuses epsilon times as fast."""
+    return {
+        "r": Component(Geometry.SPHERE, lambda p, sizes: 1.0 / sizes["rho_star"] ** 2, law),
+        "s": Component(
+            Geometry.SPHERE, lambda p, sizes: p["epsilon"] / sizes["rho_star"] ** 2, law
+        ),
+    }
+
+
+MODELS: dict[ModelName, Model] = {
+    ModelName.BVAM_DISK: Model(
+        params={
+            "gamma": 3.87e-3,
+            "delta": 7.5e-3,
+            "alpha1": 0.899,
+            "alpha2": 0.2,
+            "alpha3": 0.2,
+            "beta1": -0.91,
+            "beta2": -0.899,
+        },
+        sizes={"rho_star": 1.0},
+        components={
+            "u": Component(Geometry.DISK, lambda p, sizes: p["gamma"], Uniform(-0.5, 0.5)),
+            "v": Component(Geometry.DISK, lambda p, sizes: p["delta"], Uniform(-0.5, 0.5)),
+        },
+        equilibrium=lambda p: {"u": 0.0, "v": 0.0},
+        rho=lambda n, p, sizes: build_rho(2, n, sizes["rho_star"]),
+        buffers=("u",) * 3,
+        reaction=_bvam_reaction,
+    ),
+    # the weighted radial stencil and the usual periodic angle, integrated
+    # in lifted variables (homogeneous Dirichlet)
+    ModelName.SCHNAKENBERG_ANOMALOUS_DISK: Model(
+        params={
+            "alpha1": 5.0e2,
+            "alpha2": 1.4e-1,
+            "beta1": 1.34,
+            "delta": 5.0e1,
+            "lambda": -1.95,
+        },
+        sizes={"rho_star": 1.0},
+        components={
+            "u": Component(Geometry.DISK, lambda p, sizes: 1.0, Normal(1e-5), True),
+            "v": Component(Geometry.DISK, lambda p, sizes: p["delta"], Normal(1e-5), True),
+        },
+        equilibrium=lambda p: dict(zip(("u", "v"), _schnakenberg_steady(p))),
+        rho=lambda n, p, sizes: build_lambda(n, sizes["rho_star"], p["lambda"]),
+        buffers=("u",) * 4,
+        reaction=_anomalous_reaction,
+    ),
+    ModelName.DIB_SPHERE: Model(
+        params={
+            "zeta1": 10.0,
+            "zeta2": 10.0,
+            "zeta3": 1.0,
+            "zeta4": 48.0,
+            "zeta5": 0.5,
+            "eta1": 5.0,
+            "eta2": 2.5,
+            "eta3": 0.2,
+            "eta5": 1.5,
+            "epsilon": 20.0,
+        },
+        sizes={"rho_star": 1.1653},
+        components=_sphere_surface(Normal(1e-6)),
+        equilibrium=lambda p: {"r": 0.0, "s": p["zeta5"]},
+        rho=None,
+        buffers=("r",) * 3,
+        reaction=_dib_reaction,
+    ),
+    ModelName.BULK_SURFACE_SCHNAKENBERG_BALL: Model(
+        params={
+            "alpha1": 55.0,
+            "alpha2": 0.1,
+            "beta1": 0.9,
+            "zeta1": 55.0,
+            "zeta2": 5.0 / 12.0,
+            "zeta3": 5.0 / 12.0,
+            "eta1": 5.0,
+            "eta2": 5.0,
+            "delta": 10.0,
+            "epsilon": 10.0,
+        },
+        sizes={"rho_star": 1.0},
+        components={
+            "u": Component(Geometry.BALL, lambda p, sizes: 1.0, Normal(1e-3)),
+            "v": Component(Geometry.BALL, lambda p, sizes: p["delta"], Normal(1e-3)),
+            **_sphere_surface(Normal(1e-3)),
+        },
+        equilibrium=lambda p: dict(zip(("u", "v", "r", "s"), 2 * _schnakenberg_steady(p))),
+        rho=lambda n, p, sizes: build_rho(3, n, sizes["rho_star"]),
+        buffers=("u",) * 2 + ("r",) * 5,
+        reaction=_ball_reaction,
+    ),
+    ModelName.BSDIB_CYLINDER: Model(
+        params={
+            "alpha1": 1.0,
+            "alpha2": 1.0,
+            "alpha3": 0.15,
+            "beta1": 1.0,
+            "beta2": 1.0,
+            "beta3": 0.15,
+            "delta": 1.0,
+            "epsilon": 20.0,
+            "zeta1": 1.0,
+            "zeta2": 10.0,
+            "zeta3": 1.0,
+            "zeta4": 66.0,
+            "zeta5": 0.5,
+            "eta1": 3.0,
+            "eta2": 2.5,
+            "eta3": 0.2,
+            "eta5": 1.5,
+        },
+        sizes={"rho_star": 25.0, "z_star": 25.0},
+        components={
+            "u": Component(Geometry.CYLINDER, lambda p, sizes: 1.0, None, True),
+            "v": Component(Geometry.CYLINDER, lambda p, sizes: p["delta"], None, True),
+            "r": Component(Geometry.DISK, lambda p, sizes: 1.0, Uniform(0.0, 1e-2)),
+            "s": Component(Geometry.DISK, lambda p, sizes: p["epsilon"], Uniform(0.0, 1e-2)),
+        },
+        equilibrium=lambda p: {"u": p["alpha2"], "v": p["beta2"], "r": 0.0, "s": p["zeta5"]},
+        rho=lambda n, p, sizes: build_rho(2, n, sizes["rho_star"]),
+        buffers=("u",) * 2 + ("r",) * 7,
+        reaction=_cylinder_reaction,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # coupled-system assembly
 # ---------------------------------------------------------------------------
 
@@ -458,17 +596,15 @@ def component_shapes(
 ) -> dict[str, tuple[int, ...]]:
     """Field dims per component, from the per-axis point counts."""
     return {
-        comp: tuple(dims[f"n_{axis}"] for axis in geometry.axes)
-        for comp, geometry in COMPONENT_GEOMETRY[name].items()
+        comp: tuple(dims[f"n_{axis}"] for axis in c.geometry.axes)
+        for comp, c in MODELS[name].components.items()
     }
 
 
 def dim_keys(name: ModelName) -> tuple[str, ...]:
     """The point-count keys (``n_<axis>``) a model needs, in axis order."""
-    keys: dict[str, None] = {}
-    for geometry in COMPONENT_GEOMETRY[name].values():
-        keys.update((f"n_{axis}", None) for axis in geometry.axes)
-    return tuple(keys)
+    components = MODELS[name].components.values()
+    return tuple(dict.fromkeys(f"n_{axis}" for c in components for axis in c.geometry.axes))
 
 
 def build_system(
@@ -477,7 +613,10 @@ def build_system(
     seed: int,
     overrides: dict[str, float] | None = None,
 ) -> CoupledSystem:
-    """Assemble operators, initial fields and the kinetics evaluator.
+    """Assemble the model's record into operators, initial fields and the
+    kinetics evaluator.  Each axis's 1-d operator is built once and shared
+    by every component on it.  Constants that overflow or divide by zero on
+    the way are a ``ValueError``, like the other bad constants.
 
     The evaluator returns a dict of arrays that its next call overwrites
     while the caller still holds that dict (see :func:`_reusing`).
@@ -488,23 +627,59 @@ def build_system(
         raise ValueError("pass overrides via model_spec when supplying a ModelSpec")
     _check_constants(spec)
     _check_memory(spec.name, dims)
-    builder = {
-        ModelName.BVAM_DISK: _build_bvam,
-        ModelName.SCHNAKENBERG_ANOMALOUS_DISK: _build_anomalous,
-        ModelName.DIB_SPHERE: _build_dib_sphere,
-        ModelName.BULK_SURFACE_SCHNAKENBERG_BALL: _build_ball,
-        ModelName.BSDIB_CYLINDER: _build_cylinder,
-    }[spec.name]
-    components, buffers, compute = builder(spec, dims, seed)
-    eq = spec.equilibrium()
-    # On one-point fields, so that the check costs the same at any dims.  At
-    # the equilibrium itself a huge constant can cancel (the DIB eta4 is
-    # derived to make it so), hence also the points one unit to either side.
-    point = {c.name: (1,) * c.initial.ndim for c in components}
-    scratch = buffers(point)
+    model = MODELS[spec.name]
+    p, sizes = spec.params, spec.sizes
+    build_axis = {
+        "rho": lambda n: model.rho(n, p, sizes),
+        "theta": build_theta,
+        "phi": lambda n: build_phi_op(n)[0],
+        "z": lambda n: build_z(n, sizes["z_star"]),
+    }
+    try:
+        # numpy's overflow and division by zero raise here, as Python's do
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            counts = {key.removeprefix("n_"): dims[key] for key in dim_keys(spec.name)}
+            axes = {axis: build_axis[axis](n) for axis, n in counts.items()}
+        eq = spec.equilibrium()
+        coeffs = {name: c.coeff(p, sizes) for name, c in model.components.items()}
+        for name, coeff in coeffs.items():
+            if coeff < 0:
+                raise ValueError(
+                    f"component {name!r} has a negative diffusion coefficient {coeff!r}"
+                )
+        lifts = {name: eq[name] if c.lifted else 0.0 for name, c in model.components.items()}
+
+        def compute(states, out):
+            return model.reaction(states, out, p, eq, axes)
+
+        _check_kinetics(model, eq, lifts, compute)
+    except ArithmeticError as exc:
+        raise ValueError(
+            f"the constants of model {spec.name.value} overflow or divide by zero: {exc}"
+        ) from exc
+    initial = random_initial_condition(spec, seed, dims)
+    components = []
+    for name, c in model.components.items():
+        ops = ComponentOps(c.geometry, coeffs[name], **{a: axes[a] for a in c.geometry.axes})
+        field = np.subtract(initial[name], lifts[name], out=initial[name])
+        components.append(SystemComponent(name, ops, field, lifts[name]))
+    shapes = {c.name: c.ops.shape for c in components}
+    return CoupledSystem(
+        spec, components, _reusing(lambda: model.allocate(shapes), compute), eq
+    )
+
+
+def _check_kinetics(model: Model, eq: dict, lifts: dict, compute) -> None:
+    """Reject constants that make the kinetics non-finite.  On one-point
+    fields, so that the check costs the same at any dims.  At the
+    equilibrium itself a huge constant can cancel (the DIB eta4 is derived
+    to make it so), hence also the points one unit to either side."""
+    point = {name: (1,) * len(c.geometry.axes) for name, c in model.components.items()}
+    scratch = model.allocate(point)
     for shift in (0.0, 1.0, -1.0):
         states = {
-            c.name: np.full(point[c.name], eq[c.name] - c.lift + shift) for c in components
+            name: np.full(shape, eq[name] - lifts[name] + shift)
+            for name, shape in point.items()
         }
         with np.errstate(all="ignore"):
             values = compute(states, scratch)
@@ -514,8 +689,6 @@ def build_system(
                     f"the model constants make the kinetics of {name!r} non-finite "
                     f"at {shift:+g} from the equilibrium"
                 )
-    shapes = {c.name: c.ops.shape for c in components}
-    return CoupledSystem(spec, components, _reusing(lambda: buffers(shapes), compute), eq)
 
 
 class _Reaction(dict):
@@ -547,12 +720,13 @@ def _reusing(allocate, compute) -> Callable[[dict[str, np.ndarray]], dict]:
 
 def _check_memory(name: ModelName, dims: dict[str, int]) -> None:
     """Reject dims whose arrays cannot fit in physical memory.  Counted per
-    component: the initial and the current field, a kinetics output and
-    one kinetics scratch field, and the factors ``prepare`` keeps; per field
+    component: the initial and the current field, and the factors
+    ``prepare`` keeps; the kinetics buffers of the model's record; per field
     shape: the step workspace, two fields and a spectrum of about one."""
+    model = MODELS[name]
     shapes = component_shapes(name, dims)
-    need = sum(
-        8 * 4 * math.prod(shape) + prepared_bytes(COMPONENT_GEOMETRY[name][comp], shape)
+    need = model.buffer_bytes(shapes) + sum(
+        8 * 2 * math.prod(shape) + prepared_bytes(model.components[comp].geometry, shape)
         for comp, shape in shapes.items()
     )
     need += sum(8 * 3 * math.prod(shape) for shape in set(shapes.values()))
@@ -566,7 +740,8 @@ def _check_memory(name: ModelName, dims: dict[str, int]) -> None:
 
 def _check_constants(spec: ModelSpec) -> None:
     """Reject a non-finite parameter or size, including the derived eta4 of
-    the DIB kinetics, before anything is built."""
+    the DIB kinetics, and a size that is not positive, before anything is
+    built."""
     constants = {**spec.params, **spec.sizes}
     if "zeta5" in spec.params:
         try:
@@ -576,191 +751,8 @@ def _check_constants(spec: ModelSpec) -> None:
     for key, value in constants.items():
         if not math.isfinite(value):
             raise ValueError(f"model constant {key} must be finite, got {value!r}")
-
-
-def _component(
-    spec: ModelSpec,
-    name: str,
-    coeff: float,
-    axes: dict,
-    initial: dict[str, np.ndarray],
-    lift: float = 0.0,
-) -> SystemComponent:
-    """One component on the geometry ``COMPONENT_GEOMETRY`` gives it, built
-    from the 1-d operators of that geometry's axes.  Its initial field is
-    ``initial[name]`` itself, lifted in place."""
-    if coeff < 0:
-        raise ValueError(
-            f"component {name!r} has a negative diffusion coefficient {coeff!r}"
-        )
-    geometry = COMPONENT_GEOMETRY[spec.name][name]
-    ops = ComponentOps(geometry, coeff, **{axis: axes[axis] for axis in geometry.axes})
-    return SystemComponent(
-        name=name,
-        ops=ops,
-        initial=np.subtract(initial[name], lift, out=initial[name]),
-        lift=lift,
-    )
-
-
-def _build_bvam(spec: ModelSpec, dims, seed):
-    p = spec.params
-    axes = {
-        "rho": build_rho(2, dims["n_rho"], spec.sizes["rho_star"]),
-        "theta": build_theta(dims["n_theta"]),
-    }
-    init = random_initial_condition(spec, seed, dims)
-
-    def buffers(shapes):
-        return _fields(shapes["u"], 3)
-
-    def compute(states, out):
-        b, c = bvam_kinetics(states["u"], states["v"], p, out=out)
-        return {"u": b, "v": c}
-
-    components = [
-        _component(spec, "u", p["gamma"], axes, init),
-        _component(spec, "v", p["delta"], axes, init),
-    ]
-    return components, buffers, compute
-
-
-def _build_anomalous(spec: ModelSpec, dims, seed):
-    p = spec.params
-    # the weighted radial stencil and the usual periodic angle, integrated
-    # in lifted variables (homogeneous Dirichlet)
-    axes = {
-        "rho": build_lambda(dims["n_rho"], spec.sizes["rho_star"], p["lambda"]),
-        "theta": build_theta(dims["n_theta"]),
-    }
-    init = random_initial_condition(spec, seed, dims)
-    eq = spec.equilibrium()
-
-    def component(name, coeff):
-        return _component(spec, name, coeff, axes, init, lift=eq[name])
-
-    def buffers(shapes):
-        return _fields(shapes["u"], 4)
-
-    def compute(states, buf):
-        u, v, *out = buf
-        np.add(states["u"], eq["u"], out=u)
-        np.add(states["v"], eq["v"], out=v)
-        gu, gv = schnakenberg_kinetics(u, v, p, out=out)
-        gu *= p["alpha1"]
-        gv *= p["alpha1"]
-        return {"u": gu, "v": gv}
-
-    return [component("u", 1.0), component("v", p["delta"])], buffers, compute
-
-
-def _build_dib_sphere(spec: ModelSpec, dims, seed):
-    p = spec.params
-    rho_star = spec.sizes["rho_star"]
-    axes = {
-        "theta": build_theta(dims["n_theta"]),
-        "phi": build_phi_op(dims["n_phi"])[0],
-    }
-    init = random_initial_condition(spec, seed, dims)
-
-    def buffers(shapes):
-        return _fields(shapes["r"], 3)
-
-    def compute(states, out):
-        pr, qs = dib_kinetics(states["r"], states["s"], p, out=out)
-        pr *= p["zeta1"]
-        qs *= p["zeta1"]
-        return {"r": pr, "s": qs}
-
-    components = [
-        _component(spec, "r", 1.0 / rho_star**2, axes, init),
-        _component(spec, "s", p["epsilon"] / rho_star**2, axes, init),
-    ]
-    return components, buffers, compute
-
-
-def _build_ball(spec: ModelSpec, dims, seed):
-    p = spec.params
-    rho_star = spec.sizes["rho_star"]
-    rho = build_rho(3, dims["n_rho"], rho_star)
-    axes = {
-        "rho": rho,
-        "theta": build_theta(dims["n_theta"]),
-        "phi": build_phi_op(dims["n_phi"])[0],
-    }
-    init = random_initial_condition(spec, seed, dims)
-    h_rho = rho.h
-    rho_edge = rho.grid[-1]
-
-    def buffers(shapes):
-        return _fields(shapes["u"], 2), _fields(shapes["r"], 5)
-
-    def compute(states, buf):
-        bulk, surface = buf
-        u, v, r, s = states["u"], states["v"], states["r"], states["s"]
-        src_u, src_v, ps, qs = bulk_surface_coupling_ball(
-            u[-1, :, :], v[-1, :, :], r, s, p, h_rho, rho_edge, out=surface
-        )
-        gu, gv = schnakenberg_kinetics(u, v, p, out=bulk)
-        gu *= p["alpha1"]
-        gv *= p["alpha1"]
-        gu[-1, :, :] += src_u
-        gv[-1, :, :] += src_v
-        ps *= p["zeta1"]
-        qs *= p["zeta1"]
-        return {"u": gu, "v": gv, "r": ps, "s": qs}
-
-    components = [
-        _component(spec, "u", 1.0, axes, init),
-        _component(spec, "v", p["delta"], axes, init),
-        _component(spec, "r", 1.0 / rho_star**2, axes, init),
-        _component(spec, "s", p["epsilon"] / rho_star**2, axes, init),
-    ]
-    return components, buffers, compute
-
-
-def _build_cylinder(spec: ModelSpec, dims, seed):
-    p = spec.params
-    z = build_z(dims["n_z"], spec.sizes["z_star"])
-    axes = {
-        "rho": build_rho(2, dims["n_rho"], spec.sizes["rho_star"]),
-        "theta": build_theta(dims["n_theta"]),
-        "z": z,
-    }
-    init = random_initial_condition(spec, seed, dims)
-    eq = spec.equilibrium()
-    h_z = z.h
-
-    def buffers(shapes):
-        return _fields(shapes["u"], 2), _fields(shapes["r"], 7)
-
-    def compute(states, buf):
-        (out_u, out_v), (u_bottom, v_bottom, *surface) = buf
-        W_u, W_v = states["u"], states["v"]
-        np.add(W_u[:, :, 0], eq["u"], out=u_bottom)
-        np.add(W_v[:, :, 0], eq["v"], out=v_bottom)
-        src_u, src_v, ps, qs = bs_cylinder_coupling(
-            u_bottom, v_bottom, states["r"], states["s"], p, h_z, out=surface
-        )
-        # -alpha1 (u - alpha2) with u = W_u + u*, without lifting the field
-        a1, b1 = p["alpha1"], p["beta1"]
-        gu = np.multiply(W_u, -a1, out=out_u)
-        gu += a1 * (p["alpha2"] - eq["u"])
-        gv = np.multiply(W_v, -b1, out=out_v)
-        gv += b1 * (p["beta2"] - eq["v"])
-        gu[:, :, 0] += src_u
-        gv[:, :, 0] += src_v
-        ps *= p["zeta1"]
-        qs *= p["zeta1"]
-        return {"u": gu, "v": gv, "r": ps, "s": qs}
-
-    components = [
-        _component(spec, "u", 1.0, axes, init, lift=eq["u"]),
-        _component(spec, "v", p["delta"], axes, init, lift=eq["v"]),
-        _component(spec, "r", 1.0, axes, init),
-        _component(spec, "s", p["epsilon"], axes, init),
-    ]
-    return components, buffers, compute
+        if key in spec.sizes and value <= 0:
+            raise ValueError(f"model size {key} must be positive, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

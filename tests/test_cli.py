@@ -242,6 +242,21 @@ def test_usage_errors_exit_2(tmp_path):
         assert run_cli("run", *sphere, "--tstar", "0.01", "--set", bad, *out) == 2
     # finite, but the kinetics overflow one unit from the equilibrium
     assert run_cli("run", *sphere, "--tstar", "0.1", "--set", "params.eta3=-1e308", *out) == 2
+    # a size that is not positive, or whose grid spacing or coefficients
+    # divide by zero or overflow
+    cylinder = ["--model", "bsdib_cylinder", "--n-rho", "4", "--n-theta", "6", "--n-z", "4"]
+    sizes = [
+        (["--model", "dib_sphere", "--n-theta", "8", "--n-phi", "6"], "rho_star",
+         ("-1", "0", "1e-200", "1e300")),
+        (disk, "rho_star", ("1e-300", "1e300")),
+        (cylinder, "rho_star", ("1e-300",)),
+        (cylinder, "z_star", ("1e-300",)),
+    ]
+    for model, key, values in sizes:
+        for value in values:
+            step = ["--tstar", "0.01", "--set", f"params.{key}={value}"]
+            assert run_cli("run", *model, "--m", "2", *step, *out) == 2, (model, key, value)
+            assert run_cli("converge", *model, "--m-list", "2", *step) == 2, (model, key, value)
     # fields and factors far beyond physical memory
     huge = ["--model", "bvam_disk", "--n-rho", "100000", "--n-theta", "100000"]
     assert run_cli("run", *huge, "--m", "2", "--tstar", "0.1", *out) == 2

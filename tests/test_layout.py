@@ -35,22 +35,23 @@ def test_every_top_level_definition_is_used_in_src():
 
 
 
-def _geometry_members(node: ast.AST):
-    """Every ``Geometry.<MEMBER>`` attribute inside ``node``."""
+def _enum_members(node: ast.AST):
+    """Every ``Geometry.<MEMBER>`` and ``ModelName.<MEMBER>`` attribute
+    inside ``node``."""
     for inner in ast.walk(node):
         if (
             isinstance(inner, ast.Attribute)
             and isinstance(inner.value, ast.Name)
-            and inner.value.id == "Geometry"
+            and inner.value.id in ("Geometry", "ModelName")
             and inner.attr.isupper()
         ):
             yield inner
 
 
-def test_no_src_module_compares_against_a_geometry_member():
-    # geometry is data: the tables keyed by Geometry hold what differs
-    # between geometries, so no code compares a value against one member
-    # (is, ==, in and their negations, or a match case)
+def test_no_src_module_compares_against_a_geometry_or_model_member():
+    # geometries and models are data: the tables keyed by Geometry and by
+    # ModelName hold what differs between them, so no code compares a value
+    # against one member (is, ==, in and their negations, or a match case)
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -61,8 +62,8 @@ def test_no_src_module_compares_against_a_geometry_member():
             else:
                 continue
             found += [
-                f"{path.name}:{member.lineno}:Geometry.{member.attr}"
+                f"{path.name}:{member.lineno}:{member.value.id}.{member.attr}"
                 for operand in operands
-                for member in _geometry_members(operand)
+                for member in _enum_members(operand)
             ]
     assert found == []

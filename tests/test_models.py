@@ -187,6 +187,107 @@ def test_model_spec_overrides_and_unknown_keys():
         models.model_spec("bvam_disk", {"zeta1": 1.0})
 
 
+# Each model at small dims with every constant (parameter or size) scaled by
+# its own factor in [0.9, 1), so that a constant read under another key
+# changes the run even where the defaults are equal (the ball's delta and
+# epsilon, zeta2 and zeta3, eta1 and eta2).  Digest: SHA-256 of the final
+# fields' bytes after 5 steps, in component order.
+_ROUTING_RUNS = {
+    "bvam_disk": (
+        {"n_rho": 5, "n_theta": 8}, 0.5,
+        "5c53a5671f6b0ac0f3bd5be533d00af0ede084912e35702d9eb56de8863796df",
+    ),
+    "schnakenberg_anomalous_disk": (
+        {"n_rho": 5, "n_theta": 8}, 1e-3,
+        "b39d968abf3dddb9ceb1b9f4c9b4920650007e257b4889af7ccbb4e6a3fbcb26",
+    ),
+    "dib_sphere": (
+        {"n_theta": 8, "n_phi": 5}, 0.01,
+        "34507d26f650e84c4a9ad3359f7fb073fcd266d01e9b2000571b101a402ae195",
+    ),
+    "bulk_surface_schnakenberg_ball": (
+        {"n_rho": 4, "n_theta": 6, "n_phi": 4}, 1e-3,
+        "93f6c95deac1875c9d74d41f380b9d12c903c4b455429262bb96f7bab79149df",
+    ),
+    "bsdib_cylinder": (
+        {"n_rho": 4, "n_theta": 6, "n_z": 4}, 0.05,
+        "8a5a02a9b5f8ca81c3387ef1c8a119226ee6ab60afe2a435731f735b1d3ac800",
+    ),
+}
+
+
+def _scaled_constants(name, keys=None) -> dict[str, float]:
+    """Overrides scaling each constant in ``keys`` (default: all of the
+    model's) by a factor of its own, 0.99, 0.985, ... in sorted key order."""
+    spec = models.model_spec(name)
+    constants = {**spec.params, **spec.sizes}
+    factors = {key: 0.99 - 0.005 * i for i, key in enumerate(sorted(constants))}
+    return {key: constants[key] * factors[key] for key in keys or constants}
+
+
+@pytest.mark.parametrize("name", list(_ROUTING_RUNS))
+def test_every_constant_is_routed_to_its_own_use(name):
+    dims, t_star, digest = _ROUTING_RUNS[name]
+    spec = models.model_spec(name, _scaled_constants(name))
+    system = models.build_system(spec, dims, seed=3)
+    fields = run_simulation(system, 5, t_star).fields
+    got = hashlib.sha256(b"".join(fields[c.name].tobytes() for c in system.components))
+    assert got.hexdigest() == digest
+
+
+def _system_fingerprint(system) -> bytes:
+    """Coefficients, lifts, axis grids, initial fields and the kinetics at a
+    fixed state away from the equilibrium, as bytes."""
+    parts = []
+    states = {}
+    for c in system.components:
+        parts += [np.float64(c.ops.coeff).tobytes(), np.float64(c.lift).tobytes()]
+        parts += [axis.grid.tobytes() for axis in c.ops.axis_ops()]
+        parts.append(c.initial.tobytes())
+        size = math.prod(c.ops.shape)
+        states[c.name] = np.linspace(0.05, 0.25, size).reshape(c.ops.shape)
+    G = system.kinetics(states)
+    return b"".join(parts + [G[c.name].tobytes() for c in system.components])
+
+
+@pytest.mark.parametrize("name", list(_ROUTING_RUNS))
+def test_scaling_any_one_constant_changes_the_system(name):
+    # what the routing digest pins depends on every constant: none is unread
+    dims = _ROUTING_RUNS[name][0]
+    base = _system_fingerprint(models.build_system(name, dims, seed=3))
+    for key in _scaled_constants(name):
+        spec = models.model_spec(name, _scaled_constants(name, [key]))
+        assert _system_fingerprint(models.build_system(spec, dims, seed=3)) != base, key
+
+
+@pytest.mark.parametrize("name", list(models.ModelName))
+def test_memory_check_counts_the_kinetics_buffers(name):
+    dims = _ROUTING_RUNS[name.value][0]
+    system = models.build_system(name, dims, seed=1)
+    result = system.kinetics({c.name: c.initial for c in system.components})
+    shapes = models.component_shapes(name, dims)
+    assert models.MODELS[name].buffer_bytes(shapes) == sum(b.nbytes for b in result.buffers)
+
+
+@pytest.mark.parametrize("name", list(models.ModelName))
+def test_build_system_builds_each_axis_and_draws_once(name, monkeypatch):
+    # every component on an axis shares its operator, so each axis's
+    # eigendecomposition and the polar-angle offset solve run once
+    calls = []
+    for fn in ("build_rho", "build_lambda", "build_theta", "build_phi_op", "build_z",
+               "random_initial_condition"):
+        def spy(*args, _fn=getattr(models, fn), _name=fn):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(models, fn, spy)
+    system = models.build_system(name, _ROUTING_RUNS[name.value][0], seed=1)
+    assert "random_initial_condition" in calls
+    assert len(calls) == len(set(calls)) == 1 + len(models.dim_keys(name))
+    ops = {id(axis) for c in system.components for axis in c.ops.axis_ops()}
+    assert len(ops) == len(models.dim_keys(name))
+
+
 def test_dib_eta4_is_recomputed_not_stored():
     spec = models.model_spec("dib_sphere")
     assert "eta4" not in spec.params
@@ -529,7 +630,7 @@ def test_geometry_table_is_the_one_source_of_axes(name, tmp_path):
     assert [c.name for c in system.components] == list(shapes)
     used = set()
     for c in system.components:
-        geometry = models.COMPONENT_GEOMETRY[name][c.name]
+        geometry = models.MODELS[name].components[c.name].geometry
         axes = geometry.axes
         assert c.ops.geometry is geometry
         assert shapes[c.name] == c.ops.shape == tuple(all_dims[f"n_{a}"] for a in axes)
