@@ -15,14 +15,15 @@ F_n = M W_n + G_n and each P_mu is phi1(tau M_mu).  An unweighted P_mu is
 one mode product with a dense phi1 matrix; a weighted one is a mode product
 with V^-1, an elementwise product with a precomputed phi1 tensor, and a mode
 product with V.  For a long periodic angle V is the real Fourier basis, so
-its pair of mode products becomes an rfft and an irfft.  A summand along
+its pair of mode products becomes an rfft and an irfft, run over slabs of
+the first mode when it is along a later one.  A summand along
 the last mode weighted by the first mode alone (the ball's phi summand) is
 a stack of one matrix per slice of the first mode, for M W and for phi1,
 each applied as one batched GEMM.  The tridiagonal operators of M W are
-applied as diagonal blocks plus the entries between them, along the last
-mode only when it is long.  So one code path serves every geometry and the
-cost per step is a fixed number of kernels.  The factor order must not be
-permuted (the factors do not commute).
+applied as diagonal blocks plus the links between neighbouring blocks,
+along the last mode only when it is long.  So one code path serves every
+geometry and the cost per step is a fixed number of kernels.  The factor
+order must not be permuted (the factors do not commute).
 
 Every kernel can write into a caller's array.  ``run_simulation`` owns one
 :class:`Workspace` per field shape and updates the states in place, so a
@@ -59,6 +60,11 @@ BLOCK_LAST_MIN = 80
 # Periodic angles with at least this many points apply phi1 by rfft; below
 # it the dense V^-1 and V products were as fast or faster.
 FFT_MIN_THETA = 128
+# An rfft along a mode after the first runs over slabs of first-mode rows
+# whose spectrum takes at most this many bytes (at least one row), so that
+# the slab stays in cache from rfft to irfft: 20 rho rows of the cylinder's
+# 81 x 20 spectrum, and the whole 160 x 81 spectrum of a 160 x 160 disk.
+FFT_SLAB_BYTES = 512 * 1024
 
 
 class DivergenceError(RuntimeError):
@@ -177,8 +183,10 @@ class SplitFactor:
 class Workspace:
     """Scratch for :func:`step_split` on fields of one shape: two real
     fields, and one complex rfft spectrum per mode that needs one, made on
-    first use.  Components of one shape can share it, since a step uses it
-    only while it runs."""
+    first use.  Along the first mode the spectrum covers the field; along a
+    later mode it holds one slab of first-mode rows, at most FFT_SLAB_BYTES
+    or one row (see :func:`tensor.fourier_mode_product`).  Components of
+    one shape can share it, since a step uses it only while it runs."""
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = shape
@@ -189,6 +197,9 @@ class Workspace:
         if mode not in self._spectra:
             half = list(self.shape)
             half[mode - 1] = half[mode - 1] // 2 + 1
+            if mode > 1:
+                row = 16 * math.prod(half[1:])
+                half[0] = min(half[0], max(1, FFT_SLAB_BYTES // row))
             self._spectra[mode] = np.empty(half, dtype=complex)
         return self._spectra[mode]
 
@@ -280,7 +291,7 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
             w = vectors[0]
             vectors[mode - 1] = fac.lambdas
             phi = phi1_outer(scale, vectors).reshape(w.size, 1, axis.n)
-            A_t = w[:, None, None] * A.T
+            A_t = w[:, None, None] * np.ascontiguousarray(A.T)
             P_t = (fac.V_inv.T * phi) @ fac.V.T
             factors.append(
                 SplitFactor(mode, A_t.transpose(0, 2, 1), None, P_t.transpose(0, 2, 1))
@@ -303,8 +314,9 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
 def prepared_bytes(geometry: Geometry, shape: tuple[int, ...]) -> int:
     """An upper bound on the bytes :func:`prepare` holds for one component
     of this shape, in the forms :func:`_form` picks.  Per summand: the M W
-    operator (n x n, or b x b blocks plus the index pairs and values of at
-    most 2 n / b entries outside them), its weights, and phi1 (an n x n
+    operator (n x n, or b x b blocks plus the 2 n / b links between them,
+    and along the last mode also the rows, columns and values of those
+    links, which its first product builds), its weights, and phi1 (an n x n
     matrix; V^-1 and V with a phi1 tensor over the mode and its weights;
     or a complex rfft symbol); a stacked summand holds two stacks of n_1
     matrices instead."""
@@ -315,7 +327,11 @@ def prepared_bytes(geometry: Geometry, shape: tuple[int, ...]) -> int:
         if form == "stacked":
             total += 2 * shape[0] * n * n
             continue
-        total += n * n if b is None else n * b + 3 * 2 * (n // b)
+        if b is None:
+            total += n * n
+        else:
+            links = 2 * (n // b)
+            total += n * b + links + (3 * links if mode == len(shape) else 0)
         if form == "dense":
             total += n * n
             continue

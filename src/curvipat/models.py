@@ -39,6 +39,7 @@ from .operators import (
     build_rho,
     build_theta,
     build_z,
+    symmetrize,
 )
 from .rng import Xoshiro256pp
 
@@ -616,7 +617,9 @@ def build_system(
     """Assemble the model's record into operators, initial fields and the
     kinetics evaluator.  Each axis's 1-d operator is built once and shared
     by every component on it.  Constants that overflow or divide by zero on
-    the way are a ``ValueError``, like the other bad constants.
+    the way, or that leave a tridiagonal axis operator without finite,
+    positive symmetrized off-diagonals, are a ``ValueError``, like the other
+    bad constants.
 
     The evaluator returns a dict of arrays that its next call overwrites
     while the caller still holds that dict (see :func:`_reusing`).
@@ -640,6 +643,15 @@ def build_system(
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             counts = {key.removeprefix("n_"): dims[key] for key in dim_keys(spec.name)}
             axes = {axis: build_axis[axis](n) for axis, n in counts.items()}
+            for axis, op in axes.items():
+                # prepare's eigensolver works on the symmetrized matrix
+                if isinstance(op, TridiagonalOperator):
+                    off = symmetrize(op)[1].off
+                    if not np.all((off > 0) & np.isfinite(off)):
+                        raise ValueError(
+                            f"the {axis} operator's symmetrized off-diagonals must be "
+                            f"finite and positive"
+                        )
         eq = spec.equilibrium()
         coeffs = {name: c.coeff(p, sizes) for name, c in model.components.items()}
         for name, coeff in coeffs.items():
@@ -722,14 +734,15 @@ def _check_memory(name: ModelName, dims: dict[str, int]) -> None:
     """Reject dims whose arrays cannot fit in physical memory.  Counted per
     component: the initial and the current field, and the factors
     ``prepare`` keeps; the kinetics buffers of the model's record; per field
-    shape: the step workspace, two fields and a spectrum of about one."""
+    shape: the step workspace, two fields and an rfft spectrum, which holds
+    n//2 + 1 complex values per n reals, so at most two fields."""
     model = MODELS[name]
     shapes = component_shapes(name, dims)
     need = model.buffer_bytes(shapes) + sum(
         8 * 2 * math.prod(shape) + prepared_bytes(model.components[comp].geometry, shape)
         for comp, shape in shapes.items()
     )
-    need += sum(8 * 3 * math.prod(shape) for shape in set(shapes.values()))
+    need += sum(8 * 4 * math.prod(shape) for shape in set(shapes.values()))
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(

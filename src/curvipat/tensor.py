@@ -1,6 +1,11 @@
 """Order-1/2/3 tensor kernels: dense, block-banded, real-Fourier and
 per-slice mu-mode products, vec/unvec and a dense Kronecker assembler.
 
+The wide kernels make no field-size temporary: a block-banded product adds
+the links between its diagonal blocks through views of the field, and a
+real-Fourier product along a later mode can run over slabs of the first
+mode through a spectrum of one slab.
+
 Fields are plain ``numpy.ndarray`` objects.  The linearization convention is
 first-index-fastest: element (i, j, k) of a field with dims (n1, n2, n3)
 sits at flat position i + j*n1 + k*n1*n2 (0-based), i.e. ``order='F'`` in
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,43 +76,65 @@ def mode_product(
 
 @dataclass(frozen=True)
 class BlockBanded:
-    """A square matrix of order n = k b held as its k diagonal b x b blocks
-    plus the few entries outside them, no two of those in one row.
+    """A square matrix of order n = k b (b >= 2) held as its k diagonal
+    b x b blocks plus the links between neighbouring blocks.
 
-    For a (circulant) tridiagonal matrix the entries outside the blocks are
-    the sub- and superdiagonal entries at block boundaries and the two
-    periodic corners.
+    ``up[i]`` is the entry in the last row of block i and the first column
+    of block i + 1, ``down[i]`` the mirror entry, in the first row of block
+    i + 1 and the last column of block i.  The last link of each wraps
+    round: ``up[-1]`` and ``down[-1]`` are the corners of a circulant
+    matrix (zero for a plain tridiagonal one, and for k = 1, where the
+    corners lie in the one block).
     """
 
     blocks: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
 
     @classmethod
     def from_dense(cls, A: np.ndarray, b: int, last_mode: bool = False) -> "BlockBanded":
-        """Split A into b x b diagonal blocks.  With ``last_mode`` each block
-        is laid out transposed in memory (same values), so that the
-        last-mode product reads it as a contiguous right factor."""
+        """Split A into b x b diagonal blocks and the links between them;
+        any other entry outside the blocks is an error.  With ``last_mode``
+        each block is laid out transposed in memory (same values), so that
+        the last-mode product reads it as a contiguous right factor."""
         A = np.asarray(A, dtype=float)
         n = A.shape[0]
-        if A.shape != (n, n) or b < 1 or n % b:
+        if A.shape != (n, n) or b < 2 or n % b:
             raise ValueError(f"cannot split a matrix of shape {A.shape} into {b}x{b} blocks")
         k = n // b
         diag = np.arange(k)
-        blocks = A.reshape(k, b, k, b)[diag, :, diag, :]
+        after = (diag + 1) % k
+        grid = A.reshape(k, b, k, b)
+        blocks = grid[diag, :, diag, :]
         if last_mode:
             blocks = np.ascontiguousarray(blocks.transpose(0, 2, 1)).transpose(0, 2, 1)
-        outside = A.copy()
-        outside.reshape(k, b, k, b)[diag, :, diag, :] = 0.0
-        rows, cols = np.nonzero(outside)
-        if len(np.unique(rows)) != len(rows):
-            raise ValueError("entries outside the diagonal blocks share a row")
-        return cls(blocks, rows, cols, outside[rows, cols])
+        if k == 1:
+            up = down = np.zeros(1)
+        else:
+            up, down = grid[diag, -1, after, 0], grid[after, 0, diag, -1]
+        outside = grid.copy()
+        outside[diag, :, diag, :] = 0.0
+        outside[diag, -1, after, 0] = outside[after, 0, diag, -1] = 0.0
+        if np.any(outside):
+            raise ValueError("an entry outside the diagonal blocks links no neighbours")
+        return cls(blocks, up, down)
 
     @property
     def n(self) -> int:
         return self.blocks.shape[0] * self.blocks.shape[1]
+
+    @cached_property
+    def gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of the nonzero links, built on first
+        use.  Along the last mode the links are strided columns of the
+        unfolding, and one indexed add of them beat the adds through views
+        (0.02-0.03 against 0.04-0.05 ms on a 160 x 160 disk's angle)."""
+        ends = np.arange(self.blocks.shape[1] - 1, self.n, self.blocks.shape[1])
+        starts = (ends + 1) % self.n
+        rows, cols = np.r_[ends, starts], np.r_[starts, ends]
+        vals = np.r_[self.up, self.down]
+        keep = vals != 0
+        return rows[keep], cols[keep], vals[keep]
 
 
 def banded_mode_product(
@@ -115,13 +143,15 @@ def banded_mode_product(
     """:func:`mode_product` with a :class:`BlockBanded` matrix, into ``out``
     as there.
 
-    One batched GEMM multiplies the diagonal blocks, then the entries
-    outside the blocks are gathered and added row by row.  Off the last
+    One batched GEMM multiplies the diagonal blocks, then the links between
+    blocks are added, each output row taking at most one.  Off the last
     mode the blocks multiply the C-order unfolding (pre, k, b, post) from
-    the left.  Along the last mode the batch runs over a transposed view
-    (k, pre, b) of the field, and each (pre x b) slab is multiplied from
-    the right by its block's transpose: k GEMMs with long rows, where one
-    (pre x n) @ (n x n) GEMM would spend most of its flops on zeros.
+    the left, and the links are added through views of it.  Along the last
+    mode the batch runs over a transposed view (k, pre, b) of the field,
+    and each (pre x b) slab is multiplied from the right by its block's
+    transpose: k GEMMs with long rows, where one (pre x n) @ (n x n) GEMM
+    would spend most of its flops on zeros; there the links are added by
+    one indexed add (:attr:`BlockBanded.gather`).
     """
     field = np.asarray(field)
     if not 1 <= mu <= field.ndim or field.shape[mu - 1] != op.n:
@@ -140,11 +170,17 @@ def banded_mode_product(
             op.blocks.transpose(0, 2, 1),
             out=res.reshape(slabs).transpose(1, 0, 2),
         )
-    else:
-        blocked = (pre, k, b, post)
-        np.matmul(op.blocks, field.reshape(blocked), out=res.reshape(blocked))
-    X = field.reshape(pre, op.n, post)
-    res.reshape(pre, op.n, post)[:, op.rows] += op.vals[:, None] * X[:, op.cols]
+        rows, cols, vals = op.gather
+        res.reshape(pre, op.n)[:, rows] += vals * field.reshape(pre, op.n)[:, cols]
+        return res
+    blocked = (pre, k, b, post)
+    X, R = field.reshape(blocked), res.reshape(blocked)
+    np.matmul(op.blocks, X, out=R)
+    R[:, :-1, -1] += op.up[:-1, None] * X[:, 1:, 0]
+    R[:, 1:, 0] += op.down[:-1, None] * X[:, :-1, -1]
+    if op.up[-1] or op.down[-1]:
+        R[:, -1, -1] += op.up[-1] * X[:, 0, 0]
+        R[:, 0, 0] += op.down[-1] * X[:, -1, -1]
     return res
 
 
@@ -188,8 +224,12 @@ def fourier_mode_product(
     ``symbol`` has n//2 + 1 entries along mode ``mu`` and broadcasts
     against the field along the others, so the circulant may vary with the
     other indices.  The result goes into ``out`` as in :func:`mode_product`,
-    and the complex spectrum into ``spectrum`` (the field's shape with
-    n//2 + 1 along mode ``mu``) when given.
+    and the complex spectrum into ``spectrum`` when given: the field's shape
+    with n//2 + 1 along mode ``mu``, except that for ``mu`` > 1 it may hold
+    fewer rows of the first mode.  Then the transform runs over slabs of
+    that many first-mode rows, each slab's rfft, scaling and irfft in turn,
+    so that the spectrum stays small; each line of the field is
+    transformed as a whole, so the result is the same.
     """
     field = np.asarray(field)
     axis = mu - 1
@@ -199,9 +239,20 @@ def fourier_mode_product(
             f"symbol of shape {symbol.shape} does not fit mode {mu} of field "
             f"with dims {field.shape}"
         )
-    spectrum = np.fft.rfft(field, axis=axis, out=spectrum)
-    spectrum *= symbol
-    return np.fft.irfft(spectrum, n, axis=axis, out=out)
+    n1 = field.shape[0]
+    rows = n1 if spectrum is None or axis == 0 else spectrum.shape[0]
+    if rows >= n1:
+        spectrum = np.fft.rfft(field, axis=axis, out=spectrum)
+        spectrum *= symbol
+        return np.fft.irfft(spectrum, n, axis=axis, out=out)
+    res = np.empty(field.shape) if out is None else out
+    varies = symbol.shape[0] > 1
+    for start in range(0, n1, rows):
+        slab = slice(start, start + rows)
+        part = np.fft.rfft(field[slab], axis=axis, out=spectrum[: min(rows, n1 - start)])
+        part *= symbol[slab] if varies else symbol
+        np.fft.irfft(part, n, axis=axis, out=res[slab])
+    return res
 
 
 def kron_assemble(matrices) -> np.ndarray:

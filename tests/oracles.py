@@ -1,4 +1,5 @@
-"""Reference code that only the tests use: the Tucker operator, each
+"""Reference code that only the tests use: the Tucker operator, the
+block-banded mode product as a gather of the entries outside the blocks, each
 geometry's Kronecker summands written out by hand, one dense classical
 exponential Euler step, the closed-form axial eigenpairs, and the
 integral-mean, stabilization and amplitude checks of the acceptance
@@ -30,6 +31,37 @@ def tucker(field: np.ndarray, matrices, skip: set[int] | None = None) -> np.ndar
             continue
         out = tensor.mode_product(mu, L, out)
     return out
+
+
+def banded_gather_product(
+    mu: int, op: tensor.BlockBanded, A: np.ndarray, field: np.ndarray
+) -> np.ndarray:
+    """The block-banded mode product of ``op``, split from the dense matrix
+    ``A``, in its first form: the same batched GEMM of the diagonal blocks,
+    then every nonzero entry of A outside the blocks gathered and added row
+    by row (``banded_mode_product`` must equal it bit for bit)."""
+    k, b, _ = op.blocks.shape
+    pre = math.prod(field.shape[: mu - 1])
+    post = math.prod(field.shape[mu:])
+    res = np.empty(field.shape)
+    if post == 1:
+        slabs = (pre, k, b)
+        np.matmul(
+            field.reshape(slabs).transpose(1, 0, 2),
+            op.blocks.transpose(0, 2, 1),
+            out=res.reshape(slabs).transpose(1, 0, 2),
+        )
+    else:
+        blocked = (pre, k, b, post)
+        np.matmul(op.blocks, field.reshape(blocked), out=res.reshape(blocked))
+    outside = np.array(A, dtype=float)
+    diag = np.arange(k)
+    outside.reshape(k, b, k, b)[diag, :, diag, :] = 0.0
+    rows, cols = np.nonzero(outside)
+    assert len(np.unique(rows)) == len(rows)
+    X = field.reshape(pre, op.n, post)
+    res.reshape(pre, op.n, post)[:, rows] += outside[rows, cols][:, None] * X[:, cols]
+    return res
 
 
 def kronecker_summands(base: ComponentOps) -> list[np.ndarray]:

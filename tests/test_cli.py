@@ -243,12 +243,13 @@ def test_usage_errors_exit_2(tmp_path):
     # finite, but the kinetics overflow one unit from the equilibrium
     assert run_cli("run", *sphere, "--tstar", "0.1", "--set", "params.eta3=-1e308", *out) == 2
     # a size that is not positive, or whose grid spacing or coefficients
-    # divide by zero or overflow
+    # divide by zero or overflow, or whose radial operator cannot be
+    # symmetrized (rho_star = 1e-150: finite spacing, but b c overflows)
     cylinder = ["--model", "bsdib_cylinder", "--n-rho", "4", "--n-theta", "6", "--n-z", "4"]
     sizes = [
         (["--model", "dib_sphere", "--n-theta", "8", "--n-phi", "6"], "rho_star",
          ("-1", "0", "1e-200", "1e300")),
-        (disk, "rho_star", ("1e-300", "1e300")),
+        (disk, "rho_star", ("1e-300", "1e-150", "1e300")),
         (cylinder, "rho_star", ("1e-300",)),
         (cylinder, "z_star", ("1e-300",)),
     ]

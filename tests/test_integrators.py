@@ -24,7 +24,12 @@ from curvipat.integrators import (
 )
 from curvipat.phifun import phi1_dense_oracle
 from curvipat import cli, integrators, models
-from oracles import dense_operator, kronecker_summands, step_exact_ee_reference
+from oracles import (
+    banded_gather_product,
+    dense_operator,
+    kronecker_summands,
+    step_exact_ee_reference,
+)
 
 
 def disk_base(n_rho=4, n_theta=4, coeff=0.7):
@@ -153,6 +158,10 @@ def test_prepare_picks_forms_from_mode_size_and_position(name, dims, blocks, fou
             n = dims[f.mode - 1]
             assert f.mode == len(dims) and f.weight is None
             assert f.A.shape == f.phi1.shape == (dims[0], n, n)
+            # laid out transposed, so that the batched GEMM reads each
+            # stack as a contiguous right factor
+            assert f.A.transpose(0, 2, 1).flags.c_contiguous
+            assert f.phi1.transpose(0, 2, 1).flags.c_contiguous
         else:
             got[f.mode] = None
         if f.weight is not None and f.mode == ops.base.geometry.axes.index("theta") + 1:
@@ -482,7 +491,9 @@ def held_bytes(ops) -> int:
     for f in ops.factors:
         for part in (f.A, f.weight, f.phi1):
             if isinstance(part, tensor.BlockBanded):
-                arrays += [part.blocks, part.rows, part.cols, part.vals]
+                arrays += [part.blocks, part.up, part.down]
+                if f.mode == len(ops.shape):  # built by the first product
+                    arrays += part.gather
             elif isinstance(part, tuple):
                 arrays += part
             elif part is not None:
@@ -516,6 +527,43 @@ def test_prepared_bytes_bounds_what_prepare_holds():
             assert held <= estimate <= 1.05 * held, (name, dims, c.name)
 
 
+def test_banded_mode_product_equals_the_gather_oracle_bitwise():
+    # the links between blocks, added through views, cost each output
+    # element the same floating-point operations as gathering the entries
+    # outside the blocks did: on every block-banded operator prepare builds
+    rng = np.random.RandomState(21)
+    kinds = set()
+    for name, dims in shipped_dims():
+        system = models.build_system(name, dims, seed=1)
+        for c in system.components:
+            axes = c.ops.axis_ops()
+            for f in prepare(c.ops, 1e-3).factors:
+                if not isinstance(f.A, tensor.BlockBanded):
+                    continue
+                T = rng.randn(*c.ops.shape)
+                A = c.ops.coeff * axes[f.mode - 1].toarray()
+                got = tensor.banded_mode_product(f.mode, f.A, T)
+                assert np.array_equal(got, banded_gather_product(f.mode, f.A, A, T)), name
+                if f.A.up[-1]:
+                    kinds.add("periodic")
+                if f.A.blocks.shape[0] == 2:
+                    kinds.add("k = 2")
+                if f.mode == len(dims):
+                    kinds.add("last mode")
+    assert kinds == {"periodic", "k = 2", "last mode"}
+
+
+def test_workspace_spectrum_holds_one_slab_after_the_first_mode():
+    # the cylinder's theta spectrum is held as slabs of 20 rho rows within
+    # FFT_SLAB_BYTES, a row larger than that alone; a disk's fits whole, and
+    # one along the first mode covers the field
+    cases = [((160, 160, 20), 2, (20, 81, 20)), ((3, 100000), 2, (1, 50001)),
+             ((160, 160), 2, (160, 81)), ((128, 160), 1, (65, 160))]
+    for shape, mode, slab in cases:
+        spectrum = integrators.Workspace(shape).spectrum(mode)
+        assert spectrum.shape == slab and spectrum.dtype == complex
+
+
 def test_run_simulation_single_step_equals_manual():
     # one step and several, on every model: the in-place run loop equals a
     # loop of pure steps
@@ -536,21 +584,10 @@ def test_run_simulation_single_step_equals_manual():
                 assert np.array_equal(res.fields[c.name], states[c.name]), (name, m)
 
 
-@pytest.mark.parametrize(
-    "name, dims",
-    [
-        ("bvam_disk", {"n_rho": 80, "n_theta": 320}),
-        ("schnakenberg_anomalous_disk", {"n_rho": 160, "n_theta": 120}),
-        ("dib_sphere", {"n_theta": 128, "n_phi": 160}),
-        ("bulk_surface_schnakenberg_ball", {"n_rho": 30, "n_theta": 50, "n_phi": 30}),
-        ("bsdib_cylinder", {"n_rho": 40, "n_theta": 128, "n_z": 8}),
-    ],
-)
-def test_run_loop_allocates_less_than_one_field(name, dims):
-    # the run loop keeps its states, kinetics outputs and step workspaces;
-    # what a warm step allocates beyond them (ufunc buffers, the gathered
-    # entries between diagonal blocks) stays below one field
-    system = models.build_system(name, dims, seed=3)
+def warm_step_allocation(system):
+    """Run five steps and return the peak that steps 3 to 5 allocate beyond
+    what the run loop held after step 2 (its states, kinetics outputs and
+    step workspaces), in units of the largest field, and the run's result."""
     largest = max(c.initial.nbytes for c in system.components)
     marks = {}
 
@@ -566,11 +603,39 @@ def test_run_loop_allocates_less_than_one_field(name, dims):
         res = run_simulation(system, 5, 1e-3, record_every=1, sample_hook=hook)
     finally:
         tracemalloc.stop()
-    assert marks["peak"] - marks["start"] < largest
+    return (marks["peak"] - marks["start"]) / largest, res
+
+
+@pytest.mark.parametrize(
+    "name, dims",
+    [
+        ("bvam_disk", {"n_rho": 80, "n_theta": 320}),
+        ("schnakenberg_anomalous_disk", {"n_rho": 160, "n_theta": 120}),
+        ("dib_sphere", {"n_theta": 128, "n_phi": 160}),
+        ("bulk_surface_schnakenberg_ball", {"n_rho": 30, "n_theta": 50, "n_phi": 30}),
+        ("bsdib_cylinder", {"n_rho": 40, "n_theta": 128, "n_z": 8}),
+    ],
+)
+def test_run_loop_allocates_less_than_one_field(name, dims):
+    # what a warm step allocates beyond the run loop's own arrays (ufunc
+    # buffers, the products with the links between diagonal blocks) stays
+    # below one field
+    system = models.build_system(name, dims, seed=3)
+    fields, res = warm_step_allocation(system)
+    assert fields < 1.0
     # the states are updated in place, so no kinetics output may alias one
     gs = system.kinetics(res.fields)
     for G in gs.values():
         assert not any(np.shares_memory(G, W) for W in res.fields.values())
+
+
+def test_shipped_cylinder_warm_step_allocates_a_small_part_of_a_field():
+    # links between blocks added through views and an rfft spectrum of one
+    # slab keep the shipped cylinder's warm step at 0.089 of a field (0.388
+    # with the links gathered and a whole-field spectrum)
+    dims = {"n_rho": 160, "n_theta": 160, "n_z": 20}
+    fields, _ = warm_step_allocation(models.build_system("bsdib_cylinder", dims, seed=3))
+    assert fields < 0.15
 
 
 def test_run_simulation_zero_data_stays_zero():

@@ -199,6 +199,10 @@ def test_block_banded_rejects_bad_splits():
         tensor.BlockBanded.from_dense(A, 5)
     with pytest.raises(ValueError):  # two entries outside the blocks in one row
         tensor.BlockBanded.from_dense(A, 1)
+    far = A.copy()
+    far[0, 8] = 1.0  # outside the blocks, but no link between neighbours
+    with pytest.raises(ValueError):
+        tensor.BlockBanded.from_dense(far, 4)
     op = tensor.BlockBanded.from_dense(A, 4)
     with pytest.raises(ValueError):
         tensor.banded_mode_product(1, op, np.zeros((8, 3)))
@@ -251,3 +255,28 @@ def test_fourier_mode_product_matches_fourier_eigenbasis_products(n):
             into = tensor.fourier_mode_product(mu, symbol, T, out=buf, spectrum=spectrum)
             assert np.shares_memory(into, buf) and np.array_equal(into, out)
             assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("dims, mu", [((30, 16, 4), 2), ((30, 5, 16), 3), ((30, 16), 2)])
+def test_fourier_mode_product_in_slabs_equals_the_whole_field_bitwise(dims, mu):
+    # a spectrum of 7 first-mode rows, which do not divide 30: the transform
+    # runs slab by slab and gives the whole-field result bit for bit
+    rng = np.random.RandomState(22)
+    T = rng.randn(*dims)
+    n, axis = dims[mu - 1], mu - 1
+    for varies in (True, False):
+        shape = [1] * T.ndim
+        shape[0] = dims[0] if varies else 1
+        shape[axis] = n // 2 + 1
+        symbol = rng.rand(*shape).astype(complex)
+        spectrum = np.fft.rfft(T, axis=axis)
+        spectrum *= symbol
+        whole = np.fft.irfft(spectrum, n, axis=axis)
+        slab = list(spectrum.shape)
+        slab[0] = 7
+        spectrum = np.empty(slab, dtype=complex)
+        out = tensor.fourier_mode_product(mu, symbol, T, spectrum=spectrum)
+        assert out.flags.c_contiguous and np.array_equal(out, whole)
+        buf = np.empty(dims)
+        into = tensor.fourier_mode_product(mu, symbol, T, out=buf, spectrum=spectrum)
+        assert into is buf and np.array_equal(buf, whole)
