@@ -209,7 +209,6 @@ def cmd_run(cfg: dict) -> RunReport:
         system = models.build_system(spec, dims, seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    outdir.mkdir(parents=True, exist_ok=True)
     means = models.mean_diagnostics(system)
     comps = {c.name: c for c in system.components}
     names = [c.name for c in system.components]
@@ -217,6 +216,8 @@ def cmd_run(cfg: dict) -> RunReport:
     manifest: list[Path] = []
 
     def hook(step: int, t: float, states: dict) -> None:
+        if step == 0:  # run_simulation has accepted the run
+            outdir.mkdir(parents=True, exist_ok=True)
         sample = means(states)
         rows.append((t, *[sample[n] for n in names]))
         for name in names:
@@ -248,6 +249,8 @@ def cmd_run(cfg: dict) -> RunReport:
     except DivergenceError as exc:
         diverged = exc.step
         final_states = None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     wall = time.perf_counter() - start
 
     series_path = outdir / "timeseries.csv"

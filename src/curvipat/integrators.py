@@ -12,18 +12,20 @@ built from it, and the tests check both against summands written out per
 geometry by hand in ``tests/oracles.py``.
 The split scheme advances W_{n+1} = W_n + tau * P_1 P_2 (... P_d) F_n where
 F_n = M W_n + G_n and each P_mu is phi1(tau M_mu).  An unweighted P_mu is
-one mode product with a dense phi1 matrix; a weighted one is a mode product
-with V^-1, an elementwise product with a precomputed phi1 tensor, and a mode
-product with V.  For a long periodic angle V is the real Fourier basis, so
-its pair of mode products becomes an rfft and an irfft, run over slabs of
-the first mode when it is along a later one.  A summand along
-the last mode weighted by the first mode alone (the ball's phi summand) is
-a stack of one matrix per slice of the first mode, for M W and for phi1,
-each applied as one batched GEMM.  The tridiagonal operators of M W are
-applied as diagonal blocks plus the links between neighbouring blocks,
-along the last mode only when it is long.  So one code path serves every
-geometry and the cost per step is a fixed number of kernels.  The factor
-order must not be permuted (the factors do not commute).
+one mode product with a dense phi1 matrix, or, along the first mode when
+phi1 is banded to rounding at this tau, with its block tridiagonal band
+(one batched GEMM over overlapping windows of the field); a weighted one
+is a mode product with V^-1, an elementwise product with a precomputed phi1
+tensor, and a mode product with V.  For a long periodic angle V is the real
+Fourier basis, so its pair of mode products becomes an rfft and an irfft,
+run over slabs of the first mode when it is along a later one.  A summand
+along the last mode weighted by the first mode alone (the ball's phi
+summand) is a stack of one matrix per slice of the first mode, for M W and
+for phi1, each applied as one batched GEMM.  The tridiagonal operators of
+M W are applied as diagonal blocks plus the links between neighbouring
+blocks, along the last mode only when it is long.  So one code path serves
+every geometry and the cost per step is a fixed number of kernels.  The
+factor order must not be permuted (the factors do not commute).
 
 Every kernel can write into a caller's array.  ``run_simulation`` owns one
 :class:`Workspace` per field shape and updates the states in place, so a
@@ -137,9 +139,11 @@ class SplitFactor:
     the diagonal weights that scale it (size 1 along ``mode`` and along
     every mode that does not weight it), or None.  ``phi1`` is the action of
     phi1(tau coeff M_mu): a dense matrix along ``mode`` when the summand is
-    unweighted, else (V^-1, phi1 tensor, V), the tensor broadcast like
-    ``weight``; when V is the real Fourier basis, the phi1 tensor alone,
-    over the rfft frequencies along ``mode`` and stored as complex.
+    unweighted (along the first mode possibly its band alone, a
+    :class:`tensor.BlockTridiagonal`), else (V^-1, phi1 tensor, V), the
+    tensor broadcast like ``weight``; when V is the real Fourier basis, the
+    phi1 tensor alone, over the rfft frequencies along ``mode`` and stored
+    as complex.
 
     A summand along the last mode weighted by the first mode alone may
     instead be a stack of n_1 matrices, one per slice of the first mode (see
@@ -223,10 +227,12 @@ class GeometryOps:
 
 
 def _along(mode: int, op, field: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """A prepared operator along ``mode``: dense, block-banded, or a stack
-    of per-slice matrices (three indices)."""
+    """A prepared operator along ``mode``: dense, block-banded,
+    block-tridiagonal, or a stack of per-slice matrices (three indices)."""
     if isinstance(op, tensor.BlockBanded):
         return tensor.banded_mode_product(mode, op, field, out=out)
+    if isinstance(op, tensor.BlockTridiagonal):
+        return tensor.windowed_mode_product(mode, op, field, out=out)
     if op.ndim == 3:
         return tensor.sliced_mode_product(op, field, out=out)
     return tensor.mode_product(mode, op, field, out=out)
@@ -239,12 +245,38 @@ def _block_size(n: int) -> int | None:
     return next((b for b in range(BLOCK_MAX, BLOCK_MIN - 1, -1) if n % b == 0), None)
 
 
+def _window_holds(axis: TridiagonalOperator, scale: float, b: int, P: np.ndarray) -> bool:
+    """Whether P = phi1(X), X = scale A for the tridiagonal A of ``axis``,
+    may drop every entry outside its block tridiagonal band of b x b blocks
+    (at least 4 blocks) without losing more than a dense product with P
+    loses to rounding.
+
+    X^j has no entry more than j off its diagonal, and the band holds every
+    entry at most b off it, so the dropped entries come from the Taylor
+    tail sum_{j > b} X^j / (j + 1)! alone.  With rho = ||X||_inf (from the
+    bands, no dense matrix) and rho < b + 3, the tail's norm is at most
+    rho^(b+1) / (b+2)! / (1 - rho / (b+3)); it must not exceed
+    n 2^-53 ||P||_inf, the rounding bound of the dense product."""
+    if axis.n // b < 4:
+        return False
+    row_sums = np.abs(axis.a)
+    row_sums[:-1] += np.abs(axis.b)
+    row_sums[1:] += np.abs(axis.c)
+    rho = scale * float(row_sums.max())
+    if not rho < b + 3:
+        return False
+    tail = rho ** (b + 1) / math.factorial(b + 2) / (1.0 - rho / (b + 3))
+    return tail <= axis.n * 2.0**-53 * float(np.abs(P).sum(axis=1).max())
+
+
 def _form(
     geometry: Geometry, shape: tuple[int, ...], mode: int, weighted_by: tuple[int, ...]
 ) -> tuple[int | None, str]:
     """How :func:`prepare` holds one summand, from the sizes alone: the
     block size of its M W operator (None: dense) and the form of its phi1,
-    one of "dense" (unweighted), "stacked", "rfft" or "triple".
+    one of "dense" (unweighted), "stacked", "rfft" or "triple".  A "dense"
+    phi1 along the first mode may still be narrowed by :func:`prepare` to
+    its block tridiagonal band of that block size, which depends on tau.
 
     A last-mode summand weighted by the first mode alone is stacked (M W
     too) when its stack of n_1 matrices holds no more entries than a field,
@@ -265,7 +297,9 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
     """Precompute all transforms and phi1 factors for one component at a
     fixed time step; done once before the time loop.  Each 1-d operator
     takes its cheapest exact form, chosen from its mode's size and
-    position alone (:func:`_form`)."""
+    position (:func:`_form`).  A dense phi1 along the first mode keeps only
+    its block tridiagonal band when :func:`_window_holds` shows that the
+    rest lies below the dense product's rounding at this tau."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     scale = tau * base.coeff
@@ -280,7 +314,10 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
         periodic = isinstance(axis, PeriodicTridiagonal)
         fac = eig_theta(axis) if periodic else eig_tridiag(axis)
         if form == "dense":
-            factors.append(SplitFactor(mode, A, None, phi1_matrix(scale, fac)))
+            P = phi1_matrix(scale, fac)
+            if b is not None and mode == 1 and not periodic and _window_holds(axis, scale, b, P):
+                P = tensor.BlockTridiagonal.from_dense(P, b)
+            factors.append(SplitFactor(mode, A, None, P))
             continue
         vectors = [np.ones(1)] * len(axes)
         for mu in weighted_by:
@@ -319,7 +356,9 @@ def prepared_bytes(geometry: Geometry, shape: tuple[int, ...]) -> int:
     links, which its first product builds), its weights, and phi1 (an n x n
     matrix; V^-1 and V with a phi1 tensor over the mode and its weights;
     or a complex rfft symbol); a stacked summand holds two stacks of n_1
-    matrices instead."""
+    matrices instead.  A dense phi1 counts as n x n even where prepare keeps
+    only its block tridiagonal band, since that choice depends on tau, which
+    the memory check before a run does not know."""
     total = 0
     for mode, weighted_by in FACTORS[geometry]:
         n = shape[mode - 1]
@@ -427,6 +466,35 @@ def _dense_matrices(
     return M, phi1_dense_oracle(tau * M, max_dim=DENSE_REFERENCE_CAP)
 
 
+def _check_rounding_growth(components, t_star: float) -> None:
+    """Reject a run in which rounding alone would double a mode.
+
+    Every operator here has a nonpositive spectrum, but the eigenvalues of a
+    symmetrized tridiagonal operator come out of the eigensolver with
+    rounding errors, a near-zero one often positive.  Each step multiplies
+    its mode by exp(tau coeff w lambda), w the largest weight on the
+    summand, so a diffusion coefficient large enough (a tiny rho_star makes
+    it 1/rho_star^2) turns that rounding into growth, and the run into a
+    false divergence.  A ValueError if t_star coeff w max(lambda, 0) exceeds
+    ln 2 for any summand of any component."""
+    for c in components:
+        axes = c.ops.axis_ops()
+        for mode, weighted_by in FACTORS[c.ops.geometry]:
+            axis = axes[mode - 1]
+            if isinstance(axis, PeriodicTridiagonal):
+                continue  # eigenvalues in closed form, none positive
+            w = math.prod(float(axes[mu - 1].weights.max()) for mu in weighted_by)
+            growth = t_star * c.ops.coeff * w * max(float(eig_tridiag(axis).lambdas[-1]), 0.0)
+            if growth > math.log(2.0):
+                raise ValueError(
+                    f"component {c.name!r}: its diffusion coefficient {c.ops.coeff:.3g} "
+                    f"would grow the rounding error of its {c.ops.geometry.axes[mode - 1]} "
+                    f"operator's spectrum by a factor e^{growth:.3g} over t_star = {t_star:g}; "
+                    f"the model constants (such as a tiny rho_star) scale diffusion beyond "
+                    f"double precision"
+                )
+
+
 def check_divergence(states: dict[str, np.ndarray], step: int) -> None:
     """Raise DivergenceError naming ``step`` and the first component with a
     NaN or a magnitude beyond DIVERGENCE_LIMIT (a max and a min reduction,
@@ -473,7 +541,9 @@ def run_simulation(
     ``sample_hook`` must copy what it keeps of the states it is passed.
     Samples (diagnostics + hook) are taken at step 0, every
     ``record_every`` steps, and at the final step.  Non-finite or absurdly
-    large field values abort with a DivergenceError naming the step.
+    large field values abort with a DivergenceError naming the step; before
+    any step, :func:`_check_rounding_growth` rejects constants under which
+    rounding alone would make one.
     """
     if m < 1:
         raise ValueError("need at least one time step")
@@ -483,6 +553,7 @@ def run_simulation(
         raise ValueError(f"unknown method {method!r}")
     tau = t_star / m
     comps = system.components
+    _check_rounding_growth(comps, t_star)
     if method == "dense":
         dense = {c.name: _dense_matrices(c.name, c.ops, tau) for c in comps}
     else:

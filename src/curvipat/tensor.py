@@ -1,10 +1,12 @@
-"""Order-1/2/3 tensor kernels: dense, block-banded, real-Fourier and
-per-slice mu-mode products, vec/unvec and a dense Kronecker assembler.
+"""Order-1/2/3 tensor kernels: dense, block-banded, block-tridiagonal,
+real-Fourier and per-slice mu-mode products, vec/unvec and a dense
+Kronecker assembler.
 
 The wide kernels make no field-size temporary: a block-banded product adds
-the links between its diagonal blocks through views of the field, and a
-real-Fourier product along a later mode can run over slabs of the first
-mode through a spectrum of one slab.
+the links between its diagonal blocks through views of the field, a
+block-tridiagonal product multiplies its block rows with overlapping
+windows of the field, and a real-Fourier product along a later mode can run
+over slabs of the first mode through a spectrum of one slab.
 
 Fields are plain ``numpy.ndarray`` objects.  The linearization convention is
 first-index-fastest: element (i, j, k) of a field with dims (n1, n2, n3)
@@ -181,6 +183,66 @@ def banded_mode_product(
     if op.up[-1] or op.down[-1]:
         R[:, -1, -1] += op.up[-1] * X[:, 0, 0]
         R[:, 0, 0] += op.down[-1] * X[:, -1, -1]
+    return res
+
+
+@dataclass(frozen=True)
+class BlockTridiagonal:
+    """The block tridiagonal part of a square matrix of order n = k b
+    (k >= 3), in b x b blocks, held by block rows: ``rows[i - 1]`` is block
+    row i = 1 .. k - 2 over block columns i - 1 .. i + 1 (b x 3b), ``first``
+    and ``last`` the two edge block rows over their two block columns
+    (b x 2b).  Every entry outside the band is dropped."""
+
+    rows: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray, b: int) -> "BlockTridiagonal":
+        """The block tridiagonal part of A, in b x b blocks."""
+        A = np.asarray(A, dtype=float)
+        n = A.shape[0]
+        if A.shape != (n, n) or b < 1 or n % b or n // b < 3:
+            raise ValueError(
+                f"cannot split a matrix of shape {A.shape} into at least 3 x 3 "
+                f"blocks of {b}x{b}"
+            )
+        rows = [A[i * b : (i + 1) * b, (i - 1) * b : (i + 2) * b] for i in range(1, n // b - 1)]
+        return cls(np.stack(rows), A[:b, : 2 * b].copy(), A[-b:, -2 * b :].copy())
+
+    @property
+    def n(self) -> int:
+        return (self.rows.shape[0] + 2) * self.rows.shape[1]
+
+
+def windowed_mode_product(
+    mu: int, op: BlockTridiagonal, field: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """:func:`mode_product` with a :class:`BlockTridiagonal` matrix, into
+    ``out`` as there.
+
+    Each inner block row multiplies the window of 3 b rows of the unfolding
+    (pre, n, post) that its three blocks meet; the windows overlap, and are
+    read as one strided view of the field, so one batched GEMM covers rows
+    b .. n - b.  Two more GEMMs give the edge block rows.  Meant for modes
+    before the last, where ``post`` makes the rows of each GEMM long.
+    """
+    field = np.asarray(field)
+    if not 1 <= mu <= field.ndim or field.shape[mu - 1] != op.n:
+        raise ValueError(
+            f"block-tridiagonal matrix of order {op.n} does not fit mode {mu} "
+            f"of field with dims {field.shape}"
+        )
+    b = op.rows.shape[1]
+    unfolded = (math.prod(field.shape[: mu - 1]), op.n, math.prod(field.shape[mu:]))
+    res = np.empty(field.shape) if out is None else out
+    X, R = field.reshape(unfolded), res.reshape(unfolded)
+    windows = np.lib.stride_tricks.sliding_window_view(X, 3 * b, axis=1)[:, ::b]
+    inner = R.reshape(unfolded[0], op.n // b, b, unfolded[2])[:, 1:-1]
+    np.matmul(op.rows, windows.transpose(0, 1, 3, 2), out=inner)
+    np.matmul(op.first, X[:, : 2 * b], out=R[:, :b])
+    np.matmul(op.last, X[:, -2 * b :], out=R[:, -b:])
     return res
 
 

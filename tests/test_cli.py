@@ -244,11 +244,13 @@ def test_usage_errors_exit_2(tmp_path):
     assert run_cli("run", *sphere, "--tstar", "0.1", "--set", "params.eta3=-1e308", *out) == 2
     # a size that is not positive, or whose grid spacing or coefficients
     # divide by zero or overflow, or whose radial operator cannot be
-    # symmetrized (rho_star = 1e-150: finite spacing, but b c overflows)
+    # symmetrized (rho_star = 1e-150: finite spacing, but b c overflows), or
+    # a sphere so small that its diffusion coefficient 1/rho_star^2 turns
+    # the rounding error of a zero eigenvalue into growth (1e-10 and less)
     cylinder = ["--model", "bsdib_cylinder", "--n-rho", "4", "--n-theta", "6", "--n-z", "4"]
+    small_sphere = ["--model", "dib_sphere", "--n-theta", "8", "--n-phi", "6"]
     sizes = [
-        (["--model", "dib_sphere", "--n-theta", "8", "--n-phi", "6"], "rho_star",
-         ("-1", "0", "1e-200", "1e300")),
+        (small_sphere, "rho_star", ("-1", "0", "1e-200", "1e300", "1e-10", "1e-20", "1e-150")),
         (disk, "rho_star", ("1e-300", "1e-150", "1e300")),
         (cylinder, "rho_star", ("1e-300",)),
         (cylinder, "z_star", ("1e-300",)),
@@ -267,6 +269,8 @@ def test_usage_errors_exit_2(tmp_path):
         assert run_cli("converge", *disk, *foreign, "--tstar", "0.01", "--m-list", "2") == 2
     top = ["--tstar", "0.01", f"--seed={2**64 - 1}", "--out", str(tmp_path / "top")]
     assert run_cli("run", *disk, "--m", "1", *top) == 0
+    small = ["--tstar", "0.01", "--set", "params.rho_star=1e-5", "--out", str(tmp_path / "small")]
+    assert run_cli("run", *small_sphere, "--m", "2", *small) == 0
     assert run_cli("props", "--kind", "theta", "--n-list", "") == 2
     assert run_cli("props", "--kind", "theta", "--n-list", "2") == 2
     assert not (tmp_path / "o").exists()

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 from functools import reduce
 from pathlib import Path
@@ -22,7 +23,7 @@ from curvipat.integrators import (
     step_forward_euler,
     step_split,
 )
-from curvipat.phifun import phi1_dense_oracle
+from curvipat.phifun import phi1_dense_oracle, phi1_matrix
 from curvipat import cli, integrators, models
 from oracles import (
     banded_gather_product,
@@ -494,6 +495,8 @@ def held_bytes(ops) -> int:
                 arrays += [part.blocks, part.up, part.down]
                 if f.mode == len(ops.shape):  # built by the first product
                     arrays += part.gather
+            elif isinstance(part, tensor.BlockTridiagonal):
+                arrays += [part.rows, part.first, part.last]
             elif isinstance(part, tuple):
                 arrays += part
             elif part is not None:
@@ -502,29 +505,41 @@ def held_bytes(ops) -> int:
 
 
 def shipped_dims():
-    """(model, dims) of the golden runs, the benchmark workloads and every
+    """(model, dims, tau) of the golden runs, the benchmark workloads (at the
+    time steps of the configs they share dims with) and every
     configs/*.cfg."""
-    yield from ((name, dims) for name, (dims, _, _) in GOLDEN_RUNS.items())
-    yield "bsdib_cylinder", {"n_rho": 160, "n_theta": 160, "n_z": 20}
-    yield "bulk_surface_schnakenberg_ball", {"n_rho": 30, "n_theta": 50, "n_phi": 30}
-    yield "schnakenberg_anomalous_disk", {"n_rho": 160, "n_theta": 160}
+    yield from ((name, dims, t_star / 5) for name, (dims, t_star, _) in GOLDEN_RUNS.items())
+    yield "bsdib_cylinder", {"n_rho": 160, "n_theta": 160, "n_z": 20}, 50 / 8000
+    yield "bulk_surface_schnakenberg_ball", {"n_rho": 30, "n_theta": 50, "n_phi": 30}, 20 / 200000
+    yield "schnakenberg_anomalous_disk", {"n_rho": 160, "n_theta": 160}, 2.5 / 25000
     configs = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
     assert configs
     for path in configs:
         raw = cli.parse_config_file(path)
         keys = models.dim_keys(models.ModelName(raw["model"]))
-        yield raw["model"], {key: int(raw[key]) for key in keys}
+        tau = float(raw["tstar"]) / int(raw["m"])
+        yield raw["model"], {key: int(raw[key]) for key in keys}, tau
 
 
 def test_prepared_bytes_bounds_what_prepare_holds():
     # the memory check before a run counts prepared factors by this estimate,
-    # so it must cover every form prepare picks, stacks included
-    for name, dims in shipped_dims():
+    # so it must cover every form prepare picks, stacks included.  It runs
+    # before tau is known, so it counts a dense phi1 that prepare may hold
+    # as its block tridiagonal band as n x n; the tightness check takes off
+    # the n^2 - (k - 2) 3 b^2 - 4 b^2 entries each such band drops
+    for name, dims, _ in shipped_dims():
         system = models.build_system(name, dims, seed=1)
         for c in system.components:
-            held = held_bytes(prepare(c.ops, 1e-3))
+            ops = prepare(c.ops, 1e-3)
+            held = held_bytes(ops)
             estimate = prepared_bytes(c.ops.geometry, c.ops.shape)
-            assert held <= estimate <= 1.05 * held, (name, dims, c.name)
+            dropped = 0
+            for f in ops.factors:
+                if isinstance(f.phi1, tensor.BlockTridiagonal):
+                    n, b = f.phi1.n, f.phi1.rows.shape[1]
+                    dropped += 8 * (n * n - (n // b - 2) * 3 * b * b - 4 * b * b)
+            assert held <= estimate, (name, dims, c.name)
+            assert estimate - dropped <= 1.05 * held, (name, dims, c.name)
 
 
 def test_banded_mode_product_equals_the_gather_oracle_bitwise():
@@ -533,7 +548,7 @@ def test_banded_mode_product_equals_the_gather_oracle_bitwise():
     # outside the blocks did: on every block-banded operator prepare builds
     rng = np.random.RandomState(21)
     kinds = set()
-    for name, dims in shipped_dims():
+    for name, dims, _ in shipped_dims():
         system = models.build_system(name, dims, seed=1)
         for c in system.components:
             axes = c.ops.axis_ops()
@@ -551,6 +566,79 @@ def test_banded_mode_product_equals_the_gather_oracle_bitwise():
                 if f.mode == len(dims):
                     kinds.add("last mode")
     assert kinds == {"periodic", "k = 2", "last mode"}
+
+
+def cylinder_bulk_radial_phi1():
+    """The component u of the 160 x 160 x 20 cylinder at its config's tau:
+    its prepared ops, X = tau coeff A_rho, and the dense phi1(X)."""
+    system = models.build_system("bsdib_cylinder", {"n_rho": 160, "n_theta": 160, "n_z": 20}, 1)
+    u = system.components[0].ops
+    tau = 50 / 8000
+    dense = phi1_matrix(tau * u.coeff, op.eig_tridiag(u.rho))
+    return prepare(u, tau), tau * u.coeff * u.rho.toarray(), dense
+
+
+def test_windowed_radial_phi1_is_no_less_accurate_than_the_dense_one():
+    ops, X, dense = cylinder_bulk_radial_phi1()
+    windowed = ops.factors[0].phi1
+    assert isinstance(windowed, tensor.BlockTridiagonal)
+    n, b = windowed.n, windowed.rows.shape[1]
+    assert (n, b) == (160, 16)
+    kept = tensor.windowed_mode_product(1, windowed, np.eye(n))
+    oracle = phi1_dense_oracle(X)
+
+    def error(P):
+        return np.abs(P - oracle).sum(axis=1).max() / np.abs(oracle).sum(axis=1).max()
+
+    assert error(kept) <= error(dense)
+    # the oracle's entries outside the band sum to no more than the Taylor
+    # tail bound prepare relies on
+    blocks = np.arange(n) // b
+    outside = np.abs(blocks[:, None] - blocks[None, :]) > 1
+    rho = np.abs(X).sum(axis=1).max()
+    tail = rho ** (b + 1) / math.factorial(b + 2) / (1 - rho / (b + 3))
+    assert np.abs(np.where(outside, oracle, 0.0)).sum(axis=1).max() <= tail
+    assert tail <= n * 2.0**-53 * np.abs(dense).sum(axis=1).max()
+
+
+def test_prepare_windows_phi1_only_for_the_shipped_cylinder_bulk_fields():
+    # the band holds at the 160 x 160 x 20 cylinder's tau for u, v and r;
+    # s diffuses 20 times as fast, and every other shipped radial operator
+    # has too few blocks or too large a norm at its tau
+    for name, dims, tau in shipped_dims():
+        system = models.build_system(name, dims, seed=1)
+        windowed = {
+            c.name
+            for c in system.components
+            for f in prepare(c.ops, tau).factors
+            if isinstance(f.phi1, tensor.BlockTridiagonal)
+        }
+        cylinder_bulk = name == "bsdib_cylinder" and dims["n_rho"] == 160
+        assert windowed == ({"u", "v", "r"} if cylinder_bulk else set()), (name, dims)
+
+
+def test_step_with_windowed_radial_phi1_matches_the_dense_one():
+    ops, _, dense = cylinder_bulk_radial_phi1()
+    first = dataclasses.replace(ops.factors[0], phi1=dense)
+    dense_ops = dataclasses.replace(ops, factors=(first, *ops.factors[1:]))
+    rng = np.random.RandomState(22)
+    W, G = rng.randn(*ops.shape), rng.randn(*ops.shape)
+    got, ref = step_split(ops, W, G), step_split(dense_ops, W, G)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_run_simulation_rejects_rounding_that_would_grow_before_any_step():
+    # on a sphere of radius 1e-10 the coefficient 1/rho_star^2 turns the
+    # rounding error of the phi operator's zero eigenvalue into e^319 over
+    # t_star = 0.01 (a false divergence at step 1); at 1e-5 into e^6.4e-7
+    dims = {"n_theta": 8, "n_phi": 6}
+    tiny = models.build_system(models.model_spec("dib_sphere", {"rho_star": 1e-10}), dims, 1)
+    samples = []
+    with pytest.raises(ValueError, match="rho_star"):
+        run_simulation(tiny, 2, 0.01, sample_hook=lambda *args: samples.append(args))
+    assert samples == []
+    small = models.build_system(models.model_spec("dib_sphere", {"rho_star": 1e-5}), dims, 1)
+    run_simulation(small, 2, 0.01)
 
 
 def test_workspace_spectrum_holds_one_slab_after_the_first_mode():

@@ -208,6 +208,44 @@ def test_block_banded_rejects_bad_splits():
         tensor.banded_mode_product(1, op, np.zeros((8, 3)))
 
 
+def block_tridiagonal_part(A, b):
+    """A with every entry outside its block tridiagonal band of b x b
+    blocks set to zero."""
+    blocks = np.arange(A.shape[0]) // b
+    return np.where(np.abs(blocks[:, None] - blocks[None, :]) <= 1, A, 0.0)
+
+
+@pytest.mark.parametrize(
+    "dims,mu,b",
+    [((160, 160, 20), 1, 16), ((160, 40), 1, 16), ((30, 7), 1, 10), ((3, 40, 5), 2, 8)],
+)
+def test_windowed_mode_product_equals_a_gemm_with_the_truncated_matrix(dims, mu, b):
+    rng = np.random.RandomState(16)
+    T = rng.randn(*dims)
+    A = rng.randn(dims[mu - 1], dims[mu - 1])
+    ref = tensor.mode_product(mu, block_tridiagonal_part(A, b), T)
+    op = tensor.BlockTridiagonal.from_dense(A, b)
+    assert op.n == A.shape[0]
+    out = tensor.windowed_mode_product(mu, op, T)
+    assert out.flags.c_contiguous
+    assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
+    buf = np.empty(dims)
+    into = tensor.windowed_mode_product(mu, op, T, out=buf)
+    assert np.shares_memory(into, buf) and np.array_equal(into, out)
+
+
+def test_block_tridiagonal_rejects_bad_splits():
+    A = np.ones((12, 12))
+    for b in (0, 5, 6, 12):  # no split, or fewer than three block rows
+        with pytest.raises(ValueError):
+            tensor.BlockTridiagonal.from_dense(A, b)
+    op = tensor.BlockTridiagonal.from_dense(A, 4)
+    with pytest.raises(ValueError):
+        tensor.windowed_mode_product(1, op, np.zeros((8, 3)))
+    with pytest.raises(ValueError):
+        tensor.windowed_mode_product(3, op, np.zeros((12, 3)))
+
+
 @pytest.mark.parametrize("dims", [(4, 5, 3), (3, 1, 2), (5, 2, 3, 4)])
 def test_sliced_mode_product_matches_per_slice_products(dims):
     rng = np.random.RandomState(15)
