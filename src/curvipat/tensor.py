@@ -235,11 +235,12 @@ def windowed_mode_product(
             f"of field with dims {field.shape}"
         )
     b = op.rows.shape[1]
-    unfolded = (math.prod(field.shape[: mu - 1]), op.n, math.prod(field.shape[mu:]))
+    pre = math.prod(field.shape[: mu - 1])
+    post = math.prod(field.shape[mu:])
     res = np.empty(field.shape) if out is None else out
-    X, R = field.reshape(unfolded), res.reshape(unfolded)
+    X, R = field.reshape(pre, op.n, post), res.reshape(pre, op.n, post)
     windows = np.lib.stride_tricks.sliding_window_view(X, 3 * b, axis=1)[:, ::b]
-    inner = R.reshape(unfolded[0], op.n // b, b, unfolded[2])[:, 1:-1]
+    inner = R.reshape(pre, op.n // b, b, post)[:, 1:-1]
     np.matmul(op.rows, windows.transpose(0, 1, 3, 2), out=inner)
     np.matmul(op.first, X[:, : 2 * b], out=R[:, :b])
     np.matmul(op.last, X[:, -2 * b :], out=R[:, -b:])
