@@ -18,7 +18,12 @@ phi1 is banded to rounding at this tau, with its block tridiagonal band
 is a mode product with V^-1, an elementwise product with a precomputed phi1
 tensor, and a mode product with V.  For a long periodic angle V is the real
 Fourier basis, so its pair of mode products becomes an rfft and an irfft,
-run over slabs of the first mode when it is along a later one.  A summand
+run over slabs of the first mode when it is along a later one.  Along the
+second of three modes, weighted by the first mode alone (the cylinder's
+theta summand), phi1 is one circulant per first-mode row; on the rows
+where tau w_i makes it banded to rounding, that circulant is applied as its
+block tridiagonal band (one batched GEMM over overlapping windows, as for
+the first mode), and the rfft covers only the leading rows.  A summand
 along the last mode weighted by the first mode alone (the ball's phi
 summand) is a stack of one matrix per slice of the first mode, for M W and
 for phi1, each applied as one batched GEMM.  The tridiagonal operators of
@@ -47,6 +52,10 @@ from .operators import PeriodicTridiagonal, TridiagonalOperator, eig_theta, eig_
 from .phifun import phi1_dense_oracle, phi1_matrix, phi1_outer
 
 DIVERGENCE_LIMIT = 1e12
+# The rounding of M W that a run may add up in its fields (see
+# _check_rounding_growth): every shipped config stays below 2e-6, and a
+# sphere with rho_star = 1e-7, whose means move visibly, reaches 0.22.
+ROUNDING_LIMIT = 1e-3
 DENSE_REFERENCE_CAP = 4096
 
 # Diagonal blocks of a block-banded 1-d operator are the largest divisor of
@@ -64,8 +73,10 @@ BLOCK_LAST_MIN = 80
 FFT_MIN_THETA = 128
 # An rfft along a mode after the first runs over slabs of first-mode rows
 # whose spectrum takes at most this many bytes (at least one row), so that
-# the slab stays in cache from rfft to irfft: 20 rho rows of the cylinder's
-# 81 x 20 spectrum, and the whole 160 x 81 spectrum of a 160 x 160 disk.
+# the slab stays in cache from rfft to irfft: slabs of 20 of the 22 rho rows
+# that the 160 x 160 x 20 cylinder's theta phi1 still applies by rfft (of an
+# 81 x 20 spectrum each), and the whole 160 x 81 spectrum of a 160 x 160
+# disk.  The cylinder's band uses that slab as scratch, too.
 FFT_SLAB_BYTES = 512 * 1024
 
 
@@ -143,7 +154,11 @@ class SplitFactor:
     :class:`tensor.BlockTridiagonal`), else (V^-1, phi1 tensor, V), the
     tensor broadcast like ``weight``; when V is the real Fourier basis, the
     phi1 tensor alone, over the rfft frequencies along ``mode`` and stored
-    as complex.
+    as complex.  Along the second of three modes, weighted by the first
+    alone, that tensor may keep only its leading first-mode rows, the later
+    ones held as the block tridiagonal bands of their circulants (a
+    :class:`tensor.BandedCirculant`; the 160 x 160 x 20 cylinder's u and v
+    keep 22 rows of 160 at tau = 50/8000).
 
     A summand along the last mode weighted by the first mode alone may
     instead be a stack of n_1 matrices, one per slice of the first mode (see
@@ -175,6 +190,10 @@ class SplitFactor:
             return _along(self.mode, self.phi1, T, out)
         if not isinstance(self.phi1, tuple):
             spectrum = None if work is None else work.spectrum(self.mode)
+            if isinstance(self.phi1, tensor.BandedCirculant):
+                return tensor.banded_circulant_mode_product(
+                    self.phi1, T, out=out, spectrum=spectrum
+                )
             return tensor.fourier_mode_product(
                 self.mode, self.phi1, T, out=out, spectrum=spectrum
             )
@@ -245,28 +264,35 @@ def _block_size(n: int) -> int | None:
     return next((b for b in range(BLOCK_MAX, BLOCK_MIN - 1, -1) if n % b == 0), None)
 
 
-def _window_holds(axis: TridiagonalOperator, scale: float, b: int, P: np.ndarray) -> bool:
-    """Whether P = phi1(X), X = scale A for the tridiagonal A of ``axis``,
-    may drop every entry outside its block tridiagonal band of b x b blocks
-    (at least 4 blocks) without losing more than a dense product with P
-    loses to rounding.
-
-    X^j has no entry more than j off its diagonal, and the band holds every
-    entry at most b off it, so the dropped entries come from the Taylor
-    tail sum_{j > b} X^j / (j + 1)! alone.  With rho = ||X||_inf (from the
-    bands, no dense matrix) and rho < b + 3, the tail's norm is at most
-    rho^(b+1) / (b+2)! / (1 - rho / (b+3)); it must not exceed
-    n 2^-53 ||P||_inf, the rounding bound of the dense product."""
-    if axis.n // b < 4:
-        return False
+def _norm_inf(axis: TridiagonalOperator | PeriodicTridiagonal) -> float:
+    """||A||_inf of a 1-d operator, from its bands (no dense matrix)."""
+    if isinstance(axis, PeriodicTridiagonal):
+        return abs(axis.diag) + 2.0 * abs(axis.off)
     row_sums = np.abs(axis.a)
     row_sums[:-1] += np.abs(axis.b)
     row_sums[1:] += np.abs(axis.c)
-    rho = scale * float(row_sums.max())
-    if not rho < b + 3:
-        return False
-    tail = rho ** (b + 1) / math.factorial(b + 2) / (1.0 - rho / (b + 3))
-    return tail <= axis.n * 2.0**-53 * float(np.abs(P).sum(axis=1).max())
+    return float(row_sums.max())
+
+
+def _window_holds(rho, n: int, b: int, norm) -> np.ndarray:
+    """Whether P = phi1(X), X of order n tridiagonal (or a tridiagonal
+    circulant) with ||X||_inf = rho and ||P||_inf = ``norm``, may drop every
+    entry outside its block tridiagonal band of b x b blocks (at least 4
+    blocks; for a circulant, the band wraps round) without losing more than
+    a dense product with P loses to rounding; elementwise over arrays of
+    rho and norm.
+
+    X^j has no entry more than j off its diagonal, and the band holds every
+    entry at most b off it, so the dropped entries come from the Taylor
+    tail sum_{j > b} X^j / (j + 1)! alone.  For rho < b + 3 the tail's norm
+    is at most rho^(b+1) / (b+2)! / (1 - rho / (b+3)); it must not exceed
+    n 2^-53 ||P||_inf, the rounding bound of the dense product.  A larger
+    rho fails before its power, which could overflow, is taken."""
+    rho = np.asarray(rho, dtype=float)
+    below = (rho < b + 3) & (n // b >= 4)
+    r = np.where(below, rho, 0.0)
+    tail = r ** (b + 1) / math.factorial(b + 2) / (1.0 - r / (b + 3))
+    return below & (tail <= n * 2.0**-53 * np.asarray(norm))
 
 
 def _form(
@@ -274,13 +300,17 @@ def _form(
 ) -> tuple[int | None, str]:
     """How :func:`prepare` holds one summand, from the sizes alone: the
     block size of its M W operator (None: dense) and the form of its phi1,
-    one of "dense" (unweighted), "stacked", "rfft" or "triple".  A "dense"
-    phi1 along the first mode may still be narrowed by :func:`prepare` to
-    its block tridiagonal band of that block size, which depends on tau.
+    one of "dense" (unweighted), "stacked", "rfft", "circulant" or
+    "triple".  A "dense" phi1 along the first mode may still be narrowed by
+    :func:`prepare` to its block tridiagonal band of that block size, which
+    depends on tau; so may the later first-mode rows of a "circulant" one,
+    an rfft along the second of three modes weighted by the first alone.
 
     A last-mode summand weighted by the first mode alone is stacked (M W
     too) when its stack of n_1 matrices holds no more entries than a field,
-    i.e. n_d is at most the product of the middle modes."""
+    i.e. n_d is at most the product of the middle modes.  Likewise an rfft
+    is "circulant" only when the band's n_1 block rows of 3 b^2 entries
+    hold no more than a field, i.e. 3 b^2 <= n_2 n_3."""
     n = shape[mode - 1]
     last = mode == len(shape)
     if last and weighted_by == (1,) and n <= math.prod(shape[1:-1]):
@@ -289,7 +319,9 @@ def _form(
     if not weighted_by:
         return b, "dense"
     if geometry.axes[mode - 1] == "theta" and n >= FFT_MIN_THETA:
-        return b, "rfft"
+        middle = mode == 2 < len(shape) and weighted_by == (1,)
+        fits = b is not None and 3 * b * b <= math.prod(shape[1:])
+        return b, "circulant" if middle and fits else "rfft"
     return b, "triple"
 
 
@@ -299,7 +331,9 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
     takes its cheapest exact form, chosen from its mode's size and
     position (:func:`_form`).  A dense phi1 along the first mode keeps only
     its block tridiagonal band when :func:`_window_holds` shows that the
-    rest lies below the dense product's rounding at this tau."""
+    rest lies below the dense product's rounding at this tau; a
+    "circulant" phi1 does so on the first-mode rows from which that bound
+    holds for every later row, with rho_i = tau coeff w_i ||A||_inf."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     scale = tau * base.coeff
@@ -315,8 +349,10 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
         fac = eig_theta(axis) if periodic else eig_tridiag(axis)
         if form == "dense":
             P = phi1_matrix(scale, fac)
-            if b is not None and mode == 1 and not periodic and _window_holds(axis, scale, b, P):
-                P = tensor.BlockTridiagonal.from_dense(P, b)
+            if b is not None and mode == 1 and not periodic:
+                norm = np.abs(P).sum(axis=1).max()
+                if _window_holds(scale * _norm_inf(axis), axis.n, b, norm):
+                    P = tensor.BlockTridiagonal.from_dense(P, b)
             factors.append(SplitFactor(mode, A, None, P))
             continue
         vectors = [np.ones(1)] * len(axes)
@@ -335,15 +371,26 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
             )
             continue
         weight = reduce(np.multiply.outer, vectors)
-        if form == "rfft":
+        if form == "triple":
+            vectors[mode - 1] = fac.lambdas
+            action = (fac.V_inv, phi1_outer(scale, vectors), fac.V)
+        else:
             # eig_theta orders its columns by frequency 0, 1, 1, 2, 2, ...;
             # the cos and sin columns of one frequency share an eigenvalue
             vectors[mode - 1] = fac.lambdas[np.r_[0, 1 : axis.n : 2]]
             # complex, so that scaling the spectrum needs no cast buffer
             action = phi1_outer(scale, vectors).astype(complex)
-        else:
-            vectors[mode - 1] = fac.lambdas
-            action = (fac.V_inv, phi1_outer(scale, vectors), fac.V)
+        if form == "circulant":
+            # column 0 of each first-mode row's circulant; its magnitudes
+            # sum to the circulant's inf-norm
+            columns = np.fft.irfft(action[:, :, 0], axis.n, axis=1)
+            rho = scale * vectors[0] * _norm_inf(axis)
+            holds = _window_holds(rho, axis.n, b, np.abs(columns).sum(axis=1))
+            r0 = 1 + int(np.flatnonzero(~holds).max(initial=-1))
+            if r0 < holds.size:
+                action = tensor.BandedCirculant.from_columns(
+                    action[:r0].copy(), columns[r0:], b
+                )
         factors.append(SplitFactor(mode, A, weight, action))
     return GeometryOps(base=base, tau=tau, factors=tuple(factors))
 
@@ -357,8 +404,10 @@ def prepared_bytes(geometry: Geometry, shape: tuple[int, ...]) -> int:
     matrix; V^-1 and V with a phi1 tensor over the mode and its weights;
     or a complex rfft symbol); a stacked summand holds two stacks of n_1
     matrices instead.  A dense phi1 counts as n x n even where prepare keeps
-    only its block tridiagonal band, since that choice depends on tau, which
-    the memory check before a run does not know."""
+    only its block tridiagonal band, and a "circulant" one counts both its
+    whole symbol and a b x 3b block row for every first-mode row, since how
+    many rows take the band depends on tau, which the memory check before
+    a run does not know."""
     total = 0
     for mode, weighted_by in FACTORS[geometry]:
         n = shape[mode - 1]
@@ -376,8 +425,9 @@ def prepared_bytes(geometry: Geometry, shape: tuple[int, ...]) -> int:
             continue
         weights = math.prod(shape[mu - 1] for mu in weighted_by)
         total += weights
-        if form == "rfft":
+        if form in ("rfft", "circulant"):
             total += 2 * (n // 2 + 1) * weights
+            total += 3 * shape[0] * b * b if form == "circulant" else 0
         else:
             total += 2 * n * n + n * weights
     return 8 * total
@@ -467,7 +517,8 @@ def _dense_matrices(
 
 
 def _check_rounding_growth(components, t_star: float) -> None:
-    """Reject a run in which rounding alone would double a mode.
+    """Reject a run in which rounding alone would double a mode or move the
+    fields by more than ROUNDING_LIMIT.
 
     Every operator here has a nonpositive spectrum, but the eigenvalues of a
     symmetrized tridiagonal operator come out of the eigensolver with
@@ -475,22 +526,30 @@ def _check_rounding_growth(components, t_star: float) -> None:
     its mode by exp(tau coeff w lambda), w the largest weight on the
     summand, so a diffusion coefficient large enough (a tiny rho_star makes
     it 1/rho_star^2) turns that rounding into growth, and the run into a
-    false divergence.  A ValueError if t_star coeff w max(lambda, 0) exceeds
-    ln 2 for any summand of any component."""
+    false divergence.  The rounding of M W itself, up to coeff w ||A||_inf
+    2^-53 |W| per unit time, reaches the fields at full size through tau
+    phi1 (its constant mode is not damped), so over the run it adds up to
+    B = t_star coeff w ||A||_inf 2^-53 of them.  A ValueError if
+    t_star coeff w max(lambda, 0) exceeds ln 2 or B exceeds ROUNDING_LIMIT
+    for any summand of any component."""
     for c in components:
         axes = c.ops.axis_ops()
         for mode, weighted_by in FACTORS[c.ops.geometry]:
             axis = axes[mode - 1]
-            if isinstance(axis, PeriodicTridiagonal):
-                continue  # eigenvalues in closed form, none positive
             w = math.prod(float(axes[mu - 1].weights.max()) for mu in weighted_by)
-            growth = t_star * c.ops.coeff * w * max(float(eig_tridiag(axis).lambdas[-1]), 0.0)
-            if growth > math.log(2.0):
+            scale = t_star * c.ops.coeff * w
+            drift = scale * _norm_inf(axis) * 2.0**-53
+            # a periodic operator's eigenvalues are in closed form, none positive
+            lam = 0.0 if isinstance(axis, PeriodicTridiagonal) else eig_tridiag(axis).lambdas[-1]
+            growth = scale * max(float(lam), 0.0)
+            if growth > math.log(2.0) or drift > ROUNDING_LIMIT:
                 raise ValueError(
-                    f"component {c.name!r}: its diffusion coefficient {c.ops.coeff:.3g} "
-                    f"would grow the rounding error of its {c.ops.geometry.axes[mode - 1]} "
-                    f"operator's spectrum by a factor e^{growth:.3g} over t_star = {t_star:g}; "
-                    f"the model constants (such as a tiny rho_star) scale diffusion beyond "
+                    f"component {c.name!r}: over t_star = {t_star:g} its diffusion "
+                    f"coefficient {c.ops.coeff:.3g} would grow the rounding error of its "
+                    f"{c.ops.geometry.axes[mode - 1]} operator's spectrum by a factor "
+                    f"e^{growth:.3g} (at most 2) and add up the rounding of its diffusion "
+                    f"term to {drift:.3g} of the fields (at most {ROUNDING_LIMIT:g}); the "
+                    f"model constants (such as a tiny rho_star) scale diffusion beyond "
                     f"double precision"
                 )
 
@@ -536,8 +595,10 @@ def run_simulation(
     once up front only what it applies: the split scheme the prepared
     factors and one :class:`Workspace` per field shape, shared by every
     component of that shape; forward Euler the prepared M W; the dense
-    scheme its two matrices.  The states are updated in place, so the
-    kinetics' outputs must not share memory with them, and a
+    scheme its two matrices.  Components with the same geometry, the same
+    coefficient and the same axis objects share one set of prepared
+    factors, each in its own :class:`GeometryOps`.  The states are updated
+    in place, so the kinetics' outputs must not share memory with them, and a
     ``sample_hook`` must copy what it keeps of the states it is passed.
     Samples (diagnostics + hook) are taken at step 0, every
     ``record_every`` steps, and at the final step.  Non-finite or absurdly
@@ -557,7 +618,13 @@ def run_simulation(
     if method == "dense":
         dense = {c.name: _dense_matrices(c.name, c.ops, tau) for c in comps}
     else:
-        geo = {c.name: prepare(c.ops, tau) for c in comps}
+        factors: dict[tuple, tuple[SplitFactor, ...]] = {}
+        geo = {}
+        for c in comps:
+            key = (c.ops.geometry, c.ops.coeff, *map(id, c.ops.axis_ops()))
+            if key not in factors:
+                factors[key] = prepare(c.ops, tau).factors
+            geo[c.name] = GeometryOps(base=c.ops, tau=tau, factors=factors[key])
     states = {c.name: np.array(c.initial, dtype=float, copy=True) for c in comps}
     if method == "split":
         work = {shape: Workspace(shape) for shape in {c.ops.shape for c in comps}}

@@ -1,5 +1,6 @@
 """Reference code that only the tests use: the Tucker operator, the
-block-banded mode product as a gather of the entries outside the blocks, each
+block-banded mode product as a gather of the entries outside the blocks, the
+banded-circulant mode product with one dense circulant per row, each
 geometry's Kronecker summands written out by hand, one dense classical
 exponential Euler step, the closed-form axial eigenpairs, and the
 integral-mean, stabilization and amplitude checks of the acceptance
@@ -61,6 +62,26 @@ def banded_gather_product(
     assert len(np.unique(rows)) == len(rows)
     X = field.reshape(pre, op.n, post)
     res.reshape(pre, op.n, post)[:, rows] += outside[rows, cols][:, None] * X[:, cols]
+    return res
+
+
+def banded_circulant_product(
+    symbol: np.ndarray, b: int, r0: int, field: np.ndarray
+) -> np.ndarray:
+    """The product along mode 2 with one dense circulant per row i of the
+    first mode, its first column irfft(symbol[i]), from row r0 on with every
+    entry outside its block tridiagonal band of b x b blocks (wrapping
+    round) set to zero: one matrix product per row."""
+    n1, n = field.shape[:2]
+    columns = np.fft.irfft(symbol.reshape(n1, -1), n, axis=1)
+    gap = (np.arange(n)[:, None] - np.arange(n)) % n
+    k = n // b
+    apart = (np.arange(n)[:, None] // b - np.arange(n) // b) % k
+    band = (apart <= 1) | (apart == k - 1)
+    res = np.empty(field.shape)
+    for i, column in enumerate(columns):
+        C = column[gap] if i < r0 else np.where(band, column[gap], 0.0)
+        res[i] = np.tensordot(C, field[i], axes=1)
     return res
 
 

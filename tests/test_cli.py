@@ -247,10 +247,15 @@ def test_usage_errors_exit_2(tmp_path):
     # symmetrized (rho_star = 1e-150: finite spacing, but b c overflows), or
     # a sphere so small that its diffusion coefficient 1/rho_star^2 turns
     # the rounding error of a zero eigenvalue into growth (1e-10 and less)
+    # or adds up the rounding of M W to a visible error (1e-7, 1e-8)
     cylinder = ["--model", "bsdib_cylinder", "--n-rho", "4", "--n-theta", "6", "--n-z", "4"]
     small_sphere = ["--model", "dib_sphere", "--n-theta", "8", "--n-phi", "6"]
     sizes = [
-        (small_sphere, "rho_star", ("-1", "0", "1e-200", "1e300", "1e-10", "1e-20", "1e-150")),
+        (
+            small_sphere,
+            "rho_star",
+            ("-1", "0", "1e-200", "1e300", "1e-7", "1e-8", "1e-10", "1e-20", "1e-150"),
+        ),
         (disk, "rho_star", ("1e-300", "1e-150", "1e300")),
         (cylinder, "rho_star", ("1e-300",)),
         (cylinder, "z_star", ("1e-300",)),

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 from functools import reduce
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from curvipat.integrators import (
 from curvipat.phifun import phi1_dense_oracle, phi1_matrix
 from curvipat import cli, integrators, models
 from oracles import (
+    banded_circulant_product,
     banded_gather_product,
     dense_operator,
     kronecker_summands,
@@ -373,6 +375,39 @@ def test_each_scheme_builds_only_what_it_applies(monkeypatch, method, prepares, 
     assert calls == {"prepare": prepares, "Workspace": workspaces}
 
 
+def test_run_simulation_prepares_once_per_distinct_operator_set(monkeypatch):
+    # the cylinder's u and v diffuse with the same coefficient on the same
+    # axis objects, so they share one set of prepared factors, each in its
+    # own GeometryOps (whose base names the component); the bvam disk's u
+    # and v differ in their coefficient.  The fields equal those of
+    # separately prepared components (test_run_simulation_single_step_equals_manual)
+    real_prepare, real_step = integrators.prepare, integrators.step_split
+    prepared, stepped = [], []
+
+    def prepare_spy(base, tau):
+        prepared.append(base)
+        return real_prepare(base, tau)
+
+    def step_spy(ops, *args, **kwargs):
+        stepped.append(ops)
+        return real_step(ops, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "prepare", prepare_spy)
+    monkeypatch.setattr(integrators, "step_split", step_spy)
+    cases = [
+        ("bsdib_cylinder", {"n_rho": 4, "n_theta": 6, "n_z": 4}, 3),
+        ("bvam_disk", {"n_rho": 4, "n_theta": 6}, 2),
+    ]
+    for name, dims, prepares in cases:
+        prepared.clear()
+        stepped.clear()
+        system = models.build_system(name, dims, seed=5)
+        run_simulation(system, 1, 0.06)
+        assert len(prepared) == prepares, name
+        assert [id(ops.base) for ops in stepped] == [id(c.ops) for c in system.components]
+        assert len({id(ops.factors) for ops in stepped}) == prepares, name
+
+
 # ---------------------------------------------------------------------------
 # stability of the linear step
 # ---------------------------------------------------------------------------
@@ -497,6 +532,8 @@ def held_bytes(ops) -> int:
                     arrays += part.gather
             elif isinstance(part, tensor.BlockTridiagonal):
                 arrays += [part.rows, part.first, part.last]
+            elif isinstance(part, tensor.BandedCirculant):
+                arrays += [part.symbol, part.rows]
             elif isinstance(part, tuple):
                 arrays += part
             elif part is not None:
@@ -525,21 +562,30 @@ def test_prepared_bytes_bounds_what_prepare_holds():
     # the memory check before a run counts prepared factors by this estimate,
     # so it must cover every form prepare picks, stacks included.  It runs
     # before tau is known, so it counts a dense phi1 that prepare may hold
-    # as its block tridiagonal band as n x n; the tightness check takes off
-    # the n^2 - (k - 2) 3 b^2 - 4 b^2 entries each such band drops
-    for name, dims, _ in shipped_dims():
+    # as its block tridiagonal band as n x n, and an rfft phi1 that may
+    # take a band on its later first-mode rows as both its whole symbol and
+    # n_1 block rows of 3 b^2.  The tightness check takes off what each
+    # form leaves out: n^2 - (k - 2) 3 b^2 - 4 b^2 entries of a banded dense
+    # phi1; r0 block rows and n_1 - r0 symbol rows of a banded circulant
+    for name, dims, tau in shipped_dims():
         system = models.build_system(name, dims, seed=1)
         for c in system.components:
-            ops = prepare(c.ops, 1e-3)
-            held = held_bytes(ops)
-            estimate = prepared_bytes(c.ops.geometry, c.ops.shape)
-            dropped = 0
-            for f in ops.factors:
-                if isinstance(f.phi1, tensor.BlockTridiagonal):
-                    n, b = f.phi1.n, f.phi1.rows.shape[1]
-                    dropped += 8 * (n * n - (n // b - 2) * 3 * b * b - 4 * b * b)
-            assert held <= estimate, (name, dims, c.name)
-            assert estimate - dropped <= 1.05 * held, (name, dims, c.name)
+            g, shape = c.ops.geometry, c.ops.shape
+            for ops in (prepare(c.ops, 1e-3), prepare(c.ops, tau)):
+                held = held_bytes(ops)
+                estimate = prepared_bytes(g, shape)
+                dropped = 0
+                for (mode, weighted_by), f in zip(integrators.FACTORS[g], ops.factors):
+                    b, form = integrators._form(g, shape, mode, weighted_by)
+                    if isinstance(f.phi1, tensor.BlockTridiagonal):
+                        n, b = f.phi1.n, f.phi1.rows.shape[1]
+                        dropped += 8 * (n * n - (n // b - 2) * 3 * b * b - 4 * b * b)
+                    elif form == "circulant":
+                        banded = isinstance(f.phi1, tensor.BandedCirculant)
+                        r0 = f.phi1.symbol.shape[0] if banded else shape[0]
+                        dropped += 8 * (r0 * 3 * b * b + (shape[0] - r0) * 2 * (shape[1] // 2 + 1))
+                assert held <= estimate, (name, dims, c.name)
+                assert estimate - dropped <= 1.05 * held, (name, dims, c.name)
 
 
 def test_banded_mode_product_equals_the_gather_oracle_bitwise():
@@ -602,19 +648,60 @@ def test_windowed_radial_phi1_is_no_less_accurate_than_the_dense_one():
 
 
 def test_prepare_windows_phi1_only_for_the_shipped_cylinder_bulk_fields():
-    # the band holds at the 160 x 160 x 20 cylinder's tau for u, v and r;
-    # s diffuses 20 times as fast, and every other shipped radial operator
-    # has too few blocks or too large a norm at its tau
+    # the radial band holds at the 160 x 160 x 20 cylinder's tau for u, v
+    # and r; s diffuses 20 times as fast, and every other shipped radial
+    # operator has too few blocks or too large a norm at its tau.  The
+    # angular band of that cylinder's bulk fields u and v (r and s live on
+    # its bottom disk) holds from rho row 22 of 160 on; the golden
+    # cylinder's band would hold more entries than its field, and every
+    # other angle is the last or the first mode, or too short for an rfft.
+    # No bound overflows on the way
     for name, dims, tau in shipped_dims():
         system = models.build_system(name, dims, seed=1)
-        windowed = {
-            c.name
-            for c in system.components
-            for f in prepare(c.ops, tau).factors
-            if isinstance(f.phi1, tensor.BlockTridiagonal)
-        }
+        windowed, circulant = set(), {}
+        for c in system.components:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                factors = prepare(c.ops, tau).factors
+            for f in factors:
+                if isinstance(f.phi1, tensor.BlockTridiagonal):
+                    windowed.add(c.name)
+                if isinstance(f.phi1, tensor.BandedCirculant):
+                    circulant[c.name] = (f.mode, f.phi1.symbol.shape[0], f.phi1.rows.shape)
         cylinder_bulk = name == "bsdib_cylinder" and dims["n_rho"] == 160
         assert windowed == ({"u", "v", "r"} if cylinder_bulk else set()), (name, dims)
+        band = (2, 22, (138, 16, 48))
+        assert circulant == ({"u": band, "v": band} if cylinder_bulk else {}), (name, dims)
+    # a norm beyond b + 3 fails before its power is taken
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rho = np.array([0.5, 19.0, 2.6e3, 1e300, np.inf, np.nan])
+        holds = integrators._window_holds(rho, 160, 16, 1.0)
+    assert holds.tolist() == [True, False, False, False, False, False]
+
+
+def test_step_with_banded_angular_phi1_matches_the_rfft_one():
+    # the cylinder's u at its config's tau, with the whole rfft symbol of
+    # its angular phi1 swapped in; the band agrees with a dense circulant
+    # per rho row as closely as the rfft does
+    system = models.build_system("bsdib_cylinder", {"n_rho": 160, "n_theta": 160, "n_z": 20}, 1)
+    u, tau = system.components[0].ops, 50 / 8000
+    ops = prepare(u, tau)
+    angular = ops.factors[1]
+    assert isinstance(angular.phi1, tensor.BandedCirculant)
+    fac = op.eig_theta(u.theta)
+    vectors = [u.rho.weights, fac.lambdas[np.r_[0, 1 : u.theta.n : 2]], np.ones(1)]
+    symbol = integrators.phi1_outer(tau * u.coeff, vectors).astype(complex)
+    rfft = dataclasses.replace(angular, phi1=symbol)
+    rfft_ops = dataclasses.replace(ops, factors=(ops.factors[0], rfft, ops.factors[2]))
+    rng = np.random.RandomState(24)
+    W, G = rng.randn(*ops.shape), rng.randn(*ops.shape)
+    got, ref = step_split(ops, W, G), step_split(rfft_ops, W, G)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    dense = banded_circulant_product(symbol, 16, 160, W)
+    scale = np.max(np.abs(dense))
+    band_error = np.max(np.abs(angular.apply_phi1(W) - dense))
+    assert band_error <= max(np.max(np.abs(rfft.apply_phi1(W) - dense)), 2**-52 * scale)
 
 
 def test_step_with_windowed_radial_phi1_matches_the_dense_one():
@@ -637,6 +724,11 @@ def test_run_simulation_rejects_rounding_that_would_grow_before_any_step():
     with pytest.raises(ValueError, match="rho_star"):
         run_simulation(tiny, 2, 0.01, sample_hook=lambda *args: samples.append(args))
     assert samples == []
+    # at 1e-7 the rounding of M W adds up to 0.011 (r) and 0.22 (s) of the
+    # fields over the run, whose means then move visibly
+    drifting = models.build_system(models.model_spec("dib_sphere", {"rho_star": 1e-7}), dims, 1)
+    with pytest.raises(ValueError, match="diffusion term to 0.0111 of the fields"):
+        run_simulation(drifting, 2, 0.01)
     small = models.build_system(models.model_spec("dib_sphere", {"rho_star": 1e-5}), dims, 1)
     run_simulation(small, 2, 0.01)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curvipat import operators, tensor
-from oracles import tucker
+from oracles import banded_circulant_product, tucker
 
 
 def loop_mode_product(mu, L, T):
@@ -244,6 +244,48 @@ def test_block_tridiagonal_rejects_bad_splits():
         tensor.windowed_mode_product(1, op, np.zeros((8, 3)))
     with pytest.raises(ValueError):
         tensor.windowed_mode_product(3, op, np.zeros((12, 3)))
+
+
+@pytest.mark.parametrize(
+    "dims, b, r0",
+    [((6, 64, 5), 16, 0), ((9, 40, 3), 8, 4), ((7, 45, 2), 9, 6), ((5, 32), 8, 2)],
+)
+def test_banded_circulant_mode_product_equals_dense_circulants_per_row(dims, b, r0):
+    # a symbol varying along mode 1, the rows from r0 on held by their band;
+    # the edge block rows' windows wrap round.  Every spectrum gives the
+    # same result bit for bit: none, a 2-row slab (too small to hold the
+    # wrapped products) and one of all rows
+    rng = np.random.RandomState(23)
+    T = rng.randn(*dims)
+    before = T.copy()
+    n1, n = dims[:2]
+    symbol = rng.rand(n1, n // 2 + 1, *([1] * (len(dims) - 2))).astype(complex)
+    columns = np.fft.irfft(symbol.reshape(n1, -1), n, axis=1)
+    op = tensor.BandedCirculant.from_columns(symbol[:r0].copy(), columns[r0:], b)
+    assert op.rows.shape == (n1 - r0, b, 3 * b)
+    assert op.rows.transpose(0, 2, 1).flags.c_contiguous
+    ref = banded_circulant_product(symbol, b, r0, T)
+    out = tensor.banded_circulant_mode_product(op, T)
+    assert out.flags.c_contiguous
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+    half = (n1, n // 2 + 1, *dims[2:])
+    for rows in (2, n1):
+        spectrum = np.empty((rows, *half[1:]), dtype=complex)
+        buf = np.empty(dims)
+        into = tensor.banded_circulant_mode_product(op, T, out=buf, spectrum=spectrum)
+        assert into is buf and np.array_equal(buf, out)
+    assert np.array_equal(T, before)
+
+
+def test_banded_circulant_rejects_bad_splits():
+    columns = np.ones((3, 24))
+    for b in (0, 5, 7, 8):  # no split, or fewer than four block rows
+        with pytest.raises(ValueError):
+            tensor.BandedCirculant.from_columns(np.ones((1, 13), dtype=complex), columns, b)
+    op = tensor.BandedCirculant.from_columns(np.ones((1, 13, 1), dtype=complex), columns, 6)
+    for dims in ((3, 24, 2), (4, 26, 2), (4,)):
+        with pytest.raises(ValueError):
+            tensor.banded_circulant_mode_product(op, np.zeros(dims))
 
 
 @pytest.mark.parametrize("dims", [(4, 5, 3), (3, 1, 2), (5, 2, 3, 4)])
