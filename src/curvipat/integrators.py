@@ -28,9 +28,13 @@ along the last mode weighted by the first mode alone (the ball's phi
 summand) is a stack of one matrix per slice of the first mode, for M W and
 for phi1, each applied as one batched GEMM.  The tridiagonal operators of
 M W are applied as diagonal blocks plus the links between neighbouring
-blocks, along the last mode only when it is long.  So one code path serves
-every geometry and the cost per step is a fixed number of kernels.  The
-factor order must not be permuted (the factors do not commute).
+blocks, along the last mode only when it is long; along the second of three
+modes, weighted by the first alone, one block per first-mode row carries
+that row's weight.  So one code path serves every geometry and the cost per
+step is a fixed number of kernels, with no field pass of its own for tau or
+for those weights: tau rides on the phi1 of the factor applied first (P_d,
+the last one).  The factor order must not be permuted (the factors do not
+commute).
 
 Every kernel can write into a caller's array.  ``run_simulation`` owns one
 :class:`Workspace` per field shape and updates the states in place, so a
@@ -40,7 +44,7 @@ warm step allocates no field; ``step_split`` without buffers stays pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
 from typing import Callable
@@ -52,6 +56,7 @@ from .operators import PeriodicTridiagonal, TridiagonalOperator, eig_theta, eig_
 from .phifun import phi1_dense_oracle, phi1_matrix, phi1_outer
 
 DIVERGENCE_LIMIT = 1e12
+_LIMIT_SQUARED = DIVERGENCE_LIMIT**2
 # The rounding of M W that a run may add up in its fields (see
 # _check_rounding_growth): every shipped config stays below 2e-6, and a
 # sphere with rho_star = 1e-7, whose means move visibly, reaches 0.22.
@@ -147,12 +152,17 @@ class SplitFactor:
 
     ``A`` is coeff times the 1-d operator along ``mode``, dense or
     :class:`tensor.BlockBanded`, and ``weight`` the broadcastable product of
-    the diagonal weights that scale it (size 1 along ``mode`` and along
-    every mode that does not weight it), or None.  ``phi1`` is the action of
-    phi1(tau coeff M_mu): a dense matrix along ``mode`` when the summand is
+    the diagonal weights that M W multiplies in after that product (size 1
+    along ``mode`` and along every mode that does not weight it), or None:
+    the summand is unweighted, or ``A`` carries its weights.  Along the
+    second of three modes, weighted by the first alone, ``A`` holds one
+    block per first-mode row i, scaled by coeff w_i (see
+    :meth:`tensor.BlockBanded.scaled_rows`).  ``phi1`` is the action of
+    phi1(tau coeff M_mu), times tau on the factor applied first (the last
+    of a geometry's): a dense matrix along ``mode`` when the summand is
     unweighted (along the first mode possibly its band alone, a
     :class:`tensor.BlockTridiagonal`), else (V^-1, phi1 tensor, V), the
-    tensor broadcast like ``weight``; when V is the real Fourier basis, the
+    tensor over ``mode`` and the modes that weight it; when V is the real Fourier basis, the
     phi1 tensor alone, over the rfft frequencies along ``mode`` and stored
     as complex.  Along the second of three modes, weighted by the first
     alone, that tensor may keep only its leading first-mode rows, the later
@@ -183,24 +193,21 @@ class SplitFactor:
     def apply_phi1(
         self, T: np.ndarray, out: np.ndarray | None = None, work: Workspace | None = None
     ) -> np.ndarray:
-        """phi1(tau coeff M_mu) T, into ``out`` or a new array.  With ``out``
-        given, T may serve as scratch and is overwritten; ``work`` lends
-        the rfft spectrum."""
-        if self.weight is None:
+        """The action ``phi1`` on T, into ``out`` or a new array.  With
+        ``out`` given, T may serve as scratch and is overwritten; ``work``
+        lends the rfft spectrum."""
+        if isinstance(self.phi1, tuple):
+            V_inv, phi, V = self.phi1
+            X = tensor.mode_product(self.mode, V_inv, T, out=out)
+            X = np.multiply(X, phi, out=None if out is None else T)
+            return tensor.mode_product(self.mode, V, X, out=out)
+        circulant = isinstance(self.phi1, tensor.BandedCirculant)
+        if not circulant and not np.iscomplexobj(self.phi1):
             return _along(self.mode, self.phi1, T, out)
-        if not isinstance(self.phi1, tuple):
-            spectrum = None if work is None else work.spectrum(self.mode)
-            if isinstance(self.phi1, tensor.BandedCirculant):
-                return tensor.banded_circulant_mode_product(
-                    self.phi1, T, out=out, spectrum=spectrum
-                )
-            return tensor.fourier_mode_product(
-                self.mode, self.phi1, T, out=out, spectrum=spectrum
-            )
-        V_inv, phi, V = self.phi1
-        X = tensor.mode_product(self.mode, V_inv, T, out=out)
-        X = np.multiply(X, phi, out=None if out is None else T)
-        return tensor.mode_product(self.mode, V, X, out=out)
+        spectrum = None if work is None else work.spectrum(self.mode)
+        if circulant:
+            return tensor.banded_circulant_mode_product(self.phi1, T, out=out, spectrum=spectrum)
+        return tensor.fourier_mode_product(self.mode, self.phi1, T, out=out, spectrum=spectrum)
 
 
 class Workspace:
@@ -230,7 +237,8 @@ class Workspace:
 @dataclass(frozen=True)
 class GeometryOps:
     """Everything the stepper needs for one (component, tau) pair: the
-    prepared split factors in splitting order.
+    prepared split factors in splitting order, the last of which (applied
+    first) carries tau in its phi1.
 
     Built once by :func:`prepare`; the step loop performs only mode
     products and elementwise products with these arrays.
@@ -297,32 +305,38 @@ def _window_holds(rho, n: int, b: int, norm) -> np.ndarray:
 
 def _form(
     geometry: Geometry, shape: tuple[int, ...], mode: int, weighted_by: tuple[int, ...]
-) -> tuple[int | None, str]:
+) -> tuple[int | None, bool, str]:
     """How :func:`prepare` holds one summand, from the sizes alone: the
-    block size of its M W operator (None: dense) and the form of its phi1,
-    one of "dense" (unweighted), "stacked", "rfft", "circulant" or
-    "triple".  A "dense" phi1 along the first mode may still be narrowed by
-    :func:`prepare` to its block tridiagonal band of that block size, which
-    depends on tau; so may the later first-mode rows of a "circulant" one,
-    an rfft along the second of three modes weighted by the first alone.
+    block size of its M W operator (None: dense), whether those blocks are
+    held one per first-mode row with the row's weight in them, and the form
+    of its phi1, one of "dense" (unweighted), "stacked", "rfft", "circulant"
+    or "triple".  A "dense" phi1 along the first mode may still be narrowed
+    by :func:`prepare` to its block tridiagonal band of that block size,
+    which depends on tau; so may the later first-mode rows of a "circulant"
+    one, an rfft along the second of three modes weighted by the first alone.
 
     A last-mode summand weighted by the first mode alone is stacked (M W
     too) when its stack of n_1 matrices holds no more entries than a field,
-    i.e. n_d is at most the product of the middle modes.  Likewise an rfft
-    is "circulant" only when the band's n_1 block rows of 3 b^2 entries
-    hold no more than a field, i.e. 3 b^2 <= n_2 n_3."""
+    i.e. n_d is at most the product of the middle modes.  The M W blocks
+    of a periodic angle along the second of three modes, weighted by the
+    first mode alone, are all the same, so they are held one per
+    first-mode row when those n_1 blocks of b^2 entries hold no more than a
+    field, i.e. b^2 <= n_2 n_3.  Likewise an rfft is "circulant" only when
+    the band's n_1 block rows of 3 b^2 entries do, i.e. 3 b^2 <= n_2 n_3."""
     n = shape[mode - 1]
     last = mode == len(shape)
     if last and weighted_by == (1,) and n <= math.prod(shape[1:-1]):
-        return None, "stacked"
+        return None, False, "stacked"
     b = None if last and n < BLOCK_LAST_MIN else _block_size(n)
     if not weighted_by:
-        return b, "dense"
-    if geometry.axes[mode - 1] == "theta" and n >= FFT_MIN_THETA:
-        middle = mode == 2 < len(shape) and weighted_by == (1,)
-        fits = b is not None and 3 * b * b <= math.prod(shape[1:])
-        return b, "circulant" if middle and fits else "rfft"
-    return b, "triple"
+        return b, False, "dense"
+    if geometry.axes[mode - 1] != "theta":
+        return b, False, "triple"
+    middle = mode == 2 < len(shape) and weighted_by == (1,) and b is not None
+    rows = middle and b * b <= math.prod(shape[1:])
+    if n < FFT_MIN_THETA:
+        return b, rows, "triple"
+    return b, rows, "circulant" if middle and 3 * b * b <= math.prod(shape[1:]) else "rfft"
 
 
 def prepare(base: ComponentOps, tau: float) -> GeometryOps:
@@ -333,7 +347,10 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
     its block tridiagonal band when :func:`_window_holds` shows that the
     rest lies below the dense product's rounding at this tau; a
     "circulant" phi1 does so on the first-mode rows from which that bound
-    holds for every later row, with rho_i = tau coeff w_i ||A||_inf."""
+    holds for every later row, with rho_i = tau coeff w_i ||A||_inf.  The
+    phi1 of the factor applied first, the last one, is scaled by tau: it
+    is never along the first mode, nor along the second of three, so it is
+    a dense matrix, a stack, an rfft symbol or the phi1 tensor of a triple."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     scale = tau * base.coeff
@@ -341,10 +358,12 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
     factors = []
     for mode, weighted_by in FACTORS[base.geometry]:
         axis = axes[mode - 1]
-        b, form = _form(base.geometry, base.shape, mode, weighted_by)
+        b, rows, form = _form(base.geometry, base.shape, mode, weighted_by)
         A = base.coeff * axis.toarray()
         if b is not None:
             A = tensor.BlockBanded.from_dense(A, b, last_mode=mode == len(axes))
+        if rows:
+            A = A.scaled_rows(axes[0].weights)
         periodic = isinstance(axis, PeriodicTridiagonal)
         fac = eig_theta(axis) if periodic else eig_tridiag(axis)
         if form == "dense":
@@ -370,7 +389,7 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
                 SplitFactor(mode, A_t.transpose(0, 2, 1), None, P_t.transpose(0, 2, 1))
             )
             continue
-        weight = reduce(np.multiply.outer, vectors)
+        weight = None if rows else reduce(np.multiply.outer, vectors)
         if form == "triple":
             vectors[mode - 1] = fac.lambdas
             action = (fac.V_inv, phi1_outer(scale, vectors), fac.V)
@@ -392,6 +411,12 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
                     action[:r0].copy(), columns[r0:], b
                 )
         factors.append(SplitFactor(mode, A, weight, action))
+    first = factors[-1].phi1
+    if isinstance(first, tuple):
+        first = (first[0], tau * first[1], first[2])
+    else:
+        first = tau * first  # a stack keeps its transposed layout
+    factors[-1] = replace(factors[-1], phi1=first)
     return GeometryOps(base=base, tau=tau, factors=tuple(factors))
 
 
@@ -400,23 +425,26 @@ def prepared_bytes(geometry: Geometry, shape: tuple[int, ...]) -> int:
     of this shape, in the forms :func:`_form` picks.  Per summand: the M W
     operator (n x n, or b x b blocks plus the 2 n / b links between them,
     and along the last mode also the rows, columns and values of those
-    links, which its first product builds), its weights, and phi1 (an n x n
-    matrix; V^-1 and V with a phi1 tensor over the mode and its weights;
-    or a complex rfft symbol); a stacked summand holds two stacks of n_1
-    matrices instead.  A dense phi1 counts as n x n even where prepare keeps
-    only its block tridiagonal band, and a "circulant" one counts both its
-    whole symbol and a b x 3b block row for every first-mode row, since how
-    many rows take the band depends on tau, which the memory check before
-    a run does not know."""
+    links, which its first product builds; or, held one per first-mode row,
+    n_1 blocks and n_1 rows of links, which carry the weights), its weights,
+    and phi1 (an n x n matrix; V^-1 and V with a phi1 tensor over the mode
+    and its weights; or a complex rfft symbol); a stacked summand holds two
+    stacks of n_1 matrices instead.  A dense phi1 counts as n x n even where
+    prepare keeps only its block tridiagonal band, and a "circulant" one
+    counts both its whole symbol and a b x 3b block row for every
+    first-mode row, since how many rows take the band depends on tau, which
+    the memory check before a run does not know."""
     total = 0
     for mode, weighted_by in FACTORS[geometry]:
         n = shape[mode - 1]
-        b, form = _form(geometry, shape, mode, weighted_by)
+        b, rows, form = _form(geometry, shape, mode, weighted_by)
         if form == "stacked":
             total += 2 * shape[0] * n * n
             continue
         if b is None:
             total += n * n
+        elif rows:
+            total += shape[0] * (b * b + 2 * (n // b))
         else:
             links = 2 * (n // b)
             total += n * b + links + (3 * links if mode == len(shape) else 0)
@@ -424,7 +452,7 @@ def prepared_bytes(geometry: Geometry, shape: tuple[int, ...]) -> int:
             total += n * n
             continue
         weights = math.prod(shape[mu - 1] for mu in weighted_by)
-        total += weights
+        total += 0 if rows else weights
         if form in ("rfft", "circulant"):
             total += 2 * (n // 2 + 1) * weights
             total += 3 * shape[0] * b * b if form == "circulant" else 0
@@ -460,7 +488,8 @@ def step_split(
     out: np.ndarray | None = None,
     work: Workspace | None = None,
 ) -> np.ndarray:
-    """One split exponential Euler step W + tau P_1 ... P_d (M W + G).
+    """One split exponential Euler step W + tau P_1 ... P_d (M W + G),
+    with tau taken in by the prepared P_d.
 
     The new state goes into ``out``, which may be W itself, or into a new
     array.  Intermediates live in ``work``, a :class:`Workspace` for W's
@@ -474,7 +503,6 @@ def step_split(
     T += G
     for f in reversed(ops.factors):
         T, spare = f.apply_phi1(T, out=spare, work=work), T
-    T *= ops.tau
     return np.add(W, T, out=out)
 
 
@@ -556,9 +584,17 @@ def _check_rounding_growth(components, t_star: float) -> None:
 
 def check_divergence(states: dict[str, np.ndarray], step: int) -> None:
     """Raise DivergenceError naming ``step`` and the first component with a
-    NaN or a magnitude beyond DIVERGENCE_LIMIT (a max and a min reduction,
-    through both of which a NaN propagates; no temporary field)."""
+    NaN or a magnitude beyond DIVERGENCE_LIMIT, in one pass over each
+    field that has neither: a BLAS sum of squares strictly below
+    DIVERGENCE_LIMIT**2 rules out both, since rounding a sum of nonnegative
+    terms never brings it below a rounded term, and a NaN or an infinity
+    leaves it NaN or infinite.  Any other field gets the exact test, a max
+    and a min reduction, through both of which a NaN propagates."""
     for name, W in states.items():
+        v = W.reshape(-1)
+        with np.errstate(over="ignore"):  # an overflow to inf falls through
+            if np.dot(v, v) < _LIMIT_SQUARED:
+                continue
         if not (W.max() <= DIVERGENCE_LIMIT and W.min() >= -DIVERGENCE_LIMIT):
             raise DivergenceError(
                 f"component {name!r} diverged at step {step}", step=step

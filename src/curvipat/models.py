@@ -362,12 +362,10 @@ def _cylinder_reaction(states, out, p, eq, axes):
     src_u, src_v, ps, qs = bs_cylinder_coupling(
         u_bottom, v_bottom, states["r"], states["s"], p, axes["z"].h, out=surface
     )
-    # -alpha1 (u - alpha2) with u = W_u + u*, without lifting the field
-    a1, b1 = p["alpha1"], p["beta1"]
-    gu = np.multiply(W_u, -a1, out=out_u)
-    gu += a1 * (p["alpha2"] - eq["u"])
-    gv = np.multiply(W_v, -b1, out=out_v)
-    gv += b1 * (p["beta2"] - eq["v"])
+    # -alpha1 (u - alpha2) with u = W_u + u*, without lifting the field; the
+    # equilibrium is u* = alpha2, v* = beta2, so only -alpha1 W_u is left
+    gu = np.multiply(W_u, -p["alpha1"], out=out_u)
+    gv = np.multiply(W_v, -p["beta1"], out=out_v)
     gu[:, :, 0] += src_u
     gv[:, :, 0] += src_v
     ps *= p["zeta1"]

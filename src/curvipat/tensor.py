@@ -88,6 +88,11 @@ class BlockBanded:
     round: ``up[-1]`` and ``down[-1]`` are the corners of a circulant
     matrix (zero for a plain tridiagonal one, and for k = 1, where the
     corners lie in the one block).
+
+    For a product along mode 2 that is not the last, the matrix may
+    instead be one per first-mode row i, with one block at every diagonal
+    position (see :meth:`scaled_rows`): then ``blocks`` is an (n_1, 1, b, b)
+    stack, and ``up`` and ``down`` hold one row of links per row, (n_1, k).
     """
 
     blocks: np.ndarray
@@ -124,7 +129,23 @@ class BlockBanded:
 
     @property
     def n(self) -> int:
-        return self.blocks.shape[0] * self.blocks.shape[1]
+        return self.up.shape[-1] * self.blocks.shape[-1]
+
+    def scaled_rows(self, w: np.ndarray) -> "BlockBanded":
+        """The matrices w_i times this one, one per first-mode row i, held
+        as one b x b block per row, since all k diagonal blocks must be
+        the same (those of a periodic tridiagonal operator are)."""
+        if self.blocks.ndim != 3 or np.any(self.blocks != self.blocks[0]):
+            raise ValueError("only equal diagonal blocks can be held as one per row")
+        w = np.asarray(w, dtype=float)
+        return BlockBanded(
+            w[:, None, None, None] * self.blocks[:1], w[:, None] * self.up, w[:, None] * self.down
+        )
+
+    @cached_property
+    def wraps(self) -> bool:
+        """Whether a last link, a periodic corner, is nonzero (any row's)."""
+        return bool(np.any(self.up[..., -1]) or np.any(self.down[..., -1]))
 
     @cached_property
     def gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,17 +175,24 @@ def banded_mode_product(
     and each (pre x b) slab is multiplied from the right by its block's
     transpose: k GEMMs with long rows, where one (pre x n) @ (n x n) GEMM
     would spend most of its flops on zeros; there the links are added by
-    one indexed add (:attr:`BlockBanded.gather`).
+    one indexed add (:attr:`BlockBanded.gather`).  A stack of one block
+    per first-mode row, for mode 2 of three or more, broadcasts over the k
+    blocks of its row.
     """
     field = np.asarray(field)
-    if not 1 <= mu <= field.ndim or field.shape[mu - 1] != op.n:
+    pre = math.prod(field.shape[: mu - 1])
+    post = math.prod(field.shape[mu:])
+    rows = op.blocks.ndim == 4
+    if (
+        not 1 <= mu <= field.ndim
+        or field.shape[mu - 1] != op.n
+        or rows and (mu != 2 or post == 1 or op.blocks.shape[0] != pre)
+    ):
         raise ValueError(
             f"block-banded matrix of order {op.n} does not fit mode {mu} of "
             f"field with dims {field.shape}"
         )
-    k, b, _ = op.blocks.shape
-    pre = math.prod(field.shape[: mu - 1])
-    post = math.prod(field.shape[mu:])
+    k, b = op.up.shape[-1], op.blocks.shape[-1]
     res = np.empty(field.shape) if out is None else out
     if post == 1:
         slabs = (pre, k, b)
@@ -179,11 +207,12 @@ def banded_mode_product(
     blocked = (pre, k, b, post)
     X, R = field.reshape(blocked), res.reshape(blocked)
     np.matmul(op.blocks, X, out=R)
-    R[:, :-1, -1] += op.up[:-1, None] * X[:, 1:, 0]
-    R[:, 1:, 0] += op.down[:-1, None] * X[:, :-1, -1]
-    if op.up[-1] or op.down[-1]:
-        R[:, -1, -1] += op.up[-1] * X[:, 0, 0]
-        R[:, 0, 0] += op.down[-1] * X[:, -1, -1]
+    up, down = op.up[..., None], op.down[..., None]
+    R[:, :-1, -1] += up[..., :-1, :] * X[:, 1:, 0]
+    R[:, 1:, 0] += down[..., :-1, :] * X[:, :-1, -1]
+    if op.wraps:
+        R[:, -1, -1] += up[..., -1, :] * X[:, 0, 0]
+        R[:, 0, 0] += down[..., -1, :] * X[:, -1, -1]
     return res
 
 

@@ -2,17 +2,26 @@
 block-banded mode product as a gather of the entries outside the blocks, the
 banded-circulant mode product with one dense circulant per row, each
 geometry's Kronecker summands written out by hand, one dense classical
-exponential Euler step, the closed-form axial eigenpairs, and the
+exponential Euler step, one split step with nothing folded into its
+factors, the closed-form axial eigenpairs, and the
 integral-mean, stabilization and amplitude checks of the acceptance
 criteria."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from curvipat import models, tensor
-from curvipat.integrators import DENSE_REFERENCE_CAP, ComponentOps, Geometry
-from curvipat.phifun import phi1_dense_oracle
+from curvipat.integrators import (
+    DENSE_REFERENCE_CAP,
+    FACTORS,
+    ComponentOps,
+    Geometry,
+    GeometryOps,
+)
+from curvipat.operators import PeriodicTridiagonal, eig_theta, eig_tridiag
+from curvipat.phifun import phi1_dense_oracle, phi1_matrix, phi1_outer
 
 
 def tucker(field: np.ndarray, matrices, skip: set[int] | None = None) -> np.ndarray:
@@ -38,10 +47,12 @@ def banded_gather_product(
     mu: int, op: tensor.BlockBanded, A: np.ndarray, field: np.ndarray
 ) -> np.ndarray:
     """The block-banded mode product of ``op``, split from the dense matrix
-    ``A``, in its first form: the same batched GEMM of the diagonal blocks,
+    ``A`` (or from one per first-mode row, for a stack of one block per
+    row), in its first form: the same batched GEMM of the diagonal blocks,
     then every nonzero entry of A outside the blocks gathered and added row
     by row (``banded_mode_product`` must equal it bit for bit)."""
-    k, b, _ = op.blocks.shape
+    b = op.blocks.shape[-1]
+    k = op.n // b
     pre = math.prod(field.shape[: mu - 1])
     post = math.prod(field.shape[mu:])
     res = np.empty(field.shape)
@@ -55,13 +66,13 @@ def banded_gather_product(
     else:
         blocked = (pre, k, b, post)
         np.matmul(op.blocks, field.reshape(blocked), out=res.reshape(blocked))
-    outside = np.array(A, dtype=float)
+    outside = np.array(A, dtype=float).reshape(-1, op.n, op.n)
     diag = np.arange(k)
-    outside.reshape(k, b, k, b)[diag, :, diag, :] = 0.0
-    rows, cols = np.nonzero(outside)
+    outside.reshape(-1, k, b, k, b)[:, diag, :, diag, :] = 0.0
+    rows, cols = np.nonzero(np.any(outside, axis=0))
     assert len(np.unique(rows)) == len(rows)
     X = field.reshape(pre, op.n, post)
-    res.reshape(pre, op.n, post)[:, rows] += outside[rows, cols][:, None] * X[:, cols]
+    res.reshape(pre, op.n, post)[:, rows] += outside[:, rows, cols][:, :, None] * X[:, cols]
     return res
 
 
@@ -141,6 +152,59 @@ def step_exact_ee_reference(
         raise ValueError(f"dense reference capped at {DENSE_REFERENCE_CAP} unknowns")
     P = phi1_dense_oracle(tau * M, max_dim=DENSE_REFERENCE_CAP)
     return w + tau * (P @ (M @ w + g))
+
+
+def unfused_split_step(ops: GeometryOps, W: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The split step W + tau P_1 ... P_d (M W + G) on the prepared factors
+    of ``ops`` with nothing folded into them: a summand whose M W blocks
+    are held one per first-mode row takes its unweighted blocks, with the
+    weights multiplied in after the product, and the first-applied P_d is
+    rebuilt without tau, which multiplies in after every P_mu."""
+    base, tau = ops.base, ops.tau
+    axes = base.axis_ops()
+    factors = list(ops.factors)
+    for i, (mode, _) in enumerate(FACTORS[base.geometry]):
+        A = factors[i].A
+        if isinstance(A, tensor.BlockBanded) and A.blocks.ndim == 4:
+            A = tensor.BlockBanded.from_dense(
+                base.coeff * axes[mode - 1].toarray(), A.blocks.shape[-1]
+            )
+            factors[i] = replace(factors[i], A=A, weight=axes[0].weights[:, None, None])
+    factors[-1] = replace(factors[-1], phi1=_phi1_without_tau(ops))
+    T = factors[0].diffusion(W)
+    for f in factors[1:]:
+        T += f.diffusion(W)
+    T += G
+    for f in reversed(factors):
+        T = f.apply_phi1(T)
+    T *= tau
+    return W + T
+
+
+def _phi1_without_tau(ops: GeometryOps):
+    """phi1 of the last summand of ``ops`` in the form prepare holds it
+    (dense matrix, V^-1/V triple, rfft symbol or stack), without tau."""
+    base = ops.base
+    axes = base.axis_ops()
+    mode, weighted_by = FACTORS[base.geometry][-1]
+    axis = axes[mode - 1]
+    fac = eig_theta(axis) if isinstance(axis, PeriodicTridiagonal) else eig_tridiag(axis)
+    scale = ops.tau * base.coeff
+    folded = ops.factors[-1].phi1
+    vectors = [np.ones(1)] * len(axes)
+    for mu in weighted_by:
+        vectors[mu - 1] = axes[mu - 1].weights
+    if isinstance(folded, tuple):
+        vectors[mode - 1] = fac.lambdas
+        return fac.V_inv, phi1_outer(scale, vectors), fac.V
+    if np.iscomplexobj(folded):
+        vectors[mode - 1] = fac.lambdas[np.r_[0, 1 : axis.n : 2]]
+        return phi1_outer(scale, vectors).astype(complex)
+    if folded.ndim == 2:
+        return phi1_matrix(scale, fac)
+    vectors[mode - 1] = fac.lambdas
+    phi = phi1_outer(scale, vectors).reshape(axes[0].n, 1, axis.n)
+    return ((fac.V_inv.T * phi) @ fac.V.T).transpose(0, 2, 1)
 
 
 def explicit_z_eigenpairs(n: int, z_star: float) -> tuple[np.ndarray, np.ndarray]:

@@ -32,6 +32,7 @@ from oracles import (
     dense_operator,
     kronecker_summands,
     step_exact_ee_reference,
+    unfused_split_step,
 )
 
 
@@ -116,6 +117,8 @@ def test_apply_diffusion_sphere_annihilates_constants():
             ("disk", (4, 128)),
             ("sphere", (128, 4)),
             ("cylinder", (2, 128, 2)),
+            # theta blocks held one per rho row, with a V^-1/V phi1
+            ("cylinder", (3, 32, 8)),
         ]
     ],
 )
@@ -138,7 +141,7 @@ def test_apply_diffusion_matches_kronecker_oracle(name, dims):
         ("disk", (16, 128), [None, 16], True),
         ("sphere", (127, 6), [None, None], False),
         ("sphere", (128, 6), [16, None], True),
-        ("cylinder", (4, 128, 4), [None, 16, None], True),
+        ("cylinder", (4, 128, 4), [None, ("rows", 16), None], True),
         # the last-mode summand of the ball, weighted by rho alone, is
         # stacked while n_phi <= n_theta, else block-banded or dense
         ("ball", (30, 50, 30), [15, 10, "stacked"], False),
@@ -146,15 +149,27 @@ def test_apply_diffusion_matches_kronecker_oracle(name, dims):
         ("ball", (30, 50, 60), [15, 10, None], False),
         ("disk", (16, 64), [None, None], False),
         # the other benchmark shapes (the ball's is above)
-        ("cylinder", (160, 160, 20), [16, 16, None], True),
+        ("cylinder", (160, 160, 20), [16, ("rows", 16), None], True),
         ("disk", (160, 160), [16, 16], True),
+        # the cylinder's theta M W is held as one weighted block per rho
+        # row only where those n_rho b^2 entries fit in a field
+        ("cylinder", (20, 20, 3), [10, 10, None], False),
     ],
 )
 def test_prepare_picks_forms_from_mode_size_and_position(name, dims, blocks, fourier):
     ops = prepare(ALL_BASES[name](*dims), 0.01)
     got = {}
-    for f in ops.factors:
-        if isinstance(f.A, tensor.BlockBanded):
+    for (mode, weighted_by), f in zip(integrators.FACTORS[ops.base.geometry], ops.factors):
+        if isinstance(f.A, tensor.BlockBanded) and f.A.blocks.ndim == 4:
+            # only mode 2 of 3, weighted by mode 1 alone: one b x b block
+            # and one row of links per first-mode row, which carry the
+            # weights
+            b = f.A.blocks.shape[-1]
+            got[f.mode] = ("rows", b)
+            assert (mode, len(dims), weighted_by) == (2, 3, (1,)) and f.weight is None
+            assert f.A.blocks.shape == (dims[0], 1, b, b)
+            assert f.A.up.shape == f.A.down.shape == (dims[0], dims[1] // b)
+        elif isinstance(f.A, tensor.BlockBanded):
             got[f.mode] = f.A.blocks.shape[1]
         elif f.A.ndim == 3:
             got[f.mode] = "stacked"
@@ -167,7 +182,7 @@ def test_prepare_picks_forms_from_mode_size_and_position(name, dims, blocks, fou
             assert f.phi1.transpose(0, 2, 1).flags.c_contiguous
         else:
             got[f.mode] = None
-        if f.weight is not None and f.mode == ops.base.geometry.axes.index("theta") + 1:
+        if f.mode == ops.base.geometry.axes.index("theta") + 1:
             assert isinstance(f.phi1, tuple) is not fourier
     assert [got[mu] for mu in range(1, len(dims) + 1)] == blocks
 
@@ -225,6 +240,8 @@ def test_step_split_cylinder_zero_field_fixed_point():
         ("disk", (4, 128)),
         ("sphere", (128, 4)),
         ("cylinder", (2, 128, 2)),
+        # theta M W blocks held one per rho row, with a V^-1/V phi1
+        ("cylinder", (3, 32, 8)),
     ],
 )
 def test_step_split_matches_dense_oracle(name, dims):
@@ -473,19 +490,24 @@ def test_linear_step_never_expands_any_state():
 # SHA-256 of the final fields' bytes in component order.  The disk, ball and
 # cylinder digests were re-recorded when the last-mode forms and the cube by
 # multiplication (in the DIB kinetics) came in; the anomalous disk (no form
-# along its 12-point last mode changed) and the sphere kept theirs.
+# along its 12-point last mode changed) and the sphere kept theirs.  All but
+# the ball's were re-recorded again when tau moved into the first-applied
+# phi1 and the cylinder's theta weights into its M W blocks, which round
+# differently (test_five_steps_equal_the_unfused_oracle bounds the change);
+# the ball's increments of about 1e-4 on fields of about 1 lose those
+# roundings in the sum, so its digest stayed.
 GOLDEN_RUNS = {
     "bvam_disk": (
         {"n_rho": 24, "n_theta": 128}, 0.5,
-        "71ec5187aafca0cc0568c46d67151a0e454806b6f924999c195da51aecf3951d",
+        "d41ad57105fa98b7b22c8802ed6de7f265d5eba6ab752785af390676325b9e84",
     ),
     "schnakenberg_anomalous_disk": (
         {"n_rho": 20, "n_theta": 12}, 1e-3,
-        "c705e69f1266d37c9bc1428f6b927326e7039edde8ba38f1e1e70fb815903468",
+        "f6655aa6ae685a140e6fe436329c5fc9e8481f95da59e33f9fdb1b9d630a7e38",
     ),
     "dib_sphere": (
         {"n_theta": 128, "n_phi": 18}, 0.01,
-        "f0588bde44eb736909e08c1af20ad76ccab485bc3f78cb6bead8fb316713973f",
+        "c783fa24d2cba1e0ac13a0f087a064062bef0bfe250046cfb9e78bc5280f8b9d",
     ),
     "bulk_surface_schnakenberg_ball": (
         {"n_rho": 18, "n_theta": 8, "n_phi": 6}, 1e-3,
@@ -493,7 +515,7 @@ GOLDEN_RUNS = {
     ),
     "bsdib_cylinder": (
         {"n_rho": 20, "n_theta": 128, "n_z": 4}, 0.05,
-        "a618668352570dc5a1352a85bbefa7719dcf4f3b8442ebbcc93ab2c30bf83714",
+        "e04cbe38ba07155150f72b877b6501b2739afc4dabad880c43e2fd4eea2a4356",
     ),
 }
 
@@ -501,11 +523,14 @@ GOLDEN_RUNS = {
 def factor_forms(f: SplitFactor, order: int) -> set[str]:
     if isinstance(f.A, tensor.BlockBanded):
         diffusion = "banded-last" if f.mode == order else "banded"
+        diffusion += "-rows" if f.A.blocks.ndim == 4 else ""
     else:
         diffusion = "stacked" if f.A.ndim == 3 else "dense"
-    if f.weight is None:
-        return {diffusion, "stacked" if f.phi1.ndim == 3 else "dense"}
-    return {diffusion, "triple" if isinstance(f.phi1, tuple) else "rfft"}
+    if isinstance(f.phi1, tuple):
+        return {diffusion, "triple"}
+    if np.iscomplexobj(f.phi1):
+        return {diffusion, "rfft"}
+    return {diffusion, "stacked" if f.phi1.ndim == 3 else "dense"}
 
 
 def test_run_simulation_final_fields_frozen():
@@ -518,7 +543,29 @@ def test_run_simulation_final_fields_frozen():
         for c in system.components:
             for f in prepare(c.ops, t_star / 5).factors:
                 forms.update(factor_forms(f, len(c.ops.shape)))
-    assert forms == {"dense", "banded", "banded-last", "stacked", "triple", "rfft"}
+    assert forms == {"dense", "banded", "banded-last", "banded-rows", "stacked", "triple", "rfft"}
+
+
+def test_five_steps_equal_the_unfused_oracle():
+    # tau on the first-applied phi1 and the cylinder's theta weights in its
+    # M W blocks move only rounding: five steps of every golden model stay
+    # within 1e-13 of the step that multiplies each weight after its
+    # product and tau last
+    for name, (dims, t_star, _) in GOLDEN_RUNS.items():
+        system = models.build_system(name, dims, seed=3)
+        fields = run_simulation(system, 5, t_star).fields
+        geo = {c.name: prepare(c.ops, t_star / 5) for c in system.components}
+        states = {c.name: c.initial.copy() for c in system.components}
+        for _ in range(5):
+            gs = system.kinetics(states)
+            states = {
+                c.name: unfused_split_step(geo[c.name], states[c.name], gs[c.name])
+                for c in system.components
+            }
+        for c in system.components:
+            ref = states[c.name]
+            error = np.max(np.abs(fields[c.name] - ref)) / np.max(np.abs(ref))
+            assert error <= 1e-13, (name, c.name, error)
 
 
 def held_bytes(ops) -> int:
@@ -576,7 +623,7 @@ def test_prepared_bytes_bounds_what_prepare_holds():
                 estimate = prepared_bytes(g, shape)
                 dropped = 0
                 for (mode, weighted_by), f in zip(integrators.FACTORS[g], ops.factors):
-                    b, form = integrators._form(g, shape, mode, weighted_by)
+                    b, _, form = integrators._form(g, shape, mode, weighted_by)
                     if isinstance(f.phi1, tensor.BlockTridiagonal):
                         n, b = f.phi1.n, f.phi1.rows.shape[1]
                         dropped += 8 * (n * n - (n // b - 2) * 3 * b * b - 4 * b * b)
@@ -591,7 +638,8 @@ def test_prepared_bytes_bounds_what_prepare_holds():
 def test_banded_mode_product_equals_the_gather_oracle_bitwise():
     # the links between blocks, added through views, cost each output
     # element the same floating-point operations as gathering the entries
-    # outside the blocks did: on every block-banded operator prepare builds
+    # outside the blocks did: on every block-banded operator prepare builds,
+    # one per first-mode row included (w_i A, rounded as prepare rounds it)
     rng = np.random.RandomState(21)
     kinds = set()
     for name, dims, _ in shipped_dims():
@@ -603,15 +651,18 @@ def test_banded_mode_product_equals_the_gather_oracle_bitwise():
                     continue
                 T = rng.randn(*c.ops.shape)
                 A = c.ops.coeff * axes[f.mode - 1].toarray()
+                if f.A.blocks.ndim == 4:
+                    A = axes[0].weights[:, None, None] * A
+                    kinds.add("rows")
                 got = tensor.banded_mode_product(f.mode, f.A, T)
                 assert np.array_equal(got, banded_gather_product(f.mode, f.A, A, T)), name
-                if f.A.up[-1]:
+                if f.A.up[..., -1].any():
                     kinds.add("periodic")
-                if f.A.blocks.shape[0] == 2:
+                if f.A.up.shape[-1] == 2:
                     kinds.add("k = 2")
                 if f.mode == len(dims):
                     kinds.add("last mode")
-    assert kinds == {"periodic", "k = 2", "last mode"}
+    assert kinds == {"periodic", "k = 2", "last mode", "rows"}
 
 
 def cylinder_bulk_radial_phi1():
@@ -879,6 +930,66 @@ def test_divergence_guard_names_step_and_component(bad, runner):
     ) as err:
         run()
     assert err.value.step == k
+
+
+def max_min_guard(states):
+    """The component the max and min test names, or None: the guard's exact
+    test, which its one-pass sum of squares must agree with."""
+    limit = integrators.DIVERGENCE_LIMIT
+    for name, W in states.items():
+        if not (W.max() <= limit and W.min() >= -limit):
+            return name
+    return None
+
+
+def guard_cases():
+    ok = np.random.RandomState(29).randn(6, 8)
+    limit = integrators.DIVERGENCE_LIMIT
+    above, below = np.nextafter(limit, np.inf), np.nextafter(limit, 0.0)
+
+    def later(value, fill=None):
+        bad = ok.copy() if fill is None else np.full(ok.shape, fill)
+        bad[3, 5] = value
+        return {"u": ok, "v": bad, "w": ok}
+
+    cases = {
+        "nan": (later(np.nan), "v"),
+        "inf": (later(np.inf), "v"),
+        "-inf": (later(-np.inf), "v"),
+        "ulp above limit": (later(above), "v"),
+        "ulp above -limit": (later(-above), "v"),
+        "ulp below limit": (later(below), None),
+        "ulp below -limit": (later(-below), None),
+        "at the limit": (later(limit, fill=-limit), None),
+        # a sum of squares beyond limit^2 with every entry below the limit
+        "large sum": (later(0.9 * limit, fill=0.5 * limit), None),
+        # the sum of squares overflows to inf; the exact test raises
+        "1e200": (later(1e200, fill=-1e200), "v"),
+        "first in order": ({"u": ok, "v": later(np.nan)["v"], "w": later(np.inf)["v"]}, "v"),
+    }
+    return [pytest.param(states, name, id=case) for case, (states, name) in cases.items()]
+
+
+@pytest.mark.parametrize("states,name", guard_cases())
+def test_divergence_guard_raises_exactly_where_max_and_min_do(states, name):
+    assert max_min_guard(states) == name
+    if name is None:
+        integrators.check_divergence(states, 7)
+        return
+    with pytest.raises(DivergenceError, match=f"'{name}' diverged at step 7$"):
+        integrators.check_divergence(states, 7)
+
+
+def test_divergence_guard_takes_one_pass_over_a_finite_field():
+    # no max or min reduction runs while the sum of squares is below limit^2
+    class NoReduction(np.ndarray):
+        def max(self, *args, **kwargs):
+            raise AssertionError("max reduction")
+
+        min = max
+
+    fields = np.random.RandomState(30).randn(3, 6, 8) * 1e11
+    integrators.check_divergence({str(i): W.view(NoReduction) for i, W in enumerate(fields)}, 1)
 
 
 def test_run_simulation_sampling_layout():

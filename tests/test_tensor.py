@@ -208,6 +208,43 @@ def test_block_banded_rejects_bad_splits():
         tensor.banded_mode_product(1, op, np.zeros((8, 3)))
 
 
+@pytest.mark.parametrize(
+    "dims,b", [((7, 20, 6), 5), ((5, 12, 3), 4), ((4, 10, 2, 3), 5), ((3, 8, 4), 8)]
+)
+def test_banded_mode_product_with_one_block_per_row_equals_the_weighted_one(dims, b):
+    # a periodic tridiagonal Toeplitz operator has k equal diagonal blocks,
+    # so w_i A is held as one block and one row of links per first-mode row
+    rng = np.random.RandomState(15)
+    n = dims[1]
+    A = sum(c * np.roll(np.eye(n), shift, axis=1) for c, shift in zip(rng.randn(3), (-1, 0, 1)))
+    w = 0.5 + rng.rand(dims[0])
+    op = tensor.BlockBanded.from_dense(A, b)
+    rows = op.scaled_rows(w)
+    assert rows.blocks.shape == (dims[0], 1, b, b) and rows.n == n
+    assert rows.up.shape == rows.down.shape == (dims[0], n // b)
+    T = rng.randn(*dims)
+    ref = tensor.banded_mode_product(2, op, T) * w.reshape(-1, *[1] * (len(dims) - 1))
+    got = tensor.banded_mode_product(2, rows, T)
+    assert got.flags.c_contiguous
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    buf = np.empty(dims)
+    into = tensor.banded_mode_product(2, rows, T, out=buf)
+    assert np.shares_memory(into, buf) and np.array_equal(into, got)
+
+
+def test_one_block_per_row_rejects_unequal_blocks_and_other_modes():
+    rng = np.random.RandomState(16)
+    with pytest.raises(ValueError):  # a plain tridiagonal matrix's blocks differ
+        plain = tensor.BlockBanded.from_dense(random_tridiagonal(12, rng, False), 4)
+        plain.scaled_rows(np.ones(3))
+    rows = tensor.BlockBanded.from_dense(operators.build_theta(12).toarray(), 4).scaled_rows(
+        np.ones(3)
+    )
+    for mu, dims in [(1, (12, 3, 2)), (2, (3, 12)), (2, (4, 12, 2)), (3, (3, 2, 12))]:
+        with pytest.raises(ValueError):
+            tensor.banded_mode_product(mu, rows, np.zeros(dims))
+
+
 def block_tridiagonal_part(A, b):
     """A with every entry outside its block tridiagonal band of b x b
     blocks set to zero."""
