@@ -12,25 +12,25 @@ built from it, and the tests check both against summands written out per
 geometry by hand in ``tests/oracles.py``.
 The split scheme advances W_{n+1} = W_n + tau * P_1 P_2 (... P_d) F_n where
 F_n = M W_n + G_n and each P_mu is phi1(tau M_mu).  An unweighted P_mu is
-one mode product with a dense phi1 matrix, or, along the first mode when
-phi1 is banded to rounding at this tau, with its block tridiagonal band
-(one batched GEMM over overlapping windows of the field); a weighted one
-is a mode product with V^-1, an elementwise product with a precomputed phi1
-tensor, and a mode product with V.  For a long periodic angle V is the real
-Fourier basis, so its pair of mode products becomes an rfft and an irfft,
-run over slabs of the first mode when it is along a later one.  Along the
-second of three modes, weighted by the first mode alone (the cylinder's
-theta summand), phi1 is one circulant per first-mode row; on the rows
-where tau w_i makes it banded to rounding, that circulant is applied as its
-block tridiagonal band (one batched GEMM over overlapping windows, as for
-the first mode), and the rfft covers only the leading rows.  A summand
-along the last mode weighted by the first mode alone (the ball's phi
-summand) is a stack of one matrix per slice of the first mode, for M W and
-for phi1, each applied as one batched GEMM.  The tridiagonal operators of
-M W are applied as diagonal blocks plus the links between neighbouring
-blocks, along the last mode only when it is long; along the second of three
-modes, weighted by the first alone, one block per first-mode row carries
-that row's weight.  So one code path serves every geometry and the cost per
+one mode product with a dense phi1 matrix; a weighted one is a mode product
+with V^-1, an elementwise product with a precomputed phi1 tensor, and a
+mode product with V.  For a long periodic angle V is the real Fourier
+basis, so its pair of mode products becomes an rfft and an irfft, run over
+slabs of the first mode when it is along a later one.  Where phi1 is banded
+to rounding at this tau, it is held as its block tridiagonal band alone
+(:class:`tensor.BlockRows`), applied as one batched GEMM over overlapping
+windows of the field: the dense phi1 along the first mode, its edge block
+rows cut off, and along the second of three modes, weighted by the first
+mode alone (the cylinder's theta summand), where phi1 is one circulant per
+first-mode row, the circulants of the rows where tau w_i makes them banded,
+their edge block rows wrapped round; the rfft covers only the leading
+rows.  A summand along the last mode weighted by the first mode alone (the
+ball's phi summand) is a stack of one matrix per slice of the first mode,
+for M W and for phi1, each applied as one batched GEMM.  The tridiagonal
+operators of M W are applied as diagonal blocks plus the links between
+neighbouring blocks, along the last mode only when it is long; along the
+second of three modes, weighted by the first alone, one block per
+first-mode row carries that row's weight.  So one code path serves every geometry and the cost per
 step is a fixed number of kernels, with no field pass of its own for tau or
 for those weights: tau rides on the phi1 of the factor applied first (P_d,
 the last one).  The factor order must not be permuted (the factors do not
@@ -160,15 +160,16 @@ class SplitFactor:
     :meth:`tensor.BlockBanded.scaled_rows`).  ``phi1`` is the action of
     phi1(tau coeff M_mu), times tau on the factor applied first (the last
     of a geometry's): a dense matrix along ``mode`` when the summand is
-    unweighted (along the first mode possibly its band alone, a
-    :class:`tensor.BlockTridiagonal`), else (V^-1, phi1 tensor, V), the
-    tensor over ``mode`` and the modes that weight it; when V is the real Fourier basis, the
-    phi1 tensor alone, over the rfft frequencies along ``mode`` and stored
-    as complex.  Along the second of three modes, weighted by the first
-    alone, that tensor may keep only its leading first-mode rows, the later
-    ones held as the block tridiagonal bands of their circulants (a
-    :class:`tensor.BandedCirculant`; the 160 x 160 x 20 cylinder's u and v
-    keep 22 rows of 160 at tau = 50/8000).
+    unweighted, else (V^-1, phi1 tensor, V), the tensor over ``mode`` and
+    the modes that weight it; when V is the real Fourier basis, the phi1
+    tensor alone, over the rfft frequencies along ``mode`` and stored as
+    complex.  Where it is banded to rounding, phi1 is instead one
+    :class:`tensor.BlockRows`: along the first mode the dense matrix's
+    band, edges cut; along the second of three modes, weighted by the first
+    alone, the wrapped bands of the later first-mode rows' circulants, the
+    leading rows keeping their rfft symbol (the 160 x 160 x 20 cylinder's
+    u and v keep 22 rows of 160 at tau = 50/8000).  :func:`_along` picks
+    the kernel for every form but the triple.
 
     A summand along the last mode weighted by the first mode alone may
     instead be a stack of n_1 matrices, one per slice of the first mode (see
@@ -201,13 +202,7 @@ class SplitFactor:
             X = tensor.mode_product(self.mode, V_inv, T, out=out)
             X = np.multiply(X, phi, out=None if out is None else T)
             return tensor.mode_product(self.mode, V, X, out=out)
-        circulant = isinstance(self.phi1, tensor.BandedCirculant)
-        if not circulant and not np.iscomplexobj(self.phi1):
-            return _along(self.mode, self.phi1, T, out)
-        spectrum = None if work is None else work.spectrum(self.mode)
-        if circulant:
-            return tensor.banded_circulant_mode_product(self.phi1, T, out=out, spectrum=spectrum)
-        return tensor.fourier_mode_product(self.mode, self.phi1, T, out=out, spectrum=spectrum)
+        return _along(self.mode, self.phi1, T, out, work)
 
 
 class Workspace:
@@ -253,13 +248,22 @@ class GeometryOps:
         return self.base.shape
 
 
-def _along(mode: int, op, field: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """A prepared operator along ``mode``: dense, block-banded,
-    block-tridiagonal, or a stack of per-slice matrices (three indices)."""
+def _along(
+    mode: int, op, field: np.ndarray, out: np.ndarray | None, work: Workspace | None = None
+) -> np.ndarray:
+    """A prepared operator along ``mode``: dense, block-banded, block rows,
+    an rfft symbol (complex), or a stack of per-slice matrices (three
+    indices).  ``work`` lends its rfft spectrum to a symbol, and to block
+    rows with wrapped edges or symbol rows."""
     if isinstance(op, tensor.BlockBanded):
         return tensor.banded_mode_product(mode, op, field, out=out)
-    if isinstance(op, tensor.BlockTridiagonal):
-        return tensor.windowed_mode_product(mode, op, field, out=out)
+    rows = isinstance(op, tensor.BlockRows)
+    spectral = (op.wraps or op.symbol is not None) if rows else np.iscomplexobj(op)
+    spectrum = work.spectrum(mode) if spectral and work is not None else None
+    if rows:
+        return tensor.windowed_mode_product(mode, op, field, out=out, spectrum=spectrum)
+    if spectral:
+        return tensor.fourier_mode_product(mode, op, field, out=out, spectrum=spectrum)
     if op.ndim == 3:
         return tensor.sliced_mode_product(op, field, out=out)
     return tensor.mode_product(mode, op, field, out=out)
@@ -371,7 +375,7 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
             if b is not None and mode == 1 and not periodic:
                 norm = np.abs(P).sum(axis=1).max()
                 if _window_holds(scale * _norm_inf(axis), axis.n, b, norm):
-                    P = tensor.BlockTridiagonal.from_dense(P, b)
+                    P = tensor.BlockRows.from_dense(P, b)
             factors.append(SplitFactor(mode, A, None, P))
             continue
         vectors = [np.ones(1)] * len(axes)
@@ -407,9 +411,7 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
             holds = _window_holds(rho, axis.n, b, np.abs(columns).sum(axis=1))
             r0 = 1 + int(np.flatnonzero(~holds).max(initial=-1))
             if r0 < holds.size:
-                action = tensor.BandedCirculant.from_columns(
-                    action[:r0].copy(), columns[r0:], b
-                )
+                action = tensor.BlockRows.from_columns(action[:r0].copy(), columns[r0:], b)
         factors.append(SplitFactor(mode, A, weight, action))
     first = factors[-1].phi1
     if isinstance(first, tuple):

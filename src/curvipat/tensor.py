@@ -1,13 +1,12 @@
-"""Order-1/2/3 tensor kernels: dense, block-banded, block-tridiagonal,
-real-Fourier, banded-circulant and per-slice mu-mode products, vec/unvec
-and a dense Kronecker assembler.
+"""Order-1/2/3 tensor kernels: dense, block-banded, windowed (block
+tridiagonal bands, cut or wrapped), real-Fourier and per-slice mu-mode
+products, vec/unvec and a dense Kronecker assembler.
 
 The wide kernels make no field-size temporary: a block-banded product adds
 the links between its diagonal blocks through views of the field, a
-block-tridiagonal or banded-circulant product multiplies its block rows
-with overlapping windows of the field, and a real-Fourier product along a
-later mode can run over slabs of the first mode through a spectrum of one
-slab.
+windowed product multiplies its block rows with overlapping windows of the
+field, and a real-Fourier product along a later mode can run over slabs of
+the first mode through a spectrum of one slab.
 
 Fields are plain ``numpy.ndarray`` objects.  The linearization convention is
 first-index-fastest: element (i, j, k) of a field with dims (n1, n2, n3)
@@ -216,67 +215,6 @@ def banded_mode_product(
     return res
 
 
-@dataclass(frozen=True)
-class BlockTridiagonal:
-    """The block tridiagonal part of a square matrix of order n = k b
-    (k >= 3), in b x b blocks, held by block rows: ``rows[i - 1]`` is block
-    row i = 1 .. k - 2 over block columns i - 1 .. i + 1 (b x 3b), ``first``
-    and ``last`` the two edge block rows over their two block columns
-    (b x 2b).  Every entry outside the band is dropped."""
-
-    rows: np.ndarray
-    first: np.ndarray
-    last: np.ndarray
-
-    @classmethod
-    def from_dense(cls, A: np.ndarray, b: int) -> "BlockTridiagonal":
-        """The block tridiagonal part of A, in b x b blocks."""
-        A = np.asarray(A, dtype=float)
-        n = A.shape[0]
-        if A.shape != (n, n) or b < 1 or n % b or n // b < 3:
-            raise ValueError(
-                f"cannot split a matrix of shape {A.shape} into at least 3 x 3 "
-                f"blocks of {b}x{b}"
-            )
-        rows = [A[i * b : (i + 1) * b, (i - 1) * b : (i + 2) * b] for i in range(1, n // b - 1)]
-        return cls(np.stack(rows), A[:b, : 2 * b].copy(), A[-b:, -2 * b :].copy())
-
-    @property
-    def n(self) -> int:
-        return (self.rows.shape[0] + 2) * self.rows.shape[1]
-
-
-def windowed_mode_product(
-    mu: int, op: BlockTridiagonal, field: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """:func:`mode_product` with a :class:`BlockTridiagonal` matrix, into
-    ``out`` as there.
-
-    Each inner block row multiplies the window of 3 b rows of the unfolding
-    (pre, n, post) that its three blocks meet; the windows overlap, and are
-    read as one strided view of the field, so one batched GEMM covers rows
-    b .. n - b.  Two more GEMMs give the edge block rows.  Meant for modes
-    before the last, where ``post`` makes the rows of each GEMM long.
-    """
-    field = np.asarray(field)
-    if not 1 <= mu <= field.ndim or field.shape[mu - 1] != op.n:
-        raise ValueError(
-            f"block-tridiagonal matrix of order {op.n} does not fit mode {mu} "
-            f"of field with dims {field.shape}"
-        )
-    b = op.rows.shape[1]
-    pre = math.prod(field.shape[: mu - 1])
-    post = math.prod(field.shape[mu:])
-    res = np.empty(field.shape) if out is None else out
-    X, R = field.reshape(pre, op.n, post), res.reshape(pre, op.n, post)
-    windows = np.lib.stride_tricks.sliding_window_view(X, 3 * b, axis=1)[:, ::b]
-    inner = R.reshape(pre, op.n // b, b, post)[:, 1:-1]
-    np.matmul(op.rows, windows.transpose(0, 1, 3, 2), out=inner)
-    np.matmul(op.first, X[:, : 2 * b], out=R[:, :b])
-    np.matmul(op.last, X[:, -2 * b :], out=R[:, -b:])
-    return res
-
-
 def sliced_mode_product(
     stack: np.ndarray, field: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -349,23 +287,48 @@ def fourier_mode_product(
 
 
 @dataclass(frozen=True)
-class BandedCirculant:
-    """Real symmetric circulant matrices of order n = k b (k >= 4), one per
-    row i of the first mode, for a product along mode 2.  The rows i < r0
-    keep their rfft symbol (``symbol``, r0 rows of the form that
-    :func:`fourier_mode_product` takes); every later row keeps only the
-    block tridiagonal band of its circulant.  All block rows of that band
-    are the same b x 3b matrix [C_-1 C_0 C_1], so ``rows[i - r0]`` holds
-    one of them, and every entry outside the band is dropped."""
+class BlockRows:
+    """The block tridiagonal band of square matrices of order n = k b, in
+    b x b blocks, held by block rows: ``rows[l, i]`` is block row i over
+    block columns i - 1 .. i + 1 (b x 3b) of matrix l, in a (p, q, b, 3b)
+    stack.  p = 1 gives one matrix for every leading index of the
+    unfolding (pre, n, post); p = pre - r0 gives one per leading index
+    from r0 on, which along mode 2 is one per first-mode row.  q = k gives
+    every block row its own entry, q = 1 one entry for all of them, as a
+    circulant's band has.  With ``wraps`` the two edge block rows wrap
+    round (block columns k - 1 and 0 are neighbours); without, the block
+    columns beyond the edges are cut off and their entries never read.
+    The leading indices i < r0 may instead keep an rfft ``symbol`` (r0
+    rows of the form that :func:`fourier_mode_product` takes).  Every entry
+    outside the band is dropped."""
 
-    symbol: np.ndarray
     rows: np.ndarray
+    n: int
+    wraps: bool
+    symbol: np.ndarray | None = None
 
     @classmethod
-    def from_columns(cls, symbol: np.ndarray, columns: np.ndarray, b: int) -> "BandedCirculant":
-        """The symbol rows i < r0 as they are, and the band of each later
-        circulant C from its first column (one row of ``columns``, of shape
-        (n_1 - r0, n)): entry (p, q) of a block row is C[b + p, q] =
+    def from_dense(cls, A: np.ndarray, b: int) -> "BlockRows":
+        """The block tridiagonal part of A, in b x b blocks, edges cut."""
+        A = np.asarray(A, dtype=float)
+        n = A.shape[0]
+        if A.shape != (n, n) or b < 1 or n % b or n // b < 3:
+            raise ValueError(
+                f"cannot split a matrix of shape {A.shape} into at least 3 x 3 "
+                f"blocks of {b}x{b}"
+            )
+        padded = np.zeros((n, n + 2 * b))
+        padded[:, b:-b] = A
+        rows = [padded[i * b : (i + 1) * b, i * b : (i + 3) * b] for i in range(n // b)]
+        return cls(np.stack(rows)[None], n, False)
+
+    @classmethod
+    def from_columns(cls, symbol: np.ndarray, columns: np.ndarray, b: int) -> "BlockRows":
+        """Real symmetric circulants, one per first-mode row: the symbol
+        rows i < r0 as they are, and the band of each later circulant C
+        from its first column (one row of ``columns``, of shape
+        (n_1 - r0, n)), edges wrapped.  All block rows of that band are
+        the same [C_-1 C_0 C_1]: entry (p, q) is C[b + p, q] =
         c[(b + p - q) mod n], one gather for every row."""
         n = columns.shape[1]
         if b < 1 or n % b or n // b < 4:
@@ -376,50 +339,62 @@ class BandedCirculant:
         # gathered transposed in memory (same values): the inner block rows
         # of the 160 x 160 x 20 cylinder's product took 0.95 ms so, 1.4 ms
         # C-ordered and 2.0 ms row-fastest, as ``columns[:, gap]`` lays out
-        return cls(symbol, np.take(columns, gap.T, axis=1).transpose(0, 2, 1))
+        rows = np.take(columns, gap.T, axis=1).transpose(0, 2, 1)[:, None]
+        return cls(rows, n, True, symbol)
 
 
-def banded_circulant_mode_product(
-    op: BandedCirculant,
+def windowed_mode_product(
+    mu: int,
+    op: BlockRows,
     field: np.ndarray,
     out: np.ndarray | None = None,
     spectrum: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Apply ``op`` along mode 2, into ``out`` as in :func:`mode_product`.
+    """:func:`mode_product` with a :class:`BlockRows` band, into ``out`` as
+    there.
 
-    The rows i < r0 of the first mode go through
-    :func:`fourier_mode_product`, with ``spectrum`` as there.  On the later
-    rows each inner block row multiplies the window of 3 b rows of the
-    unfolding (n_1, n, post) that its blocks meet, as in
-    :func:`windowed_mode_product`: one batched GEMM over every row and
-    window.  The window of an edge block row wraps round, so it takes two
-    GEMMs; the second one's product passes through ``spectrum``, viewed as
-    real numbers, when that holds enough of them.
+    The leading indices i < r0 that keep a symbol go through
+    :func:`fourier_mode_product` along mode 2, with ``spectrum`` as there.
+    On the others each inner block row multiplies the window of 3 b rows of
+    the unfolding (pre, n, post) that its blocks meet; the windows overlap,
+    and are read as one strided view of the field, so one batched GEMM
+    covers rows b .. n - b.  Two more GEMMs give the edge block rows, and
+    where the edges wrap, two more add the blocks that wrap round; their
+    products pass through ``spectrum``, viewed as real numbers, when that
+    holds enough of them.  Meant for modes before the last, where ``post``
+    makes the rows of each GEMM long.
     """
     field = np.asarray(field)
-    r0, (m, b, width) = op.symbol.shape[0], op.rows.shape
-    if field.ndim < 2 or field.shape[0] != r0 + m or width != 3 * b or field.shape[1] % b:
+    pre = math.prod(field.shape[: mu - 1])
+    post = math.prod(field.shape[mu:])
+    r0 = 0 if op.symbol is None else op.symbol.shape[0]
+    if (
+        not 1 <= mu <= field.ndim
+        or field.shape[mu - 1] != op.n
+        or op.rows.shape[0] not in (1, pre - r0)
+        or r0 and mu != 2
+    ):
         raise ValueError(
-            f"banded circulants of {r0} symbol and {m} band rows in {b}x{b} blocks "
-            f"do not fit mode 2 of field with dims {field.shape}"
+            f"block rows of order {op.n}, {op.rows.shape[0]} matrices after {r0} symbol "
+            f"rows, do not fit mode {mu} of field with dims {field.shape}"
         )
-    n1, n = field.shape[:2]
-    post = math.prod(field.shape[2:])
+    n, b, L = op.n, op.rows.shape[2], op.rows
     res = np.empty(field.shape) if out is None else out
     if r0:
         part = None if spectrum is None else spectrum[:r0]
         fourier_mode_product(2, op.symbol, field[:r0], out=res[:r0], spectrum=part)
-    X, R, L = field.reshape(n1, n, post)[r0:], res.reshape(n1, n, post)[r0:], op.rows
+    X, R = field.reshape(pre, n, post)[r0:], res.reshape(pre, n, post)[r0:]
     windows = np.lib.stride_tricks.sliding_window_view(X, 3 * b, axis=1)[:, ::b]
-    inner = R.reshape(m, n // b, b, post)[:, 1:-1]
-    np.matmul(L[:, None], windows.transpose(0, 1, 3, 2), out=inner)
-    np.matmul(L[:, :, b:], X[:, : 2 * b], out=R[:, :b])
-    np.matmul(L[:, :, : 2 * b], X[:, -2 * b :], out=R[:, -b:])
-    size = m * b * post
-    real = None if spectrum is None else spectrum.reshape(-1).view(float)
-    wrap = real[:size].reshape(m, b, post) if real is not None and real.size >= size else None
-    R[:, :b] += np.matmul(L[:, :, :b], X[:, -b:], out=wrap)
-    R[:, -b:] += np.matmul(L[:, :, 2 * b :], X[:, :b], out=wrap)
+    inner = R.reshape(-1, n // b, b, post)[:, 1:-1]
+    np.matmul(L[:, 1:-1] if L.shape[1] > 1 else L, windows.transpose(0, 1, 3, 2), out=inner)
+    np.matmul(L[:, 0, :, b:], X[:, : 2 * b], out=R[:, :b])
+    np.matmul(L[:, -1, :, : 2 * b], X[:, -2 * b :], out=R[:, -b:])
+    if op.wraps:
+        size = R.shape[0] * b * post
+        real = None if spectrum is None else spectrum.reshape(-1).view(float)
+        wrap = real[:size].reshape(-1, b, post) if real is not None and real.size >= size else None
+        R[:, :b] += np.matmul(L[:, 0, :, :b], X[:, -b:], out=wrap)
+        R[:, -b:] += np.matmul(L[:, -1, :, 2 * b :], X[:, :b], out=wrap)
     return res
 
 

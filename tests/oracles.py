@@ -3,12 +3,14 @@ block-banded mode product as a gather of the entries outside the blocks, the
 banded-circulant mode product with one dense circulant per row, each
 geometry's Kronecker summands written out by hand, one dense classical
 exponential Euler step, one split step with nothing folded into its
-factors, the closed-form axial eigenpairs, and the
+factors, one with every summand in its plain form, the closed-form axial
+eigenpairs, and the
 integral-mean, stabilization and amplitude checks of the acceptance
 criteria."""
 
 import math
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from curvipat.integrators import (
     ComponentOps,
     Geometry,
     GeometryOps,
+    SplitFactor,
 )
 from curvipat.operators import PeriodicTridiagonal, eig_theta, eig_tridiag
 from curvipat.phifun import phi1_dense_oracle, phi1_matrix, phi1_outer
@@ -179,6 +182,32 @@ def unfused_split_step(ops: GeometryOps, W: np.ndarray, G: np.ndarray) -> np.nda
         T = f.apply_phi1(T)
     T *= tau
     return W + T
+
+
+def plain_split_step(base: ComponentOps, tau: float, W: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The split step W + tau P_1 ... P_d (M W + G) with every summand in
+    its plain form, whatever its size: dense M W, the weights multiplied in
+    after the product, and phi1 a dense matrix where the summand is
+    unweighted, else the V^-1/V triple; tau multiplies in last."""
+    axes = base.axis_ops()
+    factors = []
+    for mode, weighted_by in FACTORS[base.geometry]:
+        axis = axes[mode - 1]
+        fac = eig_theta(axis) if isinstance(axis, PeriodicTridiagonal) else eig_tridiag(axis)
+        vectors = [np.ones(1)] * len(axes)
+        for mu in weighted_by:
+            vectors[mu - 1] = axes[mu - 1].weights
+        if weighted_by:
+            weight = reduce(np.multiply.outer, vectors)
+            vectors[mode - 1] = fac.lambdas
+            phi1 = (fac.V_inv, phi1_outer(tau * base.coeff, vectors), fac.V)
+        else:
+            weight, phi1 = None, phi1_matrix(tau * base.coeff, fac)
+        factors.append(SplitFactor(mode, base.coeff * axis.toarray(), weight, phi1))
+    T = reduce(np.add, (f.diffusion(W) for f in factors)) + G
+    for f in reversed(factors):
+        T = f.apply_phi1(T)
+    return W + tau * T
 
 
 def _phi1_without_tau(ops: GeometryOps):

@@ -31,6 +31,7 @@ from oracles import (
     banded_gather_product,
     dense_operator,
     kronecker_summands,
+    plain_split_step,
     step_exact_ee_reference,
     unfused_split_step,
 )
@@ -520,17 +521,20 @@ GOLDEN_RUNS = {
 }
 
 
-def factor_forms(f: SplitFactor, order: int) -> set[str]:
+def factor_forms(f: SplitFactor, order: int) -> tuple[str, str]:
+    """The forms of a prepared factor's M W operator and of its phi1."""
     if isinstance(f.A, tensor.BlockBanded):
         diffusion = "banded-last" if f.mode == order else "banded"
         diffusion += "-rows" if f.A.blocks.ndim == 4 else ""
     else:
         diffusion = "stacked" if f.A.ndim == 3 else "dense"
     if isinstance(f.phi1, tuple):
-        return {diffusion, "triple"}
+        return diffusion, "triple"
+    if isinstance(f.phi1, tensor.BlockRows):
+        return diffusion, "wrapped" if f.phi1.wraps else "cut"
     if np.iscomplexobj(f.phi1):
-        return {diffusion, "rfft"}
-    return {diffusion, "stacked" if f.phi1.ndim == 3 else "dense"}
+        return diffusion, "rfft"
+    return diffusion, "stacked" if f.phi1.ndim == 3 else "dense"
 
 
 def test_run_simulation_final_fields_frozen():
@@ -568,6 +572,53 @@ def test_five_steps_equal_the_unfused_oracle():
             assert error <= 1e-13, (name, c.name, error)
 
 
+def random_dims(name: str, rng) -> tuple[int, ...]:
+    """Dims of a base from ALL_BASES, drawn so that every form prepare
+    picks turns up: angles of up to 219 points (rfft from 128, with and
+    without a block size; the cylinder's from 96, so that its band turns
+    up), radii of up to 89 (bands from 32)."""
+    theta = rng.randint(4, 220)
+    if name == "disk":
+        return rng.randint(3, 90), theta
+    if name == "sphere":
+        return theta, rng.randint(3, 70)
+    if name == "ball":
+        return rng.randint(3, 20), rng.randint(4, 60), rng.randint(3, 40)
+    return rng.randint(3, 90), rng.randint(96, 220), rng.randint(2, 13)
+
+
+def test_every_prepared_form_agrees_with_the_plain_one():
+    # one split step in the forms prepare picks for seeded random dims and
+    # tau agrees with the same summands in their plain forms: the bands,
+    # blocks, stacks and rfft symbols are exact up to rounding, and so are
+    # tau and the weights folded into them
+    rng = np.random.RandomState(26)
+    pairs = set()
+    for draw in range(160):
+        name = list(ALL_BASES)[draw % len(ALL_BASES)]
+        dims, tau = random_dims(name, rng), 10.0 ** rng.uniform(-9, 0)
+        base = ALL_BASES[name](*dims)
+        ops = prepare(base, tau)
+        for f in ops.factors:
+            diffusion, phi = factor_forms(f, len(dims))
+            pairs.add((diffusion.partition("-")[0], phi))
+        W, G = rng.randn(*dims), rng.randn(*dims)
+        ref = plain_split_step(base, tau, W, G)
+        error = np.max(np.abs(step_split(ops, W, G) - ref)) / np.max(np.abs(ref))
+        assert error <= 1e-12, (name, dims, tau, error)
+    assert pairs == {
+        ("dense", "dense"),
+        ("dense", "rfft"),
+        ("dense", "triple"),
+        ("banded", "dense"),
+        ("banded", "cut"),
+        ("banded", "wrapped"),
+        ("banded", "rfft"),
+        ("banded", "triple"),
+        ("stacked", "stacked"),
+    }, pairs
+
+
 def held_bytes(ops) -> int:
     """Bytes of every array the prepared factors hold."""
     arrays = []
@@ -577,10 +628,8 @@ def held_bytes(ops) -> int:
                 arrays += [part.blocks, part.up, part.down]
                 if f.mode == len(ops.shape):  # built by the first product
                     arrays += part.gather
-            elif isinstance(part, tensor.BlockTridiagonal):
-                arrays += [part.rows, part.first, part.last]
-            elif isinstance(part, tensor.BandedCirculant):
-                arrays += [part.symbol, part.rows]
+            elif isinstance(part, tensor.BlockRows):
+                arrays += [part.rows] if part.symbol is None else [part.rows, part.symbol]
             elif isinstance(part, tuple):
                 arrays += part
             elif part is not None:
@@ -612,8 +661,9 @@ def test_prepared_bytes_bounds_what_prepare_holds():
     # as its block tridiagonal band as n x n, and an rfft phi1 that may
     # take a band on its later first-mode rows as both its whole symbol and
     # n_1 block rows of 3 b^2.  The tightness check takes off what each
-    # form leaves out: n^2 - (k - 2) 3 b^2 - 4 b^2 entries of a banded dense
-    # phi1; r0 block rows and n_1 - r0 symbol rows of a banded circulant
+    # form leaves out: n^2 - k 3 b^2 entries of a banded dense phi1 (its
+    # k block rows, the two cut edges held as zeros); r0 block rows and
+    # n_1 - r0 symbol rows of a banded circulant
     for name, dims, tau in shipped_dims():
         system = models.build_system(name, dims, seed=1)
         for c in system.components:
@@ -624,11 +674,11 @@ def test_prepared_bytes_bounds_what_prepare_holds():
                 dropped = 0
                 for (mode, weighted_by), f in zip(integrators.FACTORS[g], ops.factors):
                     b, _, form = integrators._form(g, shape, mode, weighted_by)
-                    if isinstance(f.phi1, tensor.BlockTridiagonal):
-                        n, b = f.phi1.n, f.phi1.rows.shape[1]
-                        dropped += 8 * (n * n - (n // b - 2) * 3 * b * b - 4 * b * b)
+                    banded = isinstance(f.phi1, tensor.BlockRows)
+                    if banded and not f.phi1.wraps:
+                        n, b = f.phi1.n, f.phi1.rows.shape[2]
+                        dropped += 8 * (n * n - (n // b) * 3 * b * b)
                     elif form == "circulant":
-                        banded = isinstance(f.phi1, tensor.BandedCirculant)
                         r0 = f.phi1.symbol.shape[0] if banded else shape[0]
                         dropped += 8 * (r0 * 3 * b * b + (shape[0] - r0) * 2 * (shape[1] // 2 + 1))
                 assert held <= estimate, (name, dims, c.name)
@@ -678,8 +728,8 @@ def cylinder_bulk_radial_phi1():
 def test_windowed_radial_phi1_is_no_less_accurate_than_the_dense_one():
     ops, X, dense = cylinder_bulk_radial_phi1()
     windowed = ops.factors[0].phi1
-    assert isinstance(windowed, tensor.BlockTridiagonal)
-    n, b = windowed.n, windowed.rows.shape[1]
+    assert isinstance(windowed, tensor.BlockRows) and not windowed.wraps
+    n, b = windowed.n, windowed.rows.shape[2]
     assert (n, b) == (160, 16)
     kept = tensor.windowed_mode_product(1, windowed, np.eye(n))
     oracle = phi1_dense_oracle(X)
@@ -715,13 +765,13 @@ def test_prepare_windows_phi1_only_for_the_shipped_cylinder_bulk_fields():
                 warnings.simplefilter("error", RuntimeWarning)
                 factors = prepare(c.ops, tau).factors
             for f in factors:
-                if isinstance(f.phi1, tensor.BlockTridiagonal):
+                if isinstance(f.phi1, tensor.BlockRows) and not f.phi1.wraps:
                     windowed.add(c.name)
-                if isinstance(f.phi1, tensor.BandedCirculant):
+                if isinstance(f.phi1, tensor.BlockRows) and f.phi1.wraps:
                     circulant[c.name] = (f.mode, f.phi1.symbol.shape[0], f.phi1.rows.shape)
         cylinder_bulk = name == "bsdib_cylinder" and dims["n_rho"] == 160
         assert windowed == ({"u", "v", "r"} if cylinder_bulk else set()), (name, dims)
-        band = (2, 22, (138, 16, 48))
+        band = (2, 22, (138, 1, 16, 48))
         assert circulant == ({"u": band, "v": band} if cylinder_bulk else {}), (name, dims)
     # a norm beyond b + 3 fails before its power is taken
     with warnings.catch_warnings():
@@ -739,7 +789,7 @@ def test_step_with_banded_angular_phi1_matches_the_rfft_one():
     u, tau = system.components[0].ops, 50 / 8000
     ops = prepare(u, tau)
     angular = ops.factors[1]
-    assert isinstance(angular.phi1, tensor.BandedCirculant)
+    assert isinstance(angular.phi1, tensor.BlockRows) and angular.phi1.wraps
     fac = op.eig_theta(u.theta)
     vectors = [u.rho.weights, fac.lambdas[np.r_[0, 1 : u.theta.n : 2]], np.ones(1)]
     symbol = integrators.phi1_outer(tau * u.coeff, vectors).astype(complex)

@@ -253,76 +253,86 @@ def block_tridiagonal_part(A, b):
 
 
 @pytest.mark.parametrize(
-    "dims,mu,b",
-    [((160, 160, 20), 1, 16), ((160, 40), 1, 16), ((30, 7), 1, 10), ((3, 40, 5), 2, 8)],
+    "dims, mu, b, r0",
+    [
+        # edges cut: the band of one dense matrix for every leading index
+        pytest.param((160, 160, 20), 1, 16, None, id="dims0-1-16"),
+        pytest.param((160, 40), 1, 16, None, id="dims1-1-16"),
+        pytest.param((30, 7), 1, 10, None, id="dims2-1-10"),
+        pytest.param((3, 40, 5), 2, 8, None, id="dims3-2-8"),
+        # edges wrapped: a circulant per first-mode row, from r0 on its band
+        ((6, 64, 5), 2, 16, 0),
+        ((9, 40, 3), 2, 8, 4),
+        ((7, 45, 2), 2, 9, 6),
+        ((5, 32), 2, 8, 2),
+    ],
 )
-def test_windowed_mode_product_equals_a_gemm_with_the_truncated_matrix(dims, mu, b):
-    rng = np.random.RandomState(16)
+def test_windowed_mode_product_equals_a_gemm_with_the_truncated_matrix(dims, mu, b, r0):
+    # a cut band equals a GEMM with the truncated matrix; a wrapped one, its
+    # symbol varying along mode 1, a dense circulant per row whose band
+    # wraps round.  Every spectrum gives the same result bit for bit: none,
+    # a 2-row slab (too small to hold the wrapped products) and one of all
+    # rows
+    rng = np.random.RandomState(16 if r0 is None else 23)
     T = rng.randn(*dims)
-    A = rng.randn(dims[mu - 1], dims[mu - 1])
-    ref = tensor.mode_product(mu, block_tridiagonal_part(A, b), T)
-    op = tensor.BlockTridiagonal.from_dense(A, b)
-    assert op.n == A.shape[0]
+    before = T.copy()
+    n = dims[mu - 1]
+    spectra = [None]
+    if r0 is None:
+        A = rng.randn(n, n)
+        op = tensor.BlockRows.from_dense(A, b)
+        assert op.rows.shape == (1, n // b, b, 3 * b) and not op.wraps
+        ref = tensor.mode_product(mu, block_tridiagonal_part(A, b), T)
+        tol = 1e-15
+    else:
+        n1 = dims[0]
+        symbol = rng.rand(n1, n // 2 + 1, *([1] * (len(dims) - 2))).astype(complex)
+        columns = np.fft.irfft(symbol.reshape(n1, -1), n, axis=1)
+        op = tensor.BlockRows.from_columns(symbol[:r0].copy(), columns[r0:], b)
+        assert op.rows.shape == (n1 - r0, 1, b, 3 * b) and op.wraps
+        assert op.rows.transpose(0, 1, 3, 2).flags.c_contiguous
+        ref = banded_circulant_product(symbol, b, r0, T)
+        tol = 1e-14
+        spectra += [np.empty((rows, n // 2 + 1, *dims[2:]), dtype=complex) for rows in (2, n1)]
+    assert op.n == n
     out = tensor.windowed_mode_product(mu, op, T)
     assert out.flags.c_contiguous
-    assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
-    buf = np.empty(dims)
-    into = tensor.windowed_mode_product(mu, op, T, out=buf)
-    assert np.shares_memory(into, buf) and np.array_equal(into, out)
+    assert np.max(np.abs(out - ref)) <= tol * np.max(np.abs(ref))
+    for spectrum in spectra:
+        buf = np.empty(dims)
+        into = tensor.windowed_mode_product(mu, op, T, out=buf, spectrum=spectrum)
+        assert into is buf and np.array_equal(buf, out)
+    assert np.array_equal(T, before)
+
+
+def assert_rejects_fields_of_another_order(op, mu, dims):
+    with pytest.raises(ValueError) as info:
+        tensor.windowed_mode_product(mu, op, np.zeros(dims))
+    assert f"order {op.n}" in str(info.value) and str(dims) in str(info.value)
 
 
 def test_block_tridiagonal_rejects_bad_splits():
     A = np.ones((12, 12))
     for b in (0, 5, 6, 12):  # no split, or fewer than three block rows
         with pytest.raises(ValueError):
-            tensor.BlockTridiagonal.from_dense(A, b)
-    op = tensor.BlockTridiagonal.from_dense(A, 4)
-    with pytest.raises(ValueError):
-        tensor.windowed_mode_product(1, op, np.zeros((8, 3)))
-    with pytest.raises(ValueError):
-        tensor.windowed_mode_product(3, op, np.zeros((12, 3)))
-
-
-@pytest.mark.parametrize(
-    "dims, b, r0",
-    [((6, 64, 5), 16, 0), ((9, 40, 3), 8, 4), ((7, 45, 2), 9, 6), ((5, 32), 8, 2)],
-)
-def test_banded_circulant_mode_product_equals_dense_circulants_per_row(dims, b, r0):
-    # a symbol varying along mode 1, the rows from r0 on held by their band;
-    # the edge block rows' windows wrap round.  Every spectrum gives the
-    # same result bit for bit: none, a 2-row slab (too small to hold the
-    # wrapped products) and one of all rows
-    rng = np.random.RandomState(23)
-    T = rng.randn(*dims)
-    before = T.copy()
-    n1, n = dims[:2]
-    symbol = rng.rand(n1, n // 2 + 1, *([1] * (len(dims) - 2))).astype(complex)
-    columns = np.fft.irfft(symbol.reshape(n1, -1), n, axis=1)
-    op = tensor.BandedCirculant.from_columns(symbol[:r0].copy(), columns[r0:], b)
-    assert op.rows.shape == (n1 - r0, b, 3 * b)
-    assert op.rows.transpose(0, 2, 1).flags.c_contiguous
-    ref = banded_circulant_product(symbol, b, r0, T)
-    out = tensor.banded_circulant_mode_product(op, T)
-    assert out.flags.c_contiguous
-    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
-    half = (n1, n // 2 + 1, *dims[2:])
-    for rows in (2, n1):
-        spectrum = np.empty((rows, *half[1:]), dtype=complex)
-        buf = np.empty(dims)
-        into = tensor.banded_circulant_mode_product(op, T, out=buf, spectrum=spectrum)
-        assert into is buf and np.array_equal(buf, out)
-    assert np.array_equal(T, before)
+            tensor.BlockRows.from_dense(A, b)
+    cut = tensor.BlockRows.from_dense(A, 4)
+    assert_rejects_fields_of_another_order(cut, 1, (8, 3))
+    assert_rejects_fields_of_another_order(cut, 3, (12, 3))
 
 
 def test_banded_circulant_rejects_bad_splits():
     columns = np.ones((3, 24))
     for b in (0, 5, 7, 8):  # no split, or fewer than four block rows
         with pytest.raises(ValueError):
-            tensor.BandedCirculant.from_columns(np.ones((1, 13), dtype=complex), columns, b)
-    op = tensor.BandedCirculant.from_columns(np.ones((1, 13, 1), dtype=complex), columns, 6)
+            tensor.BlockRows.from_columns(np.ones((1, 13), dtype=complex), columns, b)
+    wrapped = tensor.BlockRows.from_columns(np.ones((1, 13, 1), dtype=complex), columns, 6)
     for dims in ((3, 24, 2), (4, 26, 2), (4,)):
-        with pytest.raises(ValueError):
-            tensor.banded_circulant_mode_product(op, np.zeros(dims))
+        assert_rejects_fields_of_another_order(wrapped, 2, dims)
+    # no symbol rows, as prepare holds a band that holds on every row
+    bare = tensor.BlockRows.from_columns(np.ones((0, 13, 1), dtype=complex), columns, 6)
+    for dims in ((3, 30, 2), (3, 12, 2)):
+        assert_rejects_fields_of_another_order(bare, 2, dims)
 
 
 @pytest.mark.parametrize("dims", [(4, 5, 3), (3, 1, 2), (5, 2, 3, 4)])
