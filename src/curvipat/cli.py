@@ -276,10 +276,10 @@ def cmd_converge(cfg: dict) -> dict:
     dims = _require_dims(cfg, spec.name)
     t_star = _require_positive(cfg, "tstar")
     m_list = _require(cfg, "m_list")
-    if not m_list or min(m_list) < 1:
-        raise UsageError(f"m_list needs step counts >= 1, got {m_list!r}")
-    if sorted(m_list) != m_list:
-        raise UsageError("m_list must be ascending")
+    if len(m_list) < 2 or m_list[0] < 1 or any(a >= b for a, b in zip(m_list, m_list[1:])):
+        raise UsageError(
+            f"m_list needs at least two strictly ascending step counts >= 1, got {m_list!r}"
+        )
     m_ref = cfg.get("m_ref", 4 * max(m_list))
     if m_ref < 4 * max(m_list):
         raise UsageError("reference step count must be at least 4x max(m_list)")

@@ -15,8 +15,8 @@ F_n = M W_n + G_n and each P_mu is phi1(tau M_mu).  An unweighted P_mu is
 one mode product with a dense phi1 matrix; a weighted one is a mode product
 with V^-1, an elementwise product with a precomputed phi1 tensor, and a
 mode product with V.  For a long periodic angle V is the real Fourier
-basis, so its pair of mode products becomes an rfft and an irfft, run over
-slabs of the first mode when it is along a later one.  Where phi1 is banded
+basis, so its pair of mode products becomes an rfft and an irfft, each line
+of the field transformed whole into one spectrum.  Where phi1 is banded
 to rounding at this tau, it is held as its block tridiagonal band alone
 (:class:`tensor.BlockRows`), applied as one batched GEMM over overlapping
 windows of the field: the dense phi1 along the first mode, its edge block
@@ -76,13 +76,6 @@ BLOCK_LAST_MIN = 80
 # Periodic angles with at least this many points apply phi1 by rfft; below
 # it the dense V^-1 and V products were as fast or faster.
 FFT_MIN_THETA = 128
-# An rfft along a mode after the first runs over slabs of first-mode rows
-# whose spectrum takes at most this many bytes (at least one row), so that
-# the slab stays in cache from rfft to irfft: slabs of 20 of the 22 rho rows
-# that the 160 x 160 x 20 cylinder's theta phi1 still applies by rfft (of an
-# 81 x 20 spectrum each), and the whole 160 x 81 spectrum of a 160 x 160
-# disk.  The cylinder's band uses that slab as scratch, too.
-FFT_SLAB_BYTES = 512 * 1024
 
 
 class DivergenceError(RuntimeError):
@@ -208,10 +201,10 @@ class SplitFactor:
 class Workspace:
     """Scratch for :func:`step_split` on fields of one shape: two real
     fields, and one complex rfft spectrum per mode that needs one, made on
-    first use.  Along the first mode the spectrum covers the field; along a
-    later mode it holds one slab of first-mode rows, at most FFT_SLAB_BYTES
-    or one row (see :func:`tensor.fourier_mode_product`).  Components of
-    one shape can share it, since a step uses it only while it runs."""
+    first use.  Each spectrum covers the field, with n//2 + 1 frequencies
+    along its mode; the cylinder's theta band also lends it to its wrapped
+    edge products.  Components of one shape can share it, since a step uses
+    it only while it runs."""
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = shape
@@ -222,9 +215,6 @@ class Workspace:
         if mode not in self._spectra:
             half = list(self.shape)
             half[mode - 1] = half[mode - 1] // 2 + 1
-            if mode > 1:
-                row = 16 * math.prod(half[1:])
-                half[0] = min(half[0], max(1, FFT_SLAB_BYTES // row))
             self._spectra[mode] = np.empty(half, dtype=complex)
         return self._spectra[mode]
 
@@ -630,12 +620,13 @@ def run_simulation(
 
     The kinetics of all components are evaluated from the common state at
     t_n, then every component is advanced by one step.  Each scheme builds
-    once up front only what it applies: the split scheme the prepared
-    factors and one :class:`Workspace` per field shape, shared by every
-    component of that shape; forward Euler the prepared M W; the dense
-    scheme its two matrices.  Components with the same geometry, the same
-    coefficient and the same axis objects share one set of prepared
-    factors, each in its own :class:`GeometryOps`.  The states are updated
+    what it needs once up front: the split scheme the prepared factors and
+    one :class:`Workspace` per field shape, shared by every component of
+    that shape; forward Euler the same prepared factors, phi1 included,
+    though it applies only their M W; the dense scheme its two matrices.
+    Components with the same geometry, the same coefficient and the same
+    axis objects share one set of prepared factors, each in its own
+    :class:`GeometryOps`.  The states are updated
     in place, so the kinetics' outputs must not share memory with them, and a
     ``sample_hook`` must copy what it keeps of the states it is passed.
     Samples (diagnostics + hook) are taken at step 0, every

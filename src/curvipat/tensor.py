@@ -5,8 +5,8 @@ products, vec/unvec and a dense Kronecker assembler.
 The wide kernels make no field-size temporary: a block-banded product adds
 the links between its diagonal blocks through views of the field, a
 windowed product multiplies its block rows with overlapping windows of the
-field, and a real-Fourier product along a later mode can run over slabs of
-the first mode through a spectrum of one slab.
+field, and a real-Fourier product transforms into a spectrum that the
+caller may lend.
 
 Fields are plain ``numpy.ndarray`` objects.  The linearization convention is
 first-index-fastest: element (i, j, k) of a field with dims (n1, n2, n3)
@@ -256,11 +256,7 @@ def fourier_mode_product(
     against the field along the others, so the circulant may vary with the
     other indices.  The result goes into ``out`` as in :func:`mode_product`,
     and the complex spectrum into ``spectrum`` when given: the field's shape
-    with n//2 + 1 along mode ``mu``, except that for ``mu`` > 1 it may hold
-    fewer rows of the first mode.  Then the transform runs over slabs of
-    that many first-mode rows, each slab's rfft, scaling and irfft in turn,
-    so that the spectrum stays small; each line of the field is
-    transformed as a whole, so the result is the same.
+    with n//2 + 1 along mode ``mu``.
     """
     field = np.asarray(field)
     axis = mu - 1
@@ -270,20 +266,9 @@ def fourier_mode_product(
             f"symbol of shape {symbol.shape} does not fit mode {mu} of field "
             f"with dims {field.shape}"
         )
-    n1 = field.shape[0]
-    rows = n1 if spectrum is None or axis == 0 else spectrum.shape[0]
-    if rows >= n1:
-        spectrum = np.fft.rfft(field, axis=axis, out=spectrum)
-        spectrum *= symbol
-        return np.fft.irfft(spectrum, n, axis=axis, out=out)
-    res = np.empty(field.shape) if out is None else out
-    varies = symbol.shape[0] > 1
-    for start in range(0, n1, rows):
-        slab = slice(start, start + rows)
-        part = np.fft.rfft(field[slab], axis=axis, out=spectrum[: min(rows, n1 - start)])
-        part *= symbol[slab] if varies else symbol
-        np.fft.irfft(part, n, axis=axis, out=res[slab])
-    return res
+    spectrum = np.fft.rfft(field, axis=axis, out=spectrum)
+    spectrum *= symbol
+    return np.fft.irfft(spectrum, n, axis=axis, out=out)
 
 
 @dataclass(frozen=True)
@@ -354,15 +339,15 @@ def windowed_mode_product(
     there.
 
     The leading indices i < r0 that keep a symbol go through
-    :func:`fourier_mode_product` along mode 2, with ``spectrum`` as there.
-    On the others each inner block row multiplies the window of 3 b rows of
-    the unfolding (pre, n, post) that its blocks meet; the windows overlap,
-    and are read as one strided view of the field, so one batched GEMM
-    covers rows b .. n - b.  Two more GEMMs give the edge block rows, and
-    where the edges wrap, two more add the blocks that wrap round; their
-    products pass through ``spectrum``, viewed as real numbers, when that
-    holds enough of them.  Meant for modes before the last, where ``post``
-    makes the rows of each GEMM long.
+    :func:`fourier_mode_product` along mode 2, with the leading rows of
+    ``spectrum``, a whole spectrum as there.  On the others each inner block
+    row multiplies the window of 3 b rows of the unfolding (pre, n, post)
+    that its blocks meet; the windows overlap, and are read as one strided
+    view of the field, so one batched GEMM covers rows b .. n - b.  Two more
+    GEMMs give the edge block rows, and where the edges wrap, two more add
+    the blocks that wrap round; their products pass through ``spectrum``,
+    viewed as real numbers, when given.  Meant for modes before the last,
+    where ``post`` makes the rows of each GEMM long.
     """
     field = np.asarray(field)
     pre = math.prod(field.shape[: mu - 1])
@@ -390,9 +375,8 @@ def windowed_mode_product(
     np.matmul(L[:, 0, :, b:], X[:, : 2 * b], out=R[:, :b])
     np.matmul(L[:, -1, :, : 2 * b], X[:, -2 * b :], out=R[:, -b:])
     if op.wraps:
-        size = R.shape[0] * b * post
         real = None if spectrum is None else spectrum.reshape(-1).view(float)
-        wrap = real[:size].reshape(-1, b, post) if real is not None and real.size >= size else None
+        wrap = None if real is None else real[: R.shape[0] * b * post].reshape(-1, b, post)
         R[:, :b] += np.matmul(L[:, 0, :, :b], X[:, -b:], out=wrap)
         R[:, -b:] += np.matmul(L[:, -1, :, 2 * b :], X[:, :b], out=wrap)
     return res

@@ -228,15 +228,19 @@ def test_usage_errors_exit_2(tmp_path):
     assert run_cli("converge", *disk, "--tstar", "0.01", "--m-list", "0,2") == 2
     assert run_cli("converge", *disk, "--tstar", "0.01", "--m-list", "") == 2
     assert run_cli("converge", *disk, "--tstar", "nan", "--m-list", "2,4") == 2
+    # one step count, or a repeated one, gives no slope to call an order
+    for m_list in ("4", "4,4"):
+        fit = ["--tstar", "0.1", "--m-list", m_list, "--m-ref", "16"]
+        assert run_cli("converge", *disk, *fit) == 2
     for seed in ("-1", str(2**64)):
         step = ["--tstar", "0.01", f"--seed={seed}"]
         assert run_cli("run", *disk, "--m", "1", *step, *out) == 2
-        assert run_cli("converge", *disk, "--m-list", "2", *step) == 2
+        assert run_cli("converge", *disk, "--m-list", "2,4", *step) == 2
     # nonsense model constants are bad input, not a divergence at step 1
     for bad in ("params.gamma=-1", "params.gamma=nan", "params.gamma=inf", "params.alpha1=-inf"):
         step = ["--tstar", "0.01", "--set", bad]
         assert run_cli("run", *disk, "--m", "1", *step, *out) == 2
-        assert run_cli("converge", *disk, "--m-list", "2", *step) == 2
+        assert run_cli("converge", *disk, "--m-list", "2,4", *step) == 2
     sphere = ["--model", "dib_sphere", "--n-theta", "6", "--n-phi", "6", "--m", "1"]
     for bad in ("params.zeta5=0", "params.epsilon=-20", "params.rho_star=nan"):
         assert run_cli("run", *sphere, "--tstar", "0.01", "--set", bad, *out) == 2
@@ -264,14 +268,14 @@ def test_usage_errors_exit_2(tmp_path):
         for value in values:
             step = ["--tstar", "0.01", "--set", f"params.{key}={value}"]
             assert run_cli("run", *model, "--m", "2", *step, *out) == 2, (model, key, value)
-            assert run_cli("converge", *model, "--m-list", "2", *step) == 2, (model, key, value)
+            assert run_cli("converge", *model, "--m-list", "2,4", *step) == 2, (model, key, value)
     # fields and factors far beyond physical memory
     huge = ["--model", "bvam_disk", "--n-rho", "100000", "--n-theta", "100000"]
     assert run_cli("run", *huge, "--m", "2", "--tstar", "0.1", *out) == 2
     # a dimension the model has no axis for is a mistake, not a quiet no-op
     for foreign in (["--n-z", "20"], ["--set", "n_phi=3"]):
         assert run_cli("run", *disk, *foreign, "--m", "1", "--tstar", "0.01", *out) == 2
-        assert run_cli("converge", *disk, *foreign, "--tstar", "0.01", "--m-list", "2") == 2
+        assert run_cli("converge", *disk, *foreign, "--tstar", "0.01", "--m-list", "2,4") == 2
     top = ["--tstar", "0.01", f"--seed={2**64 - 1}", "--out", str(tmp_path / "top")]
     assert run_cli("run", *disk, "--m", "1", *top) == 0
     small = ["--tstar", "0.01", "--set", "params.rho_star=1e-5", "--out", str(tmp_path / "small")]

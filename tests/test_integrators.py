@@ -834,15 +834,16 @@ def test_run_simulation_rejects_rounding_that_would_grow_before_any_step():
     run_simulation(small, 2, 0.01)
 
 
-def test_workspace_spectrum_holds_one_slab_after_the_first_mode():
-    # the cylinder's theta spectrum is held as slabs of 20 rho rows within
-    # FFT_SLAB_BYTES, a row larger than that alone; a disk's fits whole, and
-    # one along the first mode covers the field
-    cases = [((160, 160, 20), 2, (20, 81, 20)), ((3, 100000), 2, (1, 50001)),
-             ((160, 160), 2, (160, 81)), ((128, 160), 1, (65, 160))]
-    for shape, mode, slab in cases:
+def test_workspace_spectrum_covers_the_field():
+    # every spectrum has the field's shape with n//2 + 1 along its mode: the
+    # shipped cylinder's theta, a long line, a disk's theta and a sphere's
+    # first mode
+    cases = [((160, 160, 20), 2), ((3, 100000), 2), ((160, 160), 2), ((128, 160), 1)]
+    for shape, mode in cases:
+        half = list(shape)
+        half[mode - 1] = shape[mode - 1] // 2 + 1
         spectrum = integrators.Workspace(shape).spectrum(mode)
-        assert spectrum.shape == slab and spectrum.dtype == complex
+        assert spectrum.shape == tuple(half) and spectrum.dtype == complex
 
 
 def test_run_simulation_single_step_equals_manual():
@@ -911,9 +912,9 @@ def test_run_loop_allocates_less_than_one_field(name, dims):
 
 
 def test_shipped_cylinder_warm_step_allocates_a_small_part_of_a_field():
-    # links between blocks added through views and an rfft spectrum of one
-    # slab keep the shipped cylinder's warm step at 0.089 of a field (0.388
-    # with the links gathered and a whole-field spectrum)
+    # links between blocks added through views keep the shipped cylinder's
+    # warm step at 0.089 of a field (0.388 with the links gathered); its
+    # Workspace spectrum covers the field, made before the warm steps
     dims = {"n_rho": 160, "n_theta": 160, "n_z": 20}
     fields, _ = warm_step_allocation(models.build_system("bsdib_cylinder", dims, seed=3))
     assert fields < 0.15
