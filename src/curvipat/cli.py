@@ -1,17 +1,22 @@
 """Batch command-line front-end.
 
-Subcommands:
+Subcommands, with the settings each reads (``_SETTINGS``):
 
 * ``run``       -- one simulation from a config, writing a time-series CSV,
-                   per-component snapshot files and optional PPM heatmaps.
+                   per-component snapshot files and optional PPM heatmaps;
+                   reads model, seed, out, tstar, n_<axis>, m, snapshots, heatmap.
 * ``converge``  -- self-convergence study against a fine-step reference,
                    optionally comparing forward Euler and the dense classical
-                   exponential Euler.
-* ``props``     -- structural property report for one operator family.
+                   exponential Euler; reads model, seed, out, tstar, n_<axis>,
+                   m_list, m_ref, fe, dense.
+* ``props``     -- structural property report for one operator family; reads
+                   kind, n_list, params.rho_star, params.z_star, params.lambda.
 
 Configuration comes from an optional flat ``key = value`` file (``#``
-comments) overridden by flags; ``--set key=value`` patches either plain
-config keys or model constants via the ``params.`` prefix.
+comments) overridden by flags; ``--set key=value`` patches any setting its
+subcommand reads, and ``--set params.<name>=<value>`` a model constant. Any
+other key, however it is given, is a usage error, so a config file shared
+between subcommands must hold only keys that each of them reads.
 
 Exit codes: 0 success, 2 usage error, 3 divergence, 4 numerical failure.
 """
@@ -52,12 +57,52 @@ class UsageError(ValueError):
 # every axis of any geometry, in order of first use: rho, theta, phi, z
 _AXIS_NAMES = tuple(dict.fromkeys(axis for axes in AXES.values() for axis in axes))
 _DIM_KEYS = {f"n_{axis}" for axis in _AXIS_NAMES}
-_INT_KEYS = _DIM_KEYS | {"m", "snapshots", "m_ref", "seed"}
-_FLOAT_KEYS = {"tstar"}
-_BOOL_KEYS = {"heatmap", "fe", "dense"}
-_LIST_KEYS = {"m_list", "n_list"}
-_STR_KEYS = {"model", "out", "kind"}
-_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _LIST_KEYS | _STR_KEYS
+
+# The operator families of ``props``, each built from n and the constants
+# below (patched by params.<name>).
+_PROP_CONSTANTS = {"rho_star": 1.0, "z_star": 1.0, "lambda": -1.95}
+_PROP_BUILDERS = {
+    "theta": lambda n, k: build_theta(n),
+    "rho2": lambda n, k: build_rho(2, n, k["rho_star"]),
+    "rho3": lambda n, k: build_rho(3, n, k["rho_star"]),
+    "phi": lambda n, k: build_phi_op(n)[0],
+    "z": lambda n, k: build_z(n, k["z_star"]),
+    "lambda": lambda n, k: build_lambda(n, k["rho_star"], k["lambda"]),
+}
+
+
+def _parse_bool(value: str) -> bool:
+    low = value.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+def _parse_int_list(value: str) -> list[int]:
+    return [int(tok) for tok in value.replace(",", " ").split()]
+
+
+_SIM = ("run", "converge")
+# Every setting once: key -> (parse function, subcommands that read it, help).
+# Flags, config files and --set all parse with it; _parse_bool keys are switches.
+_SETTINGS = {
+    "model": (str, _SIM, "model name"),
+    "seed": (int, _SIM, "random seed in [0, 2**64)"),
+    "out": (str, _SIM, "output directory"),
+    "tstar": (float, _SIM, "final time"),
+    **{f"n_{axis}": (int, _SIM, f"grid points along {axis}") for axis in _AXIS_NAMES},
+    "m": (int, ("run",), "number of time steps"),
+    "snapshots": (int, ("run",), "sample every this many steps"),
+    "heatmap": (_parse_bool, ("run",), "write PPM heatmaps"),
+    "m_list": (_parse_int_list, ("converge",), "ascending step counts, e.g. 20,40,80"),
+    "m_ref": (int, ("converge",), "step count of the reference run"),
+    "fe": (_parse_bool, ("converge",), "include forward Euler"),
+    "dense": (_parse_bool, ("converge",), "include the dense classical exponential Euler"),
+    "kind": (str, ("props",), f"operator family: {', '.join(_PROP_BUILDERS)}"),
+    "n_list": (_parse_int_list, ("props",), "operator sizes, e.g. 8,16,32"),
+}
 
 
 @dataclass
@@ -71,8 +116,12 @@ class RunReport:
 
 def parse_config_file(path: Path) -> dict[str, str]:
     """Flat key = value lines; blank lines and # comments ignored."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -83,60 +132,39 @@ def parse_config_file(path: Path) -> dict[str, str]:
     return raw
 
 
-def _parse_bool(value: str) -> bool:
-    low = value.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"not a boolean: {value!r}")
-
-
-def _coerce(key: str, value: str):
-    if key not in _KEYS:
-        raise UsageError(
-            f"unknown config key {key!r} (model constants take the params. prefix)"
-        )
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            return _parse_bool(value) if isinstance(value, str) else bool(value)
-        if key in _LIST_KEYS:
-            return [int(tok) for tok in value.replace(",", " ").split()]
-    except ValueError as exc:
-        raise UsageError(f"bad value for {key}: {value!r}") from exc
-    return value
-
-
-def _assign(cfg: dict, overrides: dict[str, float], key: str, value: str) -> None:
-    if key.startswith("params."):
-        try:
-            overrides[key[len("params."):]] = float(value)
-        except ValueError as exc:
-            raise UsageError(f"bad numeric value for {key}: {value!r}") from exc
-    else:
-        cfg[key] = _coerce(key, value)
-
-
 def merge_config(args: argparse.Namespace) -> dict:
     """Config file first, then flags, then --set patches."""
     cfg: dict = {}
     overrides: dict[str, float] = {}
+
+    def assign(key: str, value: str) -> None:
+        if key.startswith("params."):
+            store, name, parse = overrides, key[len("params."):], float
+        elif key not in _SETTINGS:
+            raise UsageError(
+                f"unknown config key {key!r} (model constants take the params. prefix)"
+            )
+        elif args.command not in _SETTINGS[key][1]:
+            raise UsageError(f"{args.command} does not read {key!r}")
+        else:
+            store, name, parse = cfg, key, _SETTINGS[key][0]
+        try:
+            store[name] = parse(value)
+        except ValueError as exc:
+            raise UsageError(f"bad value for {key}: {value!r}") from exc
+
     if args.config:
         for key, value in parse_config_file(Path(args.config)).items():
-            _assign(cfg, overrides, key, value)
-    for key in sorted(_KEYS):
+            assign(key, value)
+    for key in _SETTINGS:
         value = getattr(args, key, None)
-        if value is not None and value is not False:
+        if value is not None:
             cfg[key] = value
     for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        _assign(cfg, overrides, key.strip(), value.strip())
+        assign(key.strip(), value.strip())
     cfg["overrides"] = overrides
     return cfg
 
@@ -195,6 +223,14 @@ def _require_seed(cfg: dict) -> int:
     return seed
 
 
+def _require_outdir(outdir: Path) -> Path:
+    # checked before any system is built, so a bad out costs no run
+    existing = next(path for path in (outdir, *outdir.parents) if path.exists())
+    if not existing.is_dir():
+        raise UsageError(f"out {outdir}: {existing} exists and is not a directory")
+    return outdir
+
+
 def cmd_run(cfg: dict) -> RunReport:
     spec = _require_model(cfg)
     dims = _require_dims(cfg, spec.name)
@@ -203,7 +239,7 @@ def cmd_run(cfg: dict) -> RunReport:
     seed = _require_seed(cfg)
     snapshot_every = _require_positive(cfg, "snapshots") if "snapshots" in cfg else m
     heatmap = bool(cfg.get("heatmap", False))
-    outdir = Path(cfg.get("out", "curvipat_out"))
+    outdir = _require_outdir(Path(cfg.get("out", "curvipat_out")))
 
     try:
         system = models.build_system(spec, dims, seed)
@@ -248,7 +284,6 @@ def cmd_run(cfg: dict) -> RunReport:
         final_states = result.fields
     except DivergenceError as exc:
         diverged = exc.step
-        final_states = None
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     wall = time.perf_counter() - start
@@ -257,10 +292,8 @@ def cmd_run(cfg: dict) -> RunReport:
     output.write_timeseries(series_path, names, rows)
     manifest.append(series_path)
 
-    if diverged is not None:
-        return RunReport(wall, wall / m, {}, diverged, manifest)
-    final_means = means(final_states)
-    return RunReport(wall, wall / m, final_means, None, manifest)
+    final_means = {} if diverged is not None else means(final_states)
+    return RunReport(wall, wall / m, final_means, diverged, manifest)
 
 
 def _relative_error(states: dict, reference: dict) -> float:
@@ -286,6 +319,7 @@ def cmd_converge(cfg: dict) -> dict:
     seed = _require_seed(cfg)
     with_fe = bool(cfg.get("fe", False))
     with_dense = bool(cfg.get("dense", False))
+    outdir = _require_outdir(Path(cfg["out"])) if cfg.get("out") else None
 
     # every run copies the initial fields and changes nothing else, so one
     # system serves them all
@@ -298,7 +332,8 @@ def cmd_converge(cfg: dict) -> dict:
     if with_dense and unknowns > DENSE_REFERENCE_CAP:
         print(
             f"note: {unknowns} unknowns exceed the dense cap "
-            f"{DENSE_REFERENCE_CAP}; dense column skipped"
+            f"{DENSE_REFERENCE_CAP}; dense column skipped",
+            file=sys.stderr,
         )
         with_dense = False
 
@@ -344,28 +379,13 @@ def cmd_converge(cfg: dict) -> dict:
     print(f"least-squares slope of log(err) vs log(m): {slope:.4f}")
     print(f"observed order: {-slope:.4f}")
 
-    out = cfg.get("out")
-    if out:
-        outdir = Path(out)
+    if outdir:
         outdir.mkdir(parents=True, exist_ok=True)
         with open(outdir / "convergence.csv", "w", encoding="ascii") as fh:
             fh.write(",".join(header) + "\n")
             for entry in table:
                 fh.write(row(entry, "nan") + "\n")
     return {"table": table, "slope": slope}
-
-
-# The operator families of ``props``, each built from n and the constants
-# below (patched by params.<name>).
-_PROP_CONSTANTS = {"rho_star": 1.0, "z_star": 1.0, "lambda": -1.95}
-_PROP_BUILDERS = {
-    "theta": lambda n, k: build_theta(n),
-    "rho2": lambda n, k: build_rho(2, n, k["rho_star"]),
-    "rho3": lambda n, k: build_rho(3, n, k["rho_star"]),
-    "phi": lambda n, k: build_phi_op(n)[0],
-    "z": lambda n, k: build_z(n, k["z_star"]),
-    "lambda": lambda n, k: build_lambda(n, k["rho_star"], k["lambda"]),
-}
 
 
 def cmd_props(cfg: dict) -> list[dict]:
@@ -443,39 +463,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Diffusion-reaction pattern simulations on curvilinear domains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    helps = {
+        "run": "run one simulation",
+        "converge": "self-convergence study",
+        "props": "operator property report",
+    }
+    for command, summary in helps.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--model", help="model name")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key or (with params. prefix) a model constant")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--m", type=int, help="number of time steps")
-        p.add_argument("--tstar", type=float, help="final time")
-        p.add_argument("--snapshots", type=int, help="sample every this many steps")
-        p.add_argument("--heatmap", action="store_true", default=None)
-        for axis in _AXIS_NAMES:
-            p.add_argument(f"--n-{axis}", type=int, dest=f"n_{axis}")
-
-    run_p = sub.add_parser("run", help="run one simulation")
-    add_common(run_p)
-
-    conv_p = sub.add_parser("converge", help="self-convergence study")
-    add_common(conv_p)
-    conv_p.add_argument("--m-list", dest="m_list",
-                        type=lambda s: [int(t) for t in s.replace(",", " ").split()])
-    conv_p.add_argument("--m-ref", dest="m_ref", type=int)
-    conv_p.add_argument("--fe", action="store_true", default=None,
-                        help="include forward Euler")
-    conv_p.add_argument("--dense", action="store_true", default=None,
-                        help="include the dense classical exponential Euler")
-
-    props_p = sub.add_parser("props", help="operator property report")
-    add_common(props_p)
-    props_p.add_argument("--kind", choices=sorted(_PROP_BUILDERS))
-    props_p.add_argument("--n-list", dest="n_list",
-                         type=lambda s: [int(t) for t in s.replace(",", " ").split()])
+                       help="override a setting or (with params. prefix) a constant")
+        for key, (parse, commands, text) in _SETTINGS.items():
+            if command not in commands:
+                continue
+            flag = "--" + key.replace("_", "-")
+            if parse is _parse_bool:
+                p.add_argument(flag, dest=key, action="store_true", default=None, help=text)
+            else:
+                p.add_argument(flag, dest=key, type=parse, help=text)
     return parser
 
 
@@ -501,15 +506,9 @@ def main(argv=None) -> int:
             return 0
         cmd_props(cfg)
         return 0
-    except UsageError as exc:
+    except (UsageError, DivergenceError, NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 2 if isinstance(exc, UsageError) else 3 if isinstance(exc, DivergenceError) else 4
 
 
 if __name__ == "__main__":  # pragma: no cover

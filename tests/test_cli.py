@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -45,6 +46,15 @@ def test_config_file_rejects_garbage(tmp_path):
     cfg.write_text("just some words\n")
     with pytest.raises(cli.UsageError):
         cli.parse_config_file(cfg)
+
+
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"model = bvam_disk # \xe9t\xe9\n")
+    for path in (tmp_path / "missing.cfg", tmp_path, latin1):
+        assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_single_step_writes_two_timeseries_rows(tmp_path):
@@ -285,12 +295,79 @@ def test_usage_errors_exit_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_out_that_is_not_a_directory_exits_2_before_running(tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a system was run")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    disk = ["--model", "bvam_disk", "--n-rho", "6", "--n-theta", "8", "--tstar", "0.01"]
+    for out in (taken, taken / "sub"):
+        assert run_cli("run", *disk, "--m", "1", "--out", str(out)) == 2
+        assert run_cli("converge", *disk, "--m-list", "2,4", "--out", str(out)) == 2
+    assert taken.read_text() == "keep me"
+
+
+# the settings each subcommand reads, as the README lists them
+_READS = {
+    "run": {"model", "seed", "out", "tstar", "n_rho", "n_theta", "n_phi", "n_z",
+            "m", "snapshots", "heatmap"},
+    "converge": {"model", "seed", "out", "tstar", "n_rho", "n_theta", "n_phi", "n_z",
+                 "m_list", "m_ref", "fe", "dense"},
+    "props": {"kind", "n_list"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_each_subcommand_help_lists_exactly_the_flags_of_its_settings(command, capsys):
+    with pytest.raises(SystemExit):
+        run_cli(command, "--help")
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    expected = {"--help", "--config", "--set"}
+    expected |= {"--" + key.replace("_", "-") for key in _READS[command]}
+    assert flags == expected
+
+
+# a run of each subcommand that exits 0, to which the test below adds one key
+_BASE_ARGS = {
+    "run": ["--model", "bvam_disk", "--n-rho", "4", "--n-theta", "4", "--m", "1",
+            "--tstar", "0.01", "--out", "o"],
+    "converge": ["--model", "bvam_disk", "--n-rho", "4", "--n-theta", "4",
+                 "--tstar", "0.01", "--m-list", "2,4", "--out", "o"],
+    "props": ["--kind", "theta", "--n-list", "8"],
+}
+_UNREAD = [
+    (command, key)
+    for command in sorted(_BASE_ARGS)
+    for key, (_, commands, _) in cli._SETTINGS.items()
+    if command not in commands
+]
+
+
+@pytest.mark.parametrize("command, key", _UNREAD)
+def test_a_setting_the_subcommand_does_not_read_exits_2(tmp_path, monkeypatch, command, key):
+    monkeypatch.chdir(tmp_path)
+    parse = cli._SETTINGS[key][0]
+    flag = "--" + key.replace("_", "-")
+    cfg = tmp_path / "extra.cfg"
+    cfg.write_text(f"{key} = 1\n")  # "1" parses for every key
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *_BASE_ARGS[command], flag if parse is cli._parse_bool else f"{flag}=1")
+    assert exc.value.code == 2
+    assert run_cli(command, *_BASE_ARGS[command], "--config", str(cfg)) == 2
+    assert run_cli(command, *_BASE_ARGS[command], f"--set={key}=1") == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["extra.cfg"]
+    assert run_cli(command, *_BASE_ARGS[command]) == 0
+
+
 _DISK_SPEC = models.model_spec("bvam_disk")
 # dimensions of axes a disk lacks; the parser knows them, a disk run must not
 _NOT_DISK_DIMS = sorted(cli._DIM_KEYS - set(models.dim_keys(models.ModelName.BVAM_DISK)))
-# what a bvam_disk run accepts: the other config keys, and the model
-# constants behind the params. prefix
-_DISK_KEYS = (cli._KEYS - set(_NOT_DISK_DIMS)) | {
+# what a bvam_disk run accepts: the other settings run reads, and the
+# model constants behind the params. prefix
+_RUN_KEYS = {key for key, (_, commands, _) in cli._SETTINGS.items() if "run" in commands}
+_DISK_KEYS = (_RUN_KEYS - set(_NOT_DISK_DIMS)) | {
     f"params.{name}" for name in {**_DISK_SPEC.params, **_DISK_SPEC.sizes}
 }
 
@@ -394,7 +471,7 @@ def test_converge_skips_dense_over_cap_with_notice(capsys):
         "overrides": {},
     }
     result = cli.cmd_converge(cfg)
-    assert "dense column skipped" in capsys.readouterr().out
+    assert "dense column skipped" in capsys.readouterr().err
     assert all("err_dense" not in entry for entry in result["table"])
 
 
