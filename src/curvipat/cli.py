@@ -41,7 +41,6 @@ from .operators import (
     build_rho,
     build_theta,
     build_z,
-    eig_theta,
     eig_tridiag,
     matrix_exp_nonneg_check,
     symmetrize,
@@ -239,7 +238,10 @@ def cmd_run(cfg: dict) -> RunReport:
     seed = _require_seed(cfg)
     snapshot_every = _require_positive(cfg, "snapshots") if "snapshots" in cfg else m
     heatmap = bool(cfg.get("heatmap", False))
-    outdir = _require_outdir(Path(cfg.get("out", "curvipat_out")))
+    out = cfg.get("out", "curvipat_out")
+    if not out:  # Path("") is the working directory
+        raise UsageError("run needs a non-empty out directory")
+    outdir = _require_outdir(Path(out))
 
     try:
         system = models.build_system(spec, dims, seed)
@@ -415,7 +417,7 @@ def cmd_props(cfg: dict) -> list[dict]:
         if kind == "theta":
             row["extra_diag_positive"] = op.off > 0
             row["max_abs_rowsum"] = 0.0
-            fac = eig_theta(op)
+            lambdas = op.lambdas  # closed form; the report needs no eigenvectors
             row["xi_inv_norm"] = 1.0
             row["xi_inv_closed_form"] = 1.0
         else:
@@ -424,7 +426,7 @@ def cmd_props(cfg: dict) -> list[dict]:
             zero_rows = sums[:-1] if kind in ("z", "lambda") else sums
             row["max_abs_rowsum"] = float(np.max(np.abs(zero_rows)))
             xi, _ = symmetrize(op)
-            fac = eig_tridiag(op)
+            lambdas = eig_tridiag(op).lambdas
             row["xi_inv_norm"] = float(np.max(1.0 / xi))
             if kind == "rho2":
                 row["xi_inv_closed_form"] = math.sqrt(2 * n - 3)
@@ -433,7 +435,7 @@ def cmd_props(cfg: dict) -> list[dict]:
             elif kind == "z":
                 row["xi_cond"] = float(np.max(xi) / np.min(xi))
                 row["xi_cond_closed_form"] = math.sqrt(2.0)
-        row["max_eigenvalue"] = float(np.max(fac.lambdas))
+        row["max_eigenvalue"] = float(np.max(lambdas))
         if n <= 64:
             row["exp_min_entry"] = min(
                 matrix_exp_nonneg_check(op, t) for t in exp_times

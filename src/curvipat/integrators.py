@@ -359,7 +359,10 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
         if rows:
             A = A.scaled_rows(axes[0].weights)
         periodic = isinstance(axis, PeriodicTridiagonal)
-        fac = eig_theta(axis) if periodic else eig_tridiag(axis)
+        if form in ("rfft", "circulant"):
+            fac = None  # an FFT applies the basis: only axis.lambdas is used
+        else:
+            fac = eig_theta(axis) if periodic else eig_tridiag(axis)
         if form == "dense":
             P = phi1_matrix(scale, fac)
             if b is not None and mode == 1 and not periodic:
@@ -390,7 +393,7 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
         else:
             # eig_theta orders its columns by frequency 0, 1, 1, 2, 2, ...;
             # the cos and sin columns of one frequency share an eigenvalue
-            vectors[mode - 1] = fac.lambdas[np.r_[0, 1 : axis.n : 2]]
+            vectors[mode - 1] = axis.lambdas[np.r_[0, 1 : axis.n : 2]]
             # complex, so that scaling the spectrum needs no cast buffer
             action = phi1_outer(scale, vectors).astype(complex)
         if form == "circulant":

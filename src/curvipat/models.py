@@ -553,6 +553,13 @@ MODELS: dict[ModelName, Model] = {
 
 @dataclass(frozen=True)
 class SystemComponent:
+    """One component of a built system: its operators, its start field in
+    deviation variables (``initial``) and the ``lift`` that restores the
+    physical values.  A component without a perturbation law starts at a
+    constant, and its ``initial`` is a read-only view of that constant
+    with all strides 0; callers that step a start field copy it first, as
+    :func:`~curvipat.integrators.run_simulation` does."""
+
     name: str
     ops: ComponentOps
     initial: np.ndarray
@@ -574,20 +581,28 @@ def random_initial_condition(
 
     One generator serves all components; draws happen component-major (in
     the model's component order) and flat-index order within a field.
-    Components without a perturbation law consume no draws.  The result is
-    bitwise reproducible for a fixed seed.
+    Components without a perturbation law consume no draws, and their
+    field is a read-only view of the equilibrium value with all strides 0.
+    The result is bitwise reproducible for a fixed seed.
     """
     rng = Xoshiro256pp(seed)
     shapes = component_shapes(spec.name, dims)
     equilibrium = spec.equilibrium()
     fields = {}
     for name, shape in shapes.items():
-        base = np.full(shape, equilibrium[name])
         law = spec.perturbations[name]
-        if law is not None:
-            base += tensor.unvec(law.draw(rng, int(np.prod(shape))), shape)
-        fields[name] = base
+        if law is None:
+            fields[name] = _constant(equilibrium[name], shape)
+        else:
+            base = np.full(shape, equilibrium[name])
+            base += tensor.unvec(law.draw(rng, math.prod(shape)), shape)
+            fields[name] = base
     return fields
+
+
+def _constant(value: float, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only field of one value, every stride 0."""
+    return np.broadcast_to(np.float64(value), shape)
 
 
 def component_shapes(
@@ -671,7 +686,10 @@ def build_system(
     components = []
     for name, c in model.components.items():
         ops = ComponentOps(c.geometry, coeffs[name], **{a: axes[a] for a in c.geometry.axes})
-        field = np.subtract(initial[name], lifts[name], out=initial[name])
+        if spec.perturbations[name] is None:
+            field = _constant(eq[name] - lifts[name], ops.shape)
+        else:
+            field = np.subtract(initial[name], lifts[name], out=initial[name])
         components.append(SystemComponent(name, ops, field, lifts[name]))
     shapes = {c.name: c.ops.shape for c in components}
     return CoupledSystem(
@@ -728,18 +746,20 @@ def _reusing(allocate, compute) -> Callable[[dict[str, np.ndarray]], dict]:
     return kinetics
 
 
-def _check_memory(name: ModelName, dims: dict[str, int]) -> None:
-    """Reject dims whose arrays cannot fit in physical memory.  Counted per
-    component: the initial and the current field, and the factors
+def _check_memory(name: ModelName, dims: dict[str, int]) -> int:
+    """Reject dims whose arrays cannot fit in physical memory, and return
+    the bytes counted.  Per component: the current field, the initial field
+    unless it is a constant (a view of one value), and the factors
     ``prepare`` keeps; the kinetics buffers of the model's record; per field
     shape: the step workspace, two fields and an rfft spectrum, which holds
     n//2 + 1 complex values per n reals, so at most two fields."""
     model = MODELS[name]
     shapes = component_shapes(name, dims)
-    need = model.buffer_bytes(shapes) + sum(
-        8 * 2 * math.prod(shape) + prepared_bytes(model.components[comp].geometry, shape)
-        for comp, shape in shapes.items()
-    )
+    need = model.buffer_bytes(shapes)
+    for comp, shape in shapes.items():
+        c = model.components[comp]
+        fields = 1 if c.perturbation is None else 2
+        need += 8 * fields * math.prod(shape) + prepared_bytes(c.geometry, shape)
     need += sum(8 * 4 * math.prod(shape) for shape in set(shapes.values()))
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -747,6 +767,7 @@ def _check_memory(name: ModelName, dims: dict[str, int]) -> None:
             f"dims {dims} need about {need / 2**30:.1f} GiB, more than the "
             f"{have / 2**30:.1f} GiB of physical memory"
         )
+    return need
 
 
 def _check_constants(spec: ModelSpec) -> None:

@@ -105,6 +105,40 @@ class PeriodicTridiagonal:
         A[idx, (idx - 1) % self.n] += self.off
         return A
 
+    @cached_property
+    def lambdas(self) -> np.ndarray:
+        """The eigenvalues of :func:`eig_theta`, in its column order,
+        computed on first use and then shared (read-only).  An FFT applies
+        the basis, so the rfft forms of ``prepare`` need these alone."""
+        n = self.n
+        j = np.arange(1, n // 2 + 1)  # the frequencies after the constant
+        lam = np.empty(n)
+        lam[0] = 0.0
+        # frequency j sits in columns 2j - 1 (cosine) and 2j (sine), and
+        # for even n, j = n/2 in column n - 1 alone (the alternating vector)
+        lam[1:] = np.repeat((2.0 * np.cos(2.0 * np.pi * j / n) - 2.0) / self.h**2, 2)[: n - 1]
+        lam.flags.writeable = False
+        return lam
+
+    @cached_property
+    def eigen(self) -> "EigenFactorization":
+        """The closed-form eigendecomposition of :func:`eig_theta`, built in
+        one pass on first use and then shared (read-only) by every
+        component built on this operator."""
+        n = self.n
+        k = np.arange(n)
+        pairs = np.arange(1, (n + 1) // 2)  # the frequencies with a cosine and a sine
+        ang = 2.0 * np.pi * pairs * k[:, None] / n
+        Q = np.empty((n, n))
+        Q[:, 0] = 1.0 / math.sqrt(n)
+        Q[:, 1 : 2 * pairs.size : 2] = math.sqrt(2.0 / n) * np.cos(ang)
+        Q[:, 2 : 2 * pairs.size + 1 : 2] = math.sqrt(2.0 / n) * np.sin(ang)
+        if n % 2 == 0:
+            Q[:, n - 1] = np.where(k % 2 == 0, 1.0, -1.0) / math.sqrt(n)
+        xi = np.ones(n)
+        Q.flags.writeable = xi.flags.writeable = False
+        return EigenFactorization(lambdas=self.lambdas, Q=Q, xi=xi)
+
 
 @dataclass(frozen=True)
 class EigenFactorization:
@@ -157,33 +191,15 @@ def _widths(grid: np.ndarray, h: float, lo: float, hi: float) -> np.ndarray:
 
 
 def eig_theta(op: PeriodicTridiagonal) -> EigenFactorization:
-    """Explicit eigenpairs of the circulant angular stencil.
+    """Explicit eigenpairs of the circulant angular stencil (cached per
+    operator, like :func:`eig_tridiag`).
 
     Eigenvalues are (2 cos(2 pi j / n) - 2)/h^2 and the eigenvectors form the
     real orthonormal Fourier basis (constant, cosine/sine pairs, and the
     alternating vector when n is even).  Columns are ordered by frequency
     j = 0, 1, 1, 2, 2, ...; the symmetrizer is the identity.
     """
-    n = op.n
-    k = np.arange(n)
-    Q = np.empty((n, n))
-    lam = np.empty(n)
-    Q[:, 0] = 1.0 / math.sqrt(n)
-    lam[0] = 0.0
-    col = 1
-    for j in range(1, n // 2 + 1):
-        lj = (2.0 * np.cos(2.0 * np.pi * j / n) - 2.0) / op.h**2
-        if 2 * j == n:
-            Q[:, col] = np.where(k % 2 == 0, 1.0, -1.0) / math.sqrt(n)
-            lam[col] = lj
-            col += 1
-        else:
-            ang = 2.0 * np.pi * j * k / n
-            Q[:, col] = math.sqrt(2.0 / n) * np.cos(ang)
-            Q[:, col + 1] = math.sqrt(2.0 / n) * np.sin(ang)
-            lam[col] = lam[col + 1] = lj
-            col += 2
-    return EigenFactorization(lambdas=lam, Q=Q, xi=np.ones(n))
+    return op.eigen
 
 
 def build_rho(d: int, n: int, rho_star: float) -> TridiagonalOperator:

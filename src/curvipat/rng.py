@@ -31,59 +31,69 @@ def _rotl(x: int, k: int) -> int:
 # Vectorised draws: the state update is linear over GF(2), so one step is a
 # 256 x 256 bit matrix T, and its powers T^(2^i) jump a state ahead.  Lanes
 # started a power-of-two stride apart then step in lockstep, and their
-# outputs read lane by lane are the scalar stream.
+# outputs read lane by lane are the scalar stream.  A draw runs in blocks of
+# at most 2^_BLOCK_LOG values (256 lanes x 64 steps); between blocks all
+# lanes jump ahead by a block at once.
 _LANES_LOG = 8  # at most 256 lanes
-# draws per raw() call in uniform/normal: one lockstep pass of 256 lanes x 64
-# steps; even, so normal's pairs never straddle two blocks
-_BLOCK = 1 << 14
+# even, so normal's pairs never straddle two blocks, and small, so that the
+# libm calls of a block convert few Python floats at a time
+_BLOCK_LOG = 14
+# nibble p of a state is bits 4 (p % 16) .. +3 of word p // 16; a lookup
+# table holds 16 columns per nibble, and unit state j = 4 p + b is column
+# 16 p + 2^b
+_NIBBLE_SHIFTS = np.arange(0, 64, 4, dtype=np.uint64)[:, None]
+_NIBBLE_ROWS = 16 * np.arange(64).reshape(4, 16, 1)
+_UNIT_COLUMNS = (16 * np.arange(64)[:, None] + (1 << np.arange(4))).ravel()
 
 
-def _rotl_lanes(x: np.ndarray, k: int) -> np.ndarray:
-    return (x << k) | (x >> (64 - k))
-
-
-def _step_lanes(lanes: np.ndarray) -> None:
+def _step_lanes(lanes: np.ndarray, scratch: np.ndarray) -> None:
     """One xoshiro256++ state update of every column of a 4 x L uint64
-    array, in place (the arithmetic of ``next_uint64``)."""
+    array, in place (the arithmetic of ``next_uint64``); ``scratch`` is a
+    uint64 array of length L."""
     s0, s1, s2, s3 = lanes
-    t = s1 << 17
+    np.left_shift(s1, 17, out=scratch)
     s2 ^= s0
     s3 ^= s1
     s1 ^= s2
     s0 ^= s3
-    s2 ^= t
-    s3[:] = _rotl_lanes(s3, 45)
+    s2 ^= scratch
+    np.left_shift(s3, 45, out=scratch)
+    s3 >>= 19
+    s3 |= scratch
 
 
 @functools.cache
-def _jump_table(i: int) -> np.ndarray:
-    """T^(2^i) as the images of the 256 unit states, one per column of a
-    4 x 256 uint64 array (8 KiB); unit state j has only bit j % 64 of word
-    j // 64 set.  Built on first use and read-only; i < 64 in practice, so
-    the cache stays small."""
+def _jump_lut(i: int) -> np.ndarray:
+    """The nibble lookup table of T^(2^i), a 4 x 1024 uint64 array (32 KiB):
+    column 16 p + v is the image of the state whose nibble p is v and whose
+    other bits are 0.  Its columns 16 p + 2^b are the images of the 256
+    unit states (unit state j has only bit j % 64 of word j // 64 set),
+    which T^(2^i) maps to the unit images of T^(2^(i+1)).  Built on first
+    use and read-only; a draw jumps by at most 2^_BLOCK_LOG, so the cache
+    holds at most 15 tables, 480 KiB."""
     if i == 0:
         bit = np.arange(256)
-        table = np.zeros((4, 256), dtype=np.uint64)
-        table[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
-        _step_lanes(table)
+        units = np.zeros((4, 256), dtype=np.uint64)
+        units[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
+        _step_lanes(units, np.empty(256, dtype=np.uint64))
     else:
-        table = _jump(i - 1, _jump_table(i - 1))
-    table.flags.writeable = False
-    return table
+        units = _jump(i - 1, _jump_lut(i - 1)[:, _UNIT_COLUMNS])
+    images = units.reshape(4, 64, 4)  # word, nibble, bit in nibble
+    lut = np.zeros((4, 64, 16), dtype=np.uint64)
+    for b in range(4):
+        lut[:, :, 1 << b : 2 << b] = lut[:, :, : 1 << b] ^ images[:, :, b, None]
+    lut = lut.reshape(4, 1024)
+    lut.flags.writeable = False
+    return lut
 
 
 def _jump(i: int, lanes: np.ndarray) -> np.ndarray:
     """Every column of a 4 x L state array advanced 2^i steps: the XOR of
-    the images of its set bits, looked up four bits at a time."""
-    images = _jump_table(i).T.reshape(64, 4, 4)
-    # lut[p, v]: image of the state whose bits 4p .. 4p+3 are v, others 0
-    lut = np.zeros((64, 16, 4), dtype=np.uint64)
-    for b in range(4):
-        lut[:, 1 << b : 2 << b] = lut[:, : 1 << b] ^ images[:, b, None, :]
-    octets = np.ascontiguousarray(lanes.T, dtype="<u8").view(np.uint8)
-    nibbles = np.stack([octets & 15, octets >> 4], axis=2).reshape(-1, 64)
-    looked_up = lut[np.arange(64)[:, None], nibbles.T]
-    return np.bitwise_xor.reduce(looked_up, axis=0).T.copy()
+    the images of its 64 nibbles."""
+    rows = ((lanes[:, None, :] >> _NIBBLE_SHIFTS) & 15).astype(np.intp)
+    rows += _NIBBLE_ROWS
+    images = _jump_lut(i).take(rows.reshape(64, -1), axis=1)
+    return np.bitwise_xor.reduce(images, axis=1)
 
 
 def _libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -128,40 +138,71 @@ class Xoshiro256pp:
     def raw(self, n: int) -> np.ndarray:
         """The next n outputs as uint64: the values of n ``next_uint64``
         calls, leaving the generator in the same state."""
+        out = np.empty(n, dtype=np.uint64)  # raises for n < 0
+        for lo, block in self._blocks(n):
+            out[lo : lo + block.size] = block
+        return out
+
+    def _blocks(self, n: int):
+        """The next n outputs as consecutive (offset, uint64 block) pairs,
+        blocks of at most 2^_BLOCK_LOG values.  The state moves past all n
+        draws before the last block is yielded.
+
+        Lane k of a block starts at draw k * steps of it, and a block spans
+        lanes x steps draws: the least power of two that holds n, at most
+        2^_BLOCK_LOG.  The lockstep runs in place on one copy of the lanes
+        and keeps the words that make each output, s0 + s3 and s0; the
+        state after the last draw is a lane's state on the way."""
         if n <= 0:
-            return np.empty(n, dtype=np.uint64)  # raises for n < 0
-        lanes_log = min(_LANES_LOG, (n - 1).bit_length())
-        stride_log = (-(-n >> lanes_log) - 1).bit_length()
-        start = np.array(self._state, dtype=np.uint64).reshape(4, 1)
-        lanes = start.copy()
+            return
+        span_log = min(_BLOCK_LOG, (n - 1).bit_length())
+        lanes_log = min(_LANES_LOG, span_log)
+        steps = 1 << (span_log - lanes_log)
+        lanes = np.array(self._state, dtype=np.uint64).reshape(4, 1)
         for i in range(lanes_log):
-            lanes = np.concatenate([lanes, _jump(stride_log + i, lanes)], axis=1)
-        s0, s3 = lanes[0], lanes[3]
-        out = np.empty((1 << lanes_log, 1 << stride_log), dtype=np.uint64)
-        for t in range(out.shape[1]):
-            out[:, t] = _rotl_lanes(s0 + s3, 23) + s0
-            _step_lanes(lanes)
-        end = start
-        for i in range(n.bit_length()):
-            if n >> i & 1:
-                end = _jump(i, end)
-        self._state = [int(w) for w in end[:, 0]]
-        return out.reshape(-1)[:n]
+            lanes = np.concatenate([lanes, _jump(span_log - lanes_log + i, lanes)], axis=1)
+        work = np.empty_like(lanes)
+        scratch = np.empty_like(lanes[0])
+        sums = np.empty((lanes.shape[1], steps), dtype=np.uint64)
+        firsts = np.empty_like(sums)
+        s0, s3 = work[0], work[3]
+        for lo in range(0, n, 1 << span_log):
+            count = min(n - lo, 1 << span_log)
+            run = min(steps, count)
+            # in the last block, the state after the last draw is lane j's
+            # after t_end <= run steps
+            j = min(count // steps, lanes.shape[1] - 1)
+            t_end = count - j * steps if lo + count == n else -1
+            np.copyto(work, lanes)
+            for t in range(run):
+                if t == t_end:
+                    self._state = work[:, j].tolist()
+                np.add(s0, s3, out=sums[:, t])
+                firsts[:, t] = s0
+                _step_lanes(work, scratch)
+            if t_end == run:
+                self._state = work[:, j].tolist()
+            # rotl(s0 + s3, 23) + s0
+            block = sums << 23
+            sums >>= 41
+            block |= sums
+            block += firsts
+            yield lo, block.reshape(-1)[:count]
+            if t_end < 0:
+                lanes = _jump(span_log, lanes)
 
     def uniform(self, size: int) -> np.ndarray:
         """size iid draws from U[0, 1)."""
         out = np.empty(size)
-        for lo in range(0, size, _BLOCK):
-            hi = min(lo + _BLOCK, size)
-            out[lo:hi] = (self.raw(hi - lo) >> 11) * 2.0**-53
+        for lo, draws in self._blocks(size):
+            out[lo : lo + draws.size] = (draws >> 11) * 2.0**-53
         return out
 
     def normal(self, size: int) -> np.ndarray:
         """size iid standard normal draws (Box-Muller on uniform pairs)."""
         out = np.empty(2 * ((size + 1) // 2))
-        for lo in range(0, out.size, _BLOCK):
-            hi = min(lo + _BLOCK, out.size)
-            draws = self.raw(hi - lo)
+        for lo, draws in self._blocks(out.size):
+            hi = lo + draws.size
             # u1 in (0, 1] so the logarithm is finite
             u1 = ((draws[0::2] >> 11) + 1) * 2.0**-53
             angle = (2.0 * math.pi) * ((draws[1::2] >> 11) * 2.0**-53)
@@ -169,5 +210,3 @@ class Xoshiro256pp:
             out[lo:hi:2] = radius * _libm(math.cos, angle)
             out[lo + 1 : hi : 2] = radius * _libm(math.sin, angle)
         return out[:size]
-
-

@@ -4,7 +4,7 @@ banded-circulant mode product with one dense circulant per row, each
 geometry's Kronecker summands written out by hand, one dense classical
 exponential Euler step, one split step with nothing folded into its
 factors, one with every summand in its plain form, the closed-form axial
-eigenpairs, and the
+eigenpairs, the angular eigenpairs one frequency at a time, and the
 integral-mean, stabilization and amplitude checks of the acceptance
 criteria."""
 
@@ -251,6 +251,32 @@ def explicit_z_eigenpairs(n: int, z_star: float) -> tuple[np.ndarray, np.ndarray
     V = np.sin((n - i + 1.0) * alpha[None, :]) / np.sin(alpha[None, :])
     V[-1, :] = 1.0
     return lam, V
+
+
+def eig_theta_by_frequency(op: PeriodicTridiagonal) -> tuple[np.ndarray, ...]:
+    """(lambdas, Q, xi) of the circulant angular stencil, built one
+    frequency at a time in the column order of ``eig_theta``: 0, 1, 1, 2,
+    2, ..., with the alternating vector last when n is even."""
+    n = op.n
+    k = np.arange(n)
+    Q = np.empty((n, n))
+    lam = np.empty(n)
+    Q[:, 0] = 1.0 / math.sqrt(n)
+    lam[0] = 0.0
+    col = 1
+    for j in range(1, n // 2 + 1):
+        lj = (2.0 * np.cos(2.0 * np.pi * j / n) - 2.0) / op.h**2
+        if 2 * j == n:
+            Q[:, col] = np.where(k % 2 == 0, 1.0, -1.0) / math.sqrt(n)
+            lam[col] = lj
+            col += 1
+        else:
+            ang = 2.0 * np.pi * j * k / n
+            Q[:, col] = math.sqrt(2.0 / n) * np.cos(ang)
+            Q[:, col + 1] = math.sqrt(2.0 / n) * np.sin(ang)
+            lam[col] = lam[col + 1] = lj
+            col += 2
+    return lam, Q, np.ones(n)
 
 
 def integral_mean(field: np.ndarray, cops: ComponentOps) -> float:

@@ -309,6 +309,19 @@ def test_out_that_is_not_a_directory_exits_2_before_running(tmp_path, monkeypatc
     assert taken.read_text() == "keep me"
 
 
+def test_run_with_an_empty_out_exits_2_and_writes_nothing(tmp_path, monkeypatch):
+    # Path("") is the working directory, where such a run used to write
+    def no_build(*args, **kwargs):
+        raise AssertionError("a system was built")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(models, "build_system", no_build)
+    disk = ["--model", "bvam_disk", "--n-rho", "4", "--n-theta", "4", "--tstar", "0.01"]
+    assert run_cli("run", *disk, "--m", "1", "--set", "out=") == 2
+    assert run_cli("run", *disk, "--m", "1", "--out", "") == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 # the settings each subcommand reads, as the README lists them
 _READS = {
     "run": {"model", "seed", "out", "tstar", "n_rho", "n_theta", "n_phi", "n_z",

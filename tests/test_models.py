@@ -90,6 +90,42 @@ def test_rng_raw_matches_scalar_reference():
         lanes.raw(-1)
 
 
+def _scalar_draws(rng, kind, size):
+    """size draws of one kind from the scalar generator alone, as an array;
+    normal takes Box-Muller pairs, so an odd size consumes one more draw."""
+    if kind == "raw":
+        return np.array([rng.next_uint64() for _ in range(size)], dtype=np.uint64)
+    if kind == "uniform":
+        return np.array([(rng.next_uint64() >> 11) * 2.0**-53 for _ in range(size)])
+    z = []
+    while len(z) < size:
+        u1 = ((rng.next_uint64() >> 11) + 1) * 2.0**-53
+        angle = (2.0 * math.pi) * ((rng.next_uint64() >> 11) * 2.0**-53)
+        radius = math.sqrt(-2.0 * math.log(u1))
+        z += [radius * math.cos(angle), radius * math.sin(angle)]
+    return np.array(z[:size])
+
+
+# around one and two blocks of 16384 draws, and past them: the lanes carry
+# from block to block
+@pytest.mark.parametrize("size", [16383, 16384, 16385, 25600, 32769, 45000])
+@pytest.mark.parametrize("kind", ["raw", "uniform", "normal"])
+def test_rng_blocks_match_the_scalar_reference(kind, size):
+    lanes, scalar = models.Xoshiro256pp(2026), models.Xoshiro256pp(2026)
+    assert getattr(lanes, kind)(size).tobytes() == _scalar_draws(scalar, kind, size).tobytes()
+    assert lanes._state == scalar._state
+
+
+@pytest.mark.parametrize("kind", ["raw", "uniform", "normal"])
+@pytest.mark.parametrize("a, b", [(16000, 700), (16383, 3), (16385, 16385), (1, 32769)])
+def test_rng_draws_split_across_a_block_boundary(kind, a, b):
+    split, scalar = models.Xoshiro256pp(17), models.Xoshiro256pp(17)
+    joined = np.concatenate([getattr(split, kind)(a), getattr(split, kind)(b)])
+    expected = np.concatenate([_scalar_draws(scalar, kind, a), _scalar_draws(scalar, kind, b)])
+    assert joined.tobytes() == expected.tobytes()
+    assert split._state == scalar._state
+
+
 def test_rng_odd_normal_consumes_one_extra_draw():
     odd, even = models.Xoshiro256pp(9), models.Xoshiro256pp(9)
     z_odd, z_even = odd.normal(257), even.normal(258)
@@ -685,6 +721,47 @@ def test_cylinder_bulk_starts_exactly_at_equilibrium():
     assert np.all(fields["v"] == eq["v"])
     assert np.all(fields["r"] >= eq["r"]) and np.max(fields["r"]) <= eq["r"] + 1e-2
     assert np.all(fields["s"] >= eq["s"]) and np.max(fields["s"]) <= eq["s"] + 1e-2
+
+
+def test_constant_start_fields_are_read_only_views():
+    dims = {"n_rho": 5, "n_theta": 6, "n_z": 4}
+    system = models.build_system("bsdib_cylinder", dims, seed=3)
+    comps = {c.name: c for c in system.components}
+    for name in ("u", "v"):
+        initial = comps[name].initial
+        assert initial.shape == (5, 6, 4) and initial.strides == (0, 0, 0)
+        assert not initial.flags.writeable
+        with pytest.raises(ValueError):
+            initial[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            initial += 1.0
+        assert initial.tobytes() == np.zeros((5, 6, 4)).tobytes()  # eq - lift
+    for name in ("r", "s"):
+        assert comps[name].initial.flags.writeable and comps[name].initial.flags.c_contiguous
+    # the fingerprint the parameter-routing tests compare, as it was when
+    # every start field was filled in
+    digest = hashlib.sha256(_system_fingerprint(system)).hexdigest()
+    assert digest == "d92cf9828c65c99a188eae05d0d7727e83c4bbb7a13dd14a6ad8fc4f1aed28ae"
+    # a run copies its start fields and steps the copies
+    res = run_simulation(system, 2, 0.01)
+    assert res.fields["u"].flags.writeable and not np.shares_memory(res.fields["u"], comps["u"].initial)
+    assert np.all(comps["u"].initial == 0.0)
+
+
+def test_memory_estimate_counts_no_initial_field_for_a_constant(monkeypatch):
+    name, dims = models.ModelName.BSDIB_CYLINDER, {"n_rho": 5, "n_theta": 6, "n_z": 4}
+    shapes = models.component_shapes(name, dims)
+    constant = models._check_memory(name, dims)
+    model = models.MODELS[name]
+    perturbed = {
+        comp: dataclasses.replace(c, perturbation=c.perturbation or models.Uniform(0.0, 1e-2))
+        for comp, c in model.components.items()
+    }
+    monkeypatch.setitem(models.MODELS, name, dataclasses.replace(model, components=perturbed))
+    drawn = models._check_memory(name, dims)
+    assert drawn - constant == 8 * (math.prod(shapes["u"]) + math.prod(shapes["v"]))
+    system = models.build_system(name, dims, seed=3)
+    assert all(c.initial.flags.writeable for c in system.components)
 
 
 # ---------------------------------------------------------------------------

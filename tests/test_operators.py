@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -8,8 +9,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from curvipat import cli, models
 from curvipat import operators as op
-from oracles import explicit_z_eigenpairs
+from curvipat.integrators import prepare
+from oracles import eig_theta_by_frequency, explicit_z_eigenpairs
 
 
 def max_abs(A):
@@ -63,6 +66,47 @@ def test_eig_theta_residual_and_orthogonality_n8():
     assert resid <= 1e-12 * max_abs(A)
     assert max_abs(fac.Q.T @ fac.Q - np.eye(8)) <= 1e-12
     assert np.all(fac.xi == 1.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 50, 100, 128, 160])
+def test_eig_theta_equals_the_frequency_loop_bitwise(n):
+    t = op.build_theta(n)
+    fac = op.eig_theta(t)
+    lam, Q, xi = eig_theta_by_frequency(t)
+    assert fac.lambdas.tobytes() == lam.tobytes()
+    assert fac.Q.tobytes() == Q.tobytes()
+    assert fac.xi.tobytes() == xi.tobytes()
+    assert op.eig_theta(t) is fac
+    assert not (fac.lambdas.flags.writeable or fac.Q.flags.writeable or fac.xi.flags.writeable)
+
+
+def test_the_angular_eigenbasis_is_built_once_and_only_where_used(monkeypatch, capsys):
+    # u, v, r and s of the cylinder all sit on one theta axis; from
+    # FFT_MIN_THETA points on an rfft applies the basis, so none is built,
+    # and the property report reads the eigenvalues alone
+    built = []
+    for name in ("lambdas", "eigen"):
+        closed_form = getattr(op.PeriodicTridiagonal, name).func
+
+        def counting(self, _name=name, _build=closed_form):
+            built.append((_name, self.n))
+            return _build(self)
+
+        spy = functools.cached_property(counting)
+        spy.__set_name__(op.PeriodicTridiagonal, name)
+        monkeypatch.setattr(op.PeriodicTridiagonal, name, spy)
+    for n_theta, expected in ((8, [("eigen", 8), ("lambdas", 8)]), (128, [("lambdas", 128)])):
+        built.clear()
+        dims = {"n_rho": 6, "n_theta": n_theta, "n_z": 4}
+        system = models.build_system("bsdib_cylinder", dims, seed=1)
+        assert [c.name for c in system.components] == ["u", "v", "r", "s"]
+        for c in system.components:
+            prepare(c.ops, 0.01)
+        assert built == expected
+    built.clear()
+    assert cli.main(["props", "--kind", "theta", "--n-list", "8,256"]) == 0
+    assert built == [("lambdas", 8), ("lambdas", 256)]
+    assert "max_eigenvalue" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
