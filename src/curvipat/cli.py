@@ -263,13 +263,7 @@ def cmd_run(cfg: dict) -> RunReport:
             physical = states[name] + comp.lift
             snap = outdir / f"{name}_{step:07d}.csv"
             output.write_snapshot(
-                snap,
-                physical,
-                comp.ops,
-                component=name,
-                model=spec.name.value,
-                step=step,
-                t=t,
+                snap, physical, comp.ops, component=name, model=spec.name.value, step=step, t=t
             )
             manifest.append(snap)
             if heatmap:
@@ -323,11 +317,17 @@ def cmd_converge(cfg: dict) -> dict:
     with_dense = bool(cfg.get("dense", False))
     outdir = _require_outdir(Path(cfg["out"])) if cfg.get("out") else None
 
+    def fields(run: str, m: int, method: str = "split") -> dict:
+        try:
+            return run_simulation(system, m, t_star, method=method).fields
+        except DivergenceError as exc:  # say which run of the study it was
+            raise DivergenceError(f"{run} run with m = {m}: {exc}", exc.step) from exc
+
     # every run copies the initial fields and changes nothing else, so one
     # system serves them all
     try:
         system = models.build_system(spec, dims, seed)
-        reference = run_simulation(system, m_ref, t_star).fields
+        reference = fields("reference", m_ref)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     unknowns = max(field.size for field in reference.values())
@@ -342,14 +342,9 @@ def cmd_converge(cfg: dict) -> dict:
     table: list[dict] = []
     for m in m_list:
         entry: dict = {"m": m}
-        entry["err_split"] = _relative_error(
-            run_simulation(system, m, t_star).fields, reference
-        )
+        entry["err_split"] = _relative_error(fields("split", m), reference)
         if with_dense:
-            entry["err_dense"] = _relative_error(
-                run_simulation(system, m, t_star, method="dense").fields,
-                reference,
-            )
+            entry["err_dense"] = _relative_error(fields("dense", m, "dense"), reference)
         if with_fe:
             try:
                 fe_fields = run_simulation(system, m, t_star, method="forward_euler").fields

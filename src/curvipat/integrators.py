@@ -14,31 +14,23 @@ The split scheme advances W_{n+1} = W_n + tau * P_1 P_2 (... P_d) F_n where
 F_n = M W_n + G_n and each P_mu is phi1(tau M_mu).  An unweighted P_mu is
 one mode product with a dense phi1 matrix; a weighted one is a mode product
 with V^-1, an elementwise product with a precomputed phi1 tensor, and a
-mode product with V.  For a long periodic angle V is the real Fourier
-basis, so its pair of mode products becomes an rfft and an irfft, each line
-of the field transformed whole into one spectrum.  Where phi1 is banded
-to rounding at this tau, it is held as its block tridiagonal band alone
-(:class:`tensor.BlockRows`), applied as one batched GEMM over overlapping
-windows of the field: the dense phi1 along the first mode, its edge block
-rows cut off, and along the second of three modes, weighted by the first
-mode alone (the cylinder's theta summand), where phi1 is one circulant per
-first-mode row, the circulants of the rows where tau w_i makes them banded,
-their edge block rows wrapped round; the rfft covers only the leading
-rows.  A summand along the last mode weighted by the first mode alone (the
-ball's phi summand) is a stack of one matrix per slice of the first mode,
-for M W and for phi1, each applied as one batched GEMM.  The tridiagonal
-operators of M W are applied as diagonal blocks plus the links between
-neighbouring blocks, along the last mode only when it is long; along the
-second of three modes, weighted by the first alone, one block per
-first-mode row carries that row's weight.  So one code path serves every geometry and the cost per
-step is a fixed number of kernels, with no field pass of its own for tau or
-for those weights: tau rides on the phi1 of the factor applied first (P_d,
-the last one).  The factor order must not be permuted (the factors do not
-commute).
+mode product with V, or an rfft and an irfft along a long periodic angle.
+:func:`_form` picks from the sizes the cheaper exact forms that
+:class:`SplitFactor` lists: block-banded M W operators, per-slice stacks,
+and, where phi1 is banded to rounding at this tau, its block tridiagonal
+band alone (:class:`tensor.BlockRows`).  So one code path serves every
+geometry and the cost per step is a fixed number of kernels, with no field
+pass of its own for tau, which rides on the phi1 of the factor applied
+first (P_d, the last one), nor for the cylinder's theta weights, which its
+M W blocks carry.  The factor order must not be permuted (the factors do
+not commute).
 
-Every kernel can write into a caller's array.  ``run_simulation`` owns one
-:class:`Workspace` per field shape and updates the states in place, so a
-warm step allocates no field; ``step_split`` without buffers stays pure.
+Every kernel can write into a caller's array.  The three schemes' steps
+share one signature, ``step(ops, W, G, *, out=None, work=None)``, and one
+table in ``run_simulation`` maps ``method`` to a set-up, a step and its
+scratch.  A run steps its states in place, the split scheme and forward
+Euler through one :class:`Workspace` per field shape, so their warm steps
+allocate no field; without ``out`` and ``work`` a step stays pure.
 """
 
 from __future__ import annotations
@@ -199,9 +191,9 @@ class SplitFactor:
 
 
 class Workspace:
-    """Scratch for :func:`step_split` on fields of one shape: two real
-    fields, and one complex rfft spectrum per mode that needs one, made on
-    first use.  Each spectrum covers the field, with n//2 + 1 frequencies
+    """Scratch for a split or forward Euler step on fields of one shape: two
+    real fields, and one complex rfft spectrum per mode that needs one, made
+    on first use.  Each spectrum covers the field, with n//2 + 1 frequencies
     along its mode; the cylinder's theta band also lends it to its wrapped
     edge products.  Components of one shape can share it, since a step uses
     it only while it runs."""
@@ -476,12 +468,7 @@ def apply_diffusion(
 
 
 def step_split(
-    ops: GeometryOps,
-    W: np.ndarray,
-    G: np.ndarray,
-    *,
-    out: np.ndarray | None = None,
-    work: Workspace | None = None,
+    ops: GeometryOps, W: np.ndarray, G: np.ndarray, *, out=None, work: Workspace | None = None
 ) -> np.ndarray:
     """One split exponential Euler step W + tau P_1 ... P_d (M W + G),
     with tau taken in by the prepared P_d.
@@ -501,9 +488,28 @@ def step_split(
     return np.add(W, T, out=out)
 
 
-def step_forward_euler(ops: GeometryOps, W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Classical explicit Euler step (stability-limited; for comparison)."""
-    return W + ops.tau * (apply_diffusion(ops, W) + G)
+def step_forward_euler(
+    ops: GeometryOps, W: np.ndarray, G: np.ndarray, *, out=None, work: Workspace | None = None
+) -> np.ndarray:
+    """Classical explicit Euler step W + tau (M W + G) (stability-limited;
+    for comparison), into ``out`` through ``work`` as in :func:`step_split`."""
+    if work is None:
+        work = Workspace(W.shape)
+    T = apply_diffusion(ops, W, out=work.fields[0], scratch=work.fields[1])
+    T += G
+    T *= ops.tau
+    return np.add(W, T, out=out)
+
+
+def step_dense(ops: tuple, W: np.ndarray, G: np.ndarray, *, out=None, work=None) -> np.ndarray:
+    """Classical exponential Euler step W + tau phi1(tau M) (M W + G), with
+    ``ops`` = (M, phi1(tau M), tau) from :func:`_dense`, into ``out`` (which
+    may be W) or a new array; ``work`` is not used."""
+    M, P, tau = ops
+    w = tensor.vec(W)
+    out = np.empty_like(W) if out is None else out
+    out[...] = tensor.unvec(w + tau * (P @ (M @ w + tensor.vec(G))), W.shape)
+    return out
 
 
 def dense_split_factors(base: ComponentOps) -> list[np.ndarray]:
@@ -524,19 +530,34 @@ def dense_split_factors(base: ComponentOps) -> list[np.ndarray]:
     return summands
 
 
-def _dense_matrices(
-    name: str, base: ComponentOps, tau: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """M and phi1(tau M) of one component as dense matrices, for the classical
-    exponential Euler scheme; limited to DENSE_REFERENCE_CAP unknowns."""
-    size = math.prod(base.shape)
-    if size > DENSE_REFERENCE_CAP:
-        raise ValueError(
-            f"component {name!r} has {size} unknowns, beyond the dense "
-            f"reference cap {DENSE_REFERENCE_CAP}"
-        )
-    M = reduce(np.add, dense_split_factors(base))
-    return M, phi1_dense_oracle(tau * M, max_dim=DENSE_REFERENCE_CAP)
+def _prepared(comps, tau: float) -> dict[str, GeometryOps]:
+    """Set-up of the split scheme and forward Euler: each component's
+    :class:`GeometryOps`, prepared once per distinct geometry, coefficient and
+    axis objects (phi1 too, unused by forward Euler)."""
+    factors: dict[tuple, tuple[SplitFactor, ...]] = {}
+    geo = {}
+    for c in comps:
+        key = (c.ops.geometry, c.ops.coeff, *map(id, c.ops.axis_ops()))
+        if key not in factors:
+            factors[key] = prepare(c.ops, tau).factors
+        geo[c.name] = GeometryOps(base=c.ops, tau=tau, factors=factors[key])
+    return geo
+
+
+def _dense(comps, tau: float) -> dict[str, tuple]:
+    """Set-up of the dense scheme: (M, phi1(tau M), tau) per component,
+    dense, capped at DENSE_REFERENCE_CAP unknowns."""
+    ops = {}
+    for c in comps:
+        size = math.prod(c.ops.shape)
+        if size > DENSE_REFERENCE_CAP:
+            raise ValueError(
+                f"component {c.name!r} has {size} unknowns, beyond the dense "
+                f"reference cap {DENSE_REFERENCE_CAP}"
+            )
+        M = reduce(np.add, dense_split_factors(c.ops))
+        ops[c.name] = M, phi1_dense_oracle(tau * M, max_dim=DENSE_REFERENCE_CAP), tau
+    return ops
 
 
 def _check_rounding_growth(components, t_star: float) -> None:
@@ -621,45 +642,37 @@ def run_simulation(
     component, for error comparisons at desk scale (limited to
     DENSE_REFERENCE_CAP unknowns per component).
 
-    The kinetics of all components are evaluated from the common state at
-    t_n, then every component is advanced by one step.  Each scheme builds
-    what it needs once up front: the split scheme the prepared factors and
-    one :class:`Workspace` per field shape, shared by every component of
-    that shape; forward Euler the same prepared factors, phi1 included,
-    though it applies only their M W; the dense scheme its two matrices.
-    Components with the same geometry, the same coefficient and the same
-    axis objects share one set of prepared factors, each in its own
-    :class:`GeometryOps`.  The states are updated
-    in place, so the kinetics' outputs must not share memory with them, and a
-    ``sample_hook`` must copy what it keeps of the states it is passed.
+    One table maps ``method`` to the scheme's set-up, which builds once
+    what its step applies, its step, and the scratch it steps through, one
+    per field shape.  The kinetics of all components are evaluated from the
+    common state at t_n, then every component is stepped in place, so the
+    kinetics' outputs must not share memory with the states, and a
+    ``sample_hook`` must copy what it keeps of them.
     Samples (diagnostics + hook) are taken at step 0, every
     ``record_every`` steps, and at the final step.  Non-finite or absurdly
     large field values abort with a DivergenceError naming the step; before
     any step, :func:`_check_rounding_growth` rejects constants under which
     rounding alone would make one.
     """
+    # built per call, so that a module attribute replaced at run time is used
+    schemes = {
+        "split": (_prepared, step_split, Workspace),
+        "forward_euler": (_prepared, step_forward_euler, Workspace),
+        "dense": (_dense, step_dense, None),
+    }
     if m < 1:
         raise ValueError("need at least one time step")
     if not t_star > 0:
         raise ValueError("t_star must be positive")
-    if method not in ("split", "forward_euler", "dense"):
+    if method not in schemes:
         raise ValueError(f"unknown method {method!r}")
+    setup, advance, scratch = schemes[method]
     tau = t_star / m
     comps = system.components
     _check_rounding_growth(comps, t_star)
-    if method == "dense":
-        dense = {c.name: _dense_matrices(c.name, c.ops, tau) for c in comps}
-    else:
-        factors: dict[tuple, tuple[SplitFactor, ...]] = {}
-        geo = {}
-        for c in comps:
-            key = (c.ops.geometry, c.ops.coeff, *map(id, c.ops.axis_ops()))
-            if key not in factors:
-                factors[key] = prepare(c.ops, tau).factors
-            geo[c.name] = GeometryOps(base=c.ops, tau=tau, factors=factors[key])
+    ops = setup(comps, tau)
     states = {c.name: np.array(c.initial, dtype=float, copy=True) for c in comps}
-    if method == "split":
-        work = {shape: Workspace(shape) for shape in {c.ops.shape for c in comps}}
+    work = {shape: scratch(shape) for shape in {c.ops.shape for c in comps}} if scratch else {}
     every = record_every or m
 
     times: list[float] = []
@@ -679,15 +692,7 @@ def run_simulation(
         gs = system.kinetics(states)
         for c in comps:
             W = states[c.name]
-            if method == "split":
-                step_split(geo[c.name], W, gs[c.name], out=W, work=work[W.shape])
-            elif method == "dense":
-                M, P = dense[c.name]
-                w = tensor.vec(W)
-                rhs = M @ w + tensor.vec(gs[c.name])
-                W[...] = tensor.unvec(w + tau * (P @ rhs), W.shape)
-            else:
-                W[...] = step_forward_euler(geo[c.name], W, gs[c.name])
+            advance(ops[c.name], W, gs[c.name], out=W, work=work.get(W.shape))
         check_divergence(states, step)
         if step % every == 0 or step == m:
             take_sample(step)

@@ -477,6 +477,17 @@ def test_converge_table_cells_of_a_diverged_forward_euler_run(tmp_path, capsys):
     )
 
 
+def test_converge_divergence_names_the_run_and_its_m(capsys):
+    # with alpha1 = 1e9 the split scheme diverges in the reference run
+    # (m = 4 x 4 = 16) at step 2; the message names that run, not only the step
+    argv = ("converge", "--model", "bvam_disk", "--n-rho", "4", "--n-theta", "6",
+            "--tstar", "1", "--m-list", "2,4", "--set", "params.alpha1=1e9")
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr().err == (
+        "error: reference run with m = 16: component 'u' diverged at step 2\n"
+    )
+
+
 def test_converge_skips_dense_over_cap_with_notice(capsys):
     cfg = {
         "model": "bvam_disk", "n_rho": 80, "n_theta": 80, "tstar": 0.01,

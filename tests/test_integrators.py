@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -370,11 +371,11 @@ def test_dense_split_factors_equal_the_written_out_oracle(make, dims):
 
 @pytest.mark.parametrize(
     "method,prepares,workspaces",
-    [("split", 2, 1), ("forward_euler", 2, 0), ("dense", 0, 0)],
+    [("split", 2, 1), ("forward_euler", 2, 1), ("dense", 0, 0)],
 )
 def test_each_scheme_builds_only_what_it_applies(monkeypatch, method, prepares, workspaces):
-    # the dense scheme applies only its own matrices, forward Euler only the
-    # prepared M W; neither needs the split step's scratch
+    # the dense scheme applies only its own matrices and needs no scratch;
+    # forward Euler steps through the same Workspace as the split scheme
     calls = {"prepare": 0, "Workspace": 0}
 
     def spy(name):
@@ -847,29 +848,38 @@ def test_workspace_spectrum_covers_the_field():
 
 
 def test_run_simulation_single_step_equals_manual():
-    # one step and several, on every model: the in-place run loop equals a
-    # loop of pure steps
+    # one step and several, on every model, for the split scheme and forward
+    # Euler (stable on these grids only at a far smaller t_star): the
+    # in-place run loop equals a loop of pure steps, which leave W untouched
+    schemes = (("split", step_split, 1.0), ("forward_euler", step_forward_euler, 1e-4))
     for name, (dims, t_star, _) in GOLDEN_RUNS.items():
-        for m in (1, 4):
+        for (method, step, scale), m in itertools.product(schemes, (1, 4)):
             system = models.build_system(name, dims, seed=4)
-            res = run_simulation(system, m, t_star)
-            tau = t_star / m
+            res = run_simulation(system, m, scale * t_star, method=method)
+            tau = scale * t_star / m
             states = {c.name: c.initial.copy() for c in system.components}
             geo = {c.name: prepare(c.ops, tau) for c in system.components}
             for _ in range(m):
                 gs = system.kinetics(states)
-                states = {
-                    c.name: step_split(geo[c.name], states[c.name], gs[c.name])
+                before = {k: W.copy() for k, W in states.items()}
+                new = {
+                    c.name: step(geo[c.name], states[c.name], gs[c.name])
                     for c in system.components
                 }
+                for k, W in states.items():
+                    assert np.array_equal(W, before[k]), (name, method, m)
+                states = new
             for c in system.components:
-                assert np.array_equal(res.fields[c.name], states[c.name]), (name, m)
+                assert np.array_equal(res.fields[c.name], states[c.name]), (name, method, m)
 
 
-def warm_step_allocation(system):
-    """Run five steps and return the peak that steps 3 to 5 allocate beyond
-    what the run loop held after step 2 (its states, kinetics outputs and
-    step workspaces), in units of the largest field, and the run's result."""
+def warm_step_allocation(system, method="split"):
+    """Run five steps of ``method`` and return the peak that steps 3 to 5
+    allocate beyond what the run loop held after step 2 (its states,
+    kinetics outputs and step workspaces), in units of the largest field,
+    and the run's result.  Forward Euler takes a t_star small enough for
+    its explicit step to stay bounded on these grids."""
+    t_star = 1e-3 if method == "split" else 1e-7
     largest = max(c.initial.nbytes for c in system.components)
     marks = {}
 
@@ -882,28 +892,37 @@ def warm_step_allocation(system):
 
     tracemalloc.start()
     try:
-        res = run_simulation(system, 5, 1e-3, record_every=1, sample_hook=hook)
+        res = run_simulation(
+            system, 5, t_star, record_every=1, sample_hook=hook, method=method
+        )
     finally:
         tracemalloc.stop()
     return (marks["peak"] - marks["start"]) / largest, res
 
 
+WARM_STEP_CASES = [
+    ("bvam_disk", {"n_rho": 80, "n_theta": 320}),
+    ("schnakenberg_anomalous_disk", {"n_rho": 160, "n_theta": 120}),
+    ("dib_sphere", {"n_theta": 128, "n_phi": 160}),
+    ("bulk_surface_schnakenberg_ball", {"n_rho": 30, "n_theta": 50, "n_phi": 30}),
+    ("bsdib_cylinder", {"n_rho": 40, "n_theta": 128, "n_z": 8}),
+]
+
+
 @pytest.mark.parametrize(
-    "name, dims",
+    "name, dims, method",
     [
-        ("bvam_disk", {"n_rho": 80, "n_theta": 320}),
-        ("schnakenberg_anomalous_disk", {"n_rho": 160, "n_theta": 120}),
-        ("dib_sphere", {"n_theta": 128, "n_phi": 160}),
-        ("bulk_surface_schnakenberg_ball", {"n_rho": 30, "n_theta": 50, "n_phi": 30}),
-        ("bsdib_cylinder", {"n_rho": 40, "n_theta": 128, "n_z": 8}),
+        pytest.param(name, dims, method, id=f"{name}-dims{i}{suffix}")
+        for method, suffix in (("split", ""), ("forward_euler", "-forward_euler"))
+        for i, (name, dims) in enumerate(WARM_STEP_CASES)
     ],
 )
-def test_run_loop_allocates_less_than_one_field(name, dims):
-    # what a warm step allocates beyond the run loop's own arrays (ufunc
-    # buffers, the products with the links between diagonal blocks) stays
-    # below one field
+def test_run_loop_allocates_less_than_one_field(name, dims, method):
+    # what a warm split or forward Euler step allocates beyond the run
+    # loop's own arrays (ufunc buffers, the products with the links between
+    # diagonal blocks) stays below one field
     system = models.build_system(name, dims, seed=3)
-    fields, res = warm_step_allocation(system)
+    fields, res = warm_step_allocation(system, method)
     assert fields < 1.0
     # the states are updated in place, so no kinetics output may alias one
     gs = system.kinetics(res.fields)
