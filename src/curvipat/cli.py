@@ -64,7 +64,7 @@ _PROP_BUILDERS = {
     "theta": lambda n, k: build_theta(n),
     "rho2": lambda n, k: build_rho(2, n, k["rho_star"]),
     "rho3": lambda n, k: build_rho(3, n, k["rho_star"]),
-    "phi": lambda n, k: build_phi_op(n)[0],
+    "phi": lambda n, k: build_phi_op(n),
     "z": lambda n, k: build_z(n, k["z_star"]),
     "lambda": lambda n, k: build_lambda(n, k["rho_star"], k["lambda"]),
 }

@@ -7,9 +7,10 @@ products M = M_1 + ... + M_d.  Each summand M_mu acts along one mode with a
 1-d operator, scaled by the diagonal weights that the 1-d operators of some
 other modes carry; the table ``FACTORS`` lists the summands of each
 geometry in the fixed splitting order.  It is the one description of them:
-``prepare`` and the dense reference (:func:`dense_split_factors`) are both
-built from it, and the tests check both against summands written out per
-geometry by hand in ``tests/oracles.py``.
+``prepare`` (through its tau-free half :func:`diffusion_factors`, all
+that forward Euler applies) and the dense reference
+(:func:`dense_split_factors`) are built from it, and the tests check both
+against summands written out per geometry by hand in ``tests/oracles.py``.
 The split scheme advances W_{n+1} = W_n + tau * P_1 P_2 (... P_d) F_n where
 F_n = M W_n + G_n and each P_mu is phi1(tau M_mu).  An unweighted P_mu is
 one mode product with a dense phi1 matrix; a weighted one is a mode product
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -161,12 +162,15 @@ class SplitFactor:
     :func:`tensor.sliced_mode_product`): ``A`` holds coeff w_i A and
     ``phi1`` V diag(phi1(tau coeff w_i lambda)) V^-1, ``weight`` is None,
     and each action is one GEMM.
+
+    ``phi1`` is None on the factors of :func:`diffusion_factors`, which
+    forward Euler applies.
     """
 
     mode: int
     A: np.ndarray | tensor.BlockBanded
     weight: np.ndarray | None
-    phi1: np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]
+    phi1: np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
     def diffusion(self, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The summand's action coeff M_mu W, into ``out`` (a C-contiguous
@@ -217,8 +221,9 @@ class GeometryOps:
     prepared split factors in splitting order, the last of which (applied
     first) carries tau in its phi1.
 
-    Built once by :func:`prepare`; the step loop performs only mode
-    products and elementwise products with these arrays.
+    Built once by :func:`prepare` (for forward Euler, from
+    :func:`diffusion_factors`, with no phi1); the step loop performs only
+    mode products and elementwise products with these arrays.
     """
 
     base: ComponentOps
@@ -325,61 +330,74 @@ def _form(
     return b, rows, "circulant" if middle and 3 * b * b <= math.prod(shape[1:]) else "rfft"
 
 
-def prepare(base: ComponentOps, tau: float) -> GeometryOps:
-    """Precompute all transforms and phi1 factors for one component at a
-    fixed time step; done once before the time loop.  Each 1-d operator
-    takes its cheapest exact form, chosen from its mode's size and
-    position (:func:`_form`).  A dense phi1 along the first mode keeps only
-    its block tridiagonal band when :func:`_window_holds` shows that the
-    rest lies below the dense product's rounding at this tau; a
-    "circulant" phi1 does so on the first-mode rows from which that bound
-    holds for every later row, with rho_i = tau coeff w_i ||A||_inf.  The
-    phi1 of the factor applied first, the last one, is scaled by tau: it
-    is never along the first mode, nor along the second of three, so it is
-    a dense matrix, a stack, an rfft symbol or the phi1 tensor of a triple."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    scale = tau * base.coeff
-    axes = base.axis_ops()
+def diffusion_factors(base: ComponentOps) -> tuple[SplitFactor, ...]:
+    """The tau-free half of :func:`prepare`: each summand's M W operator
+    ``A`` and ``weight``, in the form :func:`_form` picks from the sizes,
+    with no phi1.  Forward Euler applies these alone."""
+    axes, shape = base.axis_ops(), base.shape
     factors = []
     for mode, weighted_by in FACTORS[base.geometry]:
-        axis = axes[mode - 1]
-        b, rows, form = _form(base.geometry, base.shape, mode, weighted_by)
-        A = base.coeff * axis.toarray()
+        b, rows, form = _form(base.geometry, shape, mode, weighted_by)
+        A = base.coeff * axes[mode - 1].toarray()
         if b is not None:
             A = tensor.BlockBanded.from_dense(A, b, last_mode=mode == len(axes))
         if rows:
             A = A.scaled_rows(axes[0].weights)
+        weight = None
+        if form == "stacked":
+            # slice i of the first mode gets w_i A, built transposed and
+            # contiguous, then viewed untransposed
+            A = (axes[0].weights[:, None, None] * np.ascontiguousarray(A.T)).transpose(0, 2, 1)
+        elif form != "dense" and not rows:
+            weight = reduce(np.multiply.outer, _weight_vectors(axes, weighted_by))
+        factors.append(SplitFactor(mode, A, weight, None))
+    return tuple(factors)
+
+
+def _weight_vectors(axes, weighted_by: tuple[int, ...]) -> list[np.ndarray]:
+    """Per mode, the diagonal weights of the axis if it weights the summand,
+    else a single one."""
+    return [axis.weights if mu in weighted_by else np.ones(1) for mu, axis in enumerate(axes, 1)]
+
+
+def prepare(base: ComponentOps, tau: float) -> GeometryOps:
+    """Precompute all transforms and phi1 factors for one component at a
+    fixed time step; done once before the time loop.  The phi1 half adds to
+    each of :func:`diffusion_factors` its phi1, in the form :func:`_form`
+    picks.  A dense phi1 along the first mode keeps only its block
+    tridiagonal band when :func:`_window_holds` shows that the rest lies
+    below the dense product's rounding at this tau; a "circulant" phi1 does
+    so on the first-mode rows from which that bound holds for every later
+    row, with rho_i = tau coeff w_i ||A||_inf.  The phi1 of the factor
+    applied first, the last one, is scaled by tau: it is never along the
+    first mode, nor along the second of three, so it is a dense matrix, a
+    stack, an rfft symbol or the phi1 tensor of a triple."""
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    scale = tau * base.coeff
+    axes, shape = base.axis_ops(), base.shape
+    factors = []
+    for f, (mode, weighted_by) in zip(diffusion_factors(base), FACTORS[base.geometry]):
+        axis = axes[mode - 1]
+        b, _, form = _form(base.geometry, shape, mode, weighted_by)
         periodic = isinstance(axis, PeriodicTridiagonal)
         if form in ("rfft", "circulant"):
             fac = None  # an FFT applies the basis: only axis.lambdas is used
         else:
             fac = eig_theta(axis) if periodic else eig_tridiag(axis)
+        vectors = _weight_vectors(axes, weighted_by)
         if form == "dense":
-            P = phi1_matrix(scale, fac)
+            action = phi1_matrix(scale, fac)
             if b is not None and mode == 1 and not periodic:
-                norm = np.abs(P).sum(axis=1).max()
+                norm = np.abs(action).sum(axis=1).max()
                 if _window_holds(scale * _norm_inf(axis), axis.n, b, norm):
-                    P = tensor.BlockRows.from_dense(P, b)
-            factors.append(SplitFactor(mode, A, None, P))
-            continue
-        vectors = [np.ones(1)] * len(axes)
-        for mu in weighted_by:
-            vectors[mu - 1] = axes[mu - 1].weights
-        if form == "stacked":
-            # slice i of the first mode gets w_i A and V diag(phi_i) V^-1,
-            # built transposed and contiguous, then viewed untransposed
-            w = vectors[0]
+                    action = tensor.BlockRows.from_dense(action, b)
+        elif form == "stacked":
+            # slice i of the first mode gets V diag(phi_i) V^-1, built as A is
             vectors[mode - 1] = fac.lambdas
-            phi = phi1_outer(scale, vectors).reshape(w.size, 1, axis.n)
-            A_t = w[:, None, None] * np.ascontiguousarray(A.T)
-            P_t = (fac.V_inv.T * phi) @ fac.V.T
-            factors.append(
-                SplitFactor(mode, A_t.transpose(0, 2, 1), None, P_t.transpose(0, 2, 1))
-            )
-            continue
-        weight = None if rows else reduce(np.multiply.outer, vectors)
-        if form == "triple":
+            phi = phi1_outer(scale, vectors).reshape(axes[0].n, 1, axis.n)
+            action = ((fac.V_inv.T * phi) @ fac.V.T).transpose(0, 2, 1)
+        elif form == "triple":
             vectors[mode - 1] = fac.lambdas
             action = (fac.V_inv, phi1_outer(scale, vectors), fac.V)
         else:
@@ -397,7 +415,7 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
             r0 = 1 + int(np.flatnonzero(~holds).max(initial=-1))
             if r0 < holds.size:
                 action = tensor.BlockRows.from_columns(action[:r0].copy(), columns[r0:], b)
-        factors.append(SplitFactor(mode, A, weight, action))
+        factors.append(SplitFactor(mode, f.A, f.weight, action))
     first = factors[-1].phi1
     if isinstance(first, tuple):
         first = (first[0], tau * first[1], first[2])
@@ -530,16 +548,17 @@ def dense_split_factors(base: ComponentOps) -> list[np.ndarray]:
     return summands
 
 
-def _prepared(comps, tau: float) -> dict[str, GeometryOps]:
-    """Set-up of the split scheme and forward Euler: each component's
-    :class:`GeometryOps`, prepared once per distinct geometry, coefficient and
-    axis objects (phi1 too, unused by forward Euler)."""
+def _prepared(comps, tau: float, phi1: bool) -> dict[str, GeometryOps]:
+    """Set-up of the split scheme (``phi1``) and of forward Euler, which
+    applies only M W: each component's :class:`GeometryOps`, its factors
+    from :func:`prepare` or :func:`diffusion_factors`, built once per
+    distinct geometry, coefficient and axis objects."""
     factors: dict[tuple, tuple[SplitFactor, ...]] = {}
     geo = {}
     for c in comps:
         key = (c.ops.geometry, c.ops.coeff, *map(id, c.ops.axis_ops()))
         if key not in factors:
-            factors[key] = prepare(c.ops, tau).factors
+            factors[key] = prepare(c.ops, tau).factors if phi1 else diffusion_factors(c.ops)
         geo[c.name] = GeometryOps(base=c.ops, tau=tau, factors=factors[key])
     return geo
 
@@ -619,11 +638,9 @@ def check_divergence(states: dict[str, np.ndarray], step: int) -> None:
 
 @dataclass
 class RunResult:
-    """Final (lifted) fields plus the sampled diagnostic time series."""
+    """The final (lifted) fields of a run."""
 
     fields: dict[str, np.ndarray]
-    times: list[float]
-    series: dict[str, list[float]]
 
 
 def run_simulation(
@@ -632,7 +649,6 @@ def run_simulation(
     t_star: float,
     *,
     record_every: int | None = None,
-    diagnostics: Callable[[dict], dict] | None = None,
     sample_hook: Callable[[int, float, dict], None] | None = None,
     method: str = "split",
 ) -> RunResult:
@@ -646,24 +662,26 @@ def run_simulation(
     what its step applies, its step, and the scratch it steps through, one
     per field shape.  The kinetics of all components are evaluated from the
     common state at t_n, then every component is stepped in place, so the
-    kinetics' outputs must not share memory with the states, and a
-    ``sample_hook`` must copy what it keeps of them.
-    Samples (diagnostics + hook) are taken at step 0, every
-    ``record_every`` steps, and at the final step.  Non-finite or absurdly
-    large field values abort with a DivergenceError naming the step; before
-    any step, :func:`_check_rounding_growth` rejects constants under which
-    rounding alone would make one.
+    kinetics' outputs must not share memory with the states.
+    ``sample_hook(step, t, states)``, with t = step tau, is called at step
+    0, every ``record_every`` steps (a positive count; default m), and at
+    the final step; it must copy what it keeps of the states.  Non-finite
+    or absurdly large field values abort with a DivergenceError naming the
+    step; before any step, :func:`_check_rounding_growth` rejects constants
+    under which rounding alone would make one.
     """
     # built per call, so that a module attribute replaced at run time is used
     schemes = {
-        "split": (_prepared, step_split, Workspace),
-        "forward_euler": (_prepared, step_forward_euler, Workspace),
+        "split": (partial(_prepared, phi1=True), step_split, Workspace),
+        "forward_euler": (partial(_prepared, phi1=False), step_forward_euler, Workspace),
         "dense": (_dense, step_dense, None),
     }
     if m < 1:
         raise ValueError("need at least one time step")
     if not t_star > 0:
         raise ValueError("t_star must be positive")
+    if record_every is not None and record_every < 1:
+        raise ValueError("record_every must be a positive step count")
     if method not in schemes:
         raise ValueError(f"unknown method {method!r}")
     setup, advance, scratch = schemes[method]
@@ -674,20 +692,9 @@ def run_simulation(
     states = {c.name: np.array(c.initial, dtype=float, copy=True) for c in comps}
     work = {shape: scratch(shape) for shape in {c.ops.shape for c in comps}} if scratch else {}
     every = record_every or m
+    sample = sample_hook or (lambda step, t, states: None)
 
-    times: list[float] = []
-    series: dict[str, list[float]] = {c.name: [] for c in comps}
-
-    def take_sample(step: int) -> None:
-        t = step * tau
-        times.append(t)
-        if diagnostics is not None:
-            for name, value in diagnostics(states).items():
-                series[name].append(value)
-        if sample_hook is not None:
-            sample_hook(step, t, states)
-
-    take_sample(0)
+    sample(0, 0.0, states)
     for step in range(1, m + 1):
         gs = system.kinetics(states)
         for c in comps:
@@ -695,5 +702,5 @@ def run_simulation(
             advance(ops[c.name], W, gs[c.name], out=W, work=work.get(W.shape))
         check_divergence(states, step)
         if step % every == 0 or step == m:
-            take_sample(step)
-    return RunResult(fields=states, times=times, series=series)
+            sample(step, step * tau, states)
+    return RunResult(fields=states)

@@ -625,22 +625,20 @@ def build_system(
     spec: ModelSpec | ModelName | str,
     dims: dict[str, int],
     seed: int,
-    overrides: dict[str, float] | None = None,
 ) -> CoupledSystem:
     """Assemble the model's record into operators, initial fields and the
-    kinetics evaluator.  Each axis's 1-d operator is built once and shared
-    by every component on it.  Constants that overflow or divide by zero on
-    the way, or that leave a tridiagonal axis operator without finite,
-    positive symmetrized off-diagonals, are a ``ValueError``, like the other
-    bad constants.
+    kinetics evaluator; a model name takes its published constants (pass
+    others through :func:`model_spec`).  Each axis's 1-d operator is built
+    once and shared by every component on it.  Constants that overflow or
+    divide by zero on the way, or that leave a tridiagonal axis operator
+    without finite, positive symmetrized off-diagonals, are a
+    ``ValueError``, like the other bad constants.
 
     The evaluator returns a dict of arrays that its next call overwrites
     while the caller still holds that dict (see :func:`_reusing`).
     """
     if not isinstance(spec, ModelSpec):
-        spec = model_spec(spec, overrides)
-    elif overrides:
-        raise ValueError("pass overrides via model_spec when supplying a ModelSpec")
+        spec = model_spec(spec)
     _check_constants(spec)
     _check_memory(spec.name, dims)
     model = MODELS[spec.name]
@@ -648,7 +646,7 @@ def build_system(
     build_axis = {
         "rho": lambda n: model.rho(n, p, sizes),
         "theta": build_theta,
-        "phi": lambda n: build_phi_op(n)[0],
+        "phi": build_phi_op,
         "z": lambda n: build_z(n, sizes["z_star"]),
     }
     try:

@@ -311,13 +311,11 @@ def solve_sigma(n: int, tol: float = 1e-14, max_iter: int = 200) -> float:
     raise NumericalFailure(f"sigma iteration did not converge for n={n}")
 
 
-def build_phi_op(n: int, tol: float = 1e-14) -> tuple[TridiagonalOperator, float]:
+def build_phi_op(n: int) -> TridiagonalOperator:
     """Polar-angle stencil for cot(phi) d/dphi + d^2/dphi^2 on the symmetric
-    grid phi_k = (sigma + k - 1) h, h = pi/(n - 1 + 2 sigma).
-
-    Returns the operator together with the offset sigma used to build it.
-    """
-    sigma = solve_sigma(n, tol)
+    grid phi_k = (sigma + k - 1) h, h = pi/(n - 1 + 2 sigma), with the
+    offset sigma of :func:`solve_sigma`."""
+    sigma = solve_sigma(n)
     h = math.pi / (n - 1 + 2.0 * sigma)
     grid = (sigma + np.arange(n)) * h
     x = (sigma + np.arange(n - 1)) * h
@@ -330,7 +328,7 @@ def build_phi_op(n: int, tol: float = 1e-14) -> tuple[TridiagonalOperator, float
         weights=sin**-2.0,
         measure=sin * _widths(grid, h, 0.0, np.pi),
     )
-    return op, sigma
+    return op
 
 
 def build_z(n: int, z_star: float) -> TridiagonalOperator:

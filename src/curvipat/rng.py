@@ -2,7 +2,7 @@
 
 The generator's stream is part of the package contract: a seed gives the
 same initial fields in every version.  ``Xoshiro256pp.next_uint64`` is the
-scalar reference; ``raw`` computes the same stream in vectorised lanes.
+scalar reference; ``_blocks`` computes the same stream in vectorised lanes.
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ class Xoshiro256pp:
     given seed must never change between versions.  Uniform doubles take the
     top 53 bits; normal deviates come from the Box-Muller transform applied
     to consecutive uniform pairs.  ``next_uint64`` is the scalar reference;
-    ``raw`` produces the same stream many lanes at a time.
+    ``_blocks``, which ``uniform`` and ``normal`` read, produces the same
+    stream many lanes at a time.
     """
 
     def __init__(self, seed: int):
@@ -134,14 +135,6 @@ class Xoshiro256pp:
         s3 = _rotl(s3, 45)
         self._state = [s0, s1, s2, s3]
         return result
-
-    def raw(self, n: int) -> np.ndarray:
-        """The next n outputs as uint64: the values of n ``next_uint64``
-        calls, leaving the generator in the same state."""
-        out = np.empty(n, dtype=np.uint64)  # raises for n < 0
-        for lo, block in self._blocks(n):
-            out[lo : lo + block.size] = block
-        return out
 
     def _blocks(self, n: int):
         """The next n outputs as consecutive (offset, uint64 block) pairs,

@@ -4,9 +4,9 @@ banded-circulant mode product with one dense circulant per row, each
 geometry's Kronecker summands written out by hand, one dense classical
 exponential Euler step, one split step with nothing folded into its
 factors, one with every summand in its plain form, the closed-form axial
-eigenpairs, the angular eigenpairs one frequency at a time, and the
-integral-mean, stabilization and amplitude checks of the acceptance
-criteria."""
+eigenpairs, the angular eigenpairs one frequency at a time, a sample hook
+that collects integral-mean series, and the integral-mean, stabilization
+and amplitude checks of the acceptance criteria."""
 
 import math
 from dataclasses import replace
@@ -285,6 +285,24 @@ def integral_mean(field: np.ndarray, cops: ComponentOps) -> float:
     if field.shape != w.shape:
         raise ValueError(f"field shape {field.shape} does not match {w.shape}")
     return float(np.sum(field * (w / np.sum(w))))
+
+
+class MeanSeries:
+    """A ``sample_hook`` for ``run_simulation`` that records each sample's
+    step and time and every component's integral mean (lift restored), as
+    ``models.mean_diagnostics`` evaluates it."""
+
+    def __init__(self, system: models.CoupledSystem):
+        self.means = models.mean_diagnostics(system)
+        self.steps: list[int] = []
+        self.times: list[float] = []
+        self.series: dict[str, list[float]] = {c.name: [] for c in system.components}
+
+    def __call__(self, step: int, t: float, states: dict) -> None:
+        self.steps.append(step)
+        self.times.append(t)
+        for name, value in self.means(states).items():
+            self.series[name].append(value)
 
 
 def is_stabilized(times, values, rel: float = 1e-3, abs_tol: float = 1e-6) -> bool:

@@ -518,7 +518,7 @@ def test_props_closed_forms():
     rows = cli.cmd_props({"kind": "phi", "n_list": [16], "overrides": {}})
     row = rows[0]
     assert row["extra_diag_positive"]
-    assert row["max_abs_rowsum"] <= 1e-12 * 2 / op.build_phi_op(16)[0].h ** 2
+    assert row["max_abs_rowsum"] <= 1e-12 * 2 / op.build_phi_op(16).h ** 2
     assert row["max_eigenvalue"] <= 1e-10
     assert row["exp_min_entry"] >= -1e-12
 

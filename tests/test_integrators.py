@@ -28,6 +28,7 @@ from curvipat.integrators import (
 from curvipat.phifun import phi1_dense_oracle, phi1_matrix
 from curvipat import cli, integrators, models
 from oracles import (
+    MeanSeries,
     banded_circulant_product,
     banded_gather_product,
     dense_operator,
@@ -46,7 +47,7 @@ def disk_base(n_rho=4, n_theta=4, coeff=0.7):
 
 def sphere_base(n_theta=4, n_phi=4, coeff=0.9):
     return ComponentOps(
-        Geometry.SPHERE, coeff, theta=op.build_theta(n_theta), phi=op.build_phi_op(n_phi)[0]
+        Geometry.SPHERE, coeff, theta=op.build_theta(n_theta), phi=op.build_phi_op(n_phi)
     )
 
 
@@ -56,7 +57,7 @@ def ball_base(n_rho=3, n_theta=4, n_phi=3, coeff=1.1):
         coeff,
         rho=op.build_rho(3, n_rho, 1.0),
         theta=op.build_theta(n_theta),
-        phi=op.build_phi_op(n_phi)[0],
+        phi=op.build_phi_op(n_phi),
     )
 
 
@@ -371,12 +372,14 @@ def test_dense_split_factors_equal_the_written_out_oracle(make, dims):
 
 @pytest.mark.parametrize(
     "method,prepares,workspaces",
-    [("split", 2, 1), ("forward_euler", 2, 1), ("dense", 0, 0)],
+    [("split", 2, 1), ("forward_euler", 0, 1), ("dense", 0, 0)],
 )
 def test_each_scheme_builds_only_what_it_applies(monkeypatch, method, prepares, workspaces):
     # the dense scheme applies only its own matrices and needs no scratch;
-    # forward Euler steps through the same Workspace as the split scheme
-    calls = {"prepare": 0, "Workspace": 0}
+    # forward Euler applies only M W, so it builds no phi1, and steps
+    # through the same Workspace as the split scheme; each prepare of a
+    # disk component takes one phi1 matrix (rho) and one phi1 tensor (theta)
+    calls = {"prepare": 0, "Workspace": 0, "phi1_matrix": 0, "phi1_outer": 0}
 
     def spy(name):
         real = getattr(integrators, name)
@@ -387,11 +390,14 @@ def test_each_scheme_builds_only_what_it_applies(monkeypatch, method, prepares, 
 
         monkeypatch.setattr(integrators, name, counted)
 
-    spy("prepare")
-    spy("Workspace")
+    for name in calls:
+        spy(name)
     system = models.build_system("bvam_disk", {"n_rho": 4, "n_theta": 6}, seed=5)
     run_simulation(system, 3, 0.06, method=method)
-    assert calls == {"prepare": prepares, "Workspace": workspaces}
+    assert calls == {
+        "prepare": prepares, "Workspace": workspaces,
+        "phi1_matrix": prepares, "phi1_outer": prepares,
+    }
 
 
 def test_run_simulation_prepares_once_per_distinct_operator_set(monkeypatch):
@@ -1065,10 +1071,11 @@ def test_divergence_guard_takes_one_pass_over_a_finite_field():
 def test_run_simulation_sampling_layout():
     dims = {"n_rho": 4, "n_theta": 6}
     system = models.build_system("bvam_disk", dims, seed=4)
-    diag = models.mean_diagnostics(system)
-    res = run_simulation(system, 10, 0.1, record_every=5, diagnostics=diag)
-    assert res.times == pytest.approx([0.0, 0.05, 0.1])
-    assert len(res.series["u"]) == 3
+    means = MeanSeries(system)
+    run_simulation(system, 10, 0.1, record_every=5, sample_hook=means)
+    assert means.steps == [0, 5, 10]
+    assert means.times == [step * (0.1 / 10) for step in means.steps]
+    assert len(means.series["u"]) == 3
 
 
 def test_run_simulation_validates_inputs():
@@ -1082,6 +1089,14 @@ def test_run_simulation_validates_inputs():
         run_simulation(system, 5, float("nan"))
     with pytest.raises(ValueError):
         run_simulation(system, 5, 1.0, method="leapfrog")
+
+    def no_sample(step, t, states):
+        raise AssertionError(f"sampled step {step} of a rejected run")
+
+    # 0 once sampled only steps 0 and m, and -3 every third step
+    for every in (0, -3):
+        with pytest.raises(ValueError, match="record_every"):
+            run_simulation(system, 5, 1.0, record_every=every, sample_hook=no_sample)
 
 
 def test_dense_exponential_euler_matches_manual_steps():

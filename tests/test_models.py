@@ -81,13 +81,28 @@ def test_rng_split_draws_continue_the_stream(a, b):
     assert scalar._state == whole._state
 
 
+def _lane_words(rng, n):
+    """The next n raw uint64 outputs as ``_blocks`` yields them, checking
+    that its blocks tile the draw in order."""
+    words = []
+    for lo, block in rng._blocks(n):
+        assert lo == sum(map(len, words))
+        words.append(block)
+    return np.concatenate([np.empty(0, dtype=np.uint64), *words])
+
+
 def test_rng_raw_matches_scalar_reference():
     lanes, scalar = models.Xoshiro256pp(2**64 - 1), models.Xoshiro256pp(2**64 - 1)
     for n in (0, 1, 2, 255, 256, 257, 1000, 4097):
-        assert lanes.raw(n).tolist() == [scalar.next_uint64() for _ in range(n)]
+        assert _lane_words(lanes, n).tolist() == [scalar.next_uint64() for _ in range(n)]
         assert lanes._state == scalar._state
     with pytest.raises(ValueError):
-        lanes.raw(-1)
+        lanes.uniform(-1)
+
+
+def _draw(rng, kind, size):
+    """size draws of one kind; "raw" reads the uint64 lane words."""
+    return _lane_words(rng, size) if kind == "raw" else getattr(rng, kind)(size)
 
 
 def _scalar_draws(rng, kind, size):
@@ -112,7 +127,7 @@ def _scalar_draws(rng, kind, size):
 @pytest.mark.parametrize("kind", ["raw", "uniform", "normal"])
 def test_rng_blocks_match_the_scalar_reference(kind, size):
     lanes, scalar = models.Xoshiro256pp(2026), models.Xoshiro256pp(2026)
-    assert getattr(lanes, kind)(size).tobytes() == _scalar_draws(scalar, kind, size).tobytes()
+    assert _draw(lanes, kind, size).tobytes() == _scalar_draws(scalar, kind, size).tobytes()
     assert lanes._state == scalar._state
 
 
@@ -120,7 +135,7 @@ def test_rng_blocks_match_the_scalar_reference(kind, size):
 @pytest.mark.parametrize("a, b", [(16000, 700), (16383, 3), (16385, 16385), (1, 32769)])
 def test_rng_draws_split_across_a_block_boundary(kind, a, b):
     split, scalar = models.Xoshiro256pp(17), models.Xoshiro256pp(17)
-    joined = np.concatenate([getattr(split, kind)(a), getattr(split, kind)(b)])
+    joined = np.concatenate([_draw(split, kind, a), _draw(split, kind, b)])
     expected = np.concatenate([_scalar_draws(scalar, kind, a), _scalar_draws(scalar, kind, b)])
     assert joined.tobytes() == expected.tobytes()
     assert split._state == scalar._state
@@ -793,7 +808,7 @@ def test_disk_quadrature_area():
 
 def test_sphere_quadrature_odd_symmetry():
     cops = ComponentOps(
-        Geometry.SPHERE, 1.0, theta=op.build_theta(64), phi=op.build_phi_op(32)[0]
+        Geometry.SPHERE, 1.0, theta=op.build_theta(64), phi=op.build_phi_op(32)
     )
     phi_grid = cops.phi.grid
     field = np.broadcast_to(np.cos(phi_grid)[None, :], (64, 32)).copy()
@@ -802,7 +817,7 @@ def test_sphere_quadrature_odd_symmetry():
 
 def test_unit_sphere_quadrature_area():
     cops = ComponentOps(
-        Geometry.SPHERE, 1.0, theta=op.build_theta(60), phi=op.build_phi_op(40)[0]
+        Geometry.SPHERE, 1.0, theta=op.build_theta(60), phi=op.build_phi_op(40)
     )
     assert np.sum(models.quadrature_weights(cops)) == pytest.approx(4 * np.pi, rel=0.02)
 
@@ -813,7 +828,7 @@ def test_ball_and_cylinder_quadrature_measures():
         1.0,
         rho=op.build_rho(3, 60, 1.0),
         theta=op.build_theta(60),
-        phi=op.build_phi_op(40)[0],
+        phi=op.build_phi_op(40),
     )
     vol = np.sum(models.quadrature_weights(ball))
     assert vol == pytest.approx(4 * np.pi / 3, rel=0.02)

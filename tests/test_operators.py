@@ -206,8 +206,9 @@ def test_sigma_rejects_bad_inputs():
 
 @pytest.mark.parametrize("n", [2, 4, 9, 33, 128])
 def test_build_phi_grid_symmetry_and_positivity(n):
-    phi, sigma = op.build_phi_op(n)
+    phi, sigma = op.build_phi_op(n), op.solve_sigma(n)
     assert 0 < sigma < 0.5
+    assert phi.grid[0] == sigma * phi.h
     assert max_abs(phi.grid + phi.grid[::-1] - np.pi) <= 1e-12
     assert np.all(phi.b > 0)
     assert np.all(phi.c > 0)
@@ -307,7 +308,7 @@ def test_build_lambda_rejects_out_of_range():
         pytest.param(
             lambda: op.build_lambda(7, 1.3, -1.95), lambda g: g**-0.05, id="lambda-1.95"
         ),
-        pytest.param(lambda: op.build_phi_op(7)[0], lambda g: np.sin(g) ** -2, id="phi"),
+        pytest.param(lambda: op.build_phi_op(7), lambda g: np.sin(g) ** -2, id="phi"),
         pytest.param(lambda: op.build_theta(7), None, id="theta"),
         pytest.param(lambda: op.build_z(7, 2.0), None, id="z"),
     ],
@@ -378,7 +379,7 @@ def test_eig_tridiag_nonpositive_spectrum_and_reconstruction():
     fac = op.eig_tridiag(r)
     A = r.toarray()
     assert np.max(fac.lambdas) <= 1e-10 * max_abs(A)
-    phi, _ = op.build_phi_op(16)
+    phi = op.build_phi_op(16)
     fac_phi = op.eig_tridiag(phi)
     Aphi = phi.toarray()
     recon = fac_phi.V @ np.diag(fac_phi.lambdas) @ fac_phi.V_inv
@@ -420,7 +421,7 @@ def _all_small_operators(n):
         op.build_theta(n),
         op.build_rho(2, n, 1.0),
         op.build_rho(3, n, 1.0),
-        op.build_phi_op(n)[0],
+        op.build_phi_op(n),
         op.build_z(n, 1.0),
         op.build_lambda(n, 1.0, -1.95),
     ]
@@ -457,7 +458,7 @@ def test_matrix_exp_check_size_cap():
 
 def test_phi_symmetrizer_growth_window():
     def inv_norm(n):
-        xi, _ = op.symmetrize(op.build_phi_op(n)[0])
+        xi, _ = op.symmetrize(op.build_phi_op(n))
         return np.max(1 / xi)
 
     for n in (64, 128, 256):
@@ -481,7 +482,7 @@ def test_lambda_symmetrizer_growth_window():
 
 def test_builders_and_eig_are_deterministic():
     a, b = op.build_phi_op(17), op.build_phi_op(17)
-    assert np.array_equal(a[0].b, b[0].b) and a[1] == b[1]
+    assert np.array_equal(a.b, b.b) and op.solve_sigma(17) == op.solve_sigma(17)
     f1 = op.eig_tridiag(op.build_rho(2, 12, 1.0))
     f2 = op.eig_tridiag(op.build_rho(2, 12, 1.0))
     assert np.array_equal(f1.lambdas, f2.lambdas)
