@@ -168,7 +168,7 @@ def merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _require_model(cfg: dict) -> models.ModelSpec:
+def _require_model(cfg: dict) -> models.Model:
     if "model" not in cfg:
         raise UsageError("no model given (flag --model or config key model)")
     try:
@@ -231,8 +231,8 @@ def _require_outdir(outdir: Path) -> Path:
 
 
 def cmd_run(cfg: dict) -> RunReport:
-    spec = _require_model(cfg)
-    dims = _require_dims(cfg, spec.name)
+    model = _require_model(cfg)
+    dims = _require_dims(cfg, model.name)
     m = _require_positive(cfg, "m")
     t_star = _require_positive(cfg, "tstar")
     seed = _require_seed(cfg)
@@ -244,7 +244,7 @@ def cmd_run(cfg: dict) -> RunReport:
     outdir = _require_outdir(Path(out))
 
     try:
-        system = models.build_system(spec, dims, seed)
+        system = models.build_system(model, dims, seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     means = models.mean_diagnostics(system)
@@ -263,7 +263,7 @@ def cmd_run(cfg: dict) -> RunReport:
             physical = states[name] + comp.lift
             snap = outdir / f"{name}_{step:07d}.csv"
             output.write_snapshot(
-                snap, physical, comp.ops, component=name, model=spec.name.value, step=step, t=t
+                snap, physical, comp.ops, component=name, model=model.name.value, step=step, t=t
             )
             manifest.append(snap)
             if heatmap:
@@ -301,8 +301,8 @@ def _relative_error(states: dict, reference: dict) -> float:
 
 
 def cmd_converge(cfg: dict) -> dict:
-    spec = _require_model(cfg)
-    dims = _require_dims(cfg, spec.name)
+    model = _require_model(cfg)
+    dims = _require_dims(cfg, model.name)
     t_star = _require_positive(cfg, "tstar")
     m_list = _require(cfg, "m_list")
     if len(m_list) < 2 or m_list[0] < 1 or any(a >= b for a, b in zip(m_list, m_list[1:])):
@@ -313,11 +313,9 @@ def cmd_converge(cfg: dict) -> dict:
     if m_ref < 4 * max(m_list):
         raise UsageError("reference step count must be at least 4x max(m_list)")
     seed = _require_seed(cfg)
-    with_fe = bool(cfg.get("fe", False))
-    with_dense = bool(cfg.get("dense", False))
     outdir = _require_outdir(Path(cfg["out"])) if cfg.get("out") else None
 
-    def fields(run: str, m: int, method: str = "split") -> dict:
+    def fields(run: str, m: int, method: str) -> dict:
         try:
             return run_simulation(system, m, t_star, method=method).fields
         except DivergenceError as exc:  # say which run of the study it was
@@ -326,31 +324,35 @@ def cmd_converge(cfg: dict) -> dict:
     # every run copies the initial fields and changes nothing else, so one
     # system serves them all
     try:
-        system = models.build_system(spec, dims, seed)
-        reference = fields("reference", m_ref)
+        system = models.build_system(model, dims, seed)
+        reference = fields("reference", m_ref, "split")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    unknowns = max(field.size for field in reference.values())
-    if with_dense and unknowns > DENSE_REFERENCE_CAP:
-        print(
-            f"note: {unknowns} unknowns exceed the dense cap "
-            f"{DENSE_REFERENCE_CAP}; dense column skipped",
-            file=sys.stderr,
-        )
-        with_dense = False
+    columns = [("err_split", "split")]
+    if cfg.get("dense"):
+        unknowns = max(field.size for field in reference.values())
+        if unknowns > DENSE_REFERENCE_CAP:
+            print(
+                f"note: {unknowns} unknowns exceed the dense cap "
+                f"{DENSE_REFERENCE_CAP}; dense column skipped",
+                file=sys.stderr,
+            )
+        else:
+            columns.append(("err_dense", "dense"))
+    if cfg.get("fe"):
+        columns.append(("err_fe", "forward_euler"))
 
     table: list[dict] = []
     for m in m_list:
         entry: dict = {"m": m}
-        entry["err_split"] = _relative_error(fields("split", m), reference)
-        if with_dense:
-            entry["err_dense"] = _relative_error(fields("dense", m, "dense"), reference)
-        if with_fe:
+        for column, method in columns:
             try:
-                fe_fields = run_simulation(system, m, t_star, method="forward_euler").fields
-                entry["err_fe"] = _relative_error(fe_fields, reference)
+                entry[column] = _relative_error(fields(method, m, method), reference)
             except DivergenceError as exc:
-                entry["err_fe"] = None
+                if method != "forward_euler":
+                    raise
+                # explicit Euler's stability limit is a finding, not a failure
+                entry[column] = None
                 entry["fe_diverged_at"] = exc.step
         table.append(entry)
 
@@ -358,19 +360,15 @@ def cmd_converge(cfg: dict) -> dict:
     logs_e = np.log([entry["err_split"] for entry in table])
     slope = float(np.polyfit(logs_m, logs_e, 1)[0])
 
-    header = ["m", "err_split"]
-    if with_dense:
-        header.append("err_dense")
-    if with_fe:
-        header.append("err_fe")
+    header = ",".join(["m", *(column for column, _ in columns)])
 
     def row(entry: dict, diverged: str) -> str:
         # the cell of a diverged forward Euler run, which has no error
         cells = [str(entry["m"])]
-        cells += [diverged if entry[k] is None else _FMT % entry[k] for k in header[1:]]
+        cells += [diverged if entry[k] is None else _FMT % entry[k] for k, _ in columns]
         return ",".join(cells)
 
-    print(",".join(header))
+    print(header)
     for entry in table:
         print(row(entry, f"diverged@{entry.get('fe_diverged_at')}"))
     print(f"least-squares slope of log(err) vs log(m): {slope:.4f}")
@@ -379,7 +377,7 @@ def cmd_converge(cfg: dict) -> dict:
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)
         with open(outdir / "convergence.csv", "w", encoding="ascii") as fh:
-            fh.write(",".join(header) + "\n")
+            fh.write(header + "\n")
             for entry in table:
                 fh.write(row(entry, "nan") + "\n")
     return {"table": table, "slope": slope}

@@ -1,17 +1,19 @@
 """The five diffusion-reaction experiments, one :class:`Model` record each
-in ``MODELS``; :func:`build_system`, which assembles any of them; and the
-integral-mean diagnostics.
+in ``MODELS``; :func:`model_spec`, which returns a record with its
+constants overridden; :func:`build_system`, which assembles any record;
+and the integral-mean diagnostics.
 
-A record states once what differs between the models: the published
-constants and sizes, the components in order (geometry, diffusion
+A record states once what differs between the models: its name, the
+published constants and sizes, the components in order (geometry, diffusion
 coefficient, perturbation law, lifted or not), the equilibrium, the radial
 operator, the shape of each kinetics buffer and the reaction function.
 The surface components of a bulk-surface model live on the boundary
 geometry, and the reaction term carries the boundary-flux sources.  Lifted
 components (inhomogeneous Dirichlet data) are integrated as deviations from
 their equilibrium value; the ``lift`` offset restores physical values.
-Adding a model takes a :class:`ModelName` member, one record and one
-reaction function, which may share the kinetics helpers below.
+Adding a model takes a :class:`ModelName` member, one record whose
+``name`` is that member and one reaction function, which may share the
+kinetics helpers below.
 
 The kinetics evaluator writes into arrays of its own, which share no memory
 with the states it is given.  While the caller holds the dict one call
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
 from typing import Callable
@@ -79,42 +81,6 @@ class ModelName(Enum):
     DIB_SPHERE = "dib_sphere"
     BULK_SURFACE_SCHNAKENBERG_BALL = "bulk_surface_schnakenberg_ball"
     BSDIB_CYLINDER = "bsdib_cylinder"
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Name, parameter map, geometry sizes and per-component perturbation
-    laws of one experiment.  eta4 is never stored: it is always recomputed
-    from the equilibrium constraint."""
-
-    name: ModelName
-    params: dict[str, float]
-    sizes: dict[str, float]
-    perturbations: dict[str, Perturbation | None]
-
-    def equilibrium(self) -> dict[str, float]:
-        return MODELS[self.name].equilibrium(self.params)
-
-
-def model_spec(
-    name: ModelName | str, overrides: dict[str, float] | None = None
-) -> ModelSpec:
-    """ModelSpec with the published parameter defaults, optionally overridden
-    (keys: parameter names, or geometry sizes rho_star / z_star)."""
-    if isinstance(name, str):
-        name = ModelName(name)
-    model = MODELS[name]
-    params = dict(model.params)
-    sizes = dict(model.sizes)
-    for key, value in (overrides or {}).items():
-        if key in sizes:
-            sizes[key] = float(value)
-        elif key in params:
-            params[key] = float(value)
-        else:
-            raise KeyError(f"unknown parameter {key!r} for model {name.value}")
-    perts = {comp: c.perturbation for comp, c in model.components.items()}
-    return ModelSpec(name=name, params=params, sizes=sizes, perturbations=perts)
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +358,13 @@ class Component:
 
 @dataclass(frozen=True)
 class Model:
-    """One experiment: published ``params`` and ``sizes``; ``components`` in
-    the model's order; ``equilibrium(params)``; ``rho(n, params, sizes)``,
-    the radial operator, or None when no component has a radial axis;
-    ``buffers``, the component whose field shape each kinetics buffer
-    takes; and the ``reaction`` function."""
+    """One experiment: its ``name``; published ``params`` and ``sizes``;
+    ``components`` in the model's order; ``equilibrium(params)``;
+    ``rho(n, params, sizes)``, the radial operator, or None when no
+    component has a radial axis; ``buffers``, the component whose field
+    shape each kinetics buffer takes; and the ``reaction`` function."""
 
+    name: ModelName
     params: dict[str, float]
     sizes: dict[str, float]
     components: dict[str, Component]
@@ -426,8 +393,9 @@ def _sphere_surface(law: Perturbation) -> dict[str, Component]:
     }
 
 
-MODELS: dict[ModelName, Model] = {
-    ModelName.BVAM_DISK: Model(
+_RECORDS = (
+    Model(
+        name=ModelName.BVAM_DISK,
         params={
             "gamma": 3.87e-3,
             "delta": 7.5e-3,
@@ -449,7 +417,8 @@ MODELS: dict[ModelName, Model] = {
     ),
     # the weighted radial stencil and the usual periodic angle, integrated
     # in lifted variables (homogeneous Dirichlet)
-    ModelName.SCHNAKENBERG_ANOMALOUS_DISK: Model(
+    Model(
+        name=ModelName.SCHNAKENBERG_ANOMALOUS_DISK,
         params={
             "alpha1": 5.0e2,
             "alpha2": 1.4e-1,
@@ -467,7 +436,8 @@ MODELS: dict[ModelName, Model] = {
         buffers=("u",) * 4,
         reaction=_anomalous_reaction,
     ),
-    ModelName.DIB_SPHERE: Model(
+    Model(
+        name=ModelName.DIB_SPHERE,
         params={
             "zeta1": 10.0,
             "zeta2": 10.0,
@@ -487,7 +457,8 @@ MODELS: dict[ModelName, Model] = {
         buffers=("r",) * 3,
         reaction=_dib_reaction,
     ),
-    ModelName.BULK_SURFACE_SCHNAKENBERG_BALL: Model(
+    Model(
+        name=ModelName.BULK_SURFACE_SCHNAKENBERG_BALL,
         params={
             "alpha1": 55.0,
             "alpha2": 0.1,
@@ -511,7 +482,8 @@ MODELS: dict[ModelName, Model] = {
         buffers=("u",) * 2 + ("r",) * 5,
         reaction=_ball_reaction,
     ),
-    ModelName.BSDIB_CYLINDER: Model(
+    Model(
+        name=ModelName.BSDIB_CYLINDER,
         params={
             "alpha1": 1.0,
             "alpha2": 1.0,
@@ -543,7 +515,26 @@ MODELS: dict[ModelName, Model] = {
         buffers=("u",) * 2 + ("r",) * 7,
         reaction=_cylinder_reaction,
     ),
-}
+)
+MODELS: dict[ModelName, Model] = {model.name: model for model in _RECORDS}
+
+
+def model_spec(name: ModelName | str, overrides: dict[str, float] | None = None) -> Model:
+    """The model's record with its published constants, optionally
+    overridden (keys: parameter names, or geometry sizes rho_star /
+    z_star).  eta4 is never a parameter: it is always recomputed from the
+    equilibrium constraint."""
+    model = MODELS[ModelName(name)]
+    params = dict(model.params)
+    sizes = dict(model.sizes)
+    for key, value in (overrides or {}).items():
+        if key in sizes:
+            sizes[key] = float(value)
+        elif key in params:
+            params[key] = float(value)
+        else:
+            raise KeyError(f"unknown parameter {key!r} for model {model.name.value}")
+    return replace(model, params=params, sizes=sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -568,16 +559,17 @@ class SystemComponent:
 
 @dataclass(frozen=True)
 class CoupledSystem:
-    spec: ModelSpec
+    spec: Model
     components: list[SystemComponent]
     kinetics: Callable[[dict[str, np.ndarray]], dict[str, np.ndarray]]
     equilibrium: dict[str, float]
 
 
 def random_initial_condition(
-    spec: ModelSpec, seed: int, dims: dict[str, int]
+    model: Model, seed: int, dims: dict[str, int]
 ) -> dict[str, np.ndarray]:
-    """Equilibrium plus seeded perturbation for every component.
+    """Equilibrium plus seeded perturbation, by the record's laws, for every
+    component.
 
     One generator serves all components; draws happen component-major (in
     the model's component order) and flat-index order within a field.
@@ -586,11 +578,11 @@ def random_initial_condition(
     The result is bitwise reproducible for a fixed seed.
     """
     rng = Xoshiro256pp(seed)
-    shapes = component_shapes(spec.name, dims)
-    equilibrium = spec.equilibrium()
+    shapes = component_shapes(model.name, dims)
+    equilibrium = model.equilibrium(model.params)
     fields = {}
     for name, shape in shapes.items():
-        law = spec.perturbations[name]
+        law = model.components[name].perturbation
         if law is None:
             fields[name] = _constant(equilibrium[name], shape)
         else:
@@ -622,13 +614,14 @@ def dim_keys(name: ModelName) -> tuple[str, ...]:
 
 
 def build_system(
-    spec: ModelSpec | ModelName | str,
+    model: Model | ModelName | str,
     dims: dict[str, int],
     seed: int,
 ) -> CoupledSystem:
     """Assemble the model's record into operators, initial fields and the
     kinetics evaluator; a model name takes its published constants (pass
-    others through :func:`model_spec`).  Each axis's 1-d operator is built
+    others through :func:`model_spec`, other perturbation laws through a
+    record with other ``components``).  Each axis's 1-d operator is built
     once and shared by every component on it.  Constants that overflow or
     divide by zero on the way, or that leave a tridiagonal axis operator
     without finite, positive symmetrized off-diagonals, are a
@@ -637,12 +630,11 @@ def build_system(
     The evaluator returns a dict of arrays that its next call overwrites
     while the caller still holds that dict (see :func:`_reusing`).
     """
-    if not isinstance(spec, ModelSpec):
-        spec = model_spec(spec)
-    _check_constants(spec)
-    _check_memory(spec.name, dims)
-    model = MODELS[spec.name]
-    p, sizes = spec.params, spec.sizes
+    if not isinstance(model, Model):
+        model = model_spec(model)
+    _check_constants(model)
+    _check_memory(model, dims)
+    p, sizes = model.params, model.sizes
     build_axis = {
         "rho": lambda n: model.rho(n, p, sizes),
         "theta": build_theta,
@@ -652,7 +644,7 @@ def build_system(
     try:
         # numpy's overflow and division by zero raise here, as Python's do
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            counts = {key.removeprefix("n_"): dims[key] for key in dim_keys(spec.name)}
+            counts = {key.removeprefix("n_"): dims[key] for key in dim_keys(model.name)}
             axes = {axis: build_axis[axis](n) for axis, n in counts.items()}
             for axis, op in axes.items():
                 # prepare's eigensolver works on the symmetrized matrix
@@ -663,7 +655,7 @@ def build_system(
                             f"the {axis} operator's symmetrized off-diagonals must be "
                             f"finite and positive"
                         )
-        eq = spec.equilibrium()
+        eq = model.equilibrium(p)
         coeffs = {name: c.coeff(p, sizes) for name, c in model.components.items()}
         for name, coeff in coeffs.items():
             if coeff < 0:
@@ -678,20 +670,20 @@ def build_system(
         _check_kinetics(model, eq, lifts, compute)
     except ArithmeticError as exc:
         raise ValueError(
-            f"the constants of model {spec.name.value} overflow or divide by zero: {exc}"
+            f"the constants of model {model.name.value} overflow or divide by zero: {exc}"
         ) from exc
-    initial = random_initial_condition(spec, seed, dims)
+    initial = random_initial_condition(model, seed, dims)
     components = []
     for name, c in model.components.items():
         ops = ComponentOps(c.geometry, coeffs[name], **{a: axes[a] for a in c.geometry.axes})
-        if spec.perturbations[name] is None:
+        if c.perturbation is None:
             field = _constant(eq[name] - lifts[name], ops.shape)
         else:
             field = np.subtract(initial[name], lifts[name], out=initial[name])
         components.append(SystemComponent(name, ops, field, lifts[name]))
     shapes = {c.name: c.ops.shape for c in components}
     return CoupledSystem(
-        spec, components, _reusing(lambda: model.allocate(shapes), compute), eq
+        model, components, _reusing(lambda: model.allocate(shapes), compute), eq
     )
 
 
@@ -744,15 +736,15 @@ def _reusing(allocate, compute) -> Callable[[dict[str, np.ndarray]], dict]:
     return kinetics
 
 
-def _check_memory(name: ModelName, dims: dict[str, int]) -> int:
+def _check_memory(model: Model, dims: dict[str, int]) -> int:
     """Reject dims whose arrays cannot fit in physical memory, and return
     the bytes counted.  Per component: the current field, the initial field
-    unless it is a constant (a view of one value), and the factors
-    ``prepare`` keeps; the kinetics buffers of the model's record; per field
-    shape: the step workspace, two fields and an rfft spectrum, which holds
-    n//2 + 1 complex values per n reals, so at most two fields."""
-    model = MODELS[name]
-    shapes = component_shapes(name, dims)
+    unless the record gives it no perturbation law (then it is a view of
+    one value), and the factors ``prepare`` keeps; the record's kinetics
+    buffers; per field shape: the step workspace, two fields and an rfft
+    spectrum, which holds n//2 + 1 complex values per n reals, so at most
+    two fields."""
+    shapes = component_shapes(model.name, dims)
     need = model.buffer_bytes(shapes)
     for comp, shape in shapes.items():
         c = model.components[comp]
@@ -768,20 +760,20 @@ def _check_memory(name: ModelName, dims: dict[str, int]) -> int:
     return need
 
 
-def _check_constants(spec: ModelSpec) -> None:
+def _check_constants(model: Model) -> None:
     """Reject a non-finite parameter or size, including the derived eta4 of
     the DIB kinetics, and a size that is not positive, before anything is
     built."""
-    constants = {**spec.params, **spec.sizes}
-    if "zeta5" in spec.params:
+    constants = {**model.params, **model.sizes}
+    if "zeta5" in model.params:
         try:
-            constants["eta4"] = eta4(spec.params)
+            constants["eta4"] = eta4(model.params)
         except ZeroDivisionError:
             constants["eta4"] = math.inf
     for key, value in constants.items():
         if not math.isfinite(value):
             raise ValueError(f"model constant {key} must be finite, got {value!r}")
-        if key in spec.sizes and value <= 0:
+        if key in model.sizes and value <= 0:
             raise ValueError(f"model size {key} must be positive, got {value!r}")
 
 

@@ -278,23 +278,26 @@ def sigma_bracket(n: int) -> tuple[float, float]:
     return lo, 0.5
 
 
-def solve_sigma(n: int, tol: float = 1e-14, max_iter: int = 200) -> float:
+SIGMA_TOL = 1e-14
+SIGMA_MAX_ITER = 200
+
+
+def solve_sigma(n: int) -> float:
     """Solve for the fractional grid offset sigma in (0, 1/2).
 
     Safeguarded Newton iteration with bisection fallback inside the known
-    bracket.  Stops when |f(sigma)| <= tol or when the bracket collapses to
-    adjacent doubles, in which case the representable root is returned (for
-    very large n the attainable residual is limited by the steepness of f).
+    bracket.  Stops when |f(sigma)| <= SIGMA_TOL or when the bracket
+    collapses to adjacent doubles, in which case the representable root is
+    returned (for very large n the attainable residual is limited by the
+    steepness of f).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     lo, hi = sigma_bracket(n)
     x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(SIGMA_MAX_ITER):
         fx = sigma_residual(n, x)
-        if abs(fx) <= tol:
+        if abs(fx) <= SIGMA_TOL:
             return x
         if fx > 0.0:
             lo = x

@@ -193,6 +193,8 @@ class Xoshiro256pp:
 
     def normal(self, size: int) -> np.ndarray:
         """size iid standard normal draws (Box-Muller on uniform pairs)."""
+        if size < 0:  # the pair count would round -1 up to 0 draws
+            raise ValueError(f"negative size {size}")
         out = np.empty(2 * ((size + 1) // 2))
         for lo, draws in self._blocks(out.size):
             hi = lo + draws.size

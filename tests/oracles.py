@@ -318,7 +318,7 @@ def is_stabilized(times, values, rel: float = 1e-3, abs_tol: float = 1e-6) -> bo
 def pattern_amplitude(system: models.CoupledSystem, states: dict, name: str):
     """(spatial std of the component, 10x the standard deviation of its
     initial perturbation law)."""
-    law = system.spec.perturbations[name]
+    law = system.spec.components[name].perturbation
     if isinstance(law, models.Uniform):
         scale = (law.hi - law.lo) / math.sqrt(12.0)
     elif isinstance(law, models.Normal):

@@ -306,10 +306,11 @@ def test_criterion_9a_disk_cubic_turing_run():
     # published noise (std 0.289) already sits at a third of the saturated
     # pattern's amplitude, so a second run starts from the same uniform law
     # at half-width 5e-3.
-    small = dataclasses.replace(
-        models.model_spec("bvam_disk"),
-        perturbations={c: models.Uniform(-5e-3, 5e-3) for c in ("u", "v")},
-    )
+    published = models.MODELS[models.ModelName.BVAM_DISK]
+    small = dataclasses.replace(published, components={
+        name: dataclasses.replace(c, perturbation=models.Uniform(-5e-3, 5e-3))
+        for name, c in published.components.items()
+    })
     small_system = models.build_system(small, dims, 1)
     small_res = run_simulation(small_system, m, t_star)
     std, threshold = pattern_amplitude(small_system, small_res.fields, "u")

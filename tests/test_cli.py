@@ -204,6 +204,39 @@ def test_heatmap_order3_unfolds_every_value(tmp_path):
     )
 
 
+def test_colormap_of_a_constant_field_is_all_zeros():
+    indices = output.colormap_indices(np.full((3, 4), 2.5))
+    assert indices.dtype == np.uint8 and indices.shape == (3, 4)
+    assert not indices.any()
+
+
+def test_heatmap_setting_switches_the_ppm_files(tmp_path):
+    disk = ["--model", "bvam_disk", "--n-rho", "4", "--n-theta", "6", "--m", "2", "--tstar", "0.01"]
+    for value, ppms in (("off", 0), ("on", 4)):  # u and v at steps 0 and 2
+        out = tmp_path / value
+        assert run_cli("run", *disk, "--set", f"heatmap={value}", "--out", str(out)) == 0
+        assert len(list(out.glob("*.ppm"))) == ppms
+        assert len(list(out.glob("*.csv"))) == 5
+
+
+def test_bad_settings_exit_2_with_their_message(tmp_path, capsys):
+    disk = ["--model", "bvam_disk", "--n-rho", "4", "--n-theta", "6"]
+    run = ["run", *disk, "--m", "2", "--tstar", "0.01", "--out", str(tmp_path / "o")]
+    converge = ["converge", *disk, "--tstar", "0.01"]
+    cases = [
+        ([*run, "--set", "params.rho_star=1e150"],
+         "the rho operator's symmetrized off-diagonals must be finite and positive"),
+        ([*run, "--set", "heatmap=maybe"], "bad value for heatmap: 'maybe'"),
+        ([*run, "--n-rho", "1"], "n_rho must be at least 2"),
+        ([*converge, "--m-list", "2,4", "--m-ref", "8"],
+         "reference step count must be at least 4x max(m_list)"),
+    ]
+    for argv, message in cases:
+        assert run_cli(*argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_divergence_exit_code_and_partial_outputs(tmp_path):
     out = tmp_path / "o"
     code = run_cli(

@@ -100,6 +100,16 @@ def test_rng_raw_matches_scalar_reference():
         lanes.uniform(-1)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "normal"])
+@pytest.mark.parametrize("size", [-1, -2, -3])
+def test_rng_negative_size_raises_before_any_draw(kind, size):
+    rng = models.Xoshiro256pp(9)
+    state = list(rng._state)
+    with pytest.raises(ValueError):
+        getattr(rng, kind)(size)
+    assert rng._state == state
+
+
 def _draw(rng, kind, size):
     """size draws of one kind; "raw" reads the uint64 lane words."""
     return _lane_words(rng, size) if kind == "raw" else getattr(rng, kind)(size)
@@ -234,8 +244,25 @@ def test_model_spec_overrides_and_unknown_keys():
     spec = models.model_spec("bvam_disk", {"gamma": 0.01, "rho_star": 2.0})
     assert spec.params["gamma"] == 0.01
     assert spec.sizes["rho_star"] == 2.0
+    # the published record, with other constants and nothing else changed
+    published = models.MODELS[models.ModelName.BVAM_DISK]
+    assert spec == dataclasses.replace(
+        published, params={**published.params, "gamma": 0.01}, sizes={"rho_star": 2.0}
+    )
+    assert published.params["gamma"] == 3.87e-3 and published.sizes["rho_star"] == 1.0
+    assert [model.name for model in models.MODELS.values()] == list(models.MODELS)
     with pytest.raises(KeyError):
         models.model_spec("bvam_disk", {"zeta1": 1.0})
+
+
+def test_an_axis_operator_that_cannot_be_symmetrized_is_bad_input():
+    # at rho_star = 1e150 the radial off-diagonals are ~1e-299, and the
+    # products under the square roots of the symmetrization underflow to 0
+    model = models.model_spec("bvam_disk", {"rho_star": 1e150})
+    with pytest.raises(
+        ValueError, match="the rho operator's symmetrized off-diagonals must be finite and positive"
+    ):
+        models.build_system(model, {"n_rho": 4, "n_theta": 6}, seed=1)
 
 
 # Each model at small dims with every constant (parameter or size) scaled by
@@ -564,7 +591,7 @@ def test_ball_coupling_shape_mismatch():
 def test_cylinder_coupling_values():
     spec = models.model_spec("bsdib_cylinder")
     p = spec.params
-    eq = spec.equilibrium()
+    eq = spec.equilibrium(spec.params)
     ones = np.ones((4, 3))
     src_u, src_v, ps, qs = models.bs_cylinder_coupling(
         ones * eq["u"], ones * eq["v"], ones * eq["r"], ones * eq["s"], p, 0.5
@@ -722,7 +749,7 @@ def test_bvam_initial_amplitude_bounded():
 def test_dib_initial_perturbation_within_eight_sigma():
     spec = models.model_spec("dib_sphere")
     fields = models.random_initial_condition(spec, 6, {"n_theta": 64, "n_phi": 32})
-    eq = spec.equilibrium()
+    eq = spec.equilibrium(spec.params)
     assert np.max(np.abs(fields["r"] - eq["r"])) <= 8e-6
     assert np.max(np.abs(fields["s"] - eq["s"])) <= 8e-6
 
@@ -731,7 +758,7 @@ def test_cylinder_bulk_starts_exactly_at_equilibrium():
     spec = models.model_spec("bsdib_cylinder")
     dims = {"n_rho": 5, "n_theta": 6, "n_z": 4}
     fields = models.random_initial_condition(spec, 3, dims)
-    eq = spec.equilibrium()
+    eq = spec.equilibrium(spec.params)
     assert np.all(fields["u"] == eq["u"])
     assert np.all(fields["v"] == eq["v"])
     assert np.all(fields["r"] >= eq["r"]) and np.max(fields["r"]) <= eq["r"] + 1e-2
@@ -763,19 +790,21 @@ def test_constant_start_fields_are_read_only_views():
     assert np.all(comps["u"].initial == 0.0)
 
 
-def test_memory_estimate_counts_no_initial_field_for_a_constant(monkeypatch):
-    name, dims = models.ModelName.BSDIB_CYLINDER, {"n_rho": 5, "n_theta": 6, "n_z": 4}
-    shapes = models.component_shapes(name, dims)
-    constant = models._check_memory(name, dims)
-    model = models.MODELS[name]
-    perturbed = {
+def test_memory_estimate_counts_no_initial_field_for_a_constant():
+    # one record holds the laws: the estimate counts an initial field for
+    # exactly the components whose start field build_system draws
+    dims = {"n_rho": 5, "n_theta": 6, "n_z": 4}
+    model = models.model_spec("bsdib_cylinder")
+    shapes = models.component_shapes(model.name, dims)
+    constant = models._check_memory(model, dims)
+    perturbed = dataclasses.replace(model, components={
         comp: dataclasses.replace(c, perturbation=c.perturbation or models.Uniform(0.0, 1e-2))
         for comp, c in model.components.items()
-    }
-    monkeypatch.setitem(models.MODELS, name, dataclasses.replace(model, components=perturbed))
-    drawn = models._check_memory(name, dims)
+    })
+    drawn = models._check_memory(perturbed, dims)
     assert drawn - constant == 8 * (math.prod(shapes["u"]) + math.prod(shapes["v"]))
-    system = models.build_system(name, dims, seed=3)
+    system = models.build_system(perturbed, dims, seed=3)
+    assert system.spec is perturbed
     assert all(c.initial.flags.writeable for c in system.components)
 
 

@@ -195,8 +195,6 @@ def test_sigma_monotone_in_n():
 def test_sigma_rejects_bad_inputs():
     with pytest.raises(ValueError):
         op.solve_sigma(1)
-    with pytest.raises(ValueError):
-        op.solve_sigma(4, tol=0.0)
 
 
 # ---------------------------------------------------------------------------
