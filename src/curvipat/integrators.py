@@ -579,22 +579,25 @@ def _dense(comps, tau: float) -> dict[str, tuple]:
     return ops
 
 
-def _check_rounding_growth(components, t_star: float) -> None:
+def _check_rounding_growth(components, t_star: float, spectral: bool) -> None:
     """Reject a run in which rounding alone would double a mode or move the
     fields by more than ROUNDING_LIMIT.
 
     Every operator here has a nonpositive spectrum, but the eigenvalues of a
     symmetrized tridiagonal operator come out of the eigensolver with
-    rounding errors, a near-zero one often positive.  Each step multiplies
-    its mode by exp(tau coeff w lambda), w the largest weight on the
-    summand, so a diffusion coefficient large enough (a tiny rho_star makes
-    it 1/rho_star^2) turns that rounding into growth, and the run into a
-    false divergence.  The rounding of M W itself, up to coeff w ||A||_inf
-    2^-53 |W| per unit time, reaches the fields at full size through tau
-    phi1 (its constant mode is not damped), so over the run it adds up to
-    B = t_star coeff w ||A||_inf 2^-53 of them.  A ValueError if
-    t_star coeff w max(lambda, 0) exceeds ln 2 or B exceeds ROUNDING_LIMIT
-    for any summand of any component."""
+    rounding errors, a near-zero one often positive.  A scheme that steps
+    in the eigenbasis (``spectral``, the split scheme, whose set-up
+    factorizes the same axes) multiplies each mode by exp(tau coeff w
+    lambda) per step, w the largest weight on the summand, so a diffusion
+    coefficient large enough (a tiny rho_star makes it 1/rho_star^2) turns
+    that rounding into growth, and the run into a false divergence; the
+    other schemes apply no eigenbasis and factorize nothing here.  The
+    rounding of M W itself, up to coeff w ||A||_inf 2^-53 |W| per unit
+    time, reaches the fields at full size through tau phi1 (its constant
+    mode is not damped), so over the run it adds up to B = t_star coeff w
+    ||A||_inf 2^-53 of them.  A ValueError if B exceeds ROUNDING_LIMIT, or,
+    when ``spectral``, t_star coeff w max(lambda, 0) exceeds ln 2, for any
+    summand of any component."""
     for c in components:
         axes = c.ops.axis_ops()
         for mode, weighted_by in FACTORS[c.ops.geometry]:
@@ -603,7 +606,8 @@ def _check_rounding_growth(components, t_star: float) -> None:
             scale = t_star * c.ops.coeff * w
             drift = scale * _norm_inf(axis) * 2.0**-53
             # a periodic operator's eigenvalues are in closed form, none positive
-            lam = 0.0 if isinstance(axis, PeriodicTridiagonal) else eig_tridiag(axis).lambdas[-1]
+            factorized = spectral and not isinstance(axis, PeriodicTridiagonal)
+            lam = eig_tridiag(axis).lambdas[-1] if factorized else 0.0
             growth = scale * max(float(lam), 0.0)
             if growth > math.log(2.0) or drift > ROUNDING_LIMIT:
                 raise ValueError(
@@ -687,7 +691,7 @@ def run_simulation(
     setup, advance, scratch = schemes[method]
     tau = t_star / m
     comps = system.components
-    _check_rounding_growth(comps, t_star)
+    _check_rounding_growth(comps, t_star, spectral=method == "split")
     ops = setup(comps, tau)
     states = {c.name: np.array(c.initial, dtype=float, copy=True) for c in comps}
     work = {shape: scratch(shape) for shape in {c.ops.shape for c in comps}} if scratch else {}

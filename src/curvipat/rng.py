@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -36,7 +35,8 @@ def _rotl(x: int, k: int) -> int:
 # lanes jump ahead by a block at once.
 _LANES_LOG = 8  # at most 256 lanes
 # even, so normal's pairs never straddle two blocks, and small, so that the
-# libm calls of a block convert few Python floats at a time
+# logarithms of a block convert few Python floats at a time (2^16-draw blocks
+# and 512 to 2048 lanes ran no faster)
 _BLOCK_LOG = 14
 # nibble p of a state is bits 4 (p % 16) .. +3 of word p // 16; a lookup
 # table holds 16 columns per nibble, and unit state j = 4 p + b is column
@@ -96,11 +96,14 @@ def _jump(i: int, lanes: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(images, axis=1)
 
 
-def _libm(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    # libm through the math module: numpy's SIMD log (and, on some CPUs,
-    # cos and sin) can differ from it in the last bit, which would change
-    # seeded fields
-    return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    # the platform libm's log through the math module, one Python float per
+    # value: numpy's AVX-512 float64 log differs from it in the last bit on
+    # about 0.35% of Box-Muller u1, which would change seeded fields.
+    # numpy's float64 cos and sin matched libm's bit for bit at each of its
+    # x86 dispatch levels (AVX-512, AVX2, baseline), so normal calls them;
+    # the tests pin that match
+    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=x.size)
 
 
 class Xoshiro256pp:
@@ -110,7 +113,9 @@ class Xoshiro256pp:
     and draw order) is part of the package contract: fields produced from a
     given seed must never change between versions.  Uniform doubles take the
     top 53 bits; normal deviates come from the Box-Muller transform applied
-    to consecutive uniform pairs.  ``next_uint64`` is the scalar reference;
+    to consecutive uniform pairs, with the platform libm's log (through
+    ``math.log``) and cos and sin (through numpy's float64 ``cos`` and
+    ``sin``, which call it).  ``next_uint64`` is the scalar reference;
     ``_blocks``, which ``uniform`` and ``normal`` read, produces the same
     stream many lanes at a time.
     """
@@ -144,8 +149,10 @@ class Xoshiro256pp:
         Lane k of a block starts at draw k * steps of it, and a block spans
         lanes x steps draws: the least power of two that holds n, at most
         2^_BLOCK_LOG.  The lockstep runs in place on one copy of the lanes
-        and keeps the words that make each output, s0 + s3 and s0; the
-        state after the last draw is a lane's state on the way."""
+        and keeps the words that make each output, s0 + s3 and s0, indexed
+        [step, lane] so that each step writes contiguous rows; one transpose
+        per block puts the outputs in lane order.  The state after the last
+        draw is a lane's state on the way."""
         if n <= 0:
             return
         span_log = min(_BLOCK_LOG, (n - 1).bit_length())
@@ -156,7 +163,7 @@ class Xoshiro256pp:
             lanes = np.concatenate([lanes, _jump(span_log - lanes_log + i, lanes)], axis=1)
         work = np.empty_like(lanes)
         scratch = np.empty_like(lanes[0])
-        sums = np.empty((lanes.shape[1], steps), dtype=np.uint64)
+        sums = np.empty((steps, lanes.shape[1]), dtype=np.uint64)
         firsts = np.empty_like(sums)
         s0, s3 = work[0], work[3]
         for lo in range(0, n, 1 << span_log):
@@ -170,8 +177,8 @@ class Xoshiro256pp:
             for t in range(run):
                 if t == t_end:
                     self._state = work[:, j].tolist()
-                np.add(s0, s3, out=sums[:, t])
-                firsts[:, t] = s0
+                np.add(s0, s3, out=sums[t])
+                firsts[t] = s0
                 _step_lanes(work, scratch)
             if t_end == run:
                 self._state = work[:, j].tolist()
@@ -180,7 +187,7 @@ class Xoshiro256pp:
             sums >>= 41
             block |= sums
             block += firsts
-            yield lo, block.reshape(-1)[:count]
+            yield lo, block.T.reshape(-1)[:count]
             if t_end < 0:
                 lanes = _jump(span_log, lanes)
 
@@ -201,7 +208,7 @@ class Xoshiro256pp:
             # u1 in (0, 1] so the logarithm is finite
             u1 = ((draws[0::2] >> 11) + 1) * 2.0**-53
             angle = (2.0 * math.pi) * ((draws[1::2] >> 11) * 2.0**-53)
-            radius = np.sqrt(-2.0 * _libm(math.log, u1))
-            out[lo:hi:2] = radius * _libm(math.cos, angle)
-            out[lo + 1 : hi : 2] = radius * _libm(math.sin, angle)
+            radius = np.sqrt(-2.0 * _libm_log(u1))
+            np.multiply(radius, np.cos(angle), out=out[lo:hi:2])
+            np.multiply(radius, np.sin(angle), out=out[lo + 1 : hi : 2])
         return out[:size]

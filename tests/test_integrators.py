@@ -841,6 +841,24 @@ def test_run_simulation_rejects_rounding_that_would_grow_before_any_step():
     run_simulation(small, 2, 0.01)
 
 
+@pytest.mark.parametrize("method", ["split", "forward_euler", "dense"])
+def test_only_the_split_scheme_factorizes_its_axes(monkeypatch, method):
+    # the rounding check reads eigenvalues only for the split scheme, whose
+    # set-up factorizes the same axes; forward Euler and the dense scheme
+    # apply no eigenbasis and compute no eigendecomposition
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(args) or eigh(*args))
+    dims = {
+        "bvam_disk": {"n_rho": 6, "n_theta": 8},
+        "bulk_surface_schnakenberg_ball": {"n_rho": 6, "n_theta": 6, "n_phi": 4},
+    }
+    for name, size in dims.items():
+        calls.clear()
+        run_simulation(models.build_system(name, size, 1), 2, 1e-7, method=method)
+        assert bool(calls) == (method == "split"), name
+
+
 def test_workspace_spectrum_covers_the_field():
     # every spectrum has the field's shape with n//2 + 1 along its mode: the
     # shipped cylinder's theta, a long line, a disk's theta and a sphere's

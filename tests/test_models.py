@@ -160,8 +160,9 @@ def test_rng_odd_normal_consumes_one_extra_draw():
 
 
 def test_rng_normal_takes_log_cos_sin_from_libm(monkeypatch):
-    # numpy's SIMD log/cos/sin may differ from libm in the last bit on some
-    # CPUs, which would change seeded fields; count the libm calls instead
+    # numpy's SIMD log may differ from libm in the last bit, which would
+    # change seeded fields, so log goes through math.log, once per pair;
+    # cos and sin come from numpy, which matches libm's (pinned below)
     calls = {"log": 0, "cos": 0, "sin": 0}
 
     def counting(name):
@@ -178,9 +179,22 @@ def test_rng_normal_takes_log_cos_sin_from_libm(monkeypatch):
         setattr(spy, name, counting(name))
     monkeypatch.setattr("curvipat.rng.math", spy)
     z = models.Xoshiro256pp(5).normal(1001)
-    assert calls == {"log": 501, "cos": 501, "sin": 501}
+    assert calls == {"log": 501, "cos": 0, "sin": 0}
     monkeypatch.undo()
     assert z.tobytes() == models.Xoshiro256pp(5).normal(1001).tobytes()
+
+
+def test_rng_numpy_cos_sin_equal_libm_on_box_muller_angles():
+    # normal takes cos and sin from numpy: on its angles 2 pi k 2^-53 (the
+    # ends of the range and 2^20 drawn k) they must equal libm's bit for
+    # bit, or seeded fields would depend on numpy's SIMD dispatch
+    ends = np.array([0, 1, 2**52, 2**53 - 1], dtype=np.uint64) * 2.0**-53
+    drawn = [models.Xoshiro256pp(seed).uniform(2**18) for seed in (1, 2, 3, 2**64 - 1)]
+    angle = (2.0 * math.pi) * np.concatenate([ends, *drawn])
+    assert angle.size > 2**20
+    for name in ("cos", "sin"):
+        libm = np.fromiter(map(getattr(math, name), angle.tolist()), dtype=float)
+        assert getattr(np, name)(angle).tobytes() == libm.tobytes(), name
 
 
 def test_rng_uniform_range_and_mean():
