@@ -26,6 +26,10 @@ first (P_d, the last one), nor for the cylinder's theta weights, which its
 M W blocks carry.  The factor order must not be permuted (the factors do
 not commute).
 
+A component's linear reaction -decay W is applied by M W, not by phi1, so
+the scheme is the one with -decay W in G, and only rounding moves; G then
+covers only the component's ``support``.
+
 Every kernel can write into a caller's array.  The three schemes' steps
 share one signature, ``step(ops, W, G, *, out=None, work=None)``, and one
 table in ``run_simulation`` maps ``method`` to a set-up, a step and its
@@ -40,6 +44,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial, reduce
+from types import EllipsisType
 from typing import Callable
 
 import numpy as np
@@ -114,7 +119,9 @@ FACTORS: dict[Geometry, tuple[tuple[int, tuple[int, ...]], ...]] = {
 class ComponentOps:
     """Time-step independent ingredients for one diffusing component:
     geometry tag, diffusion coefficient, and the 1-d operators of its axes,
-    each carrying its own diagonal weights and quadrature measure."""
+    each carrying its own diagonal weights and quadrature measure; the rate
+    of a linear reaction -decay W, which M W applies, and the index of the
+    part of the field that the rest of its reaction term G covers."""
 
     geometry: Geometry
     coeff: float
@@ -122,6 +129,8 @@ class ComponentOps:
     theta: PeriodicTridiagonal | None = None
     phi: TridiagonalOperator | None = None
     z: TridiagonalOperator | None = None
+    decay: float = 0.0
+    support: tuple | EllipsisType = ...
 
     def axis_ops(self) -> list:
         """The 1-d operators of the geometry's axes, in mode order."""
@@ -136,7 +145,8 @@ class ComponentOps:
 class SplitFactor:
     """One Kronecker summand prepared for a fixed time step.
 
-    ``A`` is coeff times the 1-d operator along ``mode``, dense or
+    ``A`` is coeff times the 1-d operator along ``mode`` (less the decay on
+    its diagonal, on the first unweighted summand), dense or
     :class:`tensor.BlockBanded`, and ``weight`` the broadcastable product of
     the diagonal weights that M W multiplies in after that product (size 1
     along ``mode`` and along every mode that does not weight it), or None:
@@ -333,12 +343,17 @@ def _form(
 def diffusion_factors(base: ComponentOps) -> tuple[SplitFactor, ...]:
     """The tau-free half of :func:`prepare`: each summand's M W operator
     ``A`` and ``weight``, in the form :func:`_form` picks from the sizes,
-    with no phi1.  Forward Euler applies these alone."""
+    with no phi1, the decay on the first unweighted one's diagonal.  Forward
+    Euler applies these alone."""
     axes, shape = base.axis_ops(), base.shape
     factors = []
+    decay = base.decay
     for mode, weighted_by in FACTORS[base.geometry]:
         b, rows, form = _form(base.geometry, shape, mode, weighted_by)
         A = base.coeff * axes[mode - 1].toarray()
+        if not weighted_by:
+            A.flat[:: len(A) + 1] -= decay
+            decay = 0.0
         if b is not None:
             A = tensor.BlockBanded.from_dense(A, b, last_mode=mode == len(axes))
         if rows:
@@ -473,9 +488,9 @@ def apply_diffusion(
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Discretized diffusion term M W (including the coefficient), into
-    ``out`` or a new array; each summand after the first goes through
-    ``scratch`` (or a new array) on its way into the sum."""
+    """Discretized diffusion term M W (including the coefficient and the
+    decay), into ``out`` or a new array; each summand after the first goes
+    through ``scratch`` (or a new array) on its way into the sum."""
     if W.shape != ops.shape:
         raise ValueError(f"field shape {W.shape} does not match {ops.shape}")
     first, *rest = ops.factors
@@ -489,7 +504,8 @@ def step_split(
     ops: GeometryOps, W: np.ndarray, G: np.ndarray, *, out=None, work: Workspace | None = None
 ) -> np.ndarray:
     """One split exponential Euler step W + tau P_1 ... P_d (M W + G),
-    with tau taken in by the prepared P_d.
+    with tau taken in by the prepared P_d and G given on the component's
+    support.
 
     The new state goes into ``out``, which may be W itself, or into a new
     array.  Intermediates live in ``work``, a :class:`Workspace` for W's
@@ -500,7 +516,7 @@ def step_split(
         work = Workspace(W.shape)
     T, spare = work.fields
     T = apply_diffusion(ops, W, out=T, scratch=spare)
-    T += G
+    T[ops.base.support] += G
     for f in reversed(ops.factors):
         T, spare = f.apply_phi1(T, out=spare, work=work), T
     return np.add(W, T, out=out)
@@ -514,19 +530,22 @@ def step_forward_euler(
     if work is None:
         work = Workspace(W.shape)
     T = apply_diffusion(ops, W, out=work.fields[0], scratch=work.fields[1])
-    T += G
+    T[ops.base.support] += G
     T *= ops.tau
     return np.add(W, T, out=out)
 
 
 def step_dense(ops: tuple, W: np.ndarray, G: np.ndarray, *, out=None, work=None) -> np.ndarray:
     """Classical exponential Euler step W + tau phi1(tau M) (M W + G), with
-    ``ops`` = (M, phi1(tau M), tau) from :func:`_dense`, into ``out`` (which
-    may be W) or a new array; ``work`` is not used."""
-    M, P, tau = ops
+    ``ops`` = (M, phi1(tau M), tau, support) from :func:`_dense` and G
+    given on the support, into ``out`` (which may be W) or a new array;
+    ``work`` is not used."""
+    M, P, tau, support = ops
     w = tensor.vec(W)
+    g = np.zeros(W.shape)
+    g[support] = G
     out = np.empty_like(W) if out is None else out
-    out[...] = tensor.unvec(w + tau * (P @ (M @ w + tensor.vec(G))), W.shape)
+    out[...] = tensor.unvec(w + tau * (P @ (M @ w + tensor.vec(g))), W.shape)
     return out
 
 
@@ -534,17 +553,23 @@ def dense_split_factors(base: ComponentOps) -> list[np.ndarray]:
     """The Kronecker summands M_1, ..., M_d of the diffusion matrix as dense
     matrices (coefficient included), assembled from ``FACTORS`` in the
     splitting order: the 1-d operator along the summand's mode, the
-    diagonal weights on the modes that weight it, the identity elsewhere.
-    Sizes are capped by the Kronecker assembler."""
+    diagonal weights on the modes that weight it, the identity elsewhere;
+    the decay on the diagonal of the first unweighted one, as in
+    :func:`diffusion_factors`.  Sizes are capped by the Kronecker assembler."""
     axes = base.axis_ops()
     summands = []
+    decay = base.decay
     for mode, weighted_by in FACTORS[base.geometry]:
         mats = [
             np.diag(axis.weights) if mu in weighted_by else np.eye(axis.n)
             for mu, axis in enumerate(axes, start=1)
         ]
         mats[mode - 1] = axes[mode - 1].toarray()
-        summands.append(base.coeff * tensor.kron_assemble(mats))
+        summand = base.coeff * tensor.kron_assemble(mats)
+        if not weighted_by:
+            summand.flat[:: len(summand) + 1] -= decay
+            decay = 0.0
+        summands.append(summand)
     return summands
 
 
@@ -552,11 +577,11 @@ def _prepared(comps, tau: float, phi1: bool) -> dict[str, GeometryOps]:
     """Set-up of the split scheme (``phi1``) and of forward Euler, which
     applies only M W: each component's :class:`GeometryOps`, its factors
     from :func:`prepare` or :func:`diffusion_factors`, built once per
-    distinct geometry, coefficient and axis objects."""
+    distinct geometry, coefficient, decay and axis objects."""
     factors: dict[tuple, tuple[SplitFactor, ...]] = {}
     geo = {}
     for c in comps:
-        key = (c.ops.geometry, c.ops.coeff, *map(id, c.ops.axis_ops()))
+        key = (c.ops.geometry, c.ops.coeff, c.ops.decay, *map(id, c.ops.axis_ops()))
         if key not in factors:
             factors[key] = prepare(c.ops, tau).factors if phi1 else diffusion_factors(c.ops)
         geo[c.name] = GeometryOps(base=c.ops, tau=tau, factors=factors[key])
@@ -564,8 +589,9 @@ def _prepared(comps, tau: float, phi1: bool) -> dict[str, GeometryOps]:
 
 
 def _dense(comps, tau: float) -> dict[str, tuple]:
-    """Set-up of the dense scheme: (M, phi1(tau M), tau) per component,
-    dense, capped at DENSE_REFERENCE_CAP unknowns."""
+    """Set-up of the dense scheme: (M, phi1(tau M), tau, support) per
+    component, dense, capped at DENSE_REFERENCE_CAP unknowns.  M applies
+    the decay and phi1 does not, as in :func:`prepare`."""
     ops = {}
     for c in comps:
         size = math.prod(c.ops.shape)
@@ -575,7 +601,11 @@ def _dense(comps, tau: float) -> dict[str, tuple]:
                 f"reference cap {DENSE_REFERENCE_CAP}"
             )
         M = reduce(np.add, dense_split_factors(c.ops))
-        ops[c.name] = M, phi1_dense_oracle(tau * M, max_dim=DENSE_REFERENCE_CAP), tau
+        unshifted = (
+            reduce(np.add, dense_split_factors(replace(c.ops, decay=0.0))) if c.ops.decay else M
+        )
+        P = phi1_dense_oracle(tau * unshifted, max_dim=DENSE_REFERENCE_CAP)
+        ops[c.name] = M, P, tau, c.ops.support
     return ops
 
 
@@ -609,13 +639,21 @@ def _check_rounding_growth(components, t_star: float, spectral: bool) -> None:
             factorized = spectral and not isinstance(axis, PeriodicTridiagonal)
             lam = eig_tridiag(axis).lambdas[-1] if factorized else 0.0
             growth = scale * max(float(lam), 0.0)
-            if growth > math.log(2.0) or drift > ROUNDING_LIMIT:
+            failed = []
+            if growth > math.log(2.0):
+                failed.append(
+                    f"grow the rounding error of its {c.ops.geometry.axes[mode - 1]} "
+                    f"operator's spectrum by a factor e^{growth:.3g} (at most 2)"
+                )
+            if drift > ROUNDING_LIMIT:
+                failed.append(
+                    f"add up the rounding of its diffusion term to {drift:.3g} of the "
+                    f"fields (at most {ROUNDING_LIMIT:g})"
+                )
+            if failed:
                 raise ValueError(
                     f"component {c.name!r}: over t_star = {t_star:g} its diffusion "
-                    f"coefficient {c.ops.coeff:.3g} would grow the rounding error of its "
-                    f"{c.ops.geometry.axes[mode - 1]} operator's spectrum by a factor "
-                    f"e^{growth:.3g} (at most 2) and add up the rounding of its diffusion "
-                    f"term to {drift:.3g} of the fields (at most {ROUNDING_LIMIT:g}); the "
+                    f"coefficient {c.ops.coeff:.3g} would {' and '.join(failed)}; the "
                     f"model constants (such as a tiny rho_star) scale diffusion beyond "
                     f"double precision"
                 )

@@ -5,8 +5,9 @@ and the integral-mean diagnostics.
 
 A record states once what differs between the models: its name, the
 published constants and sizes, the components in order (geometry, diffusion
-coefficient, perturbation law, lifted or not), the equilibrium, the radial
-operator, the shape of each kinetics buffer and the reaction function.
+coefficient, perturbation law, lifted or not, linear decay, support of the
+reaction term), the equilibrium, the radial operator, the shape of each
+kinetics buffer and the reaction function.
 The surface components of a bulk-surface model live on the boundary
 geometry, and the reaction term carries the boundary-flux sources.  Lifted
 components (inhomogeneous Dirichlet data) are integrated as deviations from
@@ -28,6 +29,7 @@ import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
+from types import EllipsisType
 from typing import Callable
 
 import numpy as np
@@ -321,22 +323,18 @@ def _ball_reaction(states, out, p, eq, axes):
 
 
 def _cylinder_reaction(states, out, p, eq, axes):
-    out_u, out_v, u_bottom, v_bottom, *surface = out
-    W_u, W_v = states["u"], states["v"]
-    np.add(W_u[:, :, 0], eq["u"], out=u_bottom)
-    np.add(W_v[:, :, 0], eq["v"], out=v_bottom)
+    # the bulk decay -alpha1 (u - alpha2) is -alpha1 W_u in lifted variables
+    # (u* = alpha2, v* = beta2), which M W applies through the record's
+    # decay; only the flux sources on the z = 0 slice are left here
+    u_bottom, v_bottom, *surface = out
+    np.add(states["u"][:, :, 0], eq["u"], out=u_bottom)
+    np.add(states["v"][:, :, 0], eq["v"], out=v_bottom)
     src_u, src_v, ps, qs = bs_cylinder_coupling(
         u_bottom, v_bottom, states["r"], states["s"], p, axes["z"].h, out=surface
     )
-    # -alpha1 (u - alpha2) with u = W_u + u*, without lifting the field; the
-    # equilibrium is u* = alpha2, v* = beta2, so only -alpha1 W_u is left
-    gu = np.multiply(W_u, -p["alpha1"], out=out_u)
-    gv = np.multiply(W_v, -p["beta1"], out=out_v)
-    gu[:, :, 0] += src_u
-    gv[:, :, 0] += src_v
     ps *= p["zeta1"]
     qs *= p["zeta1"]
-    return {"u": gu, "v": gv, "r": ps, "s": qs}
+    return {"u": src_u, "v": src_v, "r": ps, "s": qs}
 
 
 def _schnakenberg_steady(p) -> tuple[float, float]:
@@ -348,12 +346,16 @@ def _schnakenberg_steady(p) -> tuple[float, float]:
 class Component:
     """One unknown of a model: its geometry, its diffusion coefficient as a
     function of (params, sizes), the law of its initial perturbation (None:
-    it starts at the equilibrium), and whether it is lifted."""
+    it starts at the equilibrium), whether it is lifted, the rate of its
+    linear reaction -decay W as a function of the params (None: none), and
+    the index of the part of the field the rest of its reaction covers."""
 
     geometry: Geometry
     coeff: Callable[[dict, dict], float]
     perturbation: Perturbation | None
     lifted: bool = False
+    decay: Callable[[dict], float] | None = None
+    support: tuple | EllipsisType = ...
 
 
 @dataclass(frozen=True)
@@ -505,14 +507,20 @@ _RECORDS = (
         },
         sizes={"rho_star": 25.0, "z_star": 25.0},
         components={
-            "u": Component(Geometry.CYLINDER, lambda p, sizes: 1.0, None, True),
-            "v": Component(Geometry.CYLINDER, lambda p, sizes: p["delta"], None, True),
+            "u": Component(
+                Geometry.CYLINDER, lambda p, sizes: 1.0, None, True,
+                decay=lambda p: p["alpha1"], support=np.s_[:, :, 0],
+            ),
+            "v": Component(
+                Geometry.CYLINDER, lambda p, sizes: p["delta"], None, True,
+                decay=lambda p: p["beta1"], support=np.s_[:, :, 0],
+            ),
             "r": Component(Geometry.DISK, lambda p, sizes: 1.0, Uniform(0.0, 1e-2)),
             "s": Component(Geometry.DISK, lambda p, sizes: p["epsilon"], Uniform(0.0, 1e-2)),
         },
         equilibrium=lambda p: {"u": p["alpha2"], "v": p["beta2"], "r": 0.0, "s": p["zeta5"]},
         rho=lambda n, p, sizes: build_rho(2, n, sizes["rho_star"]),
-        buffers=("u",) * 2 + ("r",) * 7,
+        buffers=("r",) * 7,
         reaction=_cylinder_reaction,
     ),
 )
@@ -657,6 +665,7 @@ def build_system(
                         )
         eq = model.equilibrium(p)
         coeffs = {name: c.coeff(p, sizes) for name, c in model.components.items()}
+        decays = {name: c.decay(p) if c.decay else 0.0 for name, c in model.components.items()}
         for name, coeff in coeffs.items():
             if coeff < 0:
                 raise ValueError(
@@ -675,7 +684,10 @@ def build_system(
     initial = random_initial_condition(model, seed, dims)
     components = []
     for name, c in model.components.items():
-        ops = ComponentOps(c.geometry, coeffs[name], **{a: axes[a] for a in c.geometry.axes})
+        ops = ComponentOps(
+            c.geometry, coeffs[name], decay=decays[name], support=c.support,
+            **{a: axes[a] for a in c.geometry.axes},
+        )
         if c.perturbation is None:
             field = _constant(eq[name] - lifts[name], ops.shape)
         else:

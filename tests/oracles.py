@@ -3,7 +3,8 @@ block-banded mode product as a gather of the entries outside the blocks, the
 banded-circulant mode product with one dense circulant per row, each
 geometry's Kronecker summands written out by hand, one dense classical
 exponential Euler step, one split step with nothing folded into its
-factors, one with every summand in its plain form, the closed-form axial
+factors, one with every summand in its plain form, one step of each scheme
+with a component's decay in its reaction term, the closed-form axial
 eigenpairs, the angular eigenpairs one frequency at a time, a sample hook
 that collects integral-mean series, and the integral-mean, stabilization
 and amplitude checks of the acceptance criteria."""
@@ -22,6 +23,8 @@ from curvipat.integrators import (
     Geometry,
     GeometryOps,
     SplitFactor,
+    diffusion_factors,
+    prepare,
 )
 from curvipat.operators import PeriodicTridiagonal, eig_theta, eig_tridiag
 from curvipat.phifun import phi1_dense_oracle, phi1_matrix, phi1_outer
@@ -177,11 +180,28 @@ def unfused_split_step(ops: GeometryOps, W: np.ndarray, G: np.ndarray) -> np.nda
     T = factors[0].diffusion(W)
     for f in factors[1:]:
         T += f.diffusion(W)
-    T += G
+    T[base.support] += G
     for f in reversed(factors):
         T = f.apply_phi1(T)
     T *= tau
     return W + T
+
+
+def unfolded_step(method: str, base: ComponentOps, tau: float, W: np.ndarray, G: np.ndarray):
+    """One step of ``method`` ("split", "forward_euler" or "dense") with
+    the component's decay left in its reaction term: the diffusion operator
+    without the decay, and the reaction -decay W over the whole field plus
+    G at its support.  The split step is :func:`unfused_split_step`, the
+    dense one :func:`step_exact_ee_reference` on :func:`dense_operator`."""
+    plain = replace(base, decay=0.0, support=...)
+    g = -base.decay * W
+    g[base.support] += G
+    if method == "split":
+        return unfused_split_step(prepare(plain, tau), W, g)
+    if method == "dense":
+        w = step_exact_ee_reference(dense_operator(plain), tensor.vec(W), tensor.vec(g), tau)
+        return tensor.unvec(w, W.shape)
+    return W + tau * (reduce(np.add, (f.diffusion(W) for f in diffusion_factors(plain))) + g)
 
 
 def plain_split_step(base: ComponentOps, tau: float, W: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from oracles import (
     kronecker_summands,
     plain_split_step,
     step_exact_ee_reference,
+    unfolded_step,
     unfused_split_step,
 )
 
@@ -503,7 +504,9 @@ def test_linear_step_never_expands_any_state():
 # phi1 and the cylinder's theta weights into its M W blocks, which round
 # differently (test_five_steps_equal_the_unfused_oracle bounds the change);
 # the ball's increments of about 1e-4 on fields of about 1 lose those
-# roundings in the sum, so its digest stayed.
+# roundings in the sum, so its digest stayed.  The cylinder's alone was
+# re-recorded when its bulk decay moved into M W
+# (test_cylinder_decay_in_m_w_equals_the_unfolded_oracle bounds the change).
 GOLDEN_RUNS = {
     "bvam_disk": (
         {"n_rho": 24, "n_theta": 128}, 0.5,
@@ -523,7 +526,7 @@ GOLDEN_RUNS = {
     ),
     "bsdib_cylinder": (
         {"n_rho": 20, "n_theta": 128, "n_z": 4}, 0.05,
-        "e04cbe38ba07155150f72b877b6501b2739afc4dabad880c43e2fd4eea2a4356",
+        "00417ff88023094b6d312a3d39abcc4efe1793fa2bef265b098c0bb0a1e5af25",
     ),
 }
 
@@ -577,6 +580,41 @@ def test_five_steps_equal_the_unfused_oracle():
             ref = states[c.name]
             error = np.max(np.abs(fields[c.name] - ref)) / np.max(np.abs(ref))
             assert error <= 1e-13, (name, c.name, error)
+
+
+@pytest.mark.parametrize(
+    "method, dims, t_star, m",
+    [
+        ("split", GOLDEN_RUNS["bsdib_cylinder"][0], 0.05, 5),
+        # stable on this grid only at a far smaller t_star
+        ("forward_euler", GOLDEN_RUNS["bsdib_cylinder"][0], 0.05e-4, 5),
+        # the golden dims are beyond the dense reference cap
+        ("dense", {"n_rho": 6, "n_theta": 8, "n_z": 4}, 0.05, 5),
+        # the benchmark's size; u and v start at 0, so the decay acts from
+        # the second step on
+        ("split", {"n_rho": 160, "n_theta": 160, "n_z": 20}, 2 * 50.0 / 8000.0, 2),
+    ],
+)
+def test_cylinder_decay_in_m_w_equals_the_unfolded_oracle(method, dims, t_star, m):
+    # M W applies the cylinder's bulk decay and phi1 does not, so the scheme
+    # is the one with -decay W in the reaction term, and only rounding
+    # moves: the run stays within 1e-13 of that step on every component
+    system = models.build_system("bsdib_cylinder", dims, seed=3)
+    assert {c.name: c.ops.decay for c in system.components} == {
+        "u": 1.0, "v": 1.0, "r": 0.0, "s": 0.0
+    }
+    fields = run_simulation(system, m, t_star, method=method).fields
+    states = {c.name: c.initial.copy() for c in system.components}
+    for _ in range(m):
+        gs = system.kinetics(states)
+        states = {
+            c.name: unfolded_step(method, c.ops, t_star / m, states[c.name], gs[c.name])
+            for c in system.components
+        }
+    for c in system.components:
+        ref = states[c.name]
+        error = np.max(np.abs(fields[c.name] - ref)) / np.max(np.abs(ref))
+        assert error <= 1e-13, (c.name, error)
 
 
 def random_dims(name: str, rng) -> tuple[int, ...]:
@@ -803,7 +841,8 @@ def test_step_with_banded_angular_phi1_matches_the_rfft_one():
     rfft = dataclasses.replace(angular, phi1=symbol)
     rfft_ops = dataclasses.replace(ops, factors=(ops.factors[0], rfft, ops.factors[2]))
     rng = np.random.RandomState(24)
-    W, G = rng.randn(*ops.shape), rng.randn(*ops.shape)
+    # u's reaction term lives on its support, the z = 0 slice
+    W, G = rng.randn(*ops.shape), rng.randn(*ops.shape)[ops.base.support]
     got, ref = step_split(ops, W, G), step_split(rfft_ops, W, G)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     dense = banded_circulant_product(symbol, 16, 160, W)
@@ -817,7 +856,8 @@ def test_step_with_windowed_radial_phi1_matches_the_dense_one():
     first = dataclasses.replace(ops.factors[0], phi1=dense)
     dense_ops = dataclasses.replace(ops, factors=(first, *ops.factors[1:]))
     rng = np.random.RandomState(22)
-    W, G = rng.randn(*ops.shape), rng.randn(*ops.shape)
+    # u's reaction term lives on its support, the z = 0 slice
+    W, G = rng.randn(*ops.shape), rng.randn(*ops.shape)[ops.base.support]
     got, ref = step_split(ops, W, G), step_split(dense_ops, W, G)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -839,6 +879,18 @@ def test_run_simulation_rejects_rounding_that_would_grow_before_any_step():
         run_simulation(drifting, 2, 0.01)
     small = models.build_system(models.model_spec("dib_sphere", {"rho_star": 1e-5}), dims, 1)
     run_simulation(small, 2, 0.01)
+
+
+@pytest.mark.parametrize("method", ["split", "forward_euler", "dense"])
+def test_rounding_rejection_names_only_the_limit_that_failed(method):
+    # at rho_star = 1e-7 the rounding of M W adds up beyond its limit, while
+    # the spectrum's rounding grows by e^3.2e-4 in the split scheme and is
+    # not checked in the others: the message names the first limit alone
+    dims = {"n_theta": 8, "n_phi": 6}
+    drifting = models.build_system(models.model_spec("dib_sphere", {"rho_star": 1e-7}), dims, 1)
+    with pytest.raises(ValueError, match="diffusion term to 0.0111 of the fields") as info:
+        run_simulation(drifting, 2, 0.01, method=method)
+    assert "spectrum" not in str(info.value) and "e^" not in str(info.value)
 
 
 @pytest.mark.parametrize("method", ["split", "forward_euler", "dense"])
@@ -875,6 +927,7 @@ def test_run_simulation_single_step_equals_manual():
     # one step and several, on every model, for the split scheme and forward
     # Euler (stable on these grids only at a far smaller t_star): the
     # in-place run loop equals a loop of pure steps, which leave W untouched
+    # and add each reaction term at its component's support
     schemes = (("split", step_split, 1.0), ("forward_euler", step_forward_euler, 1e-4))
     for name, (dims, t_star, _) in GOLDEN_RUNS.items():
         for (method, step, scale), m in itertools.product(schemes, (1, 4)):
@@ -885,6 +938,8 @@ def test_run_simulation_single_step_equals_manual():
             geo = {c.name: prepare(c.ops, tau) for c in system.components}
             for _ in range(m):
                 gs = system.kinetics(states)
+                for c in system.components:
+                    assert gs[c.name].shape == states[c.name][c.ops.support].shape
                 before = {k: W.copy() for k, W in states.items()}
                 new = {
                     c.name: step(geo[c.name], states[c.name], gs[c.name])

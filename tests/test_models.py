@@ -11,6 +11,7 @@ from curvipat import operators as op
 from curvipat.integrators import (
     ComponentOps,
     Geometry,
+    apply_diffusion,
     prepare,
     run_simulation,
     step_split,
@@ -284,7 +285,8 @@ def test_an_axis_operator_that_cannot_be_symmetrized_is_bad_input():
 # changes the run even where the defaults are equal (the ball's delta and
 # epsilon, zeta2 and zeta3, eta1 and eta2).  Digest: SHA-256 of the final
 # fields' bytes after 5 steps, in component order.  Re-recorded, all but the
-# ball's, when tau moved into the first-applied phi1 (see GOLDEN_RUNS in
+# ball's, when tau moved into the first-applied phi1, and the cylinder's
+# again when its bulk decay moved into M W (see GOLDEN_RUNS in
 # test_integrators.py).
 _ROUTING_RUNS = {
     "bvam_disk": (
@@ -305,7 +307,7 @@ _ROUTING_RUNS = {
     ),
     "bsdib_cylinder": (
         {"n_rho": 4, "n_theta": 6, "n_z": 4}, 0.05,
-        "8198dff854cfb714221eb4f98967b0f8e85014af0f4de39975baf8d8ca783ef1",
+        "25fa32ff0e039fea55569d3dd50f2a5175e7a538549976676a610f5717736ce8",
     ),
 }
 
@@ -330,12 +332,12 @@ def test_every_constant_is_routed_to_its_own_use(name):
 
 
 def _system_fingerprint(system) -> bytes:
-    """Coefficients, lifts, axis grids, initial fields and the kinetics at a
-    fixed state away from the equilibrium, as bytes."""
+    """Coefficients, decays, lifts, axis grids, initial fields and the
+    kinetics at a fixed state away from the equilibrium, as bytes."""
     parts = []
     states = {}
     for c in system.components:
-        parts += [np.float64(c.ops.coeff).tobytes(), np.float64(c.lift).tobytes()]
+        parts += [np.float64(x).tobytes() for x in (c.ops.coeff, c.ops.decay, c.lift)]
         parts += [axis.grid.tobytes() for axis in c.ops.axis_ops()]
         parts.append(c.initial.tobytes())
         size = math.prod(c.ops.shape)
@@ -623,10 +625,21 @@ def test_cylinder_coupling_values():
 
 
 def test_cylinder_bulk_kinetics_match_lifted_formula():
+    # the bulk reaction is the decay that M W applies plus the kinetics,
+    # which cover the z = 0 slice alone
     system = models.build_system("bsdib_cylinder", {"n_rho": 5, "n_theta": 6, "n_z": 4}, 2)
     gen = np.random.RandomState(30)
     states = {c.name: gen.randn(*c.ops.shape) for c in system.components}
-    got = system.kinetics(states)
+    kinetics = system.kinetics(states)
+    got = {}
+    for c in system.components[:2]:
+        W = states[c.name]
+        plain = dataclasses.replace(c.ops, decay=0.0)
+        got[c.name] = apply_diffusion(prepare(c.ops, 0.0), W) - apply_diffusion(
+            prepare(plain, 0.0), W
+        )
+        assert kinetics[c.name].shape == (5, 6)
+        got[c.name][c.ops.support] += kinetics[c.name]
     p, eq = system.spec.params, system.equilibrium
     u, v = states["u"] + eq["u"], states["v"] + eq["v"]
     h_z = system.components[0].ops.z.h
@@ -794,10 +807,11 @@ def test_constant_start_fields_are_read_only_views():
         assert initial.tobytes() == np.zeros((5, 6, 4)).tobytes()  # eq - lift
     for name in ("r", "s"):
         assert comps[name].initial.flags.writeable and comps[name].initial.flags.c_contiguous
-    # the fingerprint the parameter-routing tests compare, as it was when
-    # every start field was filled in
+    # the fingerprint the parameter-routing tests compare: the same with
+    # every start field filled in, re-recorded when it took in the decays
+    # and the cylinder's kinetics came to cover the z = 0 slice alone
     digest = hashlib.sha256(_system_fingerprint(system)).hexdigest()
-    assert digest == "d92cf9828c65c99a188eae05d0d7727e83c4bbb7a13dd14a6ad8fc4f1aed28ae"
+    assert digest == "07b96a6183cee16f28f7ce59e3e17b5828f44810bc75f98046fcf8aaaf1f4a73"
     # a run copies its start fields and steps the copies
     res = run_simulation(system, 2, 0.01)
     assert res.fields["u"].flags.writeable and not np.shares_memory(res.fields["u"], comps["u"].initial)
