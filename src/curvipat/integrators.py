@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial, reduce
-from types import EllipsisType
 from typing import Callable
 
 import numpy as np
@@ -130,7 +129,7 @@ class ComponentOps:
     phi: TridiagonalOperator | None = None
     z: TridiagonalOperator | None = None
     decay: float = 0.0
-    support: tuple | EllipsisType = ...
+    support: tuple = (...,)
 
     def axis_ops(self) -> list:
         """The 1-d operators of the geometry's axes, in mode order."""
@@ -553,23 +552,17 @@ def dense_split_factors(base: ComponentOps) -> list[np.ndarray]:
     """The Kronecker summands M_1, ..., M_d of the diffusion matrix as dense
     matrices (coefficient included), assembled from ``FACTORS`` in the
     splitting order: the 1-d operator along the summand's mode, the
-    diagonal weights on the modes that weight it, the identity elsewhere;
-    the decay on the diagonal of the first unweighted one, as in
-    :func:`diffusion_factors`.  Sizes are capped by the Kronecker assembler."""
+    diagonal weights on the modes that weight it, the identity elsewhere
+    (no decay).  Sizes are capped by the Kronecker assembler."""
     axes = base.axis_ops()
     summands = []
-    decay = base.decay
     for mode, weighted_by in FACTORS[base.geometry]:
         mats = [
             np.diag(axis.weights) if mu in weighted_by else np.eye(axis.n)
             for mu, axis in enumerate(axes, start=1)
         ]
         mats[mode - 1] = axes[mode - 1].toarray()
-        summand = base.coeff * tensor.kron_assemble(mats)
-        if not weighted_by:
-            summand.flat[:: len(summand) + 1] -= decay
-            decay = 0.0
-        summands.append(summand)
+        summands.append(base.coeff * tensor.kron_assemble(mats))
     return summands
 
 
@@ -601,10 +594,8 @@ def _dense(comps, tau: float) -> dict[str, tuple]:
                 f"reference cap {DENSE_REFERENCE_CAP}"
             )
         M = reduce(np.add, dense_split_factors(c.ops))
-        unshifted = (
-            reduce(np.add, dense_split_factors(replace(c.ops, decay=0.0))) if c.ops.decay else M
-        )
-        P = phi1_dense_oracle(tau * unshifted, max_dim=DENSE_REFERENCE_CAP)
+        P = phi1_dense_oracle(tau * M, max_dim=DENSE_REFERENCE_CAP)
+        M.flat[:: len(M) + 1] -= c.ops.decay
         ops[c.name] = M, P, tau, c.ops.support
     return ops
 

@@ -29,7 +29,6 @@ import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
-from types import EllipsisType
 from typing import Callable
 
 import numpy as np
@@ -355,7 +354,7 @@ class Component:
     perturbation: Perturbation | None
     lifted: bool = False
     decay: Callable[[dict], float] | None = None
-    support: tuple | EllipsisType = ...
+    support: tuple = (...,)
 
 
 @dataclass(frozen=True)

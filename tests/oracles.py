@@ -193,7 +193,7 @@ def unfolded_step(method: str, base: ComponentOps, tau: float, W: np.ndarray, G:
     without the decay, and the reaction -decay W over the whole field plus
     G at its support.  The split step is :func:`unfused_split_step`, the
     dense one :func:`step_exact_ee_reference` on :func:`dense_operator`."""
-    plain = replace(base, decay=0.0, support=...)
+    plain = replace(base, decay=0.0, support=(...,))
     g = -base.decay * W
     g[base.support] += G
     if method == "split":
