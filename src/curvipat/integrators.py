@@ -30,12 +30,12 @@ A component's linear reaction -decay W is applied by M W, not by phi1, so
 the scheme is the one with -decay W in G, and only rounding moves; G then
 covers only the component's ``support``.
 
-Every kernel can write into a caller's array.  The three schemes' steps
-share one signature, ``step(ops, W, G, *, out=None, work=None)``, and one
-table in ``run_simulation`` maps ``method`` to a set-up, a step and its
-scratch.  A run steps its states in place, the split scheme and forward
-Euler through one :class:`Workspace` per field shape, so their warm steps
-allocate no field; without ``out`` and ``work`` a step stays pure.
+Every kernel can write into a caller's array.  ``SCHEMES`` maps each
+``method`` to a set-up that returns one ``step(states, gs)`` over the whole
+system, which advances every component in place: the split scheme and
+forward Euler through :func:`step_split` and :func:`step_forward_euler`,
+one :class:`Workspace` per field shape, so their warm steps allocate no
+field (without ``out`` and ``work`` those two stay pure).
 """
 
 from __future__ import annotations
@@ -534,20 +534,6 @@ def step_forward_euler(
     return np.add(W, T, out=out)
 
 
-def step_dense(ops: tuple, W: np.ndarray, G: np.ndarray, *, out=None, work=None) -> np.ndarray:
-    """Classical exponential Euler step W + tau phi1(tau M) (M W + G), with
-    ``ops`` = (M, phi1(tau M), tau, support) from :func:`_dense` and G
-    given on the support, into ``out`` (which may be W) or a new array;
-    ``work`` is not used."""
-    M, P, tau, support = ops
-    w = tensor.vec(W)
-    g = np.zeros(W.shape)
-    g[support] = G
-    out = np.empty_like(W) if out is None else out
-    out[...] = tensor.unvec(w + tau * (P @ (M @ w + tensor.vec(g))), W.shape)
-    return out
-
-
 def dense_split_factors(base: ComponentOps) -> list[np.ndarray]:
     """The Kronecker summands M_1, ..., M_d of the diffusion matrix as dense
     matrices (coefficient included), assembled from ``FACTORS`` in the
@@ -566,26 +552,40 @@ def dense_split_factors(base: ComponentOps) -> list[np.ndarray]:
     return summands
 
 
-def _prepared(comps, tau: float, phi1: bool) -> dict[str, GeometryOps]:
+def _prepared(comps, tau: float, phi1: bool) -> Callable[[dict, dict], None]:
     """Set-up of the split scheme (``phi1``) and of forward Euler, which
     applies only M W: each component's :class:`GeometryOps`, its factors
     from :func:`prepare` or :func:`diffusion_factors`, built once per
-    distinct geometry, coefficient, decay and axis objects."""
+    distinct geometry, coefficient, decay and axis objects, and one
+    :class:`Workspace` per field shape.  Returns the step that advances
+    every component in place, in component order, through
+    :func:`step_split` or :func:`step_forward_euler`, looked up when it
+    runs."""
     factors: dict[tuple, tuple[SplitFactor, ...]] = {}
-    geo = {}
+    plan = []
     for c in comps:
         key = (c.ops.geometry, c.ops.coeff, c.ops.decay, *map(id, c.ops.axis_ops()))
         if key not in factors:
             factors[key] = prepare(c.ops, tau).factors if phi1 else diffusion_factors(c.ops)
-        geo[c.name] = GeometryOps(base=c.ops, tau=tau, factors=factors[key])
-    return geo
+        plan.append((c.name, GeometryOps(base=c.ops, tau=tau, factors=factors[key])))
+    work = {shape: Workspace(shape) for shape in {c.ops.shape for c in comps}}
+
+    def step(states, gs):
+        advance = step_split if phi1 else step_forward_euler
+        for name, ops in plan:
+            W = states[name]
+            advance(ops, W, gs[name], out=W, work=work[W.shape])
+
+    return step
 
 
-def _dense(comps, tau: float) -> dict[str, tuple]:
-    """Set-up of the dense scheme: (M, phi1(tau M), tau, support) per
-    component, dense, capped at DENSE_REFERENCE_CAP unknowns.  M applies
-    the decay and phi1 does not, as in :func:`prepare`."""
-    ops = {}
+def _dense(comps, tau: float) -> Callable[[dict, dict], None]:
+    """Set-up of the dense scheme, classical exponential Euler W + tau
+    phi1(tau M) (M W + G): M and phi1(tau M) per component, dense, capped
+    at DENSE_REFERENCE_CAP unknowns.  M applies the decay and phi1 does
+    not, as in :func:`prepare`.  Returns the step that advances every
+    component in place, in component order, G given on its support."""
+    plan = []
     for c in comps:
         size = math.prod(c.ops.shape)
         if size > DENSE_REFERENCE_CAP:
@@ -596,8 +596,25 @@ def _dense(comps, tau: float) -> dict[str, tuple]:
         M = reduce(np.add, dense_split_factors(c.ops))
         P = phi1_dense_oracle(tau * M, max_dim=DENSE_REFERENCE_CAP)
         M.flat[:: len(M) + 1] -= c.ops.decay
-        ops[c.name] = M, P, tau, c.ops.support
-    return ops
+        plan.append((c.name, M, P, c.ops.support))
+
+    def step(states, gs):
+        for name, M, P, support in plan:
+            W = states[name]
+            w = tensor.vec(W)
+            g = np.zeros(W.shape)
+            g[support] = gs[name]
+            W[...] = tensor.unvec(w + tau * (P @ (M @ w + tensor.vec(g))), W.shape)
+
+    return step
+
+
+# method: (set-up, whether the scheme steps in the eigenbasis of the axes)
+SCHEMES = {
+    "split": (partial(_prepared, phi1=True), True),
+    "forward_euler": (partial(_prepared, phi1=False), False),
+    "dense": (_dense, False),
+}
 
 
 def _check_rounding_growth(components, t_star: float, spectral: bool) -> None:
@@ -691,48 +708,42 @@ def run_simulation(
     component, for error comparisons at desk scale (limited to
     DENSE_REFERENCE_CAP unknowns per component).
 
-    One table maps ``method`` to the scheme's set-up, which builds once
-    what its step applies, its step, and the scratch it steps through, one
-    per field shape.  The kinetics of all components are evaluated from the
-    common state at t_n, then every component is stepped in place, so the
-    kinetics' outputs must not share memory with the states.
-    ``sample_hook(step, t, states)``, with t = step tau, is called at step
-    0, every ``record_every`` steps (a positive count; default m), and at
-    the final step; it must copy what it keeps of the states.  Non-finite
-    or absurdly large field values abort with a DivergenceError naming the
-    step; before any step, :func:`_check_rounding_growth` rejects constants
-    under which rounding alone would make one.
+    ``SCHEMES`` maps ``method`` to the scheme's set-up, which builds once,
+    from the components and tau, what its step applies, and returns one
+    ``step(states, gs)`` that advances every component in place; the table
+    also says whether the scheme steps in the eigenbasis, which
+    :func:`_check_rounding_growth` needs.  Each time step evaluates the
+    kinetics of all components from the common state at t_n, holds that
+    result while the scheme steps (the evaluator reuses its buffers only
+    while its last result is held), then runs the divergence guard and
+    the samples; the kinetics' outputs must not share memory with the
+    states.  ``sample_hook(step, t, states)``, with t = step tau, is called
+    at step 0, every ``record_every`` steps (a positive count; default m),
+    and at the final step; it must copy what it keeps of the states.
+    Non-finite or absurdly large field values abort with a DivergenceError
+    naming the step; before any step, :func:`_check_rounding_growth`
+    rejects constants under which rounding alone would make one.
     """
-    # built per call, so that a module attribute replaced at run time is used
-    schemes = {
-        "split": (partial(_prepared, phi1=True), step_split, Workspace),
-        "forward_euler": (partial(_prepared, phi1=False), step_forward_euler, Workspace),
-        "dense": (_dense, step_dense, None),
-    }
     if m < 1:
         raise ValueError("need at least one time step")
     if not t_star > 0:
         raise ValueError("t_star must be positive")
     if record_every is not None and record_every < 1:
         raise ValueError("record_every must be a positive step count")
-    if method not in schemes:
+    if method not in SCHEMES:
         raise ValueError(f"unknown method {method!r}")
-    setup, advance, scratch = schemes[method]
+    setup, spectral = SCHEMES[method]
     tau = t_star / m
-    comps = system.components
-    _check_rounding_growth(comps, t_star, spectral=method == "split")
-    ops = setup(comps, tau)
-    states = {c.name: np.array(c.initial, dtype=float, copy=True) for c in comps}
-    work = {shape: scratch(shape) for shape in {c.ops.shape for c in comps}} if scratch else {}
+    _check_rounding_growth(system.components, t_star, spectral)
+    advance = setup(system.components, tau)
+    states = {c.name: np.array(c.initial, dtype=float, copy=True) for c in system.components}
     every = record_every or m
     sample = sample_hook or (lambda step, t, states: None)
 
     sample(0, 0.0, states)
     for step in range(1, m + 1):
         gs = system.kinetics(states)
-        for c in comps:
-            W = states[c.name]
-            advance(ops[c.name], W, gs[c.name], out=W, work=work.get(W.shape))
+        advance(states, gs)
         check_divergence(states, step)
         if step % every == 0 or step == m:
             sample(step, step * tau, states)

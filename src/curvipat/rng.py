@@ -1,8 +1,8 @@
 """Deterministic random numbers: xoshiro256++ seeded through splitmix64.
 
 The generator's stream is part of the package contract: a seed gives the
-same initial fields in every version.  ``Xoshiro256pp.next_uint64`` is the
-scalar reference; ``_blocks`` computes the same stream in vectorised lanes.
+same initial fields in every version.  ``_blocks`` computes the stream in
+vectorised lanes; the tests hold the scalar reference, one draw at a time.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ def _splitmix64(state: int):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return state, z ^ (z >> 31)
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
 # Vectorised draws: the state update is linear over GF(2), so one step is a
@@ -48,7 +44,7 @@ _UNIT_COLUMNS = (16 * np.arange(64)[:, None] + (1 << np.arange(4))).ravel()
 
 def _step_lanes(lanes: np.ndarray, scratch: np.ndarray) -> None:
     """One xoshiro256++ state update of every column of a 4 x L uint64
-    array, in place (the arithmetic of ``next_uint64``); ``scratch`` is a
+    array, in place (the xoshiro256++ state update); ``scratch`` is a
     uint64 array of length L."""
     s0, s1, s2, s3 = lanes
     np.left_shift(s1, 17, out=scratch)
@@ -115,9 +111,8 @@ class Xoshiro256pp:
     top 53 bits; normal deviates come from the Box-Muller transform applied
     to consecutive uniform pairs, with the platform libm's log (through
     ``math.log``) and cos and sin (through numpy's float64 ``cos`` and
-    ``sin``, which call it).  ``next_uint64`` is the scalar reference;
-    ``_blocks``, which ``uniform`` and ``normal`` read, produces the same
-    stream many lanes at a time.
+    ``sin``, which call it).  ``_blocks``, which ``uniform`` and ``normal``
+    read, produces the stream many lanes at a time.
     """
 
     def __init__(self, seed: int):
@@ -127,19 +122,6 @@ class Xoshiro256pp:
             s, word = _splitmix64(s)
             state.append(word)
         self._state = state
-
-    def next_uint64(self) -> int:
-        s0, s1, s2, s3 = self._state
-        result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._state = [s0, s1, s2, s3]
-        return result
 
     def _blocks(self, n: int):
         """The next n outputs as consecutive (offset, uint64 block) pairs,

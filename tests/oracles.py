@@ -3,11 +3,14 @@ block-banded mode product as a gather of the entries outside the blocks, the
 banded-circulant mode product with one dense circulant per row, each
 geometry's Kronecker summands written out by hand, one dense classical
 exponential Euler step, one split step with nothing folded into its
-factors, one with every summand in its plain form, one step of each scheme
-with a component's decay in its reaction term, the closed-form axial
-eigenpairs, the angular eigenpairs one frequency at a time, a sample hook
-that collects integral-mean series, and the integral-mean, stabilization
-and amplitude checks of the acceptance criteria."""
+factors, one with every summand in its plain form, one split and one
+forward Euler step with a component's decay in its reaction term,
+classical exponential Euler steps of a whole system as one vector (the
+decays in its reaction term), the closed-form axial
+eigenpairs, the angular eigenpairs one frequency at a time, the scalar
+xoshiro256++ draw, a sample hook that collects integral-mean series, and
+the integral-mean, stabilization and amplitude checks of the acceptance
+criteria."""
 
 import math
 from dataclasses import replace
@@ -188,20 +191,72 @@ def unfused_split_step(ops: GeometryOps, W: np.ndarray, G: np.ndarray) -> np.nda
 
 
 def unfolded_step(method: str, base: ComponentOps, tau: float, W: np.ndarray, G: np.ndarray):
-    """One step of ``method`` ("split", "forward_euler" or "dense") with
-    the component's decay left in its reaction term: the diffusion operator
+    """One step of ``method`` ("split" or "forward_euler") with the
+    component's decay left in its reaction term: the diffusion operator
     without the decay, and the reaction -decay W over the whole field plus
-    G at its support.  The split step is :func:`unfused_split_step`, the
-    dense one :func:`step_exact_ee_reference` on :func:`dense_operator`."""
+    G at its support.  The split step is :func:`unfused_split_step`."""
     plain = replace(base, decay=0.0, support=(...,))
     g = -base.decay * W
     g[base.support] += G
     if method == "split":
         return unfused_split_step(prepare(plain, tau), W, g)
-    if method == "dense":
-        w = step_exact_ee_reference(dense_operator(plain), tensor.vec(W), tensor.vec(g), tau)
-        return tensor.unvec(w, W.shape)
     return W + tau * (reduce(np.add, (f.diffusion(W) for f in diffusion_factors(plain))) + g)
+
+
+def coupled_exponential_euler(system: models.CoupledSystem, m: int, t_star: float) -> dict:
+    """The final fields of m classical exponential Euler steps of the whole
+    system, held as one vector (components stacked in order) with one
+    block-diagonal dense operator, the diffusion of each component
+    (:func:`dense_operator`, no decay).  Each component's decay goes into
+    the reaction term as -decay W over the whole field, plus G at its
+    support; each step is :func:`step_exact_ee_reference`."""
+    comps = system.components
+    bounds = np.cumsum([0] + [math.prod(c.ops.shape) for c in comps])
+    spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    M = np.zeros((bounds[-1], bounds[-1]))
+    for c, span in zip(comps, spans):
+        M[span, span] = dense_operator(c.ops)
+
+    def fields(w):
+        return {
+            c.name: np.ascontiguousarray(tensor.unvec(w[span], c.ops.shape))
+            for c, span in zip(comps, spans)
+        }
+
+    w = np.concatenate([tensor.vec(c.initial) for c in comps])
+    for _ in range(m):
+        states = fields(w)
+        gs = system.kinetics(states)
+        g = np.empty_like(w)
+        for c, span in zip(comps, spans):
+            G = -c.ops.decay * states[c.name]
+            G[c.ops.support] += gs[c.name]
+            g[span] = tensor.vec(G)
+        w = step_exact_ee_reference(M, w, g, t_star / m)
+    return fields(w)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _rotl(x: int, k: int) -> int:
+    return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+def next_uint64(rng: models.Xoshiro256pp) -> int:
+    """The scalar xoshiro256++ reference: the next output of ``rng``, whose
+    state moves one step, one Python integer at a time."""
+    s0, s1, s2, s3 = rng._state
+    result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
+    t = (s1 << 17) & _MASK64
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    s3 = _rotl(s3, 45)
+    rng._state = [s0, s1, s2, s3]
+    return result
 
 
 def plain_split_step(base: ComponentOps, tau: float, W: np.ndarray, G: np.ndarray) -> np.ndarray:

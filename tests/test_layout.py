@@ -17,22 +17,31 @@ def _references(tree: ast.AST):
             yield node.name, node
 
 
+def _definitions(tree: ast.Module):
+    """(qualified name, node) for every top-level function and class of a
+    module and every method of its classes but the dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for inner in node.body:
+                if isinstance(inner, ast.FunctionDef) and not inner.name.startswith("__"):
+                    yield f"{node.name}.{inner.name}", inner
+
+
 def test_every_top_level_definition_is_used_in_src():
     # code that only tests read belongs in tests/, so every top-level
-    # function and class of the package must be named somewhere in the
-    # package outside its own definition
+    # function and class of the package, and every method of its classes,
+    # must be named somewhere in the package outside its own definition
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     refs = [ref for tree in trees.values() for ref in _references(tree)]
     unused = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for qualified, node in _definitions(tree):
             own = {id(inner) for inner in ast.walk(node)}
             if not any(name == node.name and id(ref) not in own for name, ref in refs):
-                unused.append(f"{module}:{node.name}")
+                unused.append(f"{module}:{qualified}")
     assert unused == []
-
 
 
 def _enum_members(node: ast.AST):

@@ -16,7 +16,7 @@ from curvipat.integrators import (
     run_simulation,
     step_split,
 )
-from oracles import integral_mean, is_stabilized
+from oracles import integral_mean, is_stabilized, next_uint64
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ def test_rng_is_deterministic():
 def test_rng_golden_values_frozen():
     # regression guard: the stream is part of the package contract
     rng = models.Xoshiro256pp(1)
-    assert [rng.next_uint64() for _ in range(3)] == [
+    assert [next_uint64(rng) for _ in range(3)] == [
         14971601782005023387,
         13781649495232077965,
         1847458086238483744,
@@ -77,7 +77,7 @@ def test_rng_split_draws_continue_the_stream(a, b):
     assert split._state == whole._state
     # the scalar generator is the reference for both values and end state
     scalar = models.Xoshiro256pp(5)
-    expected = [(scalar.next_uint64() >> 11) * 2.0**-53 for _ in range(a + b)]
+    expected = [(next_uint64(scalar) >> 11) * 2.0**-53 for _ in range(a + b)]
     assert joined.tolist() == expected
     assert scalar._state == whole._state
 
@@ -95,7 +95,7 @@ def _lane_words(rng, n):
 def test_rng_raw_matches_scalar_reference():
     lanes, scalar = models.Xoshiro256pp(2**64 - 1), models.Xoshiro256pp(2**64 - 1)
     for n in (0, 1, 2, 255, 256, 257, 1000, 4097):
-        assert _lane_words(lanes, n).tolist() == [scalar.next_uint64() for _ in range(n)]
+        assert _lane_words(lanes, n).tolist() == [next_uint64(scalar) for _ in range(n)]
         assert lanes._state == scalar._state
     with pytest.raises(ValueError):
         lanes.uniform(-1)
@@ -120,13 +120,13 @@ def _scalar_draws(rng, kind, size):
     """size draws of one kind from the scalar generator alone, as an array;
     normal takes Box-Muller pairs, so an odd size consumes one more draw."""
     if kind == "raw":
-        return np.array([rng.next_uint64() for _ in range(size)], dtype=np.uint64)
+        return np.array([next_uint64(rng) for _ in range(size)], dtype=np.uint64)
     if kind == "uniform":
-        return np.array([(rng.next_uint64() >> 11) * 2.0**-53 for _ in range(size)])
+        return np.array([(next_uint64(rng) >> 11) * 2.0**-53 for _ in range(size)])
     z = []
     while len(z) < size:
-        u1 = ((rng.next_uint64() >> 11) + 1) * 2.0**-53
-        angle = (2.0 * math.pi) * ((rng.next_uint64() >> 11) * 2.0**-53)
+        u1 = ((next_uint64(rng) >> 11) + 1) * 2.0**-53
+        angle = (2.0 * math.pi) * ((next_uint64(rng) >> 11) * 2.0**-53)
         radius = math.sqrt(-2.0 * math.log(u1))
         z += [radius * math.cos(angle), radius * math.sin(angle)]
     return np.array(z[:size])
@@ -157,7 +157,7 @@ def test_rng_odd_normal_consumes_one_extra_draw():
     z_odd, z_even = odd.normal(257), even.normal(258)
     assert z_odd.tobytes() == z_even[:257].tobytes()
     assert odd._state == even._state
-    assert odd.next_uint64() == even.next_uint64()
+    assert next_uint64(odd) == next_uint64(even)
 
 
 def test_rng_normal_takes_log_cos_sin_from_libm(monkeypatch):
