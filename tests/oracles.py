@@ -6,11 +6,10 @@ exponential Euler step, one split step with nothing folded into its
 factors, one with every summand in its plain form, one split and one
 forward Euler step with a component's decay in its reaction term,
 classical exponential Euler steps of a whole system as one vector (the
-decays in its reaction term), the closed-form axial
-eigenpairs, the angular eigenpairs one frequency at a time, the scalar
-xoshiro256++ draw, a sample hook that collects integral-mean series, and
-the integral-mean, stabilization and amplitude checks of the acceptance
-criteria."""
+decays in its reaction term), the closed-form axial eigenpairs, the
+angular eigenpairs one frequency at a time, the scalar xoshiro256++ draw,
+a sample hook that collects integral-mean series, and the integral-mean,
+stabilization and amplitude checks of the acceptance criteria."""
 
 import math
 from dataclasses import replace

@@ -54,8 +54,8 @@ def test_an_expression_stops_the_job_before_any_step():
 
 def test_the_tests_job_runs_every_step_after_install():
     pytest.importorskip("yaml")
-    job = ci_local.load_workflow(TOOL.parent.parent / ".github/workflows/tier1.yml")["jobs"]["tests"]
-    assert [step["name"] for step in ci_local.steps_after_install(job)] == [
+    workflow = ci_local.load_workflow(ci_local.ROOT / ".github/workflows/tier1.yml")
+    assert [step["name"] for step in ci_local.steps_after_install(workflow["jobs"]["tests"])] == [
         "Console script",
         "Tier-1 tests",
         "Seed contract without AVX-512",
