@@ -296,7 +296,8 @@ def _relative_error(states: dict, reference: dict) -> float:
     total = 0.0
     for name, ref in reference.items():
         diff = np.linalg.norm(states[name] - ref)
-        total += (diff / np.linalg.norm(ref)) ** 2
+        if diff:  # a run equal to its reference adds 0, even a reference of 0
+            total += (diff / np.linalg.norm(ref)) ** 2
     return math.sqrt(total)
 
 
@@ -356,9 +357,15 @@ def cmd_converge(cfg: dict) -> dict:
                 entry["fe_diverged_at"] = exc.step
         table.append(entry)
 
-    logs_m = np.log([entry["m"] for entry in table])
-    logs_e = np.log([entry["err_split"] for entry in table])
-    slope = float(np.polyfit(logs_m, logs_e, 1)[0])
+    # log(err) needs every err_split finite and positive (nan fails both tests)
+    unfit = [str(entry["m"]) for entry in table if not 0 < entry["err_split"] < math.inf]
+    slope = None
+    slope_text = order = f"undefined, err_split is 0 or not finite at m = {', '.join(unfit)}"
+    if not unfit:
+        logs_m = np.log([entry["m"] for entry in table])
+        logs_e = np.log([entry["err_split"] for entry in table])
+        slope = float(np.polyfit(logs_m, logs_e, 1)[0])
+        slope_text, order = f"{slope:.4f}", f"{-slope:.4f}"
 
     header = ",".join(["m", *(column for column, _ in columns)])
 
@@ -371,8 +378,8 @@ def cmd_converge(cfg: dict) -> dict:
     print(header)
     for entry in table:
         print(row(entry, f"diverged@{entry.get('fe_diverged_at')}"))
-    print(f"least-squares slope of log(err) vs log(m): {slope:.4f}")
-    print(f"observed order: {-slope:.4f}")
+    print(f"least-squares slope of log(err) vs log(m): {slope_text}")
+    print(f"observed order: {order}")
 
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)

@@ -662,8 +662,8 @@ def _check_rounding_growth(components, t_star: float, spectral: bool) -> None:
                 raise ValueError(
                     f"component {c.name!r}: over t_star = {t_star:g} its diffusion "
                     f"coefficient {c.ops.coeff:.3g} would {' and '.join(failed)}; the "
-                    f"model constants (such as a tiny rho_star) scale diffusion beyond "
-                    f"double precision"
+                    f"model constants (such as a tiny rho_star) or a huge t_star scale "
+                    f"diffusion beyond double precision"
                 )
 
 

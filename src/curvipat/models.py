@@ -152,32 +152,35 @@ def eta4(params) -> float:
     return pre * e1 * (1.0 - z5) * (1.0 - e3 + e3 * z5) / (z5 * (1.0 + e3 * z5))
 
 
-def dib_kinetics(r, s, params, out=None) -> tuple[np.ndarray, np.ndarray]:
+def dib_kinetics(r, s, params, out=None, u=1.0, v=1.0) -> tuple[np.ndarray, np.ndarray]:
     """Electrodeposition (DIB) kinetics; eta4 comes from the constraint.
-    p = z2 (1 - s) r - z3 r^3 - z4 (s - z5) and
-    q = e1 (1 + e2 r) (1 - s) (1 - e3 (1 - s)) - eta4 s (1 + e3 s) (1 + e5 r).
-    ``out`` is (p, q, scratch)."""
+    p = z2 u (1 - s) r - z3 r^3 - z4 (s - z5) and
+    q = e1 v (1 + e2 r) (1 - s) (1 - e3 (1 - s)) - eta4 (1 + e5 r) s (1 + e3 s).
+    On the sphere the factors u and v are 1; on the cylinder's bottom disk
+    they are the bulk traces.  ``out`` is (p, q, scratch)."""
     z2, z3, z4, z5 = (params[k] for k in ("zeta2", "zeta3", "zeta4", "zeta5"))
     e1, e2, e3, e5 = (params[k] for k in ("eta1", "eta2", "eta3", "eta5"))
     p, q, t = out or _fields(np.shape(r), 3)
-    np.multiply(r, e2, out=q)
-    q += 1.0
-    q *= e1
+    np.multiply(v, e1, out=q)
+    np.multiply(r, e2, out=t)
+    t += 1.0
+    q *= t
     np.subtract(1.0, s, out=t)
     q *= t
     t *= e3
     np.subtract(1.0, t, out=t)
     q *= t
-    np.multiply(s, eta4(params), out=t)
+    np.multiply(r, e5, out=t)
+    t += 1.0
+    t *= eta4(params)
+    t *= s
     np.multiply(s, e3, out=p)
     p += 1.0
     t *= p
-    np.multiply(r, e5, out=p)
-    p += 1.0
-    t *= p
     q -= t
-    np.subtract(1.0, s, out=p)
-    p *= z2
+    np.multiply(u, z2, out=p)
+    np.subtract(1.0, s, out=t)
+    p *= t
     p *= r
     np.multiply(r, r, out=t)
     t *= r
@@ -226,48 +229,18 @@ def bs_cylinder_coupling(u_bottom, v_bottom, r, s, params, h_z: float, out=None)
 
     Returns (src_u, src_v, p, q); the sources are added on the z = 0 slice of
     the bulk reaction terms, p and q feed both the surface equations (times
-    zeta1) and the flux conditions:
-    p = z2 u (1 - s) r - z3 r^3 - z4 (s - z5),
-    q = e1 v (1 + e2 r) (1 - s) (1 - e3 (1 - s)) - eta4 (1 + e5 r) s (1 + e3 s).
+    zeta1) and the flux conditions.  p and q are :func:`dib_kinetics` with
+    the bulk traces u = u_bottom and v = v_bottom.
     ``out`` is (src_u, src_v, p, q, scratch).
     """
     if u_bottom.shape != r.shape or v_bottom.shape != s.shape:
         raise ValueError("bulk bottom slices and surface fields must share a grid")
-    z1 = params["zeta1"]
-    z2, z3, z4, z5 = (params[k] for k in ("zeta2", "zeta3", "zeta4", "zeta5"))
-    e1, e2, e3, e5 = (params[k] for k in ("eta1", "eta2", "eta3", "eta5"))
-    src_u, src_v, p, q, t = out or _fields(r.shape, 5)
-    np.multiply(v_bottom, e1, out=q)
-    np.multiply(r, e2, out=t)
-    t += 1.0
-    q *= t
-    np.subtract(1.0, s, out=t)
-    q *= t
-    t *= e3
-    np.subtract(1.0, t, out=t)
-    q *= t
-    np.multiply(r, e5, out=t)
-    t += 1.0
-    t *= eta4(params)
-    t *= s
-    np.multiply(s, e3, out=p)
-    p += 1.0
-    t *= p
-    q -= t
-    np.multiply(u_bottom, z2, out=p)
-    np.subtract(1.0, s, out=t)
-    p *= t
-    p *= r
-    np.multiply(r, r, out=t)
-    t *= r
-    t *= z3
-    p -= t
-    np.subtract(s, z5, out=t)
-    t *= z4
-    p -= t
+    src_u, src_v, *kinetics = out or _fields(r.shape, 5)
+    p, q = dib_kinetics(r, s, params, out=kinetics, u=u_bottom, v=v_bottom)
     # ghost coefficient of the axial stencil is 1/h^2; the v-source keeps the
     # bulk diffusion coefficient because its flux condition fixes the plain
     # normal derivative.
+    z1 = params["zeta1"]
     np.multiply(p, -(2.0 / h_z) * z1 * params["alpha3"], out=src_u)
     np.multiply(q, -(2.0 / h_z) * z1 * params["beta3"] * params["delta"], out=src_v)
     return src_u, src_v, p, q

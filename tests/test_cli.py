@@ -228,6 +228,13 @@ def test_bad_settings_exit_2_with_their_message(tmp_path, capsys):
          "the rho operator's symmetrized off-diagonals must be finite and positive"),
         ([*run, "--set", "heatmap=maybe"], "bad value for heatmap: 'maybe'"),
         ([*run, "--n-rho", "1"], "n_rho must be at least 2"),
+        # published constants, but a t_star that scales diffusion beyond
+        # double precision
+        ([*run, "--tstar", "1e300"],
+         "component 'u': over t_star = 1e+300 its diffusion coefficient 0.00387 would "
+         "add up the rounding of its diffusion term to 2.11e+283 of the fields (at most "
+         "0.001); the model constants (such as a tiny rho_star) or a huge t_star scale "
+         "diffusion beyond double precision"),
         ([*converge, "--m-list", "2,4", "--m-ref", "8"],
          "reference step count must be at least 4x max(m_list)"),
     ]
@@ -519,6 +526,42 @@ def test_converge_divergence_names_the_run_and_its_m(capsys):
     assert capsys.readouterr().err == (
         "error: reference run with m = 16: component 'u' diverged at step 2\n"
     )
+
+
+def test_converge_counts_a_component_equal_to_its_reference_as_0(capsys):
+    # with the bulk decoupled, u and v stay at their equilibrium, lifted to 0
+    # in every run and in the reference: their relative error is 0, not 0/0
+    argv = ("converge", "--model", "bsdib_cylinder", "--n-rho", "4", "--n-theta", "6",
+            "--n-z", "4", "--tstar", "0.01", "--m-list", "2,4",
+            "--set", "params.alpha3=0", "--set", "params.beta3=0")
+    assert run_cli(*argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "m,err_split"
+    errors = [float(line.split(",")[1]) for line in lines[1:3]]
+    assert all(0 < e < math.inf for e in errors)
+    assert 0.5 < float(lines[-1].removeprefix("observed order: ")) < 2.0
+
+
+def test_converge_without_a_positive_error_leaves_the_order_undefined(tmp_path, capsys):
+    # over t_star = 1e-30 every run equals the reference: log(0) has no slope
+    out = tmp_path / "c"
+    cfg = {
+        "model": "bvam_disk", "n_rho": 4, "n_theta": 6, "tstar": 1e-30,
+        "m_list": [1, 2], "seed": 1, "out": str(out), "overrides": {},
+    }
+    result = cli.cmd_converge(cfg)
+    assert result["slope"] is None
+    assert [e["err_split"] for e in result["table"]] == [0.0, 0.0]
+    undefined = "undefined, err_split is 0 or not finite at m = 1, 2"
+    assert capsys.readouterr().out.splitlines() == [
+        "m,err_split", "1,0", "2,0",
+        f"least-squares slope of log(err) vs log(m): {undefined}",
+        f"observed order: {undefined}",
+    ]
+    assert (out / "convergence.csv").read_text() == "m,err_split\n1,0\n2,0\n"
+    argv = ("converge", "--model", "bvam_disk", "--n-rho", "4", "--n-theta", "6",
+            "--tstar", "1e-30", "--m-list", "1,2")
+    assert run_cli(*argv) == 0
 
 
 def test_converge_skips_dense_over_cap_with_notice(capsys):

@@ -518,7 +518,10 @@ def test_linear_step_never_expands_any_state():
 # the ball's increments of about 1e-4 on fields of about 1 lose those
 # roundings in the sum, so its digest stayed.  The cylinder's alone was
 # re-recorded when its bulk decay moved into M W
-# (test_cylinder_decay_in_m_w_equals_the_unfolded_oracle bounds the change).
+# (test_cylinder_decay_in_m_w_equals_the_unfolded_oracle bounds the change),
+# and the sphere's alone when it took the cylinder's DIB kinetics, with
+# u = v = 1, which re-associates its eta4 (1 + e5 r) s (1 + e3 s) product
+# (test_kinetics_helpers_match_expressions_bitwise pins the formula).
 GOLDEN_RUNS = {
     "bvam_disk": (
         {"n_rho": 24, "n_theta": 128}, 0.5,
@@ -530,7 +533,7 @@ GOLDEN_RUNS = {
     ),
     "dib_sphere": (
         {"n_theta": 128, "n_phi": 18}, 0.01,
-        "c783fa24d2cba1e0ac13a0f087a064062bef0bfe250046cfb9e78bc5280f8b9d",
+        "370d414f9b6f534469f237137ffc224977df78c5def51c3c67358abbcd73c3ba",
     ),
     "bulk_surface_schnakenberg_ball": (
         {"n_rho": 18, "n_theta": 8, "n_phi": 6}, 1e-3,

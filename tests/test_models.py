@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -285,9 +286,9 @@ def test_an_axis_operator_that_cannot_be_symmetrized_is_bad_input():
 # changes the run even where the defaults are equal (the ball's delta and
 # epsilon, zeta2 and zeta3, eta1 and eta2).  Digest: SHA-256 of the final
 # fields' bytes after 5 steps, in component order.  Re-recorded, all but the
-# ball's, when tau moved into the first-applied phi1, and the cylinder's
-# again when its bulk decay moved into M W (see GOLDEN_RUNS in
-# test_integrators.py).
+# ball's, when tau moved into the first-applied phi1, the cylinder's
+# again when its bulk decay moved into M W, and the sphere's when it took
+# the cylinder's DIB kinetics (see GOLDEN_RUNS in test_integrators.py).
 _ROUTING_RUNS = {
     "bvam_disk": (
         {"n_rho": 5, "n_theta": 8}, 0.5,
@@ -299,7 +300,7 @@ _ROUTING_RUNS = {
     ),
     "dib_sphere": (
         {"n_theta": 8, "n_phi": 5}, 0.01,
-        "5ff7efd6392f22c141bbf92da1f1f74a3d87f06d6ef1ca97d5c24decde9c3a7b",
+        "0ea20dd5659947185c3d392556934ecf155f72c478f8e46260a5a56590d9919e",
     ),
     "bulk_surface_schnakenberg_ball": (
         {"n_rho": 4, "n_theta": 6, "n_phi": 4}, 1e-3,
@@ -363,6 +364,23 @@ def test_memory_check_counts_the_kinetics_buffers(name):
     result = system.kinetics({c.name: c.initial for c in system.components})
     shapes = models.component_shapes(name, dims)
     assert models.MODELS[name].buffer_bytes(shapes) == sum(b.nbytes for b in result.buffers)
+
+
+@pytest.mark.parametrize("name", list(models.ModelName))
+def test_kinetics_reuse_a_held_result_and_let_a_dropped_one_go(name):
+    # while the caller holds a result, the next call returns it again,
+    # computed in the same arrays; once the caller drops it, nothing else
+    # holds it
+    system = models.build_system(name, _ROUTING_RUNS[name.value][0], seed=1)
+    states = {c.name: c.initial for c in system.components}
+    held = system.kinetics(states)
+    arrays = list(held.values())
+    again = system.kinetics(states)
+    assert again is held
+    assert all(a is b for a, b in zip(again.values(), arrays, strict=True))
+    dropped = weakref.ref(held)
+    del held, again
+    assert dropped() is None
 
 
 @pytest.mark.parametrize("name", list(models.ModelName))
@@ -498,12 +516,6 @@ def _expression_kinetics(name, u, v, r, s, p, h):
         return p["alpha2"] - u + uuv, p["beta1"] - uuv
     z1, z2, z3, z4, z5 = (p.get(f"zeta{k}") for k in range(1, 6))
     e1, e2, e3, e5 = (p.get(f"eta{k}") for k in (1, 2, 3, 5))
-    if name == "dib":
-        return (
-            z2 * (1.0 - s) * r - z3 * (r * r * r) - z4 * (s - z5),
-            e1 * (1.0 + e2 * r) * (1.0 - s) * (1.0 - e3 * (1.0 - s))
-            - models.eta4(p) * s * (1.0 + e3 * s) * (1.0 + e5 * r),
-        )
     if name == "ball":
         edge = 1.3
         ghost = 1.0 / h**2 + 1.0 / (edge * h)
@@ -514,10 +526,15 @@ def _expression_kinetics(name, u, v, r, s, p, h):
             b - (z2 * r - z3 * u),
             c - (e1 * s - e2 * v),
         )
+    # one DIB formula: the sphere's is the cylinder's with u = v = 1
+    if name == "dib":
+        u = v = 1.0
     pr = z2 * u * (1.0 - s) * r - z3 * (r * r * r) - z4 * (s - z5)
     qs = e1 * v * (1.0 + e2 * r) * (1.0 - s) * (1.0 - e3 * (1.0 - s)) - models.eta4(p) * (
         1.0 + e5 * r
     ) * s * (1.0 + e3 * s)
+    if name == "dib":
+        return pr, qs
     return (
         -(2.0 / h) * z1 * p["alpha3"] * pr,
         -(2.0 / h) * z1 * p["beta3"] * p["delta"] * qs,
