@@ -406,47 +406,56 @@ def cmd_props(cfg: dict) -> list[dict]:
     if max(n_list) > 2048:
         raise UsageError("property report capped at n = 2048")
     constants = _PROP_CONSTANTS | overrides
-    exp_times = (0.1, 1.0, 10.0)
+    for key in ("rho_star", "z_star"):
+        if not (math.isfinite(constants[key]) and constants[key] > 0):
+            raise UsageError(f"{key} must be finite and positive, got {constants[key]!r}")
+    if not math.isfinite(constants["lambda"]):
+        raise UsageError(f"lambda must be finite, got {constants['lambda']!r}")
     rows = []
     for n in n_list:
         try:
-            op = _PROP_BUILDERS[kind](n, constants)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        row: dict = {"n": n}
-        if kind == "theta":
-            row["extra_diag_positive"] = op.off > 0
-            row["max_abs_rowsum"] = 0.0
-            lambdas = op.lambdas  # closed form; the report needs no eigenvectors
-            row["xi_inv_norm"] = 1.0
-            row["xi_inv_closed_form"] = 1.0
-        else:
-            row["extra_diag_positive"] = bool(np.all(op.b > 0) and np.all(op.c > 0))
-            sums = op.row_sums()
-            zero_rows = sums[:-1] if kind in ("z", "lambda") else sums
-            row["max_abs_rowsum"] = float(np.max(np.abs(zero_rows)))
-            xi, _ = symmetrize(op)
-            lambdas = eig_tridiag(op).lambdas
-            row["xi_inv_norm"] = float(np.max(1.0 / xi))
-            if kind == "rho2":
-                row["xi_inv_closed_form"] = math.sqrt(2 * n - 3)
-            elif kind == "rho3":
-                row["xi_inv_closed_form"] = float(n - 1)
-            elif kind == "z":
-                row["xi_cond"] = float(np.max(xi) / np.min(xi))
-                row["xi_cond_closed_form"] = math.sqrt(2.0)
-        row["max_eigenvalue"] = float(np.max(lambdas))
-        if n <= 64:
-            row["exp_min_entry"] = min(
-                matrix_exp_nonneg_check(op, t) for t in exp_times
-            )
-        rows.append(row)
+            # numpy's overflow and division by zero raise here, as Python's do
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                rows.append(_operator_row(kind, n, constants))
+        except (ValueError, ArithmeticError) as exc:
+            raise UsageError(f"bad constants for the {kind} operator at n = {n}: {exc}") from exc
 
     columns = sorted({key for row in rows for key in row}, key=lambda k: (k != "n", k))
     print(",".join(columns))
     for row in rows:
         print(",".join(_format_cell(row.get(col)) for col in columns))
     return rows
+
+
+def _operator_row(kind: str, n: int, constants: dict) -> dict:
+    """One row of the property report: the operator of this kind and size."""
+    op = _PROP_BUILDERS[kind](n, constants)
+    row: dict = {"n": n}
+    if kind == "theta":
+        row["extra_diag_positive"] = op.off > 0
+        row["max_abs_rowsum"] = 0.0
+        lambdas = op.lambdas  # closed form; the report needs no eigenvectors
+        row["xi_inv_norm"] = 1.0
+        row["xi_inv_closed_form"] = 1.0
+    else:
+        row["extra_diag_positive"] = bool(np.all(op.b > 0) and np.all(op.c > 0))
+        sums = op.row_sums()
+        zero_rows = sums[:-1] if kind in ("z", "lambda") else sums
+        row["max_abs_rowsum"] = float(np.max(np.abs(zero_rows)))
+        xi, _ = symmetrize(op)
+        lambdas = eig_tridiag(op).lambdas
+        row["xi_inv_norm"] = float(np.max(1.0 / xi))
+        if kind == "rho2":
+            row["xi_inv_closed_form"] = math.sqrt(2 * n - 3)
+        elif kind == "rho3":
+            row["xi_inv_closed_form"] = float(n - 1)
+        elif kind == "z":
+            row["xi_cond"] = float(np.max(xi) / np.min(xi))
+            row["xi_cond_closed_form"] = math.sqrt(2.0)
+    row["max_eigenvalue"] = float(np.max(lambdas))
+    if n <= 64:
+        row["exp_min_entry"] = min(matrix_exp_nonneg_check(op, t) for t in (0.1, 1.0, 10.0))
+    return row
 
 
 def _format_cell(value) -> str:

@@ -713,13 +713,13 @@ def run_simulation(
     ``step(states, gs)`` that advances every component in place; the table
     also says whether the scheme steps in the eigenbasis, which
     :func:`_check_rounding_growth` needs.  Each time step evaluates the
-    kinetics of all components from the common state at t_n, holds that
-    result while the scheme steps (the evaluator reuses its buffers only
-    while its last result is held), then runs the divergence guard and
-    the samples; the kinetics' outputs must not share memory with the
-    states.  ``sample_hook(step, t, states)``, with t = step tau, is called
-    at step 0, every ``record_every`` steps (a positive count; default m),
-    and at the final step; it must copy what it keeps of the states.
+    kinetics of all components from the common state at t_n, into
+    buffers the system owns, which the next step's kinetics overwrite;
+    then the scheme steps, and the divergence guard and the samples run.
+    The kinetics' outputs must not share memory with the states.
+    ``sample_hook(step, t, states)``, with t = step tau, is called at step
+    0, every ``record_every`` steps (a positive count; default m), and at
+    the final step; it must copy what it keeps of the states.
     Non-finite or absurdly large field values abort with a DivergenceError
     naming the step; before any step, :func:`_check_rounding_growth`
     rejects constants under which rounding alone would make one.

@@ -16,16 +16,15 @@ Adding a model takes a :class:`ModelName` member, one record whose
 ``name`` is that member and one reaction function, which may share the
 kinetics helpers below.
 
-The kinetics evaluator writes into arrays of its own, which share no memory
-with the states it is given.  While the caller holds the dict one call
-returned, the next call overwrites its arrays; a dropped result frees them.
+The kinetics evaluator writes into buffers that its system owns, which
+share no memory with the states it is given; each call overwrites the
+arrays the last call returned.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
@@ -89,24 +88,20 @@ class ModelName(Enum):
 # ---------------------------------------------------------------------------
 
 
-def _fields(shape, k: int) -> tuple[np.ndarray, ...]:
-    return tuple(np.empty(shape) for _ in range(k))
-
-
 # The kinetics helpers below write into ``out``, a tuple of C-contiguous
-# arrays of the inputs' shape sharing no memory with the inputs, or into new
-# arrays when it is None.  Each applies its formula one ufunc at a time, in
-# the formula's order of operations, so both give the same bits.
+# arrays of the inputs' shape sharing no memory with the inputs.  Each
+# applies its formula one ufunc at a time, in the formula's order of
+# operations, so it gives the bits of the formula as numpy expressions.
 
 
-def bvam_kinetics(u, v, params, out=None) -> tuple[np.ndarray, np.ndarray]:
+def bvam_kinetics(u, v, params, out) -> tuple[np.ndarray, np.ndarray]:
     """Cubic activator-inhibitor kinetics of the BVAM system:
     b = a1 u (1 - a2 v^2) + v (1 - a3 u) and
     c = b1 v (1 + (a1 a2 / b1) u v) + u (b2 + a3 v).
     ``out`` is (b, c, scratch)."""
     a1, a2, a3 = params["alpha1"], params["alpha2"], params["alpha3"]
     b1, b2 = params["beta1"], params["beta2"]
-    b, c, t = out or _fields(np.shape(u), 3)
+    b, c, t = out
     np.multiply(u, a1, out=b)
     np.square(v, out=t)
     t *= a2
@@ -128,10 +123,10 @@ def bvam_kinetics(u, v, params, out=None) -> tuple[np.ndarray, np.ndarray]:
     return b, c
 
 
-def schnakenberg_kinetics(u, v, params, out=None) -> tuple[np.ndarray, np.ndarray]:
+def schnakenberg_kinetics(u, v, params, out) -> tuple[np.ndarray, np.ndarray]:
     """Schnakenberg production kinetics (unscaled): alpha2 - u + u^2 v and
     beta1 - u^2 v.  ``out`` is (b, c)."""
-    b, c = out or _fields(np.shape(u), 2)
+    b, c = out
     np.multiply(u, u, out=c)
     c *= v
     np.subtract(params["alpha2"], u, out=b)
@@ -152,7 +147,7 @@ def eta4(params) -> float:
     return pre * e1 * (1.0 - z5) * (1.0 - e3 + e3 * z5) / (z5 * (1.0 + e3 * z5))
 
 
-def dib_kinetics(r, s, params, out=None, u=1.0, v=1.0) -> tuple[np.ndarray, np.ndarray]:
+def dib_kinetics(r, s, params, out, u=1.0, v=1.0) -> tuple[np.ndarray, np.ndarray]:
     """Electrodeposition (DIB) kinetics; eta4 comes from the constraint.
     p = z2 u (1 - s) r - z3 r^3 - z4 (s - z5) and
     q = e1 v (1 + e2 r) (1 - s) (1 - e3 (1 - s)) - eta4 (1 + e5 r) s (1 + e3 s).
@@ -160,7 +155,7 @@ def dib_kinetics(r, s, params, out=None, u=1.0, v=1.0) -> tuple[np.ndarray, np.n
     they are the bulk traces.  ``out`` is (p, q, scratch)."""
     z2, z3, z4, z5 = (params[k] for k in ("zeta2", "zeta3", "zeta4", "zeta5"))
     e1, e2, e3, e5 = (params[k] for k in ("eta1", "eta2", "eta3", "eta5"))
-    p, q, t = out or _fields(np.shape(r), 3)
+    p, q, t = out
     np.multiply(v, e1, out=q)
     np.multiply(r, e2, out=t)
     t += 1.0
@@ -192,9 +187,7 @@ def dib_kinetics(r, s, params, out=None, u=1.0, v=1.0) -> tuple[np.ndarray, np.n
     return p, q
 
 
-def bulk_surface_coupling_ball(
-    u_trace, v_trace, r, s, params, h_rho: float, rho_edge: float, out=None
-):
+def bulk_surface_coupling_ball(u_trace, v_trace, r, s, params, h_rho: float, rho_edge: float, out):
     """Robin-flux sources for the bulk components of the ball model plus the
     surface kinetics.
 
@@ -210,7 +203,7 @@ def bulk_surface_coupling_ball(
         raise ValueError("bulk traces and surface fields must share a grid")
     z1, z2, z3 = params["zeta1"], params["zeta2"], params["zeta3"]
     e1, e2 = params["eta1"], params["eta2"]
-    src_u, src_v, p, q, t = out or _fields(r.shape, 5)
+    src_u, src_v, p, q, t = out
     ghost = 1.0 / h_rho**2 + 1.0 / (rho_edge * h_rho)  # (d-1)/(2 rho h), d = 3
     scale = 2.0 * h_rho * ghost
     schnakenberg_kinetics(r, s, params, out=(p, q))
@@ -224,7 +217,7 @@ def bulk_surface_coupling_ball(
     return src_u, src_v, p, q
 
 
-def bs_cylinder_coupling(u_bottom, v_bottom, r, s, params, h_z: float, out=None):
+def bs_cylinder_coupling(u_bottom, v_bottom, r, s, params, h_z: float, out):
     """Bottom-disk flux sources and surface kinetics of the cylinder model.
 
     Returns (src_u, src_v, p, q); the sources are added on the z = 0 slice of
@@ -235,7 +228,7 @@ def bs_cylinder_coupling(u_bottom, v_bottom, r, s, params, h_z: float, out=None)
     """
     if u_bottom.shape != r.shape or v_bottom.shape != s.shape:
         raise ValueError("bulk bottom slices and surface fields must share a grid")
-    src_u, src_v, *kinetics = out or _fields(r.shape, 5)
+    src_u, src_v, *kinetics = out
     p, q = dib_kinetics(r, s, params, out=kinetics, u=u_bottom, v=v_bottom)
     # ghost coefficient of the axial stencil is 1/h^2; the v-source keeps the
     # bulk diffusion coefficient because its flux condition fixes the plain
@@ -607,8 +600,8 @@ def build_system(
     without finite, positive symmetrized off-diagonals, are a
     ``ValueError``, like the other bad constants.
 
-    The evaluator returns a dict of arrays that its next call overwrites
-    while the caller still holds that dict (see :func:`_reusing`).
+    The evaluator computes in kinetics buffers that the system allocates
+    once, so each call overwrites the arrays the last call returned.
     """
     if not isinstance(model, Model):
         model = model_spec(model)
@@ -665,10 +658,8 @@ def build_system(
         else:
             field = np.subtract(initial[name], lifts[name], out=initial[name])
         components.append(SystemComponent(name, ops, field, lifts[name]))
-    shapes = {c.name: c.ops.shape for c in components}
-    return CoupledSystem(
-        model, components, _reusing(lambda: model.allocate(shapes), compute), eq
-    )
+    buffers = model.allocate({c.name: c.ops.shape for c in components})
+    return CoupledSystem(model, components, lambda states: compute(states, buffers), eq)
 
 
 def _check_kinetics(model: Model, eq: dict, lifts: dict, compute) -> None:
@@ -691,33 +682,6 @@ def _check_kinetics(model: Model, eq: dict, lifts: dict, compute) -> None:
                     f"the model constants make the kinetics of {name!r} non-finite "
                     f"at {shift:+g} from the equilibrium"
                 )
-
-
-class _Reaction(dict):
-    """What a kinetics evaluator returns: the reaction term per component.
-    ``buffers`` holds every array it was computed in."""
-
-
-def _reusing(allocate, compute) -> Callable[[dict[str, np.ndarray]], dict]:
-    """The one-argument kinetics evaluator: ``compute(states, buffers)``
-    returns the reaction terms, computed in ``buffers``.  While the caller
-    still holds the last result, the next call computes in its buffers
-    again, overwriting it, so that a run loop allocates no field; once the
-    caller drops it, the buffers go with it, and the next call takes new
-    ones from ``allocate()``."""
-    last = None  # weak reference to the last result
-
-    def kinetics(states):
-        nonlocal last
-        result = None if last is None else last()
-        if result is None:
-            result = _Reaction()
-            result.buffers = allocate()
-            last = weakref.ref(result)
-        result.update(compute(states, result.buffers))
-        return result
-
-    return kinetics
 
 
 def _check_memory(model: Model, dims: dict[str, int]) -> int:

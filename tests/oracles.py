@@ -8,8 +8,9 @@ forward Euler step with a component's decay in its reaction term,
 classical exponential Euler steps of a whole system as one vector (the
 decays in its reaction term), the closed-form axial eigenpairs, the
 angular eigenpairs one frequency at a time, the scalar xoshiro256++ draw,
-a sample hook that collects integral-mean series, and the integral-mean,
-stabilization and amplitude checks of the acceptance criteria."""
+a sample hook that collects integral-mean series, the integral-mean,
+stabilization and amplitude checks of the acceptance criteria, and new
+``out`` arrays for a kinetics helper."""
 
 import math
 from dataclasses import replace
@@ -400,3 +401,9 @@ def pattern_amplitude(system: models.CoupledSystem, states: dict, name: str):
     else:
         scale = 0.0
     return float(np.std(states[name])), 10.0 * scale
+
+
+def kinetics_out(shape: tuple[int, ...], k: int) -> tuple[np.ndarray, ...]:
+    """k new arrays of this shape: the ``out`` of a kinetics helper called
+    outside a system, which owns the buffers it passes."""
+    return tuple(np.empty(shape) for _ in range(k))

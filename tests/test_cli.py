@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -597,6 +598,33 @@ def test_props_closed_forms():
     assert row["max_abs_rowsum"] <= 1e-12 * 2 / op.build_phi_op(16).h ** 2
     assert row["max_eigenvalue"] <= 1e-10
     assert row["exp_min_entry"] >= -1e-12
+
+
+_BAD_PROPS_CONSTANTS = [
+    ("rho2", "params.rho_star=1e300", "bad constants for the rho2 operator at n = 8"),
+    ("rho2", "params.rho_star=1e-300", "bad constants for the rho2 operator at n = 8"),
+    ("rho3", "params.rho_star=1e-300", "bad constants for the rho3 operator at n = 8"),
+    ("z", "params.z_star=1e-300", "bad constants for the z operator at n = 8"),
+    ("z", "params.z_star=inf", "z_star must be finite and positive, got inf"),
+    ("z", "params.z_star=nan", "z_star must be finite and positive, got nan"),
+    ("rho2", "params.rho_star=nan", "rho_star must be finite and positive, got nan"),
+    ("lambda", "params.rho_star=nan", "rho_star must be finite and positive, got nan"),
+    ("rho2", "params.rho_star=inf", "rho_star must be finite and positive, got inf"),
+    ("lambda", "params.lambda=nan", "lambda must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, setting, message",
+    _BAD_PROPS_CONSTANTS,
+    ids=[f"{kind}-{setting.removeprefix('params.')}" for kind, setting, _ in _BAD_PROPS_CONSTANTS],
+)
+def test_props_rejects_bad_constants_with_exit_2(kind, setting, message, capsys):
+    # no traceback, no numerical-failure exit 4 and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("props", "--kind", kind, "--n-list", "8", "--set", setting) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_props_via_main(capsys):

@@ -1,8 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 import types
-import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from curvipat.integrators import (
     run_simulation,
     step_split,
 )
-from oracles import integral_mean, is_stabilized, next_uint64
+from oracles import integral_mean, is_stabilized, kinetics_out, next_uint64
 
 
 # ---------------------------------------------------------------------------
@@ -357,30 +357,76 @@ def test_scaling_any_one_constant_changes_the_system(name):
         assert _system_fingerprint(models.build_system(spec, dims, seed=3)) != base, key
 
 
+# dims at which every kinetics buffer holds 4,096 values, far more than a
+# kinetics call's own small objects take
+_BUFFER_DIMS = {
+    models.ModelName.BVAM_DISK: {"n_rho": 64, "n_theta": 64},
+    models.ModelName.SCHNAKENBERG_ANOMALOUS_DISK: {"n_rho": 64, "n_theta": 64},
+    models.ModelName.DIB_SPHERE: {"n_theta": 64, "n_phi": 64},
+    models.ModelName.BULK_SURFACE_SCHNAKENBERG_BALL: {"n_rho": 8, "n_theta": 64, "n_phi": 64},
+    models.ModelName.BSDIB_CYLINDER: {"n_rho": 64, "n_theta": 64, "n_z": 4},
+}
+
+
+def _random_states(system) -> dict[str, np.ndarray]:
+    gen = np.random.RandomState(35)
+    return {c.name: gen.rand(*c.ops.shape) for c in system.components}
+
+
 @pytest.mark.parametrize("name", list(models.ModelName))
-def test_memory_check_counts_the_kinetics_buffers(name):
-    dims = _ROUTING_RUNS[name.value][0]
+def test_memory_check_counts_the_kinetics_buffers(name, monkeypatch):
+    # the memory check counts what Model.allocate returns, and the system
+    # computes its kinetics in the buffers that allocate gave it last
+    allocated = []
+
+    def allocate(model, shapes, _allocate=models.Model.allocate):
+        allocated.append(_allocate(model, shapes))
+        return allocated[-1]
+
+    monkeypatch.setattr(models.Model, "allocate", allocate)
+    dims = _BUFFER_DIMS[name]
     system = models.build_system(name, dims, seed=1)
-    result = system.kinetics({c.name: c.initial for c in system.components})
     shapes = models.component_shapes(name, dims)
-    assert models.MODELS[name].buffer_bytes(shapes) == sum(b.nbytes for b in result.buffers)
+    buffers = allocated[-1]
+    assert [b.shape for b in buffers] == [shapes[c] for c in models.MODELS[name].buffers]
+    assert models.MODELS[name].buffer_bytes(shapes) == sum(b.nbytes for b in buffers)
+    for G in system.kinetics(_random_states(system)).values():
+        assert any(np.shares_memory(G, b) for b in buffers)
 
 
 @pytest.mark.parametrize("name", list(models.ModelName))
-def test_kinetics_reuse_a_held_result_and_let_a_dropped_one_go(name):
-    # while the caller holds a result, the next call returns it again,
-    # computed in the same arrays; once the caller drops it, nothing else
-    # holds it
-    system = models.build_system(name, _ROUTING_RUNS[name.value][0], seed=1)
-    states = {c.name: c.initial for c in system.components}
-    held = system.kinetics(states)
-    arrays = list(held.values())
-    again = system.kinetics(states)
-    assert again is held
-    assert all(a is b for a, b in zip(again.values(), arrays, strict=True))
-    dropped = weakref.ref(held)
-    del held, again
-    assert dropped() is None
+def test_kinetics_reuse_the_buffers_their_system_owns(name):
+    # a second call computes in the arrays of the first, though the caller
+    # dropped the first result; another system from the same model has
+    # buffers of its own; no result shares memory with the states
+    system = models.build_system(name, _BUFFER_DIMS[name], seed=1)
+    states = _random_states(system)
+    first = list(system.kinetics(states).values())
+    second = list(system.kinetics(states).values())
+    assert all(np.shares_memory(G, H) for G, H in zip(first, second, strict=True))
+    other = models.build_system(name, _BUFFER_DIMS[name], seed=1)
+    theirs = other.kinetics(states).values()
+    assert not any(np.shares_memory(G, H) for G in second for H in theirs)
+    for G in (*second, *theirs):
+        assert not any(np.shares_memory(G, W) for W in states.values())
+
+
+@pytest.mark.parametrize("name", list(models.ModelName))
+def test_first_kinetics_call_allocates_less_than_one_buffer(name):
+    # the system allocated its buffers when it was built, so even its
+    # first kinetics call takes none
+    dims = _BUFFER_DIMS[name]
+    system = models.build_system(name, dims, seed=1)
+    states = _random_states(system)
+    shapes = models.component_shapes(name, dims)
+    smallest = min(b.nbytes for b in models.MODELS[name].allocate(shapes))
+    tracemalloc.start()
+    try:
+        system.kinetics(states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < smallest
 
 
 @pytest.mark.parametrize("name", list(models.ModelName))
@@ -417,13 +463,13 @@ def test_dib_eta4_is_recomputed_not_stored():
 
 def test_bvam_kinetics_values():
     p = models.model_spec("bvam_disk").params
-    b, c = models.bvam_kinetics(np.array(0.0), np.array(0.0), p)
+    b, c = models.bvam_kinetics(np.array(0.0), np.array(0.0), p, kinetics_out((), 3))
     assert b == 0.0 and c == 0.0
-    b, c = models.bvam_kinetics(np.array(1.0), np.array(0.0), p)
+    b, c = models.bvam_kinetics(np.array(1.0), np.array(0.0), p, kinetics_out((), 3))
     assert b == pytest.approx(0.899, rel=1e-15)
     assert c == pytest.approx(-0.899, rel=1e-15)
     u = np.linspace(-2, 2, 7)
-    b, _ = models.bvam_kinetics(u, np.zeros(7), p)
+    b, _ = models.bvam_kinetics(u, np.zeros(7), p, kinetics_out(u.shape, 3))
     assert np.array_equal(b, p["alpha1"] * u)
 
 
@@ -433,19 +479,19 @@ def test_schnakenberg_kinetics_values():
     ve = p["beta1"] / ue**2
     assert ue == pytest.approx(1.48, rel=1e-15)
     assert ve == pytest.approx(0.6117604090576334, rel=1e-13)
-    b, c = models.schnakenberg_kinetics(np.array(ue), np.array(ve), p)
+    b, c = models.schnakenberg_kinetics(np.array(ue), np.array(ve), p, kinetics_out((), 2))
     assert abs(b) <= 1e-13 and abs(c) <= 1e-13
-    b, c = models.schnakenberg_kinetics(np.array(0.0), np.array(0.0), p)
+    b, c = models.schnakenberg_kinetics(np.array(0.0), np.array(0.0), p, kinetics_out((), 2))
     assert b == p["alpha2"] and c == p["beta1"]
 
 
 def test_dib_kinetics_values():
     p = models.model_spec("dib_sphere").params
-    pr, qs = models.dib_kinetics(np.array(0.0), np.array(p["zeta5"]), p)
+    pr, qs = models.dib_kinetics(np.array(0.0), np.array(p["zeta5"]), p, kinetics_out((), 3))
     assert abs(pr) <= 1e-13 and abs(qs) <= 1e-13
-    pr, _ = models.dib_kinetics(np.array(1.0), np.array(0.5), p)
+    pr, _ = models.dib_kinetics(np.array(1.0), np.array(0.5), p, kinetics_out((), 3))
     assert pr == pytest.approx(10 * 0.5 * 1 - 1.0, rel=1e-14)  # = 4
-    _, qs = models.dib_kinetics(np.array(0.0), np.array(0.0), p)
+    _, qs = models.dib_kinetics(np.array(0.0), np.array(0.0), p, kinetics_out((), 3))
     assert qs == pytest.approx(p["eta1"] * (1 - p["eta3"]), rel=1e-14)  # = 4
 
 
@@ -463,20 +509,22 @@ def test_dib_eta4_constraint_over_random_parameters():
             "eta3": rng.uniform(0.05, 0.9),
             "eta5": rng.uniform(0.5, 3),
         }
-        _, qs = models.dib_kinetics(np.array(0.0), np.array(p["zeta5"]), p)
+        _, qs = models.dib_kinetics(np.array(0.0), np.array(p["zeta5"]), p, kinetics_out((), 3))
         assert abs(qs) <= 1e-13 * max(1.0, p["eta1"])
 
 
 def test_unscaled_kinetics_vanish_at_equilibria():
     p = models.model_spec("bvam_disk").params
-    b, c = models.bvam_kinetics(np.array(0.0), np.array(0.0), p)
+    b, c = models.bvam_kinetics(np.array(0.0), np.array(0.0), p, kinetics_out((), 3))
     assert abs(b) <= 1e-13 and abs(c) <= 1e-13
     p = models.model_spec("schnakenberg_anomalous_disk").params
     ue = p["alpha2"] + p["beta1"]
-    b, c = models.schnakenberg_kinetics(np.array(ue), np.array(p["beta1"] / ue**2), p)
+    b, c = models.schnakenberg_kinetics(
+        np.array(ue), np.array(p["beta1"] / ue**2), p, kinetics_out((), 2)
+    )
     assert abs(b) <= 1e-13 and abs(c) <= 1e-13
     p = models.model_spec("dib_sphere").params
-    pr, qs = models.dib_kinetics(np.array(0.0), np.array(p["zeta5"]), p)
+    pr, qs = models.dib_kinetics(np.array(0.0), np.array(p["zeta5"]), p, kinetics_out((), 3))
     assert abs(pr) <= 1e-13 and abs(qs) <= 1e-13
 
 
@@ -545,8 +593,8 @@ def _expression_kinetics(name, u, v, r, s, p, h):
 
 @pytest.mark.parametrize("name", ["bvam", "schnakenberg", "dib", "ball", "cylinder"])
 def test_kinetics_helpers_match_expressions_bitwise(name):
-    # into given arrays or new ones, the ufunc sequences reproduce the
-    # expressions' bits, signed zeros included
+    # into new arrays and again into the same ones, the ufunc sequences
+    # reproduce the expressions' bits, signed zeros included
     model = {
         "bvam": "bvam_disk",
         "schnakenberg": "schnakenberg_anomalous_disk",
@@ -569,13 +617,12 @@ def test_kinetics_helpers_match_expressions_bitwise(name):
         "cylinder": lambda out: models.bs_cylinder_coupling(u, v, r, s, p, h, out=out),
     }[name]
     want = _expression_kinetics(name, u, v, r, s, p, h)
-    size = {"schnakenberg": 2, "ball": 5, "cylinder": 5}.get(name, 3)
-    buffers = tuple(np.empty((7, 9)) for _ in range(size))
-    for got in (call(None), call(buffers)):
+    buffers = kinetics_out(u.shape, {"schnakenberg": 2, "ball": 5, "cylinder": 5}.get(name, 3))
+    for got in (call(buffers), call(buffers)):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
-    assert all(any(g is b for b in buffers) for g in call(buffers))
+        assert all(any(g is b for b in buffers) for g in got)
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +638,11 @@ def test_ball_coupling_cancels_when_rates_match():
     r = u.copy()
     v = rng.randn(6, 4)
     s = rng.randn(6, 4)
-    src_u, _, ps, qs = models.bulk_surface_coupling_ball(u, v, r, s, p, 0.1, 1.0)
+    src_u, _, ps, qs = models.bulk_surface_coupling_ball(
+        u, v, r, s, p, 0.1, 1.0, kinetics_out(r.shape, 5)
+    )
     assert np.max(np.abs(src_u)) == 0.0
-    b, c = models.schnakenberg_kinetics(r, s, p)
+    b, c = models.schnakenberg_kinetics(r, s, p, kinetics_out(r.shape, 2))
     assert np.array_equal(ps, b)
 
 
@@ -603,7 +652,7 @@ def test_ball_coupling_source_locality():
     r[2, 1] = 1.0
     zeros = np.zeros((5, 4))
     src_u, src_v, _, _ = models.bulk_surface_coupling_ball(
-        zeros, zeros, r, zeros, p, 0.1, 1.0
+        zeros, zeros, r, zeros, p, 0.1, 1.0, kinetics_out(r.shape, 5)
     )
     mask = np.zeros((5, 4), dtype=bool)
     mask[2, 1] = True
@@ -617,7 +666,7 @@ def test_ball_coupling_shape_mismatch():
     with pytest.raises(ValueError):
         models.bulk_surface_coupling_ball(
             np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((5, 4)), np.zeros((5, 4)),
-            p, 0.1, 1.0,
+            p, 0.1, 1.0, kinetics_out((5, 4), 5),
         )
 
 
@@ -627,7 +676,8 @@ def test_cylinder_coupling_values():
     eq = spec.equilibrium(spec.params)
     ones = np.ones((4, 3))
     src_u, src_v, ps, qs = models.bs_cylinder_coupling(
-        ones * eq["u"], ones * eq["v"], ones * eq["r"], ones * eq["s"], p, 0.5
+        ones * eq["u"], ones * eq["v"], ones * eq["r"], ones * eq["s"], p, 0.5,
+        kinetics_out(ones.shape, 5),
     )
     for arr in (src_u, src_v, ps, qs):
         assert np.max(np.abs(arr)) <= 1e-13
@@ -635,7 +685,7 @@ def test_cylinder_coupling_values():
     rng = np.random.RandomState(32)
     r = rng.randn(4, 3)
     _, _, ps, _ = models.bs_cylinder_coupling(
-        ones, ones, r, ones * p["zeta5"], p, 0.5
+        ones, ones, r, ones * p["zeta5"], p, 0.5, kinetics_out(ones.shape, 5)
     )
     expected = p["zeta2"] * (1 - p["zeta5"]) * r - p["zeta3"] * r**3
     assert np.max(np.abs(ps - expected)) <= 1e-13
@@ -661,7 +711,8 @@ def test_cylinder_bulk_kinetics_match_lifted_formula():
     u, v = states["u"] + eq["u"], states["v"] + eq["v"]
     h_z = system.components[0].ops.z.h
     src_u, src_v, _, _ = models.bs_cylinder_coupling(
-        u[:, :, 0], v[:, :, 0], states["r"], states["s"], p, h_z
+        u[:, :, 0], v[:, :, 0], states["r"], states["s"], p, h_z,
+        kinetics_out(states["r"].shape, 5),
     )
     want_u = -p["alpha1"] * (u - p["alpha2"])
     want_v = -p["beta1"] * (v - p["beta2"])
@@ -676,7 +727,8 @@ def test_cylinder_coupling_alpha3_zero_decouples_u_flux():
     p["alpha3"] = 0.0
     rng = np.random.RandomState(33)
     src_u, _, _, _ = models.bs_cylinder_coupling(
-        rng.randn(4, 3), rng.randn(4, 3), rng.randn(4, 3), rng.randn(4, 3), p, 0.5
+        rng.randn(4, 3), rng.randn(4, 3), rng.randn(4, 3), rng.randn(4, 3), p, 0.5,
+        kinetics_out((4, 3), 5),
     )
     assert np.all(src_u == 0.0)
 
@@ -702,7 +754,9 @@ def test_zeroed_coupling_reproduces_standalone_bulk_bitwise():
         if c.name in ("u", "v")
     }
     for _ in range(m):
-        b, c_ = models.schnakenberg_kinetics(states["u"], states["v"], p)
+        b, c_ = models.schnakenberg_kinetics(
+            states["u"], states["v"], p, kinetics_out(states["u"].shape, 2)
+        )
         gs = {"u": p["alpha1"] * b, "v": p["alpha1"] * c_}
         for name in ("u", "v"):
             states[name] = step_split(geo[name], states[name], gs[name])
