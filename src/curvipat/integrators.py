@@ -22,13 +22,14 @@ and, where phi1 is banded to rounding at this tau, its block tridiagonal
 band alone (:class:`tensor.BlockRows`).  So one code path serves every
 geometry and the cost per step is a fixed number of kernels, with no field
 pass of its own for tau, which rides on the phi1 of the factor applied
-first (P_d, the last one), nor for the cylinder's theta weights, which its
-M W blocks carry.  The factor order must not be permuted (the factors do
-not commute).
+first (P_d, the last one).  The factor order must not be permuted (the
+factors do not commute).
 
 A component's linear reaction -decay W is applied by M W, not by phi1, so
 the scheme is the one with -decay W in G, and only rounding moves; G then
-covers only the component's ``support``.
+covers only the component's ``support``; where that fixes a mode that
+weights no summand, the split scheme may hold the component in the
+eigenbasis of such modes (:class:`Eigenbasis`; Lynch, Rice and Thomas 1964).
 
 Every kernel can write into a caller's array.  ``SCHEMES`` maps each
 ``method`` to a set-up that returns one ``step(states, gs)`` over the whole
@@ -41,7 +42,7 @@ field (without ``out`` and ``work`` those two stay pure).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial, reduce
 from typing import Callable
@@ -149,28 +150,25 @@ class SplitFactor:
     :class:`tensor.BlockBanded`, and ``weight`` the broadcastable product of
     the diagonal weights that M W multiplies in after that product (size 1
     along ``mode`` and along every mode that does not weight it), or None:
-    the summand is unweighted, or ``A`` carries its weights.  Along the
-    second of three modes, weighted by the first alone, ``A`` holds one
-    block per first-mode row i, scaled by coeff w_i (see
-    :meth:`tensor.BlockBanded.scaled_rows`).  ``phi1`` is the action of
-    phi1(tau coeff M_mu), times tau on the factor applied first (the last
-    of a geometry's): a dense matrix along ``mode`` when the summand is
-    unweighted, else (V^-1, phi1 tensor, V), the tensor over ``mode`` and
-    the modes that weight it; when V is the real Fourier basis, the phi1
-    tensor alone, over the rfft frequencies along ``mode`` and stored as
-    complex.  Where it is banded to rounding, phi1 is instead one
-    :class:`tensor.BlockRows`: along the first mode the dense matrix's
-    band, edges cut; along the second of three modes, weighted by the first
-    alone, the wrapped bands of the later first-mode rows' circulants, the
-    leading rows keeping their rfft symbol (the 160 x 160 x 20 cylinder's
-    u and v keep 22 rows of 160 at tau = 50/8000).  :func:`_along` picks
-    the kernel for every form but the triple.
+    the summand is unweighted, or ``A`` carries its weights.  ``phi1`` is
+    the action of phi1(tau coeff M_mu), times tau on the factor applied
+    first (the last of a geometry's): a dense matrix along ``mode`` when
+    the summand is unweighted, else (V^-1, phi1 tensor, V), the tensor over
+    ``mode`` and the modes that weight it; when V is the real Fourier
+    basis, the phi1 tensor alone, over the rfft frequencies along ``mode``
+    and stored as complex.  Along the first mode, where it is banded to
+    rounding, phi1 is instead the dense matrix's block tridiagonal band, a
+    :class:`tensor.BlockRows`.  :func:`_along` picks the kernel for every
+    form but the triple.
 
     A summand along the last mode weighted by the first mode alone may
     instead be a stack of n_1 matrices, one per slice of the first mode (see
     :func:`tensor.sliced_mode_product`): ``A`` holds coeff w_i A and
     ``phi1`` V diag(phi1(tau coeff w_i lambda)) V^-1, ``weight`` is None,
     and each action is one GEMM.
+
+    With ``A`` None (``mode`` 0) the summand is diagonal, as in an
+    :class:`Eigenbasis`: M W multiplies by ``weight``, phi1 by ``phi1``.
 
     ``phi1`` is None on the factors of :func:`diffusion_factors`, which
     forward Euler applies.
@@ -184,6 +182,8 @@ class SplitFactor:
     def diffusion(self, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The summand's action coeff M_mu W, into ``out`` (a C-contiguous
         field not overlapping W) or a new array."""
+        if self.A is None:
+            return np.multiply(W, self.weight, out=out)
         T = _along(self.mode, self.A, W, out)
         if self.weight is not None:
             T *= self.weight
@@ -195,6 +195,8 @@ class SplitFactor:
         """The action ``phi1`` on T, into ``out`` or a new array.  With
         ``out`` given, T may serve as scratch and is overwritten; ``work``
         lends the rfft spectrum."""
+        if self.A is None:
+            return np.multiply(T, self.phi1, out=out)
         if isinstance(self.phi1, tuple):
             V_inv, phi, V = self.phi1
             X = tensor.mode_product(self.mode, V_inv, T, out=out)
@@ -207,9 +209,8 @@ class Workspace:
     """Scratch for a split or forward Euler step on fields of one shape: two
     real fields, and one complex rfft spectrum per mode that needs one, made
     on first use.  Each spectrum covers the field, with n//2 + 1 frequencies
-    along its mode; the cylinder's theta band also lends it to its wrapped
-    edge products.  Components of one shape can share it, since a step uses
-    it only while it runs."""
+    along its mode.  Components of one shape can share it, since a step
+    uses it only while it runs."""
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = shape
@@ -225,10 +226,57 @@ class Workspace:
 
 
 @dataclass(frozen=True)
+class Eigenbasis:
+    """Coefficients of a field (n_1, n_2, n_3) in the eigenbases ``V`` of
+    mode 2 and ``U`` of mode 3, laid out (n_3, n_1, n_2), so that a shift by
+    a mode-3 eigenvalue goes onto the blocks along mode 1, one set per
+    leading index.  ``index`` is the support's mode-3 index; ``norm`` bounds
+    ||V (x) U||_2 by the symmetrizers' largest entries."""
+
+    shape: tuple[int, int, int]
+    V: np.ndarray
+    V_inv: np.ndarray
+    U: np.ndarray
+    U_inv: np.ndarray
+    index: int
+    norm: float
+
+    def load(self, W: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The coefficients of the field W, in W's memory, through ``scratch``."""
+        X = tensor.mode_product(2, self.V_inv, W, out=scratch).reshape(-1, self.shape[0])
+        return np.matmul(self.U_inv, X.T, out=W.reshape(self.shape[0], -1)).reshape(self.shape)
+
+    def view(self, C: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The physical values on the support (n_1 x n_2) of the
+        coefficients C, in the second plane of ``scratch`` (through its
+        first), shown read-only in every plane of a field of its shape."""
+        line, values = scratch.reshape(self.shape)[:2]
+        np.matmul(self.U[self.index], C.reshape(self.shape[0], -1), out=line.reshape(-1))
+        np.matmul(line, self.V.T, out=values)
+        return np.broadcast_to(values[:, :, None], scratch.shape)
+
+    def source(self, G: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """A reaction term G given on the support as coefficients, into
+        ``out``: (G V^-T) (x) U^-1[:, index]."""
+        return np.multiply.outer(self.U_inv[:, self.index], G @ self.V_inv.T, out=out)
+
+    def field(self, C: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The physical field of the coefficients C, into ``out``, a
+        sixteenth of the mode-1 rows at a time (so is the temporary)."""
+        n3, n1, _ = self.shape
+        rows = max(1, n1 // 16)
+        for i in range(0, n1, rows):
+            Y = np.matmul(C[:, i : i + rows], self.V.T)
+            np.matmul(Y.reshape(n3, -1).T, self.U.T, out=out[i : i + rows].reshape(-1, n3))
+        return out
+
+
+@dataclass(frozen=True)
 class GeometryOps:
     """Everything the stepper needs for one (component, tau) pair: the
     prepared split factors in splitting order, the last of which (applied
-    first) carries tau in its phi1.
+    first) carries tau in its phi1 (in an :class:`Eigenbasis`, the first
+    does), and that basis, or None: the step advances the field itself.
 
     Built once by :func:`prepare` (for forward Euler, from
     :func:`diffusion_factors`, with no phi1); the step loop performs only
@@ -238,6 +286,7 @@ class GeometryOps:
     base: ComponentOps
     tau: float
     factors: tuple[SplitFactor, ...]
+    basis: Eigenbasis | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -249,16 +298,13 @@ def _along(
 ) -> np.ndarray:
     """A prepared operator along ``mode``: dense, block-banded, block rows,
     an rfft symbol (complex), or a stack of per-slice matrices (three
-    indices).  ``work`` lends its rfft spectrum to a symbol, and to block
-    rows with wrapped edges or symbol rows."""
+    indices).  ``work`` lends its rfft spectrum to a symbol."""
     if isinstance(op, tensor.BlockBanded):
         return tensor.banded_mode_product(mode, op, field, out=out)
-    rows = isinstance(op, tensor.BlockRows)
-    spectral = (op.wraps or op.symbol is not None) if rows else np.iscomplexobj(op)
-    spectrum = work.spectrum(mode) if spectral and work is not None else None
-    if rows:
-        return tensor.windowed_mode_product(mode, op, field, out=out, spectrum=spectrum)
-    if spectral:
+    if isinstance(op, tensor.BlockRows):
+        return tensor.windowed_mode_product(mode, op, field, out=out)
+    if np.iscomplexobj(op):
+        spectrum = None if work is None else work.spectrum(mode)
         return tensor.fourier_mode_product(mode, op, field, out=out, spectrum=spectrum)
     if op.ndim == 3:
         return tensor.sliced_mode_product(op, field, out=out)
@@ -282,13 +328,16 @@ def _norm_inf(axis: TridiagonalOperator | PeriodicTridiagonal) -> float:
     return float(row_sums.max())
 
 
-def _window_holds(rho, n: int, b: int, norm) -> np.ndarray:
-    """Whether P = phi1(X), X of order n tridiagonal (or a tridiagonal
-    circulant) with ||X||_inf = rho and ||P||_inf = ``norm``, may drop every
-    entry outside its block tridiagonal band of b x b blocks (at least 4
-    blocks; for a circulant, the band wraps round) without losing more than
-    a dense product with P loses to rounding; elementwise over arrays of
-    rho and norm.
+def _eigen(axis: TridiagonalOperator | PeriodicTridiagonal):
+    """The axis's eigendecomposition, closed form for a periodic one."""
+    return eig_theta(axis) if isinstance(axis, PeriodicTridiagonal) else eig_tridiag(axis)
+
+
+def _window_holds(rho: float, n: int, b: int, norm: float) -> bool:
+    """Whether P = phi1(X), X of order n tridiagonal with ||X||_inf = rho
+    and ||P||_inf = ``norm``, may drop every entry outside its block
+    tridiagonal band of b x b blocks (at least 4 blocks) without losing
+    more than a dense product with P loses to rounding.
 
     X^j has no entry more than j off its diagonal, and the band holds every
     entry at most b off it, so the dropped entries come from the Taylor
@@ -296,47 +345,44 @@ def _window_holds(rho, n: int, b: int, norm) -> np.ndarray:
     is at most rho^(b+1) / (b+2)! / (1 - rho / (b+3)); it must not exceed
     n 2^-53 ||P||_inf, the rounding bound of the dense product.  A larger
     rho fails before its power, which could overflow, is taken."""
-    rho = np.asarray(rho, dtype=float)
-    below = (rho < b + 3) & (n // b >= 4)
-    r = np.where(below, rho, 0.0)
-    tail = r ** (b + 1) / math.factorial(b + 2) / (1.0 - r / (b + 3))
-    return below & (tail <= n * 2.0**-53 * np.asarray(norm))
+    if not (rho < b + 3 and n // b >= 4):
+        return False
+    tail = rho ** (b + 1) / math.factorial(b + 2) / (1.0 - rho / (b + 3))
+    return tail <= n * 2.0**-53 * norm
+
+
+def in_eigenbasis(geometry: Geometry, support: tuple) -> bool:
+    """Whether the split scheme holds a component in the :class:`Eigenbasis`
+    of its last two modes: its reaction term covers one index of the last
+    and all of the others, and its summands (the first unweighted, the
+    second weighted by the first alone, the third unweighted) are diagonal
+    there but for the first."""
+    factors = FACTORS[geometry] == ((1, ()), (2, (1,)), (3, ()))
+    return factors and support[:2] == np.s_[:, :] and isinstance(support[-1], int)
 
 
 def _form(
     geometry: Geometry, shape: tuple[int, ...], mode: int, weighted_by: tuple[int, ...]
-) -> tuple[int | None, bool, str]:
+) -> tuple[int | None, str]:
     """How :func:`prepare` holds one summand, from the sizes alone: the
-    block size of its M W operator (None: dense), whether those blocks are
-    held one per first-mode row with the row's weight in them, and the form
-    of its phi1, one of "dense" (unweighted), "stacked", "rfft", "circulant"
-    or "triple".  A "dense" phi1 along the first mode may still be narrowed
-    by :func:`prepare` to its block tridiagonal band of that block size,
-    which depends on tau; so may the later first-mode rows of a "circulant"
-    one, an rfft along the second of three modes weighted by the first alone.
+    block size of its M W operator (None: dense) and the form of its phi1,
+    one of "dense" (unweighted), "stacked", "rfft" or "triple".  A "dense"
+    phi1 along the first mode may still be narrowed by :func:`prepare` to
+    its block tridiagonal band of that block size, which depends on tau.
 
     A last-mode summand weighted by the first mode alone is stacked (M W
     too) when its stack of n_1 matrices holds no more entries than a field,
-    i.e. n_d is at most the product of the middle modes.  The M W blocks
-    of a periodic angle along the second of three modes, weighted by the
-    first mode alone, are all the same, so they are held one per
-    first-mode row when those n_1 blocks of b^2 entries hold no more than a
-    field, i.e. b^2 <= n_2 n_3.  Likewise an rfft is "circulant" only when
-    the band's n_1 block rows of 3 b^2 entries do, i.e. 3 b^2 <= n_2 n_3."""
+    i.e. n_d is at most the product of the middle modes."""
     n = shape[mode - 1]
     last = mode == len(shape)
     if last and weighted_by == (1,) and n <= math.prod(shape[1:-1]):
-        return None, False, "stacked"
+        return None, "stacked"
     b = None if last and n < BLOCK_LAST_MIN else _block_size(n)
     if not weighted_by:
-        return b, False, "dense"
-    if geometry.axes[mode - 1] != "theta":
-        return b, False, "triple"
-    middle = mode == 2 < len(shape) and weighted_by == (1,) and b is not None
-    rows = middle and b * b <= math.prod(shape[1:])
-    if n < FFT_MIN_THETA:
-        return b, rows, "triple"
-    return b, rows, "circulant" if middle and 3 * b * b <= math.prod(shape[1:]) else "rfft"
+        return b, "dense"
+    if geometry.axes[mode - 1] != "theta" or n < FFT_MIN_THETA:
+        return b, "triple"
+    return b, "rfft"
 
 
 def diffusion_factors(base: ComponentOps) -> tuple[SplitFactor, ...]:
@@ -348,21 +394,19 @@ def diffusion_factors(base: ComponentOps) -> tuple[SplitFactor, ...]:
     factors = []
     decay = base.decay
     for mode, weighted_by in FACTORS[base.geometry]:
-        b, rows, form = _form(base.geometry, shape, mode, weighted_by)
+        b, form = _form(base.geometry, shape, mode, weighted_by)
         A = base.coeff * axes[mode - 1].toarray()
         if not weighted_by:
             A.flat[:: len(A) + 1] -= decay
             decay = 0.0
         if b is not None:
             A = tensor.BlockBanded.from_dense(A, b, last_mode=mode == len(axes))
-        if rows:
-            A = A.scaled_rows(axes[0].weights)
         weight = None
         if form == "stacked":
             # slice i of the first mode gets w_i A, built transposed and
             # contiguous, then viewed untransposed
             A = (axes[0].weights[:, None, None] * np.ascontiguousarray(A.T)).transpose(0, 2, 1)
-        elif form != "dense" and not rows:
+        elif form != "dense":
             weight = reduce(np.multiply.outer, _weight_vectors(axes, weighted_by))
         factors.append(SplitFactor(mode, A, weight, None))
     return tuple(factors)
@@ -380,29 +424,27 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
     each of :func:`diffusion_factors` its phi1, in the form :func:`_form`
     picks.  A dense phi1 along the first mode keeps only its block
     tridiagonal band when :func:`_window_holds` shows that the rest lies
-    below the dense product's rounding at this tau; a "circulant" phi1 does
-    so on the first-mode rows from which that bound holds for every later
-    row, with rho_i = tau coeff w_i ||A||_inf.  The phi1 of the factor
-    applied first, the last one, is scaled by tau: it is never along the
-    first mode, nor along the second of three, so it is a dense matrix, a
-    stack, an rfft symbol or the phi1 tensor of a triple."""
+    below the dense product's rounding at this tau.  The phi1 of the
+    factor applied first, the last one, is scaled by tau: it is never
+    along the first mode, so it is a dense matrix, a stack, an rfft symbol
+    or the phi1 tensor of a triple.  In an :class:`Eigenbasis`
+    (:func:`in_eigenbasis`), the first factor goes to :func:`_eigenbasis_ops`."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     scale = tau * base.coeff
     axes, shape = base.axis_ops(), base.shape
+    held = in_eigenbasis(base.geometry, base.support)
     factors = []
-    for f, (mode, weighted_by) in zip(diffusion_factors(base), FACTORS[base.geometry]):
+    summands = FACTORS[base.geometry][: 1 if held else None]
+    for f, (mode, weighted_by) in zip(diffusion_factors(base), summands):
         axis = axes[mode - 1]
-        b, _, form = _form(base.geometry, shape, mode, weighted_by)
-        periodic = isinstance(axis, PeriodicTridiagonal)
-        if form in ("rfft", "circulant"):
-            fac = None  # an FFT applies the basis: only axis.lambdas is used
-        else:
-            fac = eig_theta(axis) if periodic else eig_tridiag(axis)
+        b, form = _form(base.geometry, shape, mode, weighted_by)
+        # an FFT applies the basis of an rfft: only axis.lambdas is used
+        fac = None if form == "rfft" else _eigen(axis)
         vectors = _weight_vectors(axes, weighted_by)
         if form == "dense":
             action = phi1_matrix(scale, fac)
-            if b is not None and mode == 1 and not periodic:
+            if b is not None and mode == 1 and not isinstance(axis, PeriodicTridiagonal):
                 norm = np.abs(action).sum(axis=1).max()
                 if _window_holds(scale * _norm_inf(axis), axis.n, b, norm):
                     action = tensor.BlockRows.from_dense(action, b)
@@ -420,16 +462,9 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
             vectors[mode - 1] = axis.lambdas[np.r_[0, 1 : axis.n : 2]]
             # complex, so that scaling the spectrum needs no cast buffer
             action = phi1_outer(scale, vectors).astype(complex)
-        if form == "circulant":
-            # column 0 of each first-mode row's circulant; its magnitudes
-            # sum to the circulant's inf-norm
-            columns = np.fft.irfft(action[:, :, 0], axis.n, axis=1)
-            rho = scale * vectors[0] * _norm_inf(axis)
-            holds = _window_holds(rho, axis.n, b, np.abs(columns).sum(axis=1))
-            r0 = 1 + int(np.flatnonzero(~holds).max(initial=-1))
-            if r0 < holds.size:
-                action = tensor.BlockRows.from_columns(action[:r0].copy(), columns[r0:], b)
         factors.append(SplitFactor(mode, f.A, f.weight, action))
+    if held:
+        return _eigenbasis_ops(base, tau, factors[0])
     first = factors[-1].phi1
     if isinstance(first, tuple):
         first = (first[0], tau * first[1], first[2])
@@ -439,31 +474,62 @@ def prepare(base: ComponentOps, tau: float) -> GeometryOps:
     return GeometryOps(base=base, tau=tau, factors=tuple(factors))
 
 
-def prepared_bytes(geometry: Geometry, shape: tuple[int, ...]) -> int:
+def _eigenbasis_ops(base: ComponentOps, tau: float, first: SplitFactor) -> GeometryOps:
+    """The factors on the coefficients in an :class:`Eigenbasis`: the
+    ``first`` along their middle mode, per k its M W blocks (one where it is
+    dense) plus coeff lambda_k and its phi1 times tau phi1(tau coeff
+    lambda_k); then the diagonal coeff w_i lambda_j and phi1(tau coeff w_i lambda_j)."""
+    scale = tau * base.coeff
+    rho, theta, z = base.axis_ops()
+    fac_theta, fac_z = _eigen(theta), _eigen(z)
+    A = first.A
+    if not isinstance(A, tensor.BlockBanded):  # dense: one block
+        A = tensor.BlockBanded.from_dense(A, rho.n)
+    shift = base.coeff * fac_z.lambdas[:, None, None, None] * np.eye(A.blocks.shape[-1])
+    shifted = replace(A, blocks=A.blocks + shift)
+    along_z = tau * phi1_outer(scale, [fac_z.lambdas, np.ones(1), np.ones(1)])[..., None]
+    P = first.phi1
+    if isinstance(P, tensor.BlockRows):
+        P = replace(P, rows=along_z * P.rows)
+    else:
+        P = tensor.BlockBanded(along_z * P, np.zeros(1), np.zeros(1))
+    table = base.coeff * np.multiply.outer(rho.weights, fac_theta.lambdas)
+    phi = phi1_outer(scale, [rho.weights, fac_theta.lambdas])
+    norm = float(fac_theta.xi.max() * fac_z.xi.max())
+    shape, index = (z.n, rho.n, theta.n), base.support[2]
+    basis = Eigenbasis(shape, fac_theta.V, fac_theta.V_inv, fac_z.V, fac_z.V_inv, index, norm)
+    factors = (SplitFactor(2, shifted, None, P), SplitFactor(0, None, table, phi))
+    return GeometryOps(base=base, tau=tau, factors=factors, basis=basis)
+
+
+def prepared_bytes(
+    geometry: Geometry, shape: tuple[int, ...], support: tuple = (...,)
+) -> int:
     """An upper bound on the bytes :func:`prepare` holds for one component
-    of this shape, in the forms :func:`_form` picks.  Per summand: the M W
-    operator (n x n, or b x b blocks plus the 2 n / b links between them,
-    and along the last mode also the rows, columns and values of those
-    links, which its first product builds; or, held one per first-mode row,
-    n_1 blocks and n_1 rows of links, which carry the weights), its weights,
-    and phi1 (an n x n matrix; V^-1 and V with a phi1 tensor over the mode
-    and its weights; or a complex rfft symbol); a stacked summand holds two
-    stacks of n_1 matrices instead.  A dense phi1 counts as n x n even where
-    prepare keeps only its block tridiagonal band, and a "circulant" one
-    counts both its whole symbol and a b x 3b block row for every
-    first-mode row, since how many rows take the band depends on tau, which
-    the memory check before a run does not know."""
+    of this shape and support, in the forms :func:`_form` picks.  Per
+    summand: the M W operator (n x n, or b x b blocks plus the 2 n / b links
+    between them, and along the last mode also the rows, columns and values
+    of those links, which its first product builds), its weights, and phi1
+    (an n x n matrix; V^-1 and V with a phi1 tensor over the mode and its
+    weights; or a complex rfft symbol); a stacked summand holds two stacks
+    of n_1 matrices instead.  A dense phi1 counts as n x n even where
+    prepare keeps only its block tridiagonal band, since that depends on
+    tau, which the memory check before a run does not know.  In an
+    :class:`Eigenbasis`: n_3 sets of blocks and of phi1, two tables and
+    the bases."""
+    if in_eigenbasis(geometry, support):
+        (n1, n2, n3), b = shape, _block_size(shape[0]) or shape[0]
+        blocks = n3 * (n1 * b + n1 * n1) + 2 * (n1 // b + 1)  # and their links
+        return 8 * (blocks + 2 * n1 * n2 + 2 * (n2 * n2 + n3 * n3))
     total = 0
     for mode, weighted_by in FACTORS[geometry]:
         n = shape[mode - 1]
-        b, rows, form = _form(geometry, shape, mode, weighted_by)
+        b, form = _form(geometry, shape, mode, weighted_by)
         if form == "stacked":
             total += 2 * shape[0] * n * n
             continue
         if b is None:
             total += n * n
-        elif rows:
-            total += shape[0] * (b * b + 2 * (n // b))
         else:
             links = 2 * (n // b)
             total += n * b + links + (3 * links if mode == len(shape) else 0)
@@ -471,10 +537,9 @@ def prepared_bytes(geometry: Geometry, shape: tuple[int, ...]) -> int:
             total += n * n
             continue
         weights = math.prod(shape[mu - 1] for mu in weighted_by)
-        total += 0 if rows else weights
-        if form in ("rfft", "circulant"):
+        total += weights
+        if form == "rfft":
             total += 2 * (n // 2 + 1) * weights
-            total += 3 * shape[0] * b * b if form == "circulant" else 0
         else:
             total += 2 * n * n + n * weights
     return 8 * total
@@ -490,8 +555,8 @@ def apply_diffusion(
     """Discretized diffusion term M W (including the coefficient and the
     decay), into ``out`` or a new array; each summand after the first goes
     through ``scratch`` (or a new array) on its way into the sum."""
-    if W.shape != ops.shape:
-        raise ValueError(f"field shape {W.shape} does not match {ops.shape}")
+    if W.shape != (shape := (ops.basis or ops).shape):
+        raise ValueError(f"field shape {W.shape} does not match {shape}")
     first, *rest = ops.factors
     out = first.diffusion(W, out=out)
     for f in rest:
@@ -504,7 +569,8 @@ def step_split(
 ) -> np.ndarray:
     """One split exponential Euler step W + tau P_1 ... P_d (M W + G),
     with tau taken in by the prepared P_d and G given on the component's
-    support.
+    support.  With ``ops.basis``, W and the new state are the coefficients
+    in that :class:`Eigenbasis`, and G the physical values on the support.
 
     The new state goes into ``out``, which may be W itself, or into a new
     array.  Intermediates live in ``work``, a :class:`Workspace` for W's
@@ -515,7 +581,10 @@ def step_split(
         work = Workspace(W.shape)
     T, spare = work.fields
     T = apply_diffusion(ops, W, out=T, scratch=spare)
-    T[ops.base.support] += G
+    if ops.basis is None:
+        T[ops.base.support] += G
+    else:
+        T += ops.basis.source(G, out=spare)
     for f in reversed(ops.factors):
         T, spare = f.apply_phi1(T, out=spare, work=work), T
     return np.add(W, T, out=out)
@@ -552,23 +621,54 @@ def dense_split_factors(base: ComponentOps) -> list[np.ndarray]:
     return summands
 
 
-def _prepared(comps, tau: float, phi1: bool) -> Callable[[dict, dict], None]:
+@dataclass(frozen=True)
+class Scheme:
+    """What a scheme's set-up builds: ``step(states, gs)`` advances every
+    component in place, and ``held`` maps each that it holds in an
+    :class:`Eigenbasis` to (that basis, a field of the step's scratch, where
+    its part of ``read``, for the kinetics, and of ``fields`` lies)."""
+
+    step: Callable[[dict, dict], None]
+    held: dict[str, tuple[Eigenbasis, np.ndarray]] = field(default_factory=dict)
+
+    def load(self, states: dict) -> None:
+        states.update({n: b.load(states[n], s) for n, (b, s) in self.held.items()})
+
+    def read(self, states: dict) -> dict:
+        """A held component's physical values on its support (:meth:`Eigenbasis.view`)."""
+        return {**states, **{n: b.view(states[n], s) for n, (b, s) in self.held.items()}}
+
+    def fields(self, states: dict) -> dict:
+        return {**states, **{n: b.field(states[n], s) for n, (b, s) in self.held.items()}}
+
+    def guard(self, states: dict, step: int) -> None:
+        held = {n: (b.norm, partial(b.field, out=s)) for n, (b, s) in self.held.items()}
+        check_divergence(states, step, held)
+
+
+def _prepared(comps, tau: float, phi1: bool) -> Scheme:
     """Set-up of the split scheme (``phi1``) and of forward Euler, which
-    applies only M W: each component's :class:`GeometryOps`, its factors
-    from :func:`prepare` or :func:`diffusion_factors`, built once per
-    distinct geometry, coefficient, decay and axis objects, and one
-    :class:`Workspace` per field shape.  Returns the step that advances
-    every component in place, in component order, through
-    :func:`step_split` or :func:`step_forward_euler`, looked up when it
-    runs."""
-    factors: dict[tuple, tuple[SplitFactor, ...]] = {}
+    applies only M W: each component's :class:`GeometryOps`, from
+    :func:`prepare` or :func:`diffusion_factors`, built once per distinct
+    geometry, coefficient, decay, basis and axis objects, and one
+    :class:`Workspace` per shape of what the steps advance, its fields the
+    scratch of up to two held components.  Its step advances every
+    component in place, in order, through :func:`step_split` or
+    :func:`step_forward_euler`, looked up when it runs."""
+    built: dict[tuple, GeometryOps] = {}
     plan = []
     for c in comps:
-        key = (c.ops.geometry, c.ops.coeff, c.ops.decay, *map(id, c.ops.axis_ops()))
-        if key not in factors:
-            factors[key] = prepare(c.ops, tau).factors if phi1 else diffusion_factors(c.ops)
-        plan.append((c.name, GeometryOps(base=c.ops, tau=tau, factors=factors[key])))
-    work = {shape: Workspace(shape) for shape in {c.ops.shape for c in comps}}
+        held = phi1 and in_eigenbasis(c.ops.geometry, c.ops.support)
+        key = (c.ops.geometry, c.ops.coeff, c.ops.decay, held, *map(id, c.ops.axis_ops()))
+        if key not in built:
+            factors = None if phi1 else diffusion_factors(c.ops)
+            built[key] = prepare(c.ops, tau) if phi1 else GeometryOps(c.ops, tau, factors)
+        plan.append((c.name, replace(built[key], base=c.ops)))
+    work = {shape: Workspace(shape) for shape in {(ops.basis or ops).shape for _, ops in plan}}
+    scratch = {shape: iter(w.fields) for shape, w in work.items()}
+    held = {
+        n: (o.basis, next(scratch[o.basis.shape]).reshape(o.shape)) for n, o in plan if o.basis
+    }
 
     def step(states, gs):
         advance = step_split if phi1 else step_forward_euler
@@ -576,15 +676,15 @@ def _prepared(comps, tau: float, phi1: bool) -> Callable[[dict, dict], None]:
             W = states[name]
             advance(ops, W, gs[name], out=W, work=work[W.shape])
 
-    return step
+    return Scheme(step, held)
 
 
-def _dense(comps, tau: float) -> Callable[[dict, dict], None]:
+def _dense(comps, tau: float) -> Scheme:
     """Set-up of the dense scheme, classical exponential Euler W + tau
     phi1(tau M) (M W + G): M and phi1(tau M) per component, dense, capped
     at DENSE_REFERENCE_CAP unknowns.  M applies the decay and phi1 does
-    not, as in :func:`prepare`.  Returns the step that advances every
-    component in place, in component order, G given on its support."""
+    not, as in :func:`prepare`.  Its step advances every component in
+    place, in component order, G given on its support."""
     plan = []
     for c in comps:
         size = math.prod(c.ops.shape)
@@ -606,7 +706,7 @@ def _dense(comps, tau: float) -> Callable[[dict, dict], None]:
             g[support] = gs[name]
             W[...] = tensor.unvec(w + tau * (P @ (M @ w + tensor.vec(g))), W.shape)
 
-    return step
+    return Scheme(step)
 
 
 # method: (set-up, whether the scheme steps in the eigenbasis of the axes)
@@ -667,19 +767,24 @@ def _check_rounding_growth(components, t_star: float, spectral: bool) -> None:
                 )
 
 
-def check_divergence(states: dict[str, np.ndarray], step: int) -> None:
+def check_divergence(states: dict[str, np.ndarray], step: int, physical: dict | None = None):
     """Raise DivergenceError naming ``step`` and the first component with a
     NaN or a magnitude beyond DIVERGENCE_LIMIT, in one pass over each
     field that has neither: a BLAS sum of squares strictly below
     DIVERGENCE_LIMIT**2 rules out both, since rounding a sum of nonnegative
     terms never brings it below a rounded term, and a NaN or an infinity
     leaves it NaN or infinite.  Any other field gets the exact test, a max
-    and a min reduction, through both of which a NaN propagates."""
+    and a min reduction, through both of which a NaN propagates.
+    ``physical`` maps a component held as coefficients to (its basis's
+    ``norm``, which scales the sum, and its physical field's function)."""
     for name, W in states.items():
+        norm, transform = (physical or {}).get(name, (1.0, None))
         v = W.reshape(-1)
         with np.errstate(over="ignore"):  # an overflow to inf falls through
-            if np.dot(v, v) < _LIMIT_SQUARED:
+            if np.dot(v, v) * norm**2 < _LIMIT_SQUARED:
                 continue
+        if transform is not None:
+            W = transform(W)
         if not (W.max() <= DIVERGENCE_LIMIT and W.min() >= -DIVERGENCE_LIMIT):
             raise DivergenceError(
                 f"component {name!r} diverged at step {step}", step=step
@@ -688,7 +793,7 @@ def check_divergence(states: dict[str, np.ndarray], step: int) -> None:
 
 @dataclass
 class RunResult:
-    """The final (lifted) fields of a run."""
+    """The final (lifted) fields of a run (a held one in the scheme's scratch)."""
 
     fields: dict[str, np.ndarray]
 
@@ -709,14 +814,15 @@ def run_simulation(
     DENSE_REFERENCE_CAP unknowns per component).
 
     ``SCHEMES`` maps ``method`` to the scheme's set-up, which builds once,
-    from the components and tau, what its step applies, and returns one
-    ``step(states, gs)`` that advances every component in place; the table
-    also says whether the scheme steps in the eigenbasis, which
-    :func:`_check_rounding_growth` needs.  Each time step evaluates the
-    kinetics of all components from the common state at t_n, into
+    from the components and tau, what its step applies, and returns a
+    :class:`Scheme`, whose ``step(states, gs)`` advances every component in
+    place; the table also says whether the scheme steps in the eigenbasis,
+    which :func:`_check_rounding_growth` needs.  Each time step evaluates
+    the kinetics of all components from the common state at t_n, into
     buffers the system owns, which the next step's kinetics overwrite;
     then the scheme steps, and the divergence guard and the samples run.
-    The kinetics' outputs must not share memory with the states.
+    The kinetics' outputs must not share memory with the states, and they
+    may read a component only on its support.
     ``sample_hook(step, t, states)``, with t = step tau, is called at step
     0, every ``record_every`` steps (a positive count; default m), and at
     the final step; it must copy what it keeps of the states.
@@ -735,16 +841,20 @@ def run_simulation(
     setup, spectral = SCHEMES[method]
     tau = t_star / m
     _check_rounding_growth(system.components, t_star, spectral)
-    advance = setup(system.components, tau)
+    scheme = setup(system.components, tau)
     states = {c.name: np.array(c.initial, dtype=float, copy=True) for c in system.components}
+    scheme.load(states)
     every = record_every or m
-    sample = sample_hook or (lambda step, t, states: None)
 
-    sample(0, 0.0, states)
+    def sample(step: int) -> None:
+        if sample_hook is not None:
+            sample_hook(step, step * tau, scheme.fields(states))
+
+    sample(0)
     for step in range(1, m + 1):
-        gs = system.kinetics(states)
-        advance(states, gs)
-        check_divergence(states, step)
+        gs = system.kinetics(scheme.read(states))
+        scheme.step(states, gs)
+        scheme.guard(states, step)
         if step % every == 0 or step == m:
-            sample(step, step * tau, states)
-    return RunResult(fields=states)
+            sample(step)
+    return RunResult(fields=scheme.fields(states))

@@ -1,5 +1,5 @@
 """Order-1/2/3 tensor kernels: dense, block-banded, windowed (block
-tridiagonal bands, cut or wrapped), real-Fourier and per-slice mu-mode
+tridiagonal bands, edges cut), real-Fourier and per-slice mu-mode
 products, vec/unvec and a dense Kronecker assembler.
 
 The wide kernels make no field-size temporary: a block-banded product adds
@@ -89,9 +89,10 @@ class BlockBanded:
     corners lie in the one block).
 
     For a product along mode 2 that is not the last, the matrix may
-    instead be one per first-mode row i, with one block at every diagonal
-    position (see :meth:`scaled_rows`): then ``blocks`` is an (n_1, 1, b, b)
-    stack, and ``up`` and ``down`` hold one row of links per row, (n_1, k).
+    instead differ per leading index l of the unfolding (pre, n, post): then
+    ``blocks`` is a (pre, k, b, b) stack, or (pre, 1, b, b) when the k
+    diagonal blocks of each matrix are equal, and ``up`` and ``down`` are
+    shared, (k,), or one row per leading index, (pre, k).
     """
 
     blocks: np.ndarray
@@ -130,17 +131,6 @@ class BlockBanded:
     def n(self) -> int:
         return self.up.shape[-1] * self.blocks.shape[-1]
 
-    def scaled_rows(self, w: np.ndarray) -> "BlockBanded":
-        """The matrices w_i times this one, one per first-mode row i, held
-        as one b x b block per row, since all k diagonal blocks must be
-        the same (those of a periodic tridiagonal operator are)."""
-        if self.blocks.ndim != 3 or np.any(self.blocks != self.blocks[0]):
-            raise ValueError("only equal diagonal blocks can be held as one per row")
-        w = np.asarray(w, dtype=float)
-        return BlockBanded(
-            w[:, None, None, None] * self.blocks[:1], w[:, None] * self.up, w[:, None] * self.down
-        )
-
     @cached_property
     def wraps(self) -> bool:
         """Whether a last link, a periodic corner, is nonzero (any row's)."""
@@ -174,9 +164,9 @@ def banded_mode_product(
     and each (pre x b) slab is multiplied from the right by its block's
     transpose: k GEMMs with long rows, where one (pre x n) @ (n x n) GEMM
     would spend most of its flops on zeros; there the links are added by
-    one indexed add (:attr:`BlockBanded.gather`).  A stack of one block
-    per first-mode row, for mode 2 of three or more, broadcasts over the k
-    blocks of its row.
+    one indexed add (:attr:`BlockBanded.gather`).  A stack of blocks per
+    leading index, for mode 2 of three or more, broadcasts as its shape
+    says.
     """
     field = np.asarray(field)
     pre = math.prod(field.shape[: mu - 1])
@@ -275,22 +265,14 @@ def fourier_mode_product(
 class BlockRows:
     """The block tridiagonal band of square matrices of order n = k b, in
     b x b blocks, held by block rows: ``rows[l, i]`` is block row i over
-    block columns i - 1 .. i + 1 (b x 3b) of matrix l, in a (p, q, b, 3b)
-    stack.  p = 1 gives one matrix for every leading index of the
-    unfolding (pre, n, post); p = pre - r0 gives one per leading index
-    from r0 on, which along mode 2 is one per first-mode row.  q = k gives
-    every block row its own entry, q = 1 one entry for all of them, as a
-    circulant's band has.  With ``wraps`` the two edge block rows wrap
-    round (block columns k - 1 and 0 are neighbours); without, the block
-    columns beyond the edges are cut off and their entries never read.
-    The leading indices i < r0 may instead keep an rfft ``symbol`` (r0
-    rows of the form that :func:`fourier_mode_product` takes).  Every entry
+    block columns i - 1 .. i + 1 (b x 3b) of matrix l, in a (p, k, b, 3b)
+    stack, p = 1 for one matrix for every leading index of the unfolding
+    (pre, n, post), or one per leading index.  The block columns beyond
+    the edges are cut off and their entries never read; every entry
     outside the band is dropped."""
 
     rows: np.ndarray
     n: int
-    wraps: bool
-    symbol: np.ndarray | None = None
 
     @classmethod
     def from_dense(cls, A: np.ndarray, b: int) -> "BlockRows":
@@ -305,80 +287,37 @@ class BlockRows:
         padded = np.zeros((n, n + 2 * b))
         padded[:, b:-b] = A
         rows = [padded[i * b : (i + 1) * b, i * b : (i + 3) * b] for i in range(n // b)]
-        return cls(np.stack(rows)[None], n, False)
-
-    @classmethod
-    def from_columns(cls, symbol: np.ndarray, columns: np.ndarray, b: int) -> "BlockRows":
-        """Real symmetric circulants, one per first-mode row: the symbol
-        rows i < r0 as they are, and the band of each later circulant C
-        from its first column (one row of ``columns``, of shape
-        (n_1 - r0, n)), edges wrapped.  All block rows of that band are
-        the same [C_-1 C_0 C_1]: entry (p, q) is C[b + p, q] =
-        c[(b + p - q) mod n], one gather for every row."""
-        n = columns.shape[1]
-        if b < 1 or n % b or n // b < 4:
-            raise ValueError(
-                f"cannot split circulants of order {n} into at least 4 x 4 blocks of {b}x{b}"
-            )
-        gap = (b + np.arange(b)[:, None] - np.arange(3 * b)) % n
-        # gathered transposed in memory (same values): the inner block rows
-        # of the 160 x 160 x 20 cylinder's product took 0.95 ms so, 1.4 ms
-        # C-ordered and 2.0 ms row-fastest, as ``columns[:, gap]`` lays out
-        rows = np.take(columns, gap.T, axis=1).transpose(0, 2, 1)[:, None]
-        return cls(rows, n, True, symbol)
+        return cls(np.stack(rows)[None], n)
 
 
 def windowed_mode_product(
-    mu: int,
-    op: BlockRows,
-    field: np.ndarray,
-    out: np.ndarray | None = None,
-    spectrum: np.ndarray | None = None,
+    mu: int, op: BlockRows, field: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """:func:`mode_product` with a :class:`BlockRows` band, into ``out`` as
     there.
 
-    The leading indices i < r0 that keep a symbol go through
-    :func:`fourier_mode_product` along mode 2, with the leading rows of
-    ``spectrum``, a whole spectrum as there.  On the others each inner block
-    row multiplies the window of 3 b rows of the unfolding (pre, n, post)
-    that its blocks meet; the windows overlap, and are read as one strided
-    view of the field, so one batched GEMM covers rows b .. n - b.  Two more
-    GEMMs give the edge block rows, and where the edges wrap, two more add
-    the blocks that wrap round; their products pass through ``spectrum``,
-    viewed as real numbers, when given.  Meant for modes before the last,
-    where ``post`` makes the rows of each GEMM long.
+    Each inner block row multiplies the window of 3 b rows of the unfolding
+    (pre, n, post) that its blocks meet; the windows overlap, and are read
+    as one strided view of the field, so one batched GEMM covers rows b ..
+    n - b.  Two more GEMMs give the edge block rows.  Meant for modes
+    before the last, where ``post`` makes the rows of each GEMM long.
     """
     field = np.asarray(field)
     pre = math.prod(field.shape[: mu - 1])
     post = math.prod(field.shape[mu:])
-    r0 = 0 if op.symbol is None else op.symbol.shape[0]
-    if (
-        not 1 <= mu <= field.ndim
-        or field.shape[mu - 1] != op.n
-        or op.rows.shape[0] not in (1, pre - r0)
-        or r0 and mu != 2
-    ):
+    if not 1 <= mu <= field.ndim or field.shape[mu - 1] != op.n or len(op.rows) not in (1, pre):
         raise ValueError(
-            f"block rows of order {op.n}, {op.rows.shape[0]} matrices after {r0} symbol "
-            f"rows, do not fit mode {mu} of field with dims {field.shape}"
+            f"block rows of order {op.n}, {len(op.rows)} matrices, do not fit mode {mu} of "
+            f"field with dims {field.shape}"
         )
     n, b, L = op.n, op.rows.shape[2], op.rows
     res = np.empty(field.shape) if out is None else out
-    if r0:
-        part = None if spectrum is None else spectrum[:r0]
-        fourier_mode_product(2, op.symbol, field[:r0], out=res[:r0], spectrum=part)
-    X, R = field.reshape(pre, n, post)[r0:], res.reshape(pre, n, post)[r0:]
+    X, R = field.reshape(pre, n, post), res.reshape(pre, n, post)
     windows = np.lib.stride_tricks.sliding_window_view(X, 3 * b, axis=1)[:, ::b]
-    inner = R.reshape(-1, n // b, b, post)[:, 1:-1]
-    np.matmul(L[:, 1:-1] if L.shape[1] > 1 else L, windows.transpose(0, 1, 3, 2), out=inner)
+    inner = R.reshape(pre, n // b, b, post)[:, 1:-1]
+    np.matmul(L[:, 1:-1], windows.transpose(0, 1, 3, 2), out=inner)
     np.matmul(L[:, 0, :, b:], X[:, : 2 * b], out=R[:, :b])
     np.matmul(L[:, -1, :, : 2 * b], X[:, -2 * b :], out=R[:, -b:])
-    if op.wraps:
-        real = None if spectrum is None else spectrum.reshape(-1).view(float)
-        wrap = None if real is None else real[: R.shape[0] * b * post].reshape(-1, b, post)
-        R[:, :b] += np.matmul(L[:, 0, :, :b], X[:, -b:], out=wrap)
-        R[:, -b:] += np.matmul(L[:, -1, :, 2 * b :], X[:, :b], out=wrap)
     return res
 
 

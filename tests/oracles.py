@@ -1,7 +1,6 @@
 """Reference code that only the tests use: the Tucker operator, the
-block-banded mode product as a gather of the entries outside the blocks, the
-banded-circulant mode product with one dense circulant per row, each
-geometry's Kronecker summands written out by hand, one dense classical
+block-banded mode product as a gather of the entries outside the blocks,
+each geometry's Kronecker summands written out by hand, one dense classical
 exponential Euler step, one split step with nothing folded into its
 factors, one with every summand in its plain form, one split and one
 forward Euler step with a component's decay in its reaction term,
@@ -85,26 +84,6 @@ def banded_gather_product(
     return res
 
 
-def banded_circulant_product(
-    symbol: np.ndarray, b: int, r0: int, field: np.ndarray
-) -> np.ndarray:
-    """The product along mode 2 with one dense circulant per row i of the
-    first mode, its first column irfft(symbol[i]), from row r0 on with every
-    entry outside its block tridiagonal band of b x b blocks (wrapping
-    round) set to zero: one matrix product per row."""
-    n1, n = field.shape[:2]
-    columns = np.fft.irfft(symbol.reshape(n1, -1), n, axis=1)
-    gap = (np.arange(n)[:, None] - np.arange(n)) % n
-    k = n // b
-    apart = (np.arange(n)[:, None] // b - np.arange(n) // b) % k
-    band = (apart <= 1) | (apart == k - 1)
-    res = np.empty(field.shape)
-    for i, column in enumerate(columns):
-        C = column[gap] if i < r0 else np.where(band, column[gap], 0.0)
-        res[i] = np.tensordot(C, field[i], axes=1)
-    return res
-
-
 def kronecker_summands(base: ComponentOps) -> list[np.ndarray]:
     """The Kronecker summands M_1, ..., M_d of the diffusion matrix as dense
     matrices (coefficient included), in the fixed splitting order: written
@@ -165,20 +144,14 @@ def step_exact_ee_reference(
 
 def unfused_split_step(ops: GeometryOps, W: np.ndarray, G: np.ndarray) -> np.ndarray:
     """The split step W + tau P_1 ... P_d (M W + G) on the prepared factors
-    of ``ops`` with nothing folded into them: a summand whose M W blocks
-    are held one per first-mode row takes its unweighted blocks, with the
-    weights multiplied in after the product, and the first-applied P_d is
-    rebuilt without tau, which multiplies in after every P_mu."""
+    of ``ops`` with nothing folded into them: the first-applied P_d is
+    rebuilt without tau, which multiplies in after every P_mu.  A component
+    that ``ops`` holds in an eigenbasis takes the factors that ``prepare``
+    gives it with a whole support, in the physical field."""
     base, tau = ops.base, ops.tau
-    axes = base.axis_ops()
+    if ops.basis is not None:
+        ops = prepare(replace(base, support=(...,)), tau)
     factors = list(ops.factors)
-    for i, (mode, _) in enumerate(FACTORS[base.geometry]):
-        A = factors[i].A
-        if isinstance(A, tensor.BlockBanded) and A.blocks.ndim == 4:
-            A = tensor.BlockBanded.from_dense(
-                base.coeff * axes[mode - 1].toarray(), A.blocks.shape[-1]
-            )
-            factors[i] = replace(factors[i], A=A, weight=axes[0].weights[:, None, None])
     factors[-1] = replace(factors[-1], phi1=_phi1_without_tau(ops))
     T = factors[0].diffusion(W)
     for f in factors[1:]:

@@ -256,6 +256,22 @@ def test_run_divergence_exit_code_and_partial_outputs(tmp_path):
     assert (out / "timeseries.csv").exists()
 
 
+def test_run_divergence_of_the_cylinder_bulk_names_the_same_step(tmp_path, capsys):
+    # the split scheme holds the cylinder's bulk as coefficients in its
+    # eigenbasis and guards them by that basis's norm: a decay of 1e4 makes
+    # u diverge at step 6, as it did when u was stepped as a field, and
+    # every step before it is sampled
+    out = tmp_path / "c"
+    code = run_cli(
+        "run", "--model", "bsdib_cylinder", "--n-rho", "4", "--n-theta", "6", "--n-z", "4",
+        "--m", "20", "--tstar", "1", "--snapshots", "1", "--out", str(out),
+        "--set", "params.alpha1=1e4",
+    )
+    assert code == 3
+    assert capsys.readouterr().err == "DIVERGED at step 6; partial outputs kept\n"
+    assert (out / "u_0000005.csv").exists() and not (out / "u_0000006.csv").exists()
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert run_cli("run", "--model", "nope", "--m", "1", "--tstar", "1") == 2
     assert run_cli("run", "--model", "bvam_disk", "--m", "1", "--tstar", "1") == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curvipat import operators, tensor
-from oracles import banded_circulant_product, tucker
+from oracles import tucker
 
 
 def loop_mode_product(mu, L, T):
@@ -213,13 +213,17 @@ def test_block_banded_rejects_bad_splits():
 )
 def test_banded_mode_product_with_one_block_per_row_equals_the_weighted_one(dims, b):
     # a periodic tridiagonal Toeplitz operator has k equal diagonal blocks,
-    # so w_i A is held as one block and one row of links per first-mode row
+    # so w_i A may be held as one block and one row of links per first-mode
+    # row
     rng = np.random.RandomState(15)
     n = dims[1]
     A = sum(c * np.roll(np.eye(n), shift, axis=1) for c, shift in zip(rng.randn(3), (-1, 0, 1)))
     w = 0.5 + rng.rand(dims[0])
     op = tensor.BlockBanded.from_dense(A, b)
-    rows = op.scaled_rows(w)
+    assert np.all(op.blocks == op.blocks[0])
+    rows = tensor.BlockBanded(
+        w[:, None, None, None] * op.blocks[:1], w[:, None] * op.up, w[:, None] * op.down
+    )
     assert rows.blocks.shape == (dims[0], 1, b, b) and rows.n == n
     assert rows.up.shape == rows.down.shape == (dims[0], n // b)
     T = rng.randn(*dims)
@@ -232,17 +236,22 @@ def test_banded_mode_product_with_one_block_per_row_equals_the_weighted_one(dims
     assert np.shares_memory(into, buf) and np.array_equal(into, got)
 
 
-def test_one_block_per_row_rejects_unequal_blocks_and_other_modes():
-    rng = np.random.RandomState(16)
-    with pytest.raises(ValueError):  # a plain tridiagonal matrix's blocks differ
-        plain = tensor.BlockBanded.from_dense(random_tridiagonal(12, rng, False), 4)
-        plain.scaled_rows(np.ones(3))
-    rows = tensor.BlockBanded.from_dense(operators.build_theta(12).toarray(), 4).scaled_rows(
-        np.ones(3)
+@pytest.mark.parametrize("shared_links", [True, False])
+def test_blocks_per_leading_index_reject_other_modes(shared_links):
+    # blocks per leading index fit mode 2 of three or more modes alone, and
+    # only as many leading indices as they have
+    op = tensor.BlockBanded.from_dense(random_tridiagonal(12, np.random.RandomState(16), False), 4)
+    stacked = tensor.BlockBanded(
+        np.stack([op.blocks] * 3),
+        op.up if shared_links else np.stack([op.up] * 3),
+        op.down if shared_links else np.stack([op.down] * 3),
     )
+    T = np.random.RandomState(17).randn(3, 12, 2)
+    got = tensor.banded_mode_product(2, stacked, T)
+    assert np.array_equal(got, tensor.banded_mode_product(2, op, T))
     for mu, dims in [(1, (12, 3, 2)), (2, (3, 12)), (2, (4, 12, 2)), (3, (3, 2, 12))]:
         with pytest.raises(ValueError):
-            tensor.banded_mode_product(mu, rows, np.zeros(dims))
+            tensor.banded_mode_product(mu, stacked, np.zeros(dims))
 
 
 def block_tridiagonal_part(A, b):
@@ -253,54 +262,33 @@ def block_tridiagonal_part(A, b):
 
 
 @pytest.mark.parametrize(
-    "dims, mu, b, r0",
+    "dims, mu, b",
     [
-        # edges cut: the band of one dense matrix for every leading index
-        pytest.param((160, 160, 20), 1, 16, None, id="dims0-1-16"),
-        pytest.param((160, 40), 1, 16, None, id="dims1-1-16"),
-        pytest.param((30, 7), 1, 10, None, id="dims2-1-10"),
-        pytest.param((3, 40, 5), 2, 8, None, id="dims3-2-8"),
-        # edges wrapped: a circulant per first-mode row, from r0 on its band
-        ((6, 64, 5), 2, 16, 0),
-        ((9, 40, 3), 2, 8, 4),
-        ((7, 45, 2), 2, 9, 6),
-        ((5, 32), 2, 8, 2),
+        # the band of one dense matrix for every leading index
+        pytest.param((160, 160, 20), 1, 16, id="dims0-1-16"),
+        pytest.param((160, 40), 1, 16, id="dims1-1-16"),
+        pytest.param((30, 7), 1, 10, id="dims2-1-10"),
+        pytest.param((3, 40, 5), 2, 8, id="dims3-2-8"),
+        # the radial band of the 160 x 160 x 20 cylinder's coefficients
+        pytest.param((20, 160, 160), 2, 16, id="coefficients-2-16"),
     ],
 )
-def test_windowed_mode_product_equals_a_gemm_with_the_truncated_matrix(dims, mu, b, r0):
-    # a cut band equals a GEMM with the truncated matrix; a wrapped one, its
-    # symbol varying along mode 1, a dense circulant per row whose band
-    # wraps round.  Every spectrum gives the same result bit for bit: none
-    # and one of all rows
-    rng = np.random.RandomState(16 if r0 is None else 23)
+def test_windowed_mode_product_equals_a_gemm_with_the_truncated_matrix(dims, mu, b):
+    # a band with its edges cut equals a GEMM with the truncated matrix
+    rng = np.random.RandomState(16)
     T = rng.randn(*dims)
     before = T.copy()
     n = dims[mu - 1]
-    spectra = [None]
-    if r0 is None:
-        A = rng.randn(n, n)
-        op = tensor.BlockRows.from_dense(A, b)
-        assert op.rows.shape == (1, n // b, b, 3 * b) and not op.wraps
-        ref = tensor.mode_product(mu, block_tridiagonal_part(A, b), T)
-        tol = 1e-15
-    else:
-        n1 = dims[0]
-        symbol = rng.rand(n1, n // 2 + 1, *([1] * (len(dims) - 2))).astype(complex)
-        columns = np.fft.irfft(symbol.reshape(n1, -1), n, axis=1)
-        op = tensor.BlockRows.from_columns(symbol[:r0].copy(), columns[r0:], b)
-        assert op.rows.shape == (n1 - r0, 1, b, 3 * b) and op.wraps
-        assert op.rows.transpose(0, 1, 3, 2).flags.c_contiguous
-        ref = banded_circulant_product(symbol, b, r0, T)
-        tol = 1e-14
-        spectra.append(np.empty((n1, n // 2 + 1, *dims[2:]), dtype=complex))
-    assert op.n == n
+    A = rng.randn(n, n)
+    op = tensor.BlockRows.from_dense(A, b)
+    assert op.rows.shape == (1, n // b, b, 3 * b) and op.n == n
+    ref = tensor.mode_product(mu, block_tridiagonal_part(A, b), T)
     out = tensor.windowed_mode_product(mu, op, T)
     assert out.flags.c_contiguous
-    assert np.max(np.abs(out - ref)) <= tol * np.max(np.abs(ref))
-    for spectrum in spectra:
-        buf = np.empty(dims)
-        into = tensor.windowed_mode_product(mu, op, T, out=buf, spectrum=spectrum)
-        assert into is buf and np.array_equal(buf, out)
+    assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
+    buf = np.empty(dims)
+    into = tensor.windowed_mode_product(mu, op, T, out=buf)
+    assert into is buf and np.array_equal(buf, out)
     assert np.array_equal(T, before)
 
 
@@ -318,20 +306,6 @@ def test_block_tridiagonal_rejects_bad_splits():
     cut = tensor.BlockRows.from_dense(A, 4)
     assert_rejects_fields_of_another_order(cut, 1, (8, 3))
     assert_rejects_fields_of_another_order(cut, 3, (12, 3))
-
-
-def test_banded_circulant_rejects_bad_splits():
-    columns = np.ones((3, 24))
-    for b in (0, 5, 7, 8):  # no split, or fewer than four block rows
-        with pytest.raises(ValueError):
-            tensor.BlockRows.from_columns(np.ones((1, 13), dtype=complex), columns, b)
-    wrapped = tensor.BlockRows.from_columns(np.ones((1, 13, 1), dtype=complex), columns, 6)
-    for dims in ((3, 24, 2), (4, 26, 2), (4,)):
-        assert_rejects_fields_of_another_order(wrapped, 2, dims)
-    # no symbol rows, as prepare holds a band that holds on every row
-    bare = tensor.BlockRows.from_columns(np.ones((0, 13, 1), dtype=complex), columns, 6)
-    for dims in ((3, 30, 2), (3, 12, 2)):
-        assert_rejects_fields_of_another_order(bare, 2, dims)
 
 
 @pytest.mark.parametrize("dims", [(4, 5, 3), (3, 1, 2), (5, 2, 3, 4)])
