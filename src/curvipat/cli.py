@@ -45,8 +45,7 @@ from .operators import (
     matrix_exp_nonneg_check,
     symmetrize,
 )
-
-_FMT = "%.17g"
+from .output import FLOAT_FMT
 
 
 class UsageError(ValueError):
@@ -372,7 +371,7 @@ def cmd_converge(cfg: dict) -> dict:
     def row(entry: dict, diverged: str) -> str:
         # the cell of a diverged forward Euler run, which has no error
         cells = [str(entry["m"])]
-        cells += [diverged if entry[k] is None else _FMT % entry[k] for k, _ in columns]
+        cells += [diverged if entry[k] is None else FLOAT_FMT % entry[k] for k, _ in columns]
         return ",".join(cells)
 
     print(header)
@@ -464,7 +463,7 @@ def _format_cell(value) -> str:
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return _FMT % value
+        return FLOAT_FMT % value
     return str(value)
 
 
@@ -503,7 +502,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             report = cmd_run(cfg)
             for name, value in report.final_means.items():
-                print(f"final mean_{name}: {_FMT % value}")
+                print(f"final mean_{name}: {FLOAT_FMT % value}")
             print(f"wall time: {report.wall_time:.3f} s "
                   f"({report.per_step_time * 1e3:.3f} ms/step)")
             print(f"files written: {len(report.manifest)}")

@@ -7,10 +7,11 @@ products M = M_1 + ... + M_d.  Each summand M_mu acts along one mode with a
 1-d operator, scaled by the diagonal weights that the 1-d operators of some
 other modes carry; the table ``FACTORS`` lists the summands of each
 geometry in the fixed splitting order.  It is the one description of them:
-``prepare`` (through its tau-free half :func:`diffusion_factors`, all
-that forward Euler applies) and the dense reference
-(:func:`dense_split_factors`) are built from it, and the tests check both
-against summands written out per geometry by hand in ``tests/oracles.py``.
+``prepare`` is built from it, through its tau-free half
+:func:`diffusion_factors`, all that forward Euler applies, and the dense
+reference assembles M from those factors (:func:`dense_diffusion`), so
+every scheme applies one spatial operator; the tests check it against
+summands written out per geometry by hand in ``tests/oracles.py``.
 The split scheme advances W_{n+1} = W_n + tau * P_1 P_2 (... P_d) F_n where
 F_n = M W_n + G_n and each P_mu is phi1(tau M_mu).  An unweighted P_mu is
 one mode product with a dense phi1 matrix; a weighted one is a mode product
@@ -603,22 +604,16 @@ def step_forward_euler(
     return np.add(W, T, out=out)
 
 
-def dense_split_factors(base: ComponentOps) -> list[np.ndarray]:
-    """The Kronecker summands M_1, ..., M_d of the diffusion matrix as dense
-    matrices (coefficient included), assembled from ``FACTORS`` in the
-    splitting order: the 1-d operator along the summand's mode, the
-    diagonal weights on the modes that weight it, the identity elsewhere
-    (no decay).  Sizes are capped by the Kronecker assembler."""
-    axes = base.axis_ops()
-    summands = []
-    for mode, weighted_by in FACTORS[base.geometry]:
-        mats = [
-            np.diag(axis.weights) if mu in weighted_by else np.eye(axis.n)
-            for mu, axis in enumerate(axes, start=1)
-        ]
-        mats[mode - 1] = axes[mode - 1].toarray()
-        summands.append(base.coeff * tensor.kron_assemble(mats))
-    return summands
+def dense_diffusion(base: ComponentOps) -> np.ndarray:
+    """The diffusion matrix M (coefficient included, no decay) as a dense
+    matrix, column by column from the structured factors: each summand of
+    :func:`diffusion_factors` with a unit coefficient applied to every unit
+    field, then times the coefficient (so it rounds once, on the summand's
+    entries), summed in the splitting order."""
+    units = [tensor.unvec(e, base.shape) for e in np.eye(math.prod(base.shape))]
+    factors = diffusion_factors(replace(base, coeff=1.0, decay=0.0))
+    summands = (np.column_stack([tensor.vec(f.diffusion(e)) for e in units]) for f in factors)
+    return reduce(np.add, (base.coeff * S for S in summands))
 
 
 @dataclass(frozen=True)
@@ -693,7 +688,7 @@ def _dense(comps, tau: float) -> Scheme:
                 f"component {c.name!r} has {size} unknowns, beyond the dense "
                 f"reference cap {DENSE_REFERENCE_CAP}"
             )
-        M = reduce(np.add, dense_split_factors(c.ops))
+        M = dense_diffusion(c.ops)
         P = phi1_dense_oracle(tau * M, max_dim=DENSE_REFERENCE_CAP)
         M.flat[:: len(M) + 1] -= c.ops.decay
         plan.append((c.name, M, P, c.ops.support))

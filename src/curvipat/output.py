@@ -12,7 +12,8 @@ import numpy as np
 
 from .integrators import ComponentOps
 
-_FLOAT_FMT = "%.17g"
+# every number the package writes or prints, round-trip exact
+FLOAT_FMT = "%.17g"
 
 # 16 anchor colors blended linearly into the fixed 256-entry palette used by
 # the heatmaps (dark purple through teal to yellow).
@@ -99,7 +100,7 @@ def write_snapshot(
     grids = [axis.grid for axis in cops.axis_ops()]
     shape = field.shape
     index_text = [[f"{k}," for k in range(1, n + 1)] for n in shape]
-    coord_text = [[_FLOAT_FMT % c + "," for c in grid.tolist()] for grid in grids]
+    coord_text = [[FLOAT_FMT % c + "," for c in grid.tolist()] for grid in grids]
     # (index text, coordinate text) of every node of one slice, first index
     # fastest
     prefixes = [("", "")]
@@ -113,17 +114,17 @@ def write_snapshot(
         fh.write(f"# geometry: {cops.geometry.value}\n")
         fh.write(f"# dims: {' '.join(str(d) for d in shape)}\n")
         fh.write(f"# step: {step}\n")
-        fh.write(f"# t: {_FLOAT_FMT % t}\n")
+        fh.write(f"# t: {FLOAT_FMT % t}\n")
         for name, grid in zip(names, grids):
             fh.write(
-                f"# grid_{name}: " + " ".join(_FLOAT_FMT % g for g in grid) + "\n"
+                f"# grid_{name}: " + " ".join(FLOAT_FMT % g for g in grid) + "\n"
             )
         fh.write(",".join(["i", "j", "k"][: len(shape)] + names + ["value"]) + "\n")
         slices = field.reshape(-1, order="F").reshape(shape[-1], -1)
         for i_k, c_k, values in zip(index_text[-1], coord_text[-1], slices):
             # index and coordinate text hold no "%", so only the value
             # fields are formatting directives
-            rows = "".join(f"{idx}{i_k}{crd}{c_k}{_FLOAT_FMT}\n" for idx, crd in prefixes)
+            rows = "".join(f"{idx}{i_k}{crd}{c_k}{FLOAT_FMT}\n" for idx, crd in prefixes)
             fh.write(rows % tuple(values.tolist()))
 
 
@@ -132,4 +133,4 @@ def write_timeseries(path: Path, names: list[str], rows: list[tuple]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(["t"] + [f"mean_{n}" for n in names]) + "\n")
         for row in rows:
-            fh.write(",".join(_FLOAT_FMT % x for x in row) + "\n")
+            fh.write(",".join(FLOAT_FMT % x for x in row) + "\n")

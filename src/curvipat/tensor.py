@@ -1,6 +1,6 @@
 """Order-1/2/3 tensor kernels: dense, block-banded, windowed (block
 tridiagonal bands, edges cut), real-Fourier and per-slice mu-mode
-products, vec/unvec and a dense Kronecker assembler.
+products, and vec/unvec.
 
 The wide kernels make no field-size temporary: a block-banded product adds
 the links between its diagonal blocks through views of the field, a
@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-KRON_ORACLE_CAP = 4096
 
 
 def vec(field: np.ndarray) -> np.ndarray:
@@ -320,20 +318,3 @@ def windowed_mode_product(
     np.matmul(L[:, -1, :, : 2 * b], X[:, -2 * b :], out=R[:, -b:])
     return res
 
-
-def kron_assemble(matrices) -> np.ndarray:
-    """Explicit dense Kronecker product L_d x ... x L_1 from per-mode
-    matrices listed in ascending mode order.  Oracle-sized only."""
-    if not matrices:
-        raise ValueError("need at least one matrix")
-    total = 1
-    for L in matrices:
-        total *= np.asarray(L).shape[0]
-    if total > KRON_ORACLE_CAP:
-        raise ValueError(
-            f"assembled dimension {total} exceeds the oracle cap {KRON_ORACLE_CAP}"
-        )
-    out = np.asarray(matrices[0])
-    for L in matrices[1:]:
-        out = np.kron(np.asarray(L), out)
-    return out

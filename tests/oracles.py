@@ -1,6 +1,7 @@
 """Reference code that only the tests use: the Tucker operator, the
 block-banded mode product as a gather of the entries outside the blocks,
-each geometry's Kronecker summands written out by hand, one dense classical
+a dense Kronecker assembler, each geometry's Kronecker summands written
+out by hand with it, one dense classical
 exponential Euler step, one split step with nothing folded into its
 factors, one with every summand in its plain form, one split and one
 forward Euler step with a component's decay in its reaction term,
@@ -30,6 +31,8 @@ from curvipat.integrators import (
 )
 from curvipat.operators import PeriodicTridiagonal, eig_theta, eig_tridiag
 from curvipat.phifun import phi1_dense_oracle, phi1_matrix, phi1_outer
+
+KRON_ORACLE_CAP = 4096
 
 
 def tucker(field: np.ndarray, matrices, skip: set[int] | None = None) -> np.ndarray:
@@ -84,13 +87,31 @@ def banded_gather_product(
     return res
 
 
+def kron_assemble(matrices) -> np.ndarray:
+    """Explicit dense Kronecker product L_d x ... x L_1 from per-mode
+    matrices listed in ascending mode order.  Oracle-sized only."""
+    if not matrices:
+        raise ValueError("need at least one matrix")
+    total = 1
+    for L in matrices:
+        total *= np.asarray(L).shape[0]
+    if total > KRON_ORACLE_CAP:
+        raise ValueError(
+            f"assembled dimension {total} exceeds the oracle cap {KRON_ORACLE_CAP}"
+        )
+    out = np.asarray(matrices[0])
+    for L in matrices[1:]:
+        out = np.kron(np.asarray(L), out)
+    return out
+
+
 def kronecker_summands(base: ComponentOps) -> list[np.ndarray]:
     """The Kronecker summands M_1, ..., M_d of the diffusion matrix as dense
     matrices (coefficient included), in the fixed splitting order: written
     out per geometry from the base 1-d operators, independently of the
     ``FACTORS`` table that the package builds them from; sizes are capped
-    by the Kronecker assembler."""
-    kron = tensor.kron_assemble
+    by :func:`kron_assemble`."""
+    kron = kron_assemble
     g = base.geometry
     if base.rho is not None:
         A_rho = base.rho.toarray()

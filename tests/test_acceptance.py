@@ -34,6 +34,7 @@ from oracles import (
     MeanSeries,
     explicit_z_eigenpairs,
     is_stabilized,
+    kron_assemble,
     kronecker_summands,
     pattern_amplitude,
     tucker,
@@ -286,7 +287,7 @@ def test_criterion_8_tucker_kronecker_duality():
         T = rng.randn(*dims)
         Ls = [rng.randn(n, n) for n in dims]
         out = tucker(T, Ls)
-        ref = tensor.unvec(tensor.kron_assemble(Ls) @ tensor.vec(T), dims)
+        ref = tensor.unvec(kron_assemble(Ls) @ tensor.vec(T), dims)
         worst = max(worst, float(np.max(np.abs(out - ref))))
     ok = worst <= 1e-13
     report("8", "Tucker/Kronecker duality", ok, f"(max deviation={worst:.2e})")
