@@ -46,6 +46,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial, reduce
+from itertools import chain, repeat
 from typing import Callable
 
 import numpy as np
@@ -60,7 +61,11 @@ _LIMIT_SQUARED = DIVERGENCE_LIMIT**2
 # _check_rounding_growth): every shipped config stays below 2e-6, and a
 # sphere with rho_star = 1e-7, whose means move visibly, reaches 0.22.
 ROUNDING_LIMIT = 1e-3
-DENSE_REFERENCE_CAP = 4096
+# The dense reference's set-up grows as the cube of the unknowns: with one
+# BLAS thread, one bvam_disk component took 0.61 s at 512 unknowns and
+# 3.93 s at 1024, and at 4096 it ran over 8 minutes at 2.6 GB before it was
+# stopped.
+DENSE_REFERENCE_CAP = 1024
 
 # Diagonal blocks of a block-banded 1-d operator are the largest divisor of
 # n in [BLOCK_MIN, BLOCK_MAX]; smaller blocks ran slower than the dense GEMM.
@@ -646,9 +651,10 @@ def _prepared(comps, tau: float, phi1: bool) -> Scheme:
     applies only M W: each component's :class:`GeometryOps`, from
     :func:`prepare` or :func:`diffusion_factors`, built once per distinct
     geometry, coefficient, decay, basis and axis objects, and one
-    :class:`Workspace` per shape of what the steps advance, its fields the
-    scratch of up to two held components.  Its step advances every
-    component in place, in order, through :func:`step_split` or
+    :class:`Workspace` per shape of what the steps advance.  Each held
+    component takes a scratch field of its own: first the two of its
+    shape's workspace, then new ones.  Its step advances every component in
+    place, in order, through :func:`step_split` or
     :func:`step_forward_euler`, looked up when it runs."""
     built: dict[tuple, GeometryOps] = {}
     plan = []
@@ -660,7 +666,7 @@ def _prepared(comps, tau: float, phi1: bool) -> Scheme:
             built[key] = prepare(c.ops, tau) if phi1 else GeometryOps(c.ops, tau, factors)
         plan.append((c.name, replace(built[key], base=c.ops)))
     work = {shape: Workspace(shape) for shape in {(ops.basis or ops).shape for _, ops in plan}}
-    scratch = {shape: iter(w.fields) for shape, w in work.items()}
+    scratch = {shape: chain(w.fields, map(np.empty, repeat(shape))) for shape, w in work.items()}
     held = {
         n: (o.basis, next(scratch[o.basis.shape]).reshape(o.shape)) for n, o in plan if o.basis
     }

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import reduce
@@ -559,7 +560,7 @@ def random_initial_condition(
     The result is bitwise reproducible for a fixed seed.
     """
     rng = Xoshiro256pp(seed)
-    shapes = component_shapes(model.name, dims)
+    shapes = component_shapes(model, dims)
     equilibrium = model.equilibrium(model.params)
     fields = {}
     for name, shape in shapes.items():
@@ -578,19 +579,24 @@ def _constant(value: float, shape: tuple[int, ...]) -> np.ndarray:
     return np.broadcast_to(np.float64(value), shape)
 
 
+def _components(model: Model | ModelName) -> dict[str, Component]:
+    """The components of a record, or of a name's record in ``MODELS``."""
+    return (model if isinstance(model, Model) else MODELS[model]).components
+
+
 def component_shapes(
-    name: ModelName, dims: dict[str, int]
+    model: Model | ModelName, dims: dict[str, int]
 ) -> dict[str, tuple[int, ...]]:
     """Field dims per component, from the per-axis point counts."""
     return {
         comp: tuple(dims[f"n_{axis}"] for axis in c.geometry.axes)
-        for comp, c in MODELS[name].components.items()
+        for comp, c in _components(model).items()
     }
 
 
-def dim_keys(name: ModelName) -> tuple[str, ...]:
+def dim_keys(model: Model | ModelName) -> tuple[str, ...]:
     """The point-count keys (``n_<axis>``) a model needs, in axis order."""
-    components = MODELS[name].components.values()
+    components = _components(model).values()
     return tuple(dict.fromkeys(f"n_{axis}" for c in components for axis in c.geometry.axes))
 
 
@@ -625,12 +631,12 @@ def build_system(
     try:
         # numpy's overflow and division by zero raise here, as Python's do
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            counts = {key.removeprefix("n_"): dims[key] for key in dim_keys(model.name)}
+            counts = {key.removeprefix("n_"): dims[key] for key in dim_keys(model)}
             axes = {axis: build_axis[axis](n) for axis, n in counts.items()}
             for axis, op in axes.items():
                 # prepare's eigensolver works on the symmetrized matrix
                 if isinstance(op, TridiagonalOperator):
-                    off = symmetrize(op)[1].off
+                    off = symmetrize(op)[1]
                     if not np.all((off > 0) & np.isfinite(off)):
                         raise ValueError(
                             f"the {axis} operator's symmetrized off-diagonals must be "
@@ -699,16 +705,22 @@ def _check_memory(model: Model, dims: dict[str, int]) -> int:
     one value), and the factors ``prepare`` keeps; the record's kinetics
     buffers; per field shape: the step workspace, two fields and (unless
     all are held in an eigenbasis) an rfft spectrum, which holds n//2 + 1
-    complex values per n reals, so at most two fields."""
-    shapes = component_shapes(model.name, dims)
+    complex values per n reals, so at most two fields; and a scratch field
+    for each component held in an eigenbasis beyond its shape's first two."""
+    shapes = component_shapes(model, dims)
     need = model.buffer_bytes(shapes)
     spectra = set()
+    held = Counter()
     for comp, shape in shapes.items():
         c = model.components[comp]
         fields = 1 if c.perturbation is None else 2
         need += 8 * fields * math.prod(shape) + prepared_bytes(c.geometry, shape, c.support)
-        spectra |= set() if in_eigenbasis(c.geometry, c.support) else {shape}
+        if in_eigenbasis(c.geometry, c.support):
+            held[shape] += 1
+        else:
+            spectra.add(shape)
     need += sum(8 * 2 * math.prod(shape) for shape in [*set(shapes.values()), *spectra])
+    need += sum(8 * max(k - 2, 0) * math.prod(shape) for shape, k in held.items())
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(

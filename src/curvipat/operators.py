@@ -74,9 +74,9 @@ class TridiagonalOperator:
     def eigen(self) -> "EigenFactorization":
         """The eigendecomposition, computed on first use and then shared
         (read-only) by every component built on this operator."""
-        xi, sym = symmetrize(self)
+        xi, off = symmetrize(self)
         try:
-            lam, Q = np.linalg.eigh(sym.toarray())
+            lam, Q = np.linalg.eigh(np.diag(self.a) + np.diag(off, 1) + np.diag(off, -1))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NumericalFailure(f"tridiagonal eigensolver failed: {exc}") from exc
         for arr in (lam, Q, xi):
@@ -159,17 +159,6 @@ class EigenFactorization:
     @property
     def V_inv(self) -> np.ndarray:
         return self.Q.T / self.xi[None, :]
-
-
-@dataclass(frozen=True)
-class SymTridiagonal:
-    """Symmetric tridiagonal matrix stored as (diagonal, off-diagonal) bands."""
-
-    diag: np.ndarray
-    off: np.ndarray
-
-    def toarray(self) -> np.ndarray:
-        return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
 
 
 def build_theta(n: int) -> PeriodicTridiagonal:
@@ -381,18 +370,19 @@ def build_lambda(n: int, rho_star: float, lam: float) -> TridiagonalOperator:
     )
 
 
-def symmetrize(op: TridiagonalOperator) -> tuple[np.ndarray, SymTridiagonal]:
-    """Diagonal symmetrization xi with Xi^-1 A Xi symmetric.
+def symmetrize(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal symmetrization xi with Xi^-1 A Xi symmetric, and that
+    matrix's off-diagonal sqrt(b_l c_l) (its diagonal is A's).
 
     xi_1 = 1 and xi_{l+1} = sqrt((c_1...c_l)/(b_1...b_l)); the products are
     accumulated as sums of logs so that xi never under- or overflows even for
-    n in the thousands.  The symmetric matrix has off-diagonal sqrt(b_l c_l).
+    n in the thousands.
     """
     if np.any(op.b <= 0) or np.any(op.c <= 0):
         raise ValueError("symmetrization needs strictly positive off-diagonals")
     logs = 0.5 * np.cumsum(np.log(op.c) - np.log(op.b))
     xi = np.concatenate(([1.0], np.exp(logs)))
-    return xi, SymTridiagonal(diag=op.a.copy(), off=np.sqrt(op.b * op.c))
+    return xi, np.sqrt(op.b * op.c)
 
 
 def eig_tridiag(op: TridiagonalOperator) -> EigenFactorization:

@@ -668,6 +668,32 @@ def test_cylinder_final_fields_do_not_depend_on_sampling():
     assert not samples[0]["u"].any() and not samples[0]["v"].any()
 
 
+def test_a_third_held_component_of_one_shape_gets_scratch_of_its_own():
+    # w copies the cylinder's u, so three components are held in eigenbases
+    # of one shape: w gets a new scratch field, which the memory estimate
+    # counts, is sampled every step and ends bit for bit as u
+    cylinder = models.model_spec("bsdib_cylinder")
+    u = cylinder.components["u"]
+    record = dataclasses.replace(
+        cylinder,
+        components=cylinder.components | {"w": u},
+        equilibrium=lambda p: (eq := cylinder.equilibrium(p)) | {"w": eq["u"]},
+        reaction=lambda *args: (gs := cylinder.reaction(*args)) | {"w": gs["u"]},
+    )
+    dims, shape = {"n_rho": 6, "n_theta": 8, "n_z": 4}, (6, 8, 4)
+    added = models._check_memory(record, dims) - models._check_memory(cylinder, dims)
+    assert added == 8 * 2 * math.prod(shape) + prepared_bytes(u.geometry, shape, u.support)
+    samples = []
+
+    def hook(step, t, states):
+        samples.append(states["w"].tobytes() == states["u"].tobytes())
+
+    system = models.build_system(record, dims, seed=3)
+    fields = run_simulation(system, 4, 0.04, record_every=1, sample_hook=hook).fields
+    assert samples == [True] * 5 and fields["w"].tobytes() == fields["u"].tobytes()
+    assert fields["u"].any() and not np.shares_memory(fields["u"], fields["w"])
+
+
 def random_dims(name: str, rng) -> tuple[int, ...]:
     """Dims of a base from ALL_BASES, drawn so that every form prepare
     picks turns up: angles of up to 219 points (rfft from 128, with and
@@ -1238,11 +1264,13 @@ def test_dense_exponential_euler_matches_manual_steps():
             assert error <= 1e-13, (name, c.name, error)
 
 
-def test_dense_exponential_euler_size_cap():
-    dims = {"n_rho": 80, "n_theta": 80}
-    system = models.build_system("bvam_disk", dims, seed=5)
-    with pytest.raises(ValueError):
-        run_simulation(system, 2, 0.1, method="dense")
+def test_dense_exponential_euler_size_cap(monkeypatch):
+    # rejected before any assembly; the 33x32 disk has 1056 unknowns
+    monkeypatch.setattr(integrators, "dense_diffusion", None)
+    for dims in ({"n_rho": 80, "n_theta": 80}, {"n_rho": 33, "n_theta": 32}):
+        system = models.build_system("bvam_disk", dims, seed=5)
+        with pytest.raises(ValueError, match="beyond the dense reference cap 1024"):
+            run_simulation(system, 2, 0.1, method="dense")
 
 
 def test_small_forced_problem_first_order_self_convergence():

@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from curvipat import cli, models, output
+from curvipat import cli, models, output, tensor
 from curvipat import operators as op
 from curvipat.integrators import (
     ComponentOps,
@@ -865,6 +865,28 @@ def test_cylinder_bulk_starts_exactly_at_equilibrium():
     assert np.all(fields["v"] == eq["v"])
     assert np.all(fields["r"] >= eq["r"]) and np.max(fields["r"]) <= eq["r"] + 1e-2
     assert np.all(fields["s"] >= eq["s"]) and np.max(fields["s"]) <= eq["s"] + 1e-2
+
+
+def test_a_record_with_a_component_beyond_its_registry_entry_builds():
+    # build_system reads the record it is given: a bvam_disk record with a
+    # perturbed third component w starts u and v as the registry's system
+    # does, draws w after them, and runs
+    bvam, law = models.model_spec("bvam_disk"), models.Uniform(-0.5, 0.5)
+    record = dataclasses.replace(
+        bvam,
+        components=bvam.components | {"w": models.Component(Geometry.DISK, lambda *_: 0.01, law)},
+        equilibrium=lambda p: bvam.equilibrium(p) | {"w": 0.0},
+        reaction=lambda *args: (gs := bvam.reaction(*args)) | {"w": gs["u"]},
+    )
+    dims = {"n_rho": 6, "n_theta": 8}
+    system = models.build_system(record, dims, seed=4)
+    start = {c.name: c.initial.tobytes() for c in system.components}
+    for c in models.build_system("bvam_disk", dims, seed=4).components:
+        assert start[c.name] == c.initial.tobytes(), c.name
+    rng = models.Xoshiro256pp(4)
+    draws = [law.draw(rng, 48) for _ in "uvw"]
+    assert start["w"] == tensor.unvec(0.0 + draws[-1], (6, 8)).tobytes()
+    assert all(np.isfinite(W).all() for W in run_simulation(system, 3, 0.03).fields.values())
 
 
 def test_constant_start_fields_are_read_only_views():

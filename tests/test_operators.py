@@ -344,9 +344,12 @@ def test_operator_rejects_bad_weights(weights):
 
 
 def test_symmetrize_produces_symmetric_matrix():
-    xi, S = op.symmetrize(op.build_rho(2, 8, 1.0))
-    dense = S.toarray()
-    assert max_abs(dense - dense.T) <= 1e-13 * max_abs(dense)
+    # Xi^-1 A Xi is symmetric, with the returned off-diagonal
+    A = op.build_rho(2, 8, 1.0)
+    xi, off = op.symmetrize(A)
+    S = A.toarray() * xi[None, :] / xi[:, None]
+    assert max_abs(S - S.T) <= 1e-13 * max_abs(S)
+    np.testing.assert_allclose(np.diag(S, 1), off, rtol=1e-13)
 
 
 @pytest.mark.parametrize("n", [4, 8, 37, 200])
