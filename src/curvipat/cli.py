@@ -9,8 +9,10 @@ Subcommands, with the settings each reads (``_SETTINGS``):
                    optionally comparing forward Euler and the dense classical
                    exponential Euler; reads model, seed, out, tstar, n_<axis>,
                    m_list, m_ref, fe, dense.
-* ``props``     -- structural property report for one operator family; reads
-                   kind, n_list, params.rho_star, params.z_star, params.lambda.
+* ``props``     -- structural property report for one operator family of
+                   ``operators.FAMILIES``, built and its constants checked as
+                   ``models.build_system`` does; reads kind, n_list,
+                   params.rho_star, params.z_star, params.lambda.
 
 Configuration comes from an optional flat ``key = value`` file (``#``
 comments) overridden by flags; ``--set key=value`` patches any setting its
@@ -32,19 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import models, output
+from . import models, operators, output
 from .integrators import AXES, DENSE_REFERENCE_CAP, DivergenceError, run_simulation
-from .operators import (
-    NumericalFailure,
-    build_lambda,
-    build_phi_op,
-    build_rho,
-    build_theta,
-    build_z,
-    eig_tridiag,
-    matrix_exp_nonneg_check,
-    symmetrize,
-)
 from .output import FLOAT_FMT
 
 
@@ -56,17 +47,8 @@ class UsageError(ValueError):
 _AXIS_NAMES = tuple(dict.fromkeys(axis for axes in AXES.values() for axis in axes))
 _DIM_KEYS = {f"n_{axis}" for axis in _AXIS_NAMES}
 
-# The operator families of ``props``, each built from n and the constants
-# below (patched by params.<name>).
+# The constants of ``props``' operator families, patched by params.<name>.
 _PROP_CONSTANTS = {"rho_star": 1.0, "z_star": 1.0, "lambda": -1.95}
-_PROP_BUILDERS = {
-    "theta": lambda n, k: build_theta(n),
-    "rho2": lambda n, k: build_rho(2, n, k["rho_star"]),
-    "rho3": lambda n, k: build_rho(3, n, k["rho_star"]),
-    "phi": lambda n, k: build_phi_op(n),
-    "z": lambda n, k: build_z(n, k["z_star"]),
-    "lambda": lambda n, k: build_lambda(n, k["rho_star"], k["lambda"]),
-}
 
 
 def _parse_bool(value: str) -> bool:
@@ -98,7 +80,7 @@ _SETTINGS = {
     "m_ref": (int, ("converge",), "step count of the reference run"),
     "fe": (_parse_bool, ("converge",), "include forward Euler"),
     "dense": (_parse_bool, ("converge",), "include the dense classical exponential Euler"),
-    "kind": (str, ("props",), f"operator family: {', '.join(_PROP_BUILDERS)}"),
+    "kind": (str, ("props",), f"operator family: {', '.join(operators.FAMILIES)}"),
     "n_list": (_parse_int_list, ("props",), "operator sizes, e.g. 8,16,32"),
 }
 
@@ -391,7 +373,7 @@ def cmd_converge(cfg: dict) -> dict:
 
 def cmd_props(cfg: dict) -> list[dict]:
     kind = _require(cfg, "kind")
-    if kind not in _PROP_BUILDERS:
+    if kind not in operators.FAMILIES:
         raise UsageError(f"unknown operator kind {kind!r}")
     overrides = cfg.get("overrides", {})
     unknown = set(overrides) - set(_PROP_CONSTANTS)
@@ -405,19 +387,19 @@ def cmd_props(cfg: dict) -> list[dict]:
     if max(n_list) > 2048:
         raise UsageError("property report capped at n = 2048")
     constants = _PROP_CONSTANTS | overrides
-    for key in ("rho_star", "z_star"):
-        if not (math.isfinite(constants[key]) and constants[key] > 0):
-            raise UsageError(f"{key} must be finite and positive, got {constants[key]!r}")
-    if not math.isfinite(constants["lambda"]):
-        raise UsageError(f"lambda must be finite, got {constants['lambda']!r}")
+    try:
+        models.check_constants(constants)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     rows = []
     for n in n_list:
         try:
             # numpy's overflow and division by zero raise here, as Python's do
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                rows.append(_operator_row(kind, n, constants))
+                rows.append(_operator_row(kind, operators.build_family(kind, n, constants)))
         except (ValueError, ArithmeticError) as exc:
-            raise UsageError(f"bad constants for the {kind} operator at n = {n}: {exc}") from exc
+            failed = operators.failure(kind, n, constants, exc)
+            raise UsageError(f"bad constants for {failed}") from exc
 
     columns = sorted({key for row in rows for key in row}, key=lambda k: (k != "n", k))
     print(",".join(columns))
@@ -426,9 +408,9 @@ def cmd_props(cfg: dict) -> list[dict]:
     return rows
 
 
-def _operator_row(kind: str, n: int, constants: dict) -> dict:
-    """One row of the property report: the operator of this kind and size."""
-    op = _PROP_BUILDERS[kind](n, constants)
+def _operator_row(kind: str, op) -> dict:
+    """One row of the property report: ``op``, an operator of this kind."""
+    n = op.n
     row: dict = {"n": n}
     if kind == "theta":
         row["extra_diag_positive"] = op.off > 0
@@ -441,8 +423,8 @@ def _operator_row(kind: str, n: int, constants: dict) -> dict:
         sums = op.row_sums()
         zero_rows = sums[:-1] if kind in ("z", "lambda") else sums
         row["max_abs_rowsum"] = float(np.max(np.abs(zero_rows)))
-        xi, _ = symmetrize(op)
-        lambdas = eig_tridiag(op).lambdas
+        xi, _ = operators.symmetrize(op)
+        lambdas = operators.eig_tridiag(op).lambdas
         row["xi_inv_norm"] = float(np.max(1.0 / xi))
         if kind == "rho2":
             row["xi_inv_closed_form"] = math.sqrt(2 * n - 3)
@@ -453,7 +435,8 @@ def _operator_row(kind: str, n: int, constants: dict) -> dict:
             row["xi_cond_closed_form"] = math.sqrt(2.0)
     row["max_eigenvalue"] = float(np.max(lambdas))
     if n <= 64:
-        row["exp_min_entry"] = min(matrix_exp_nonneg_check(op, t) for t in (0.1, 1.0, 10.0))
+        checks = (operators.matrix_exp_nonneg_check(op, t) for t in (0.1, 1.0, 10.0))
+        row["exp_min_entry"] = min(checks)
     return row
 
 
@@ -516,7 +499,7 @@ def main(argv=None) -> int:
             return 0
         cmd_props(cfg)
         return 0
-    except (UsageError, DivergenceError, NumericalFailure) as exc:
+    except (UsageError, DivergenceError, operators.NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 3 if isinstance(exc, DivergenceError) else 4
 

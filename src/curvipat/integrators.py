@@ -213,14 +213,14 @@ class SplitFactor:
 
 class Workspace:
     """Scratch for a split or forward Euler step on fields of one shape: two
-    real fields, and one complex rfft spectrum per mode that needs one, made
-    on first use.  Each spectrum covers the field, with n//2 + 1 frequencies
-    along its mode.  Components of one shape can share it, since a step
-    uses it only while it runs."""
+    real fields (new, or ``fields`` seen in this shape), and one complex
+    rfft spectrum per mode that needs one, made on first use.  Each spectrum
+    covers the field, with n//2 + 1 frequencies along its mode.  Components
+    of one shape can share it, since a step uses it only while it runs."""
 
-    def __init__(self, shape: tuple[int, ...]):
+    def __init__(self, shape: tuple[int, ...], fields: tuple[np.ndarray, ...] = ()):
         self.shape = shape
-        self.fields = (np.empty(shape), np.empty(shape))
+        self.fields = tuple(f.reshape(shape) for f in fields) or (np.empty(shape), np.empty(shape))
         self._spectra: dict[int, np.ndarray] = {}
 
     def spectrum(self, mode: int) -> np.ndarray:
@@ -651,8 +651,9 @@ def _prepared(comps, tau: float, phi1: bool) -> Scheme:
     applies only M W: each component's :class:`GeometryOps`, from
     :func:`prepare` or :func:`diffusion_factors`, built once per distinct
     geometry, coefficient, decay, basis and axis objects, and one
-    :class:`Workspace` per shape of what the steps advance.  Each held
-    component takes a scratch field of its own: first the two of its
+    :class:`Workspace` per component field shape, which a held component's
+    step sees in the layout of its coefficients (a free reshape).  Each
+    held component takes a scratch field of its own: first the two of its
     shape's workspace, then new ones.  Its step advances every component in
     place, in order, through :func:`step_split` or
     :func:`step_forward_euler`, looked up when it runs."""
@@ -665,17 +666,19 @@ def _prepared(comps, tau: float, phi1: bool) -> Scheme:
             factors = None if phi1 else diffusion_factors(c.ops)
             built[key] = prepare(c.ops, tau) if phi1 else GeometryOps(c.ops, tau, factors)
         plan.append((c.name, replace(built[key], base=c.ops)))
-    work = {shape: Workspace(shape) for shape in {(ops.basis or ops).shape for _, ops in plan}}
+    work = {shape: Workspace(shape) for shape in {ops.shape for _, ops in plan}}
     scratch = {shape: chain(w.fields, map(np.empty, repeat(shape))) for shape, w in work.items()}
-    held = {
-        n: (o.basis, next(scratch[o.basis.shape]).reshape(o.shape)) for n, o in plan if o.basis
-    }
+    held = {n: (o.basis, next(scratch[o.shape])) for n, o in plan if o.basis}
+    steps = [
+        (n, o, Workspace(o.basis.shape, work[o.shape].fields) if o.basis else work[o.shape])
+        for n, o in plan
+    ]
 
     def step(states, gs):
         advance = step_split if phi1 else step_forward_euler
-        for name, ops in plan:
+        for name, ops, w in steps:
             W = states[name]
-            advance(ops, W, gs[name], out=W, work=work[W.shape])
+            advance(ops, W, gs[name], out=W, work=w)
 
     return Scheme(step, held)
 

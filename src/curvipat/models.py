@@ -4,10 +4,10 @@ constants overridden; :func:`build_system`, which assembles any record;
 and the integral-mean diagnostics.
 
 A record states once what differs between the models: its name, the
-published constants and sizes, the components in order (geometry, diffusion
-coefficient, perturbation law, lifted or not, linear decay, support of the
-reaction term), the equilibrium, the radial operator, the shape of each
-kinetics buffer and the reaction function.
+published constants (sizes too), the components in order (geometry,
+diffusion coefficient, perturbation law, lifted or not, linear decay,
+support of the reaction term), the equilibrium, the radial operator's
+family, the shape of each kinetics buffer and the reaction function.
 The surface components of a bulk-surface model live on the boundary
 geometry, and the reaction term carries the boundary-flux sources.  Lifted
 components (inhomogeneous Dirichlet data) are integrated as deviations from
@@ -35,15 +35,7 @@ import numpy as np
 
 from . import tensor
 from .integrators import ComponentOps, Geometry, in_eigenbasis, prepared_bytes
-from .operators import (
-    TridiagonalOperator,
-    build_lambda,
-    build_phi_op,
-    build_rho,
-    build_theta,
-    build_z,
-    symmetrize,
-)
+from .operators import TridiagonalOperator, build_family, failure, in_words, symmetrize
 from .rng import Xoshiro256pp
 
 # ---------------------------------------------------------------------------
@@ -157,7 +149,7 @@ def dib_kinetics(r, s, params, out, u=1.0, v=1.0) -> tuple[np.ndarray, np.ndarra
     z2, z3, z4, z5 = (params[k] for k in ("zeta2", "zeta3", "zeta4", "zeta5"))
     e1, e2, e3, e5 = (params[k] for k in ("eta1", "eta2", "eta3", "eta5"))
     p, q, t = out
-    _product(v, e1, out=q)
+    np.multiply(v, e1, out=q)
     np.multiply(r, e2, out=t)
     t += 1.0
     q *= t
@@ -174,7 +166,7 @@ def dib_kinetics(r, s, params, out, u=1.0, v=1.0) -> tuple[np.ndarray, np.ndarra
     p += 1.0
     t *= p
     q -= t
-    _product(u, z2, out=p)
+    np.multiply(u, z2, out=p)
     np.subtract(1.0, s, out=t)
     p *= t
     p *= r
@@ -186,14 +178,6 @@ def dib_kinetics(r, s, params, out, u=1.0, v=1.0) -> tuple[np.ndarray, np.ndarra
     t *= z4
     p -= t
     return p, q
-
-
-def _product(x, c: float, out: np.ndarray) -> None:
-    """out = x c, by one fill for a float x (twice as fast as a ufunc)."""
-    if isinstance(x, float):
-        out.fill(x * c)
-    else:
-        np.multiply(x, c, out=out)
 
 
 def bulk_surface_coupling_ball(u_trace, v_trace, r, s, params, h_rho: float, rho_edge: float, out):
@@ -319,13 +303,13 @@ def _schnakenberg_steady(p) -> tuple[float, float]:
 @dataclass(frozen=True)
 class Component:
     """One unknown of a model: its geometry, its diffusion coefficient as a
-    function of (params, sizes), the law of its initial perturbation (None:
+    function of the params, the law of its initial perturbation (None:
     it starts at the equilibrium), whether it is lifted, the rate of its
     linear reaction -decay W as a function of the params (None: none), and
     the index of the part of the field the rest of its reaction covers."""
 
     geometry: Geometry
-    coeff: Callable[[dict, dict], float]
+    coeff: Callable[[dict], float]
     perturbation: Perturbation | None
     lifted: bool = False
     decay: Callable[[dict], float] | None = None
@@ -334,18 +318,17 @@ class Component:
 
 @dataclass(frozen=True)
 class Model:
-    """One experiment: its ``name``; published ``params`` and ``sizes``;
-    ``components`` in the model's order; ``equilibrium(params)``;
-    ``rho(n, params, sizes)``, the radial operator, or None when no
-    component has a radial axis; ``buffers``, the component whose field
-    shape each kinetics buffer takes; and the ``reaction`` function."""
+    """One experiment: its ``name``; its published constants, ``params``;
+    ``components`` in the model's order; ``equilibrium(params)``; ``rho``,
+    the family of the radial operator in ``operators.FAMILIES``, or None
+    when no component has a radial axis; ``buffers``, the component whose
+    field shape each kinetics buffer takes; and the ``reaction`` function."""
 
     name: ModelName
     params: dict[str, float]
-    sizes: dict[str, float]
     components: dict[str, Component]
     equilibrium: Callable[[dict], dict[str, float]]
-    rho: Callable[[int, dict, dict], TridiagonalOperator] | None
+    rho: str | None
     buffers: tuple[str, ...]
     reaction: Callable[..., dict[str, np.ndarray]]
 
@@ -362,9 +345,9 @@ def _sphere_surface(law: Perturbation) -> dict[str, Component]:
     """r and s on the sphere of radius rho_star, where the unit sphere's
     operator is scaled by 1/rho_star^2 and s diffuses epsilon times as fast."""
     return {
-        "r": Component(Geometry.SPHERE, lambda p, sizes: 1.0 / sizes["rho_star"] ** 2, law),
+        "r": Component(Geometry.SPHERE, lambda p: 1.0 / p["rho_star"] ** 2, law),
         "s": Component(
-            Geometry.SPHERE, lambda p, sizes: p["epsilon"] / sizes["rho_star"] ** 2, law
+            Geometry.SPHERE, lambda p: p["epsilon"] / p["rho_star"] ** 2, law
         ),
     }
 
@@ -380,14 +363,14 @@ _RECORDS = (
             "alpha3": 0.2,
             "beta1": -0.91,
             "beta2": -0.899,
+            "rho_star": 1.0,
         },
-        sizes={"rho_star": 1.0},
         components={
-            "u": Component(Geometry.DISK, lambda p, sizes: p["gamma"], Uniform(-0.5, 0.5)),
-            "v": Component(Geometry.DISK, lambda p, sizes: p["delta"], Uniform(-0.5, 0.5)),
+            "u": Component(Geometry.DISK, lambda p: p["gamma"], Uniform(-0.5, 0.5)),
+            "v": Component(Geometry.DISK, lambda p: p["delta"], Uniform(-0.5, 0.5)),
         },
         equilibrium=lambda p: {"u": 0.0, "v": 0.0},
-        rho=lambda n, p, sizes: build_rho(2, n, sizes["rho_star"]),
+        rho="rho2",
         buffers=("u",) * 3,
         reaction=_bvam_reaction,
     ),
@@ -401,14 +384,14 @@ _RECORDS = (
             "beta1": 1.34,
             "delta": 5.0e1,
             "lambda": -1.95,
+            "rho_star": 1.0,
         },
-        sizes={"rho_star": 1.0},
         components={
-            "u": Component(Geometry.DISK, lambda p, sizes: 1.0, Normal(1e-5), True),
-            "v": Component(Geometry.DISK, lambda p, sizes: p["delta"], Normal(1e-5), True),
+            "u": Component(Geometry.DISK, lambda p: 1.0, Normal(1e-5), True),
+            "v": Component(Geometry.DISK, lambda p: p["delta"], Normal(1e-5), True),
         },
         equilibrium=lambda p: dict(zip(("u", "v"), _schnakenberg_steady(p))),
-        rho=lambda n, p, sizes: build_lambda(n, sizes["rho_star"], p["lambda"]),
+        rho="lambda",
         buffers=("u",) * 4,
         reaction=_anomalous_reaction,
     ),
@@ -425,8 +408,8 @@ _RECORDS = (
             "eta3": 0.2,
             "eta5": 1.5,
             "epsilon": 20.0,
+            "rho_star": 1.1653,
         },
-        sizes={"rho_star": 1.1653},
         components=_sphere_surface(Normal(1e-6)),
         equilibrium=lambda p: {"r": 0.0, "s": p["zeta5"]},
         rho=None,
@@ -446,15 +429,15 @@ _RECORDS = (
             "eta2": 5.0,
             "delta": 10.0,
             "epsilon": 10.0,
+            "rho_star": 1.0,
         },
-        sizes={"rho_star": 1.0},
         components={
-            "u": Component(Geometry.BALL, lambda p, sizes: 1.0, Normal(1e-3)),
-            "v": Component(Geometry.BALL, lambda p, sizes: p["delta"], Normal(1e-3)),
+            "u": Component(Geometry.BALL, lambda p: 1.0, Normal(1e-3)),
+            "v": Component(Geometry.BALL, lambda p: p["delta"], Normal(1e-3)),
             **_sphere_surface(Normal(1e-3)),
         },
         equilibrium=lambda p: dict(zip(("u", "v", "r", "s"), 2 * _schnakenberg_steady(p))),
-        rho=lambda n, p, sizes: build_rho(3, n, sizes["rho_star"]),
+        rho="rho3",
         buffers=("u",) * 2 + ("r",) * 5,
         reaction=_ball_reaction,
     ),
@@ -478,22 +461,23 @@ _RECORDS = (
             "eta2": 2.5,
             "eta3": 0.2,
             "eta5": 1.5,
+            "rho_star": 25.0,
+            "z_star": 25.0,
         },
-        sizes={"rho_star": 25.0, "z_star": 25.0},
         components={
             "u": Component(
-                Geometry.CYLINDER, lambda p, sizes: 1.0, None, True,
+                Geometry.CYLINDER, lambda p: 1.0, None, True,
                 decay=lambda p: p["alpha1"], support=np.s_[:, :, 0],
             ),
             "v": Component(
-                Geometry.CYLINDER, lambda p, sizes: p["delta"], None, True,
+                Geometry.CYLINDER, lambda p: p["delta"], None, True,
                 decay=lambda p: p["beta1"], support=np.s_[:, :, 0],
             ),
-            "r": Component(Geometry.DISK, lambda p, sizes: 1.0, Uniform(0.0, 1e-2)),
-            "s": Component(Geometry.DISK, lambda p, sizes: p["epsilon"], Uniform(0.0, 1e-2)),
+            "r": Component(Geometry.DISK, lambda p: 1.0, Uniform(0.0, 1e-2)),
+            "s": Component(Geometry.DISK, lambda p: p["epsilon"], Uniform(0.0, 1e-2)),
         },
         equilibrium=lambda p: {"u": p["alpha2"], "v": p["beta2"], "r": 0.0, "s": p["zeta5"]},
-        rho=lambda n, p, sizes: build_rho(2, n, sizes["rho_star"]),
+        rho="rho2",
         buffers=("r",) * 7,
         reaction=_cylinder_reaction,
     ),
@@ -503,20 +487,15 @@ MODELS: dict[ModelName, Model] = {model.name: model for model in _RECORDS}
 
 def model_spec(name: ModelName | str, overrides: dict[str, float] | None = None) -> Model:
     """The model's record with its published constants, optionally
-    overridden (keys: parameter names, or geometry sizes rho_star /
-    z_star).  eta4 is never a parameter: it is always recomputed from the
-    equilibrium constraint."""
+    overridden (keys: names in its ``params``).  eta4 is never a parameter:
+    it is always recomputed from the equilibrium constraint."""
     model = MODELS[ModelName(name)]
     params = dict(model.params)
-    sizes = dict(model.sizes)
     for key, value in (overrides or {}).items():
-        if key in sizes:
-            sizes[key] = float(value)
-        elif key in params:
-            params[key] = float(value)
-        else:
+        if key not in params:
             raise KeyError(f"unknown parameter {key!r} for model {model.name.value}")
-    return replace(model, params=params, sizes=sizes)
+        params[key] = float(value)
+    return replace(model, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +588,9 @@ def build_system(
     kinetics evaluator; a model name takes its published constants (pass
     others through :func:`model_spec`, other perturbation laws through a
     record with other ``components``).  Each axis's 1-d operator is built
-    once and shared by every component on it.  Constants that overflow or
-    divide by zero on the way, or that leave a tridiagonal axis operator
+    once, by ``operators.build_family`` (the record's ``rho`` family for the
+    radius), and shared by every component on it.  Constants that overflow
+    or divide by zero on the way, or that leave a tridiagonal axis operator
     without finite, positive symmetrized off-diagonals, are a
     ``ValueError``, like the other bad constants.
 
@@ -619,31 +599,29 @@ def build_system(
     """
     if not isinstance(model, Model):
         model = model_spec(model)
-    _check_constants(model)
+    check_constants(model.params)
     _check_memory(model, dims)
-    p, sizes = model.params, model.sizes
-    build_axis = {
-        "rho": lambda n: model.rho(n, p, sizes),
-        "theta": build_theta,
-        "phi": build_phi_op,
-        "z": lambda n: build_z(n, sizes["z_star"]),
-    }
+    p = model.params
     try:
         # numpy's overflow and division by zero raise here, as Python's do
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            counts = {key.removeprefix("n_"): dims[key] for key in dim_keys(model)}
-            axes = {axis: build_axis[axis](n) for axis, n in counts.items()}
-            for axis, op in axes.items():
-                # prepare's eigensolver works on the symmetrized matrix
-                if isinstance(op, TridiagonalOperator):
-                    off = symmetrize(op)[1]
-                    if not np.all((off > 0) & np.isfinite(off)):
-                        raise ValueError(
-                            f"the {axis} operator's symmetrized off-diagonals must be "
-                            f"finite and positive"
-                        )
+            axes = {}
+            for key in dim_keys(model):
+                axis, n = key.removeprefix("n_"), dims[key]
+                family = model.rho if axis == "rho" else axis
+                try:
+                    axes[axis] = op = build_family(family, n, p)
+                    # prepare's eigensolver works on the symmetrized matrix
+                    off = symmetrize(op)[1] if isinstance(op, TridiagonalOperator) else 1.0
+                except ArithmeticError as exc:
+                    raise ArithmeticError(failure(family, n, p, exc)) from exc
+                if not np.all((off > 0) & np.isfinite(off)):
+                    raise ValueError(
+                        f"the {axis} operator's symmetrized off-diagonals must be "
+                        f"finite and positive"
+                    )
         eq = model.equilibrium(p)
-        coeffs = {name: c.coeff(p, sizes) for name, c in model.components.items()}
+        coeffs = {name: c.coeff(p) for name, c in model.components.items()}
         decays = {name: c.decay(p) if c.decay else 0.0 for name, c in model.components.items()}
         for name, coeff in coeffs.items():
             if coeff < 0:
@@ -658,7 +636,8 @@ def build_system(
         _check_kinetics(model, eq, lifts, compute)
     except ArithmeticError as exc:
         raise ValueError(
-            f"the constants of model {model.name.value} overflow or divide by zero: {exc}"
+            f"the constants of model {model.name.value} overflow or divide by zero: "
+            f"{in_words(exc)}"
         ) from exc
     initial = random_initial_condition(model, seed, dims)
     components = []
@@ -730,21 +709,21 @@ def _check_memory(model: Model, dims: dict[str, int]) -> int:
     return need
 
 
-def _check_constants(model: Model) -> None:
-    """Reject a non-finite parameter or size, including the derived eta4 of
-    the DIB kinetics, and a size that is not positive, before anything is
-    built."""
-    constants = {**model.params, **model.sizes}
-    if "zeta5" in model.params:
+def check_constants(constants: dict[str, float]) -> None:
+    """Reject a non-finite constant, including the derived eta4 of the DIB
+    kinetics, and a rho_star or z_star that is not positive, before anything
+    is built: one rule for a model's params and for ``props``' constants."""
+    constants = dict(constants)
+    if "zeta5" in constants:
         try:
-            constants["eta4"] = eta4(model.params)
+            constants["eta4"] = eta4(constants)
         except ZeroDivisionError:
             constants["eta4"] = math.inf
     for key, value in constants.items():
         if not math.isfinite(value):
-            raise ValueError(f"model constant {key} must be finite, got {value!r}")
-        if key in model.sizes and value <= 0:
-            raise ValueError(f"model size {key} must be positive, got {value!r}")
+            raise ValueError(f"constant {key} must be finite, got {value!r}")
+        if key in ("rho_star", "z_star") and value <= 0:
+            raise ValueError(f"constant {key} must be positive, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """One-dimensional finite-difference operators on curvilinear grids.
 
 Builders for the radial, angular and axial second-order stencils used by the
-simulation engine, together with the diagonal weights and quadrature
-measure of each coordinate, their diagonal symmetrizers and
-eigendecompositions.  Every operator built here is tridiagonal (or circulant
-tridiagonal for the periodic angle), has positive extra-diagonal entries, and
-has a nonpositive real spectrum, which is what makes the exponential-type
-time stepping in :mod:`curvipat.integrators` unconditionally stable.
+simulation engine (one table of the six families, ``FAMILIES``), together
+with the diagonal weights and quadrature measure of each coordinate, their
+diagonal symmetrizers and eigendecompositions.  Every operator built here
+is tridiagonal (or circulant tridiagonal for the periodic angle), has
+positive extra-diagonal entries, and has a nonpositive real spectrum, which
+is what makes the exponential-type time stepping in
+:mod:`curvipat.integrators` unconditionally stable.
 
 All constructions are deterministic: identical inputs give bit-identical
 outputs.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -368,6 +369,36 @@ def build_lambda(n: int, rho_star: float, lam: float) -> TridiagonalOperator:
         weights=grid ** (-2.0 - lam),
         measure=grid * _widths(grid, h, 0.0, grid[-1] + h),
     )
+
+
+# The 1-d operator families by name: the builder, called with n and then
+# the constants named here, in this order.
+FAMILIES = {
+    "theta": (build_theta, ()),
+    "rho2": (partial(build_rho, 2), ("rho_star",)),
+    "rho3": (partial(build_rho, 3), ("rho_star",)),
+    "phi": (build_phi_op, ()),
+    "z": (build_z, ("z_star",)),
+    "lambda": (build_lambda, ("rho_star", "lambda")),
+}
+
+
+def build_family(family: str, n: int, constants: dict[str, float]):
+    """The operator of ``family`` with n points, from the constants it reads."""
+    build, keys = FAMILIES[family]
+    return build(n, *(constants[key] for key in keys))
+
+
+def in_words(exc: Exception) -> str:
+    """An error's message; Python's OverflowError gives an errno tuple."""
+    return "overflow" if isinstance(exc, OverflowError) else str(exc)
+
+
+def failure(family: str, n: int, constants: dict[str, float], exc: Exception) -> str:
+    """What failed in the operator of ``family`` with n points, naming the
+    constants it reads: ``the rho2 operator at n = 8, rho_star = 1e+300: overflow``."""
+    named = "".join(f", {key} = {constants[key]!r}" for key in FAMILIES[family][1])
+    return f"the {family} operator at n = {n}{named}: {in_words(exc)}"
 
 
 def symmetrize(op: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,9 @@ import numpy as np
 
 from .operators import EigenFactorization, expm_taylor
 
-# Below this threshold (e^x - 1)/x loses digits; a degree-6 Taylor polynomial
-# is exact to double precision there.
+# Below this cutoff a degree-6 Taylor polynomial, exact to double precision
+# there, gives phi1(0) = 1 (expm1(x)/x is 0/0) and the bits the goldens pin;
+# expm1(x)/x loses no digits there, but differs from it by up to 1 ulp.
 _TAYLOR_CUTOFF = 1e-5
 
 

@@ -438,7 +438,7 @@ _NOT_DISK_DIMS = sorted(cli._DIM_KEYS - set(models.dim_keys(models.ModelName.BVA
 # model constants behind the params. prefix
 _RUN_KEYS = {key for key, (_, commands, _) in cli._SETTINGS.items() if "run" in commands}
 _DISK_KEYS = (_RUN_KEYS - set(_NOT_DISK_DIMS)) | {
-    f"params.{name}" for name in {**_DISK_SPEC.params, **_DISK_SPEC.sizes}
+    f"params.{name}" for name in _DISK_SPEC.params
 }
 
 
@@ -617,16 +617,20 @@ def test_props_closed_forms():
 
 
 _BAD_PROPS_CONSTANTS = [
-    ("rho2", "params.rho_star=1e300", "bad constants for the rho2 operator at n = 8"),
-    ("rho2", "params.rho_star=1e-300", "bad constants for the rho2 operator at n = 8"),
-    ("rho3", "params.rho_star=1e-300", "bad constants for the rho3 operator at n = 8"),
-    ("z", "params.z_star=1e-300", "bad constants for the z operator at n = 8"),
-    ("z", "params.z_star=inf", "z_star must be finite and positive, got inf"),
-    ("z", "params.z_star=nan", "z_star must be finite and positive, got nan"),
-    ("rho2", "params.rho_star=nan", "rho_star must be finite and positive, got nan"),
-    ("lambda", "params.rho_star=nan", "rho_star must be finite and positive, got nan"),
-    ("rho2", "params.rho_star=inf", "rho_star must be finite and positive, got inf"),
-    ("lambda", "params.lambda=nan", "lambda must be finite, got nan"),
+    ("rho2", "params.rho_star=1e300",
+     "bad constants for the rho2 operator at n = 8, rho_star = 1e+300: overflow\n"),
+    ("rho2", "params.rho_star=1e-300",
+     "bad constants for the rho2 operator at n = 8, rho_star = 1e-300: "),
+    ("rho3", "params.rho_star=1e-300",
+     "bad constants for the rho3 operator at n = 8, rho_star = 1e-300: "),
+    ("z", "params.z_star=1e-300",
+     "bad constants for the z operator at n = 8, z_star = 1e-300: float division by zero\n"),
+    ("z", "params.z_star=inf", "constant z_star must be finite, got inf"),
+    ("z", "params.z_star=nan", "constant z_star must be finite, got nan"),
+    ("rho2", "params.rho_star=nan", "constant rho_star must be finite, got nan"),
+    ("lambda", "params.rho_star=nan", "constant rho_star must be finite, got nan"),
+    ("rho2", "params.rho_star=inf", "constant rho_star must be finite, got inf"),
+    ("lambda", "params.lambda=nan", "constant lambda must be finite, got nan"),
 ]
 
 
@@ -636,11 +640,39 @@ _BAD_PROPS_CONSTANTS = [
     ids=[f"{kind}-{setting.removeprefix('params.')}" for kind, setting, _ in _BAD_PROPS_CONSTANTS],
 )
 def test_props_rejects_bad_constants_with_exit_2(kind, setting, message, capsys):
-    # no traceback, no numerical-failure exit 4 and no RuntimeWarning
+    # no traceback, no numerical-failure exit 4 and no RuntimeWarning; the
+    # message names the constant
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli("props", "--kind", kind, "--n-list", "8", "--set", setting) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert f" {setting.removeprefix('params.').split('=')[0]} " in err
+
+
+def test_an_operator_whose_arithmetic_fails_names_its_constants(tmp_path, capsys):
+    # run and converge name the family, n and the constants that it reads,
+    # and say what failed in words (no errno tuple), as props does; numpy's
+    # words are its own
+    disk = ["--model", "bvam_disk", "--n-rho", "4", "--n-theta", "6"]
+    anomalous = ["--model", "schnakenberg_anomalous_disk", "--n-rho", "4", "--n-theta", "6"]
+    cylinder = ["--model", "bsdib_cylinder", "--n-rho", "4", "--n-theta", "6", "--n-z", "5"]
+    prefix = "error: the constants of model {} overflow or divide by zero: the "
+    cases = [
+        (disk, "rho_star=1e300", "bvam_disk",
+         "rho2 operator at n = 4, rho_star = 1e+300: overflow\n"),
+        (anomalous, "rho_star=1e300", "schnakenberg_anomalous_disk",
+         "lambda operator at n = 4, rho_star = 1e+300, lambda = -1.95: overflow"),
+        (cylinder, "z_star=1e-300", "bsdib_cylinder",
+         "z operator at n = 5, z_star = 1e-300: float division by zero\n"),
+    ]
+    for model, setting, name, message in cases:
+        run = ["run", *model, "--m", "2", "--out", str(tmp_path / "o")]
+        converge = ["converge", *model, "--m-list", "2,4"]
+        for argv in (run, converge):
+            assert run_cli(*argv, "--tstar", "0.01", "--set", f"params.{setting}") == 2, argv
+            assert capsys.readouterr().err.startswith(prefix.format(name) + message)
+    assert not (tmp_path / "o").exists()
 
 
 def test_props_via_main(capsys):

@@ -694,6 +694,53 @@ def test_a_third_held_component_of_one_shape_gets_scratch_of_its_own():
     assert fields["u"].any() and not np.shares_memory(fields["u"], fields["w"])
 
 
+def _workspace_bytes(monkeypatch, record, dims) -> int:
+    """The bytes of the fields and rfft spectra that the split scheme's
+    workspaces allocate over a short run of the record (views excluded)."""
+    made = []
+
+    class Recorded(integrators.Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(integrators, "Workspace", Recorded)
+    run_simulation(models.build_system(record, dims, seed=3), 2, 0.02)
+    arrays = [a for w in made for a in (*w.fields, *w._spectra.values()) if a.base is None]
+    return sum(a.nbytes for a in arrays)
+
+
+def test_held_and_unheld_components_of_one_shape_share_their_scratch(monkeypatch):
+    # the cylinder's held bulk and an unheld w of the same field shape, whose
+    # theta takes the rfft, share one workspace: what the workspaces
+    # allocate fits in the memory estimate's scratch part, two fields and a
+    # spectrum bound per field shape, and the plain cylinder allocates its
+    # bulk's two fields and the surface's two fields and spectrum
+    cylinder = models.model_spec("bsdib_cylinder")
+    w = models.Component(Geometry.CYLINDER, lambda *_: 1.0, models.Uniform(0.0, 1e-2))
+    record = dataclasses.replace(
+        cylinder,
+        components=cylinder.components | {"w": w},
+        equilibrium=lambda p: cylinder.equilibrium(p) | {"w": 0.0},
+        buffers=cylinder.buffers + ("w",),
+        reaction=lambda states, out, *rest: cylinder.reaction(states, out[:-1], *rest)
+        | {"w": np.negative(states["w"], out=out[-1])},
+    )
+    dims = {"n_rho": 6, "n_theta": 128, "n_z": 4}
+    shapes = models.component_shapes(record, dims)
+    bulk, disk = math.prod(shapes["w"]), math.prod(shapes["r"])
+    others = record.buffer_bytes(shapes) + sum(
+        8 * (1 if c.perturbation is None else 2) * math.prod(shapes[name])
+        + prepared_bytes(c.geometry, shapes[name], c.support)
+        for name, c in record.components.items()
+    )
+    scratch = models._check_memory(record, dims) - others
+    assert scratch == 8 * 4 * (bulk + disk)
+    assert _workspace_bytes(monkeypatch, record, dims) <= scratch
+    spectrum = 16 * 6 * (128 // 2 + 1)
+    assert _workspace_bytes(monkeypatch, cylinder, dims) == 8 * 2 * (bulk + disk) + spectrum
+
+
 def random_dims(name: str, rng) -> tuple[int, ...]:
     """Dims of a base from ALL_BASES, drawn so that every form prepare
     picks turns up: angles of up to 219 points (rfft from 128, with and

@@ -225,7 +225,7 @@ def test_bvam_defaults_match_published_values():
     assert p["alpha1"] == 0.899 and p["beta2"] == -0.899
     assert p["alpha2"] == 0.2 and p["alpha3"] == 0.2
     assert p["beta1"] == -0.91
-    assert spec.sizes["rho_star"] == 1.0
+    assert spec.params["rho_star"] == 1.0
 
 
 def test_remaining_model_defaults_match_published_values():
@@ -240,7 +240,7 @@ def test_remaining_model_defaults_match_published_values():
     assert (p["eta1"], p["eta2"], p["eta3"], p["eta5"], p["epsilon"]) == (
         5.0, 2.5, 0.2, 1.5, 20.0,
     )
-    assert models.model_spec("dib_sphere").sizes["rho_star"] == 1.1653
+    assert models.model_spec("dib_sphere").params["rho_star"] == 1.1653
     p = models.model_spec("bulk_surface_schnakenberg_ball").params
     assert p["alpha1"] == p["zeta1"] == 55.0
     assert (p["alpha2"], p["beta1"]) == (0.1, 0.9)
@@ -253,19 +253,19 @@ def test_remaining_model_defaults_match_published_values():
     assert p["alpha3"] == p["beta3"] == 0.15
     assert (p["epsilon"], p["zeta2"], p["zeta4"], p["zeta5"]) == (20.0, 10.0, 66.0, 0.5)
     assert (p["eta1"], p["eta2"], p["eta3"], p["eta5"]) == (3.0, 2.5, 0.2, 1.5)
-    assert spec.sizes == {"rho_star": 25.0, "z_star": 25.0}
+    assert (p["rho_star"], p["z_star"]) == (25.0, 25.0)
 
 
 def test_model_spec_overrides_and_unknown_keys():
     spec = models.model_spec("bvam_disk", {"gamma": 0.01, "rho_star": 2.0})
     assert spec.params["gamma"] == 0.01
-    assert spec.sizes["rho_star"] == 2.0
+    assert spec.params["rho_star"] == 2.0
     # the published record, with other constants and nothing else changed
     published = models.MODELS[models.ModelName.BVAM_DISK]
     assert spec == dataclasses.replace(
-        published, params={**published.params, "gamma": 0.01}, sizes={"rho_star": 2.0}
+        published, params={**published.params, "gamma": 0.01, "rho_star": 2.0}
     )
-    assert published.params["gamma"] == 3.87e-3 and published.sizes["rho_star"] == 1.0
+    assert published.params["gamma"] == 3.87e-3 and published.params["rho_star"] == 1.0
     assert [model.name for model in models.MODELS.values()] == list(models.MODELS)
     with pytest.raises(KeyError):
         models.model_spec("bvam_disk", {"zeta1": 1.0})
@@ -319,7 +319,7 @@ def _scaled_constants(name, keys=None) -> dict[str, float]:
     """Overrides scaling each constant in ``keys`` (default: all of the
     model's) by a factor of its own, 0.99, 0.985, ... in sorted key order."""
     spec = models.model_spec(name)
-    constants = {**spec.params, **spec.sizes}
+    constants = spec.params
     factors = {key: 0.99 - 0.005 * i for i, key in enumerate(sorted(constants))}
     return {key: constants[key] * factors[key] for key in keys or constants}
 
@@ -436,13 +436,20 @@ def test_build_system_builds_each_axis_and_draws_once(name, monkeypatch):
     # every component on an axis shares its operator, so each axis's
     # eigendecomposition and the polar-angle offset solve run once
     calls = []
-    for fn in ("build_rho", "build_lambda", "build_theta", "build_phi_op", "build_z",
-               "random_initial_condition"):
-        def spy(*args, _fn=getattr(models, fn), _name=fn):
-            calls.append(_name)
-            return _fn(*args)
 
-        monkeypatch.setattr(models, fn, spy)
+    def spy(fn, name):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return counted
+
+    for family, (build, keys) in op.FAMILIES.items():
+        monkeypatch.setitem(op.FAMILIES, family, (spy(build, family), keys))
+    monkeypatch.setattr(
+        models, "random_initial_condition",
+        spy(models.random_initial_condition, "random_initial_condition"),
+    )
     system = models.build_system(name, _ROUTING_RUNS[name.value][0], seed=1)
     assert "random_initial_condition" in calls
     assert len(calls) == len(set(calls)) == 1 + len(models.dim_keys(name))

@@ -27,7 +27,9 @@ curvipat converge --model dib_sphere --n-theta 8 --n-phi 5 --tstar 0.01 --m-list
 curvipat run --model schnakenberg_anomalous_disk --n-rho 5 --n-theta 8 --m 2 --tstar 0.001 --out "$RUNNER_TEMP/a"
 curvipat converge --model schnakenberg_anomalous_disk --n-rho 5 --n-theta 8 --tstar 0.001 --m-list 2,4 --fe --dense
 rc=0; curvipat run --model bvam_disk --n-rho 4 --n-theta 6 --m 2 --tstar 0.01 --set params.rho_star=1e150 --out "$RUNNER_TEMP/bad" || rc=$?; test "$rc" -eq 2
-rc=0; curvipat props --kind rho2 --n-list 8 --set params.rho_star=1e300 || rc=$?; test "$rc" -eq 2
+# an operator whose arithmetic overflows is bad input, and the message names the constant
+rc=0; curvipat props --kind rho2 --n-list 8 --set params.rho_star=1e300 2> "$RUNNER_TEMP/err" || rc=$?; test "$rc" -eq 2; grep rho_star "$RUNNER_TEMP/err"
+rc=0; curvipat run --model bvam_disk --n-rho 4 --n-theta 6 --m 2 --tstar 0.01 --set params.rho_star=1e300 --out "$RUNNER_TEMP/bad" 2> "$RUNNER_TEMP/err" || rc=$?; test "$rc" -eq 2; grep rho_star "$RUNNER_TEMP/err"
 
 python -m pytest -q --continue-on-collection-errors
 
